@@ -1,7 +1,7 @@
 """Closed forms for small k, and two structural identities.
 
-The general algorithm multiplies one generating series per irreducible
-factor of x^n - 1.  For k = 1, 2, 3 there are also closed-form expressions
+The general algorithm multiplies one generating series per factor degree
+of x^n - 1.  For k = 1, 2, 3 there are also closed-form expressions
 in q, the degree pattern, and p^s; they must agree with the general route
 everywhere.  Two more identities make good sanity checks:
 

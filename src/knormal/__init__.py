@@ -22,6 +22,7 @@ from .counting import (
     phi_q_prime_power,
 )
 from .errors import (
+    ArgumentOutOfRange,
     BothZero,
     EnumerationTooLarge,
     InputTooLarge,
@@ -49,6 +50,7 @@ from .spectrum import DegreePattern, ExtensionParams, degree_pattern, derive_par
 __version__ = "0.1.0"
 
 __all__ = [
+    "ArgumentOutOfRange",
     "BothZero",
     "DegreePattern",
     "Distribution",

@@ -220,10 +220,17 @@ def cmd_factors(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.modulus_trials < 1:
+        print(
+            f"error: --modulus-trials must be >= 1, got {args.modulus_trials}",
+            file=sys.stderr,
+        )
+        return 2
     checks = _run_checks(
         args.q, args.n, args.oracle, args.max_brute, args.modulus_trials
     )
-    passed = all(ok for _, ok, _ in checks)
+    # A verify that ran no check has shown nothing, so it does not pass.
+    passed = bool(checks) and all(ok for _, ok, _ in checks)
     if args.format == "json":
         _emit_json(
             {

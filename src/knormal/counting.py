@@ -6,11 +6,15 @@ weighted count of divisors of x**n - 1 of degree n - k: each distinct
 irreducible factor f of degree r may appear with multiplicity a in
 0..p**s, contributing degree r*a and weight phi_q(f**a) (1 when a = 0).
 
-The production algorithm extracts the coefficient of z**(n-k) from the
-truncated product of one generating series per irreducible factor.  A
-literal tuple enumeration, a binomial form for the squarefree case, and
-per-k closed forms are provided as independent routes for cross-checks.
-All results are plain Python ints and therefore exact.
+The weight depends on f only through r, so the production algorithm works
+per degree: the v_r factors of degree r form one group whose series in
+z**r is the v_r-th power of a single factor's series.  That series is a
+rational function, so each group's coefficients follow from a short
+integer recurrence; N_k is the coefficient of z**(n-k) in the product of
+the tau(d) group series.  A literal tuple enumeration, a binomial form for
+the squarefree case, and per-k closed forms are provided as independent
+routes for cross-checks.  All results are plain Python ints and therefore
+exact.
 """
 
 import itertools
@@ -64,50 +68,67 @@ def _check_k(n: int, k: int) -> None:
         raise KOutOfRange(f"k must lie in 0..{n}, got {k}")
 
 
-def _factor_series(q: int, r: int, multiplicity_cap: int, degree_cap: int) -> list[int]:
-    """Weight series of one degree-r irreducible factor, truncated.
+def _group_series(q: int, r: int, v: int, ps: int, cap: int) -> list[int]:
+    """Joint weight series of all v factors of degree r, up to w**cap, w = z**r.
 
-    Coefficient of z**(r*a) is the weight of using the factor's a-th power;
-    all other coefficients are zero.
+    One factor's series is F(w) = sum over a <= P of phi_a w**a with
+    Q = q**r, P = p**s, phi_0 = 1 and phi_a = Q**a - Q**(a-1).  In closed
+    form F = N/D with N = 1 - w - c*w**(P+1), c = (Q-1)*Q**P, and
+    D = 1 - Q*w, so G = F**v satisfies N*D*G' = v*(N'*D - N*D')*G.  Reading
+    off the coefficient of w**(j-1) gives g_j from at most seven earlier
+    coefficients and one exact division by j.  G is a polynomial of degree
+    v*P, so the series stops there if that is below cap.
     """
-    series = [0] * (degree_cap + 1)
-    series[0] = 1
-    for a in range(1, min(multiplicity_cap, degree_cap // r) + 1):
-        series[r * a] = phi_q_prime_power(q, r, a)
-    return series
-
-
-def _mul_trunc(a: list[int], b: list[int], cap: int) -> list[int]:
-    """Product of two coefficient lists, dropping degrees above cap."""
-    out = [0] * (cap + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        top = cap - i
-        for j, bj in enumerate(b):
-            if j > top:
+    big_q = q**r
+    c = (big_q - 1) * big_q**ps
+    # N*D = 1 + sum of nd_i w**i; the w**2 and w**(P+1) terms meet when P = 1.
+    nd: dict[int, int] = {}
+    for i, coef in ((1, -1 - big_q), (2, big_q), (ps + 1, -c), (ps + 2, c * big_q)):
+        nd[i] = nd.get(i, 0) + coef
+    lhs = [(i, coef) for i, coef in sorted(nd.items()) if coef]
+    # v*(N'*D - N*D') = v*((Q-1) - c*(P+1)*w**P + c*Q*P*w**(P+1)).
+    rhs = [(0, v * (big_q - 1)), (ps, -v * c * (ps + 1)), (ps + 1, v * c * big_q * ps)]
+    length = min(v * ps, cap) + 1
+    g = [1] + [0] * (length - 1)
+    for j in range(1, length):
+        acc = 0
+        for i, coef in rhs:
+            if i >= j:
                 break
-            if bj:
-                out[i + j] += ai * bj
-    return out
+            acc += coef * g[j - 1 - i]
+        for i, coef in lhs:
+            if i > j:
+                break
+            acc -= coef * (j - i) * g[j - i]
+        g[j], rem = divmod(acc, j)
+        if rem:
+            raise InternalInconsistency(f"group series coefficient {j} is not integral")
+    return g
 
 
 @lru_cache(maxsize=8192)
 def _weight_series(params: spectrum.ExtensionParams) -> tuple[int, ...]:
-    """Product of the weight series of every irreducible factor, up to z**n.
+    """Total weight of the divisors of x**n - 1 of each degree 0..n.
 
     Coefficient of z**m is the total weight of all divisors of x**n - 1 of
-    degree m, i.e. the number of (n - m)-normal elements.  Factors are
-    multiplied in ascending degree order, each repeated per its count.
+    degree m, i.e. the number of (n - m)-normal elements.  The factors of
+    one degree r share one group series in z**r, and the tau(d) groups
+    are multiplied into the dense result, skipping its zero coefficients.
+    Largest degrees go first: their partial product is nonzero only at
+    multiples of a large stride, so it stays sparse for longer.
     """
-    degree_cap = params.n
-    pattern = spectrum.degree_pattern(params)
-    total = [0] * (degree_cap + 1)
+    cap = params.n
+    total = [0] * (cap + 1)
     total[0] = 1
-    for r, count in pattern.items():
-        factor = _factor_series(params.q, r, params.ps, degree_cap)
-        for _ in range(count):
-            total = _mul_trunc(total, factor, degree_cap)
+    for r, v in reversed(spectrum.degree_pattern(params).items()):
+        group = _group_series(params.q, r, v, params.ps, cap // r)
+        out = [0] * (cap + 1)
+        for i, t in enumerate(total):
+            if not t:
+                continue
+            stop = i + r * min(len(group), (cap - i) // r + 1)
+            out[i:stop:r] = [o + t * g for o, g in zip(out[i:stop:r], group)]
+        total = out
     return tuple(total)
 
 

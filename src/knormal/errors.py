@@ -21,6 +21,14 @@ class InputTooLarge(KnormalError):
     """A structural input (extension degree) exceeds the documented bound."""
 
 
+class ArgumentOutOfRange(KnormalError, ValueError):
+    """An integer argument lies outside the range it is defined on.
+
+    Raised for an extension degree n < 1 and for a modulus index beyond
+    the monic irreducibles that exist.
+    """
+
+
 class KOutOfRange(KnormalError):
     """A normality defect k outside 0..n was requested."""
 

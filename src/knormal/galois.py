@@ -15,7 +15,7 @@ every run of every process builds the identical tower for given (q, n).
 from functools import lru_cache
 
 from . import numtheory
-from .errors import BothZero, InternalInconsistency
+from .errors import ArgumentOutOfRange, BothZero, InternalInconsistency
 
 
 class PrimeField:
@@ -365,7 +365,7 @@ def find_irreducible(field, degree: int, index: int = 0):
             if seen == index:
                 return cand
             seen += 1
-    raise ValueError(
+    raise ArgumentOutOfRange(
         f"fewer than {index + 1} monic irreducibles of degree {degree} exist"
     )
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import numtheory
-from .errors import InputTooLarge, InternalInconsistency
+from .errors import ArgumentOutOfRange, InputTooLarge, InternalInconsistency
 
 MAX_DEGREE = numtheory.MAX_N
 
@@ -78,7 +78,7 @@ def derive_params(q: int, n: int) -> ExtensionParams:
     """Validate (q, n) and decompose the extension shape."""
     p, m = numtheory.prime_power_decompose(q)
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ArgumentOutOfRange(f"n must be >= 1, got {n}")
     if n > MAX_DEGREE:
         raise InputTooLarge(f"n = {n} exceeds the supported bound {MAX_DEGREE}")
     n0, s = n, 0

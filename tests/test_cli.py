@@ -52,6 +52,24 @@ def test_count_rejects_k_out_of_range(capsys):
     assert "k" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--q", "2", "--n", "0", "--k", "0"),
+        ("count", "--q", "2", "--n", "-3", "--k", "0"),
+        ("distribution", "--q", "3", "--n", "0"),
+        ("factors", "--q", "4", "--n", "-1"),
+        ("verify", "--q", "2", "--n", "0"),
+    ],
+)
+def test_nonpositive_n_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "n must be >= 1" in err
+
+
 def test_distribution_text(capsys):
     code, out, _ = run(capsys, "distribution", "--q", "2", "--n", "3")
     assert code == 0
@@ -160,6 +178,35 @@ def test_verify_modulus_trials(capsys):
     assert code == 0
     assert "formula-vs-brute[modulus 0]" in out
     assert "formula-vs-brute[modulus 1]" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_verify_rejects_nonpositive_modulus_trials(capsys, trials):
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "3",
+                         "--modulus-trials", trials)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "--modulus-trials" in err
+
+
+def test_verify_refuses_more_trials_than_moduli(capsys):
+    # only x^3+x+1 and x^3+x^2+1 are irreducible of degree 3 over F_2
+    code, _, err = run(capsys, "verify", "--q", "2", "--n", "3", "--oracle", "brute",
+                       "--modulus-trials", "5")
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "fewer than 3 monic irreducibles" in err
+
+
+def test_verify_fails_when_no_check_ran(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_run_checks", lambda *args: [])
+    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "3")
+    assert code == 1
+    assert out == "0 checks, FAILED\n"
+    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "3", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
 
 
 def test_verify_refuses_oversized_brute(capsys):

@@ -1,12 +1,23 @@
 """Counting formulas: general series, enumeration, binomial, closed forms."""
 
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knormal import counting, galois, numtheory, spectrum
 from knormal.errors import EnumerationTooLarge, KOutOfRange, NotCoprimeCase
 
 PRIME_POWERS = [q for q in range(2, 28) if len(numtheory.factorize(q)) == 1]
 SMALL_SWEEP = [(q, n) for q in PRIME_POWERS for n in range(1, 16)]
+# Property-test fields: every prime power up to 64, some larger powers of
+# small primes (p | n often, with large p**s), and primes with many small
+# divisors of q - 1 or q + 1 (factor-rich x**n - 1).
+PROPERTY_QS = [q for q in range(2, 65) if len(numtheory.factorize(q)) == 1] + [
+    81, 125, 128, 243, 343, 1024, 3125, 1601, 2161, 4001, 65537,
+]
+ENUM_TUPLE_LIMIT = 5000
 
 
 def brute_phi_q(q, r, e):
@@ -171,3 +182,67 @@ def test_ratio_identity():
             assert (q - 1) * n1_count == v1 * n0_count
         else:
             assert q * n1_count == v1 * n0_count
+
+
+def naive_group_series(q, r, v, ps, cap):
+    """F**v up to w**cap by repeated schoolbook products, F one factor's series."""
+    factor = [counting.phi_q_prime_power(q, r, a) for a in range(ps + 1)]
+    out = [1] + [0] * cap
+    for _ in range(v):
+        nxt = [0] * (cap + 1)
+        for i, x in enumerate(out):
+            for a, f in enumerate(factor[: cap - i + 1]):
+                nxt[i + a] += x * f
+        out = nxt
+    return out
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27]),
+    r=st.integers(1, 4),
+    v=st.integers(1, 7),
+    ps=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 25]),
+    cap=st.integers(0, 60),
+)
+def test_group_series_matches_literal_power(q, r, v, ps, cap):
+    # covers P = 1 (binomial) and v = 1 (one factor) through the same recurrence
+    group = counting._group_series(q, r, v, ps, cap)
+    expected = naive_group_series(q, r, v, ps, cap)
+    assert group == expected[: len(group)]
+    assert not any(expected[len(group):])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(q=st.sampled_from(PROPERTY_QS), n=st.integers(1, 90), data=st.data())
+def test_distribution_agrees_with_independent_routes(q, n, data):
+    params = spectrum.derive_params(q, n)
+    pattern = spectrum.degree_pattern(params)
+    dist = counting.distribution(q, n)
+    assert len(dist.counts) == n + 1
+    assert dist.total() == q**n
+    assert dist[0] == counting.count_normal(q, n)
+    for k, form in ((1, counting.closed_form_n1), (2, counting.closed_form_n2),
+                    (3, counting.closed_form_n3)):
+        if k <= n:
+            assert dist[k] == form(q, n)
+    k = data.draw(st.integers(0, n), label="k")
+    assert counting.count_k_normal(q, n, k) == dist[k]
+    if params.coprime:
+        assert counting.count_k_normal_coprime(q, n, k) == dist[k]
+    if (params.ps + 1) ** pattern.factor_count() <= ENUM_TUPLE_LIMIT:
+        assert counting.count_k_normal_enum(q, n, k) == dist[k]
+
+
+@pytest.mark.parametrize("q,n", [(2, 4095), (1601, 1600), (3, 2000), (3, 1458)])
+def test_large_fields_against_closed_forms(q, n):
+    # many factors of one degree, 1600 linear factors, p | n with several
+    # degrees, and p**s = 729 with two linear factors
+    start = time.perf_counter()
+    dist = counting.distribution(q, n)
+    assert dist[0] == counting.count_normal(q, n)
+    assert dist[1] == counting.closed_form_n1(q, n)
+    assert dist[2] == counting.closed_form_n2(q, n)
+    assert dist[3] == counting.closed_form_n3(q, n)
+    assert dist.total() == q**n
+    assert time.perf_counter() - start < 2.5
