@@ -1,10 +1,10 @@
 """Trust, but verify: sweeping an actual field element by element.
 
 The formulas never touch a field element.  The oracle does nothing but:
-it builds F_p -> F_q -> F_{q^n} with deterministically chosen moduli,
-computes g_alpha for every alpha, and buckets elements by
-deg gcd(x^n - 1, g_alpha).  If formulas and sweep disagree anywhere,
-something is broken.
+it builds F_p -> F_q -> F_{q^n} with deterministically chosen moduli and
+buckets every alpha by the codimension of the F_q-span of its conjugates.
+The same defect is deg gcd(x^n - 1, g_alpha), shown below for one element.
+If formulas and sweep disagree anywhere, something is broken.
 """
 
 from knormal import (

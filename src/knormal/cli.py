@@ -10,7 +10,7 @@ import collections
 import json
 import sys
 
-from . import counting, galois, oracle, spectrum
+from . import counting, galois, numtheory, oracle, spectrum
 from .errors import KnormalError
 
 
@@ -226,6 +226,18 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.modulus_trials > 1 and args.oracle in ("brute", "all"):
+        # Refuse before any sweep, not after the sweeps of the moduli that exist.
+        spectrum.derive_params(args.q, args.n)  # q a prime power, n >= 1
+        moduli = _irreducible_count(args.q, args.n)
+        if args.modulus_trials > moduli:
+            print(
+                f"error: --modulus-trials {args.modulus_trials} asks for more moduli"
+                f" than exist: fewer than {moduli + 1} monic irreducibles of degree"
+                f" {args.n} over F_{args.q}",
+                file=sys.stderr,
+            )
+            return 2
     checks = _run_checks(
         args.q, args.n, args.oracle, args.max_brute, args.modulus_trials
     )
@@ -252,6 +264,12 @@ def cmd_verify(args) -> int:
         state = "all passed" if passed else "FAILED"
         print(f"{len(checks)} checks, {state}")
     return 0 if passed else 1
+
+
+def _irreducible_count(q, n):
+    """Number of monic irreducibles of degree n over F_q (Gauss's formula)."""
+    total = sum(numtheory.moebius(d) * q ** (n // d) for d in numtheory.divisors(n))
+    return total // n
 
 
 def _run_checks(q, n, which, max_brute, modulus_trials):

@@ -1,28 +1,36 @@
 """Ground-truth classification of field elements, with no counting formulas.
 
 ``brute_force_distribution`` walks all of F_{q^n} and buckets every element
-alpha by deg gcd(x**n - 1, g_alpha), the definition of k-normality.  Two
-accelerations keep full sweeps up to 2**22 elements feasible, neither of
-which borrows anything from the counting side:
+alpha by k = n - dim span_{F_q}(alpha, alpha**q, ..., alpha**(q**(n-1))),
+the definition of k-normality.  Three facts keep full sweeps up to 2**22
+elements feasible, none of which borrows anything from the counting side:
 
-* field arithmetic runs in discrete-log form (nonzero elements are
-  exponents of one fixed generator; addition uses a Zech table
-  z[t] = log(1 + gen**t) built by walking the generator's powers), and
-* gcd degrees are constant on classes {c * alpha**(q**i): c in F_q*, i < n},
-  because g_{c*alpha} = c*g_alpha and g_{alpha**q} = x*g_alpha mod x**n - 1
-  with x coprime to x**n - 1, so one gcd per class suffices, weighted by
-  class size.  In exponent terms the class of e is {q**i * e + j*L mod M}
-  with M = q**n - 1, L = M/(q-1).
+* elements are packed ints in an exp table, entry e holding gen**e for one
+  fixed generator, and the base-p digits of a packed int are its F_p
+  coordinates, so a rank over F_p is an elimination on ints (XOR when
+  p = 2, lazily reduced bit fields otherwise);
+* the rank is constant on classes {c * alpha**(q**i): c in F_q*, i < n},
+  since the conjugates of c*alpha are c times those of alpha and those of
+  alpha**q are those of alpha in cyclic order, so one rank per class
+  suffices, weighted by class size.  In exponent terms the class of e is
+  {q**i * e + j*L mod M} with M = q**n - 1, L = M/(q-1): the preimage of
+  the orbit of e mod L under multiplication by q;
+* the F_q-span of the conjugates is the F_p-span of their multiples by
+  1, beta, ..., beta**(m-1), beta = gen**L, and it stops growing at the
+  first conjugate already inside it.
 
-``_classify_elementwise`` is the same sweep with no shortcuts, one generic
-tower-arithmetic gcd per element; tests assert both paths agree on a spread
-of small fields.
+``_classify_elementwise`` is the literal gcd characterisation, one generic
+tower-arithmetic deg gcd(x**n - 1, g_alpha) per element with g_alpha =
+sum of alpha**(q**i) * x**(n-1-i); tests assert it agrees with the class
+path, and with a literal rank of the conjugates, on a spread of small
+fields.
 
 ``cyclotomic_cosets`` gives the orbit sizes of Z/n0 under multiplication by
 q, an independent route to the factor-degree pattern of x**n0 - 1.
 """
 
 import math
+import struct
 
 from . import galois, numtheory, spectrum
 from .counting import Distribution
@@ -30,6 +38,8 @@ from .errors import InstanceTooLarge, InternalInconsistency, NotCoprime
 
 # Refuse full-field sweeps beyond this many elements by default.
 DEFAULT_MAX_ORDER = 1 << 22
+# Entries of the base-p widening table in the odd-characteristic rank.
+_SPREAD_TABLE_SIZE = 4096
 
 
 def brute_force_distribution(
@@ -96,101 +106,156 @@ def _classify_elementwise(tower: galois.TowerField) -> list[int]:
 
 
 def _classify_by_classes(tower: galois.TowerField) -> list[int]:
-    """One exponent-space gcd per scalar/Frobenius class, weighted by size."""
+    """F_q-rank of the conjugates once per scalar/Frobenius class, weighted by size."""
     n, q = tower.n, tower.q
-    M, zech, half, qpows = _build_tables(tower)
+    exp_packed = _build_tables(tower)
+    L = len(exp_packed) // (q - 1)
+    if tower.prime.order == 2:
+        rank = _rank_char2(tower, exp_packed)
+    else:
+        rank = _rank_odd(tower, exp_packed)
     counts = [0] * (n + 1)
-    counts[n] += 1  # alpha = 0 has g_alpha = 0, so the gcd is x**n - 1
-    L = M // (q - 1)
-    visited = bytearray(M)
-    scalar_steps = q - 1
-    for e in range(M):
+    counts[n] += 1  # alpha = 0 spans nothing
+    # The class of gen**e is the whole preimage in Z/M of the orbit of e mod L
+    # under multiplication by q, so classes are marked on Z/L.
+    visited = bytearray(L)
+    for e in range(L):
         if visited[e]:
             continue
         size = 0
         f = e
-        while True:
-            g = f
-            for _ in range(scalar_steps):
-                if not visited[g]:
-                    visited[g] = 1
-                    size += 1
-                g += L
-                if g >= M:
-                    g -= M
-            f = f * q % M
-            if f == e:
-                break
-        counts[_gcd_degree_exp(e, n, M, zech, half, qpows)] += size
+        while not visited[f]:
+            visited[f] = 1
+            size += 1
+            f = f * q % L
+        counts[n - rank(e)] += (q - 1) * size
     return counts
 
 
-def _gcd_degree_exp(e, n, M, zech, half, qpows):
-    """deg gcd(x**n - 1, g_alpha) for alpha = gen**e, all in exponent form.
+def _rank_char2(tower, exp_packed):
+    """rank(e): F_q-rank of the conjugates of gen**e, characteristic 2.
 
-    Coefficient lists hold generator exponents, -1 encoding zero; index j is
-    the coefficient of x**j.  Euclidean remainders, with each elimination
-    step done through the Zech table.
+    A packed element is its F_2 coordinate vector, so elimination is an XOR
+    basis keyed by the pivot bit.  See ``_rank_odd`` for the scaled copies
+    and the early stop.
     """
-    # g_alpha coefficient of x**j is alpha**(q**(n-1-j)): never zero.
-    b = [e * qpows[n - 1 - j] % M for j in range(n)]
-    a = [half] + [-1] * (n - 1) + [0]  # x**n - 1
-    while b:
-        db = len(b) - 1
-        neg_inv_lead = (half - b[db]) % M
-        r = list(a)
-        for t in range(len(r) - 1 - db, -1, -1):
-            c = r[db + t]
-            if c < 0:
-                continue
-            factor = c + neg_inv_lead
-            if factor >= M:
-                factor -= M
-            for j in range(db):
-                bj = b[j]
-                if bj < 0:
-                    continue
-                ae = factor + bj
-                if ae >= M:
-                    ae -= M
-                rj = r[j + t]
-                if rj < 0:
-                    r[j + t] = ae
-                else:
-                    dz = zech[ae - rj if ae >= rj else ae - rj + M]
-                    if dz < 0:
-                        r[j + t] = -1
-                    else:
-                        s = rj + dz
-                        r[j + t] = s - M if s >= M else s
-            r[db + t] = -1
-        while r and r[-1] < 0:
-            r.pop()
-        a, b = b, r
-    return len(a) - 1
+    n, q = tower.n, tower.q
+    M = len(exp_packed)
+    offsets = _scalar_offsets(tower, M)
+
+    def rank(e):
+        basis = {}
+        f = e
+        for i in range(n):
+            for s in offsets:
+                v = exp_packed[(f + s) % M]
+                b = v.bit_length()
+                while b in basis:
+                    v ^= basis[b]
+                    b = v.bit_length()
+                if not v:
+                    if s:
+                        raise InternalInconsistency(
+                            "scaled conjugate copies are dependent"
+                        )
+                    return i
+                basis[b] = v
+            f = f * q % M
+        return n
+
+    return rank
 
 
-def _build_tables(tower: galois.TowerField):
-    """Zech-log tables for the top field: (M, zech, half, qpows).
+def _rank_odd(tower, exp_packed):
+    """rank(e): F_q-rank of the conjugates of gen**e, odd characteristic.
 
-    M = q**n - 1; zech[t] = log(1 + gen**t) with -1 for the t where the sum
-    is zero; half = log(-1); qpows[i] = q**i mod M.
+    The base-p digits of a packed element are its F_p coordinates.  Each is
+    widened into a bit field of ``width`` bits, wide enough that a vector
+    survives one lazy reduction v += (p - c) * row per basis row without a
+    carry between fields; only new basis rows are brought back to digits in
+    [0, p), with pivot digit 1.
+
+    The conjugate alpha**(q**i) enters as its m copies beta**j *
+    alpha**(q**i), j < m, with beta = gen**L a generator of F_q*: they span
+    its F_q-multiples over F_p, so the F_q-rank is the number of conjugates
+    taken.  The first conjugate that is already in the span ends the walk,
+    because the span of the earlier ones is then Frobenius-invariant.
+    """
+    n, q, p = tower.n, tower.q, tower.prime.order
+    M = len(exp_packed)
+    offsets = _scalar_offsets(tower, M)
+    digits_total = n * len(offsets)
+    width = 8
+    while (p - 1) + (digits_total - 1) * (p - 1) ** 2 >= 1 << width:
+        width *= 2
+    # A vector's fields as little-endian unsigned ints of `width` bits.
+    code = {8: "B", 16: "H", 32: "I", 64: "Q"}[width]
+    fields = struct.Struct(f"<{digits_total}{code}")
+    mask = (1 << width) - 1
+    # spread[r]: the base-p digits of r < p**chunk, one per bit field.
+    chunk = 1
+    while p ** (chunk + 1) <= _SPREAD_TABLE_SIZE:
+        chunk += 1
+    chunk_base = p**chunk
+    chunk_bits = chunk * width
+    spread = [0] * chunk_base
+    for r in range(1, chunk_base):
+        spread[r] = spread[r // p] << width | r % p
+    inverse = [0] + [pow(c, -1, p) for c in range(1, p)]
+
+    def rank(e):
+        rows = []  # (pivot shift, row), pivots descending
+        f = e
+        for i in range(n):
+            for s in offsets:
+                x = exp_packed[(f + s) % M]
+                v = 0
+                shift = 0
+                while x:
+                    x, r = divmod(x, chunk_base)
+                    v |= spread[r] << shift
+                    shift += chunk_bits
+                for pivot, row in rows:
+                    c = (v >> pivot & mask) % p
+                    if c:
+                        v += (p - c) * row
+                digits = fields.unpack(v.to_bytes(fields.size, "little"))
+                top = digits_total - 1
+                while top >= 0 and not digits[top] % p:
+                    top -= 1
+                if top < 0:
+                    if s:
+                        raise InternalInconsistency(
+                            "scaled conjugate copies are dependent"
+                        )
+                    return i
+                scale = inverse[digits[top] % p]
+                row = fields.pack(*[d * scale % p for d in digits])
+                rows.append((top * width, int.from_bytes(row, "little")))
+                rows.sort(reverse=True)
+            f = f * q % M
+        return n
+
+    return rank
+
+
+def _scalar_offsets(tower, M):
+    """Exponent offsets j*L, j < m, of the copies beta**j * alpha."""
+    L = M // (tower.q - 1)
+    return [j * L for j in range(tower.mid_modulus.degree)]
+
+
+def _build_tables(tower: galois.TowerField) -> list[int]:
+    """Exp table of the top field: entry e is gen**e packed, e < q**n - 1.
+
+    Packing concatenates coefficient indices in base q, constant coefficient
+    least significant, so its base-p digits are F_p coordinates.
     """
     n, q = tower.n, tower.q
     mid = tower.mid
     order = tower.top.order
     M = order - 1
-
-    # Mid-field add/mul tables on element indices, flattened.
-    elems = [mid.element(i) for i in range(q)]
-    add_t = [0] * (q * q)
-    mul_t = [0] * (q * q)
-    for i in range(q):
-        row = i * q
-        ei = elems[i]
-        for j in range(q):
-            add_t[row + j] = mid.index(mid.add(ei, elems[j]))
-            mul_t[row + j] = mid.index(mid.mul(ei, elems[j]))
+    add_t, mul_t = _mid_tables(mid)
 
     # Negated non-leading top-modulus coefficients, as indices: the
     # reduction v**n = sum hneg[j] * v**j.
@@ -199,30 +264,51 @@ def _build_tables(tower: galois.TowerField):
 
     gamma = _find_generator(M, n, q, add_t, mul_t, hneg)
 
-    p = tower.prime.order
-    if p == 2 and all(c <= 1 for c in gamma):
-        exp_packed, log_packed = _walk_packed_char2(
-            gamma, n, q, order, M, mul_t, hneg
-        )
-    else:
-        exp_packed, log_packed = _walk_vector(gamma, n, q, order, M, add_t, mul_t, hneg)
+    if tower.prime.order == 2 and all(c <= 1 for c in gamma):
+        return _walk_packed_char2(gamma, n, q, order, M, mul_t, hneg)
+    return _walk_vector(gamma, n, q, order, M, add_t, mul_t, hneg)
 
-    minus_one = mid.index(mid.neg(mid.one))
-    half = log_packed[minus_one]
-    if half < 0:
-        raise InternalInconsistency("log of -1 missing from the walk")
 
-    if p == 2:
-        zech = [log_packed[y ^ 1] for y in exp_packed]
-    else:
-        pm1 = p - 1
-        zech = [
-            log_packed[y - pm1] if y % p == pm1 else log_packed[y + 1]
-            for y in exp_packed
-        ]
+def _mid_tables(mid):
+    """Flattened add and mul tables of F_q on element indices.
 
-    qpows = [pow(q, i, M) for i in range(n)]
-    return M, zech, half, qpows
+    Addition is digitwise in base p, since an index lists the F_p
+    coordinates; multiplication goes through the discrete logs of one
+    generator of F_q*, found by walking its powers.
+    """
+    q, p = mid.order, mid.char
+    add_t = [(a + b) % p for a in range(p) for b in range(p)]
+    size = p
+    while size < q:
+        # Prepend a most significant digit: (hi, lo) + (hi', lo').
+        wider = []
+        for hi in range(p):
+            for lo in range(size):
+                row = add_t[lo * size : (lo + 1) * size]
+                for hi2 in range(p):
+                    top = (hi + hi2) % p * size
+                    wider += [x + top for x in row]
+        add_t = wider
+        size *= p
+
+    for g in range(1, q):
+        gen = mid.element(g)
+        antilog = [1]
+        x = gen
+        while x != mid.one:
+            antilog.append(mid.index(x))
+            x = mid.mul(x, gen)
+        if len(antilog) == q - 1:
+            break
+    log = [0] * q
+    for t, a in enumerate(antilog):
+        log[a] = t
+    antilog += antilog  # log a + log b < 2(q-1) indexes without a mod
+    mul_t = [0] * q
+    for a in range(1, q):
+        la = log[a]
+        mul_t += [0] + [antilog[la + log[b]] for b in range(1, q)]
+    return add_t, mul_t
 
 
 def _find_generator(M, n, q, add_t, mul_t, hneg):
@@ -317,14 +403,14 @@ def _walk_packed_char2(gamma, n, q, order, M, mul_t, hneg):
             pk = (pk << mbits) | mul_t[crow + hneg[j]]
         corr[c] = pk
     positions = [j for j, cj in enumerate(gamma) if cj]
-    log_packed = [-1] * order
+    seen = bytearray(order)
     exp_packed = [0] * M
     x = 1
     if positions == [1]:  # gamma = v: pure shift walk
         for e in range(M):
-            if log_packed[x] >= 0:
+            if seen[x]:
                 raise InternalInconsistency("generator walk revisited an element")
-            log_packed[x] = e
+            seen[x] = 1
             exp_packed[e] = x
             x <<= mbits
             ov = x >> full
@@ -332,9 +418,9 @@ def _walk_packed_char2(gamma, n, q, order, M, mul_t, hneg):
                 x = (x & mask) ^ corr[ov]
     else:
         for e in range(M):
-            if log_packed[x] >= 0:
+            if seen[x]:
                 raise InternalInconsistency("generator walk revisited an element")
-            log_packed[x] = e
+            seen[x] = 1
             exp_packed[e] = x
             acc = x if gamma[0] else 0
             z = x
@@ -350,13 +436,13 @@ def _walk_packed_char2(gamma, n, q, order, M, mul_t, hneg):
                 prev = j
                 acc ^= z
             x = acc
-    return exp_packed, log_packed
+    return exp_packed
 
 
 def _walk_vector(gamma, n, q, order, M, add_t, mul_t, hneg):
     """Generator-power walk on coefficient-index vectors; any characteristic."""
     sparse = [(j, c) for j, c in enumerate(gamma) if c]
-    log_packed = [-1] * order
+    seen = bytearray(order)
     exp_packed = [0] * M
     vec = [0] * n
     vec[0] = 1
@@ -364,9 +450,9 @@ def _walk_vector(gamma, n, q, order, M, add_t, mul_t, hneg):
         pk = 0
         for c in reversed(vec):
             pk = pk * q + c
-        if log_packed[pk] >= 0:
+        if seen[pk]:
             raise InternalInconsistency("generator walk revisited an element")
-        log_packed[pk] = e
+        seen[pk] = 1
         exp_packed[e] = pk
         acc = [0] * n
         z = vec
@@ -395,4 +481,4 @@ def _walk_vector(gamma, n, q, order, M, add_t, mul_t, hneg):
                     if zt:
                         acc[t] = add_t[acc[t] * q + mul_t[crow + zt]]
         vec = acc
-    return exp_packed, log_packed
+    return exp_packed

@@ -199,6 +199,33 @@ def test_verify_refuses_more_trials_than_moduli(capsys):
     assert "fewer than 3 monic irreducibles" in err
 
 
+def test_verify_refuses_excess_trials_before_any_sweep(capsys, monkeypatch):
+    # 6 monic irreducible quadratics exist over F_4: (4**2 - 4) / 2
+    sweeps = []
+    real = oracle.brute_force_distribution
+    monkeypatch.setattr(
+        oracle, "brute_force_distribution",
+        lambda *args, **kw: sweeps.append(args) or real(*args, **kw),
+    )
+    code, out, err = run(capsys, "verify", "--q", "4", "--n", "2",
+                         "--modulus-trials", "7")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "fewer than 7 monic irreducibles" in err
+    assert sweeps == []
+    # every existing modulus is still accepted
+    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "3", "--modulus-trials", "2")
+    assert code == 0
+    assert len(sweeps) == 2
+
+
+def test_irreducible_count():
+    assert [cli._irreducible_count(2, n) for n in range(1, 9)] == [2, 1, 2, 3, 6, 9, 18, 30]
+    assert cli._irreducible_count(4, 2) == 6
+    assert cli._irreducible_count(27, 1) == 27
+
+
 def test_verify_fails_when_no_check_ran(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_run_checks", lambda *args: [])
     code, out, _ = run(capsys, "verify", "--q", "2", "--n", "3")

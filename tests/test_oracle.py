@@ -3,9 +3,14 @@
 import collections
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knormal import counting, galois, oracle, spectrum
+from knormal import counting, galois, numtheory, oracle, spectrum
 from knormal.errors import InstanceTooLarge, NotCoprime, NotPrimePower
+
+ORACLE_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+PRIME_POWERS_4096 = [q for q in range(2, 4097) if len(numtheory.factorize(q)) == 1]
 
 
 def test_distribution_examples():
@@ -16,18 +21,91 @@ def test_distribution_examples():
 
 def test_matches_formulas_small():
     for q, n in [(2, 5), (2, 7), (3, 4), (4, 4), (5, 3), (7, 3), (8, 3), (9, 3),
-                 (16, 3), (25, 2), (27, 2), (3, 9), (2, 12)]:
+                 (16, 3), (25, 2), (27, 2), (3, 9), (2, 12), (23, 3)]:
+        # (23, 3) needs 16-bit fields in the odd-characteristic rank
         assert oracle.brute_force_distribution(q, n) == counting.distribution(q, n)
 
 
 def test_elementwise_path_agrees_with_class_path():
-    # the unaccelerated per-element sweep validates the exponent-space one
+    # the unaccelerated per-element gcd sweep validates the class rank sweep
     for q, n in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
-                 (4, 2), (4, 3), (5, 2), (7, 2), (8, 2), (9, 2), (16, 2), (25, 1), (27, 2)]:
+                 (4, 2), (4, 3), (5, 2), (7, 2), (8, 2), (9, 2), (16, 2), (25, 1), (27, 2),
+                 (4, 4), (8, 3), (16, 3), (27, 3), (67, 2)]:
         tower = galois.build_tower(q, n)
         if n == 1:
             continue  # class path needs n >= 2; n = 1 is always elementwise
         assert oracle._classify_elementwise(tower) == oracle._classify_by_classes(tower)
+
+
+def _rank_over(field, vectors):
+    """Rank of coefficient tuples over a field, by Gauss-Jordan elimination."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0])):
+        live = [r for r in range(rank, len(rows)) if rows[r][col] != field.zero]
+        if not live:
+            continue
+        pivot = live[0]
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(inv, c) for c in rows[rank]]
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r != rank and factor != field.zero:
+                rows[r] = [
+                    field.sub(a, field.mul(factor, b)) for a, b in zip(row, rows[rank])
+                ]
+        rank += 1
+    return rank
+
+
+def _literal_rank_distribution(tower):
+    """n - rank of the conjugates, element by element, in generic arithmetic."""
+    n = tower.n
+    counts = [0] * (n + 1)
+    for i in range(tower.top.order):
+        alpha = tower.element(i)
+        conjugates = [tower.frobenius_iterate(alpha, j) for j in range(n)]
+        counts[n - _rank_over(tower.mid, conjugates)] += 1
+    return counts
+
+
+def test_class_path_is_the_codimension_of_the_conjugates():
+    # the definition itself: the F_q-span of alpha, alpha**q, ... has
+    # codimension k exactly for the k-normal alpha
+    for q, n in [(2, 6), (3, 4), (4, 3), (8, 2), (9, 2), (25, 2)]:
+        tower = galois.build_tower(q, n)
+        literal = _literal_rank_distribution(tower)
+        assert literal == oracle._classify_elementwise(tower)
+        assert literal == oracle._classify_by_classes(tower)
+
+
+def test_mid_tables_match_generic_arithmetic():
+    for q in ORACLE_QS + (64, 81, 121, 128, 169):
+        mid = galois.build_tower(q, 2).mid
+        elems = [mid.element(i) for i in range(q)]
+        add_t = [mid.index(mid.add(a, b)) for a in elems for b in elems]
+        mul_t = [mid.index(mid.mul(a, b)) for a in elems for b in elems]
+        assert oracle._mid_tables(mid) == (add_t, mul_t), q
+
+
+@st.composite
+def _small_fields(draw):
+    q = draw(st.sampled_from(PRIME_POWERS_4096))
+    n_max = 1
+    while q ** (n_max + 1) <= 4096:
+        n_max += 1
+    return q, draw(st.integers(1, n_max))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(field=_small_fields())
+def test_brute_force_matches_formulas_property(field):
+    q, n = field
+    expected = counting.distribution(q, n)
+    # x**2 + x + 1 is the only monic irreducible quadratic over F_2
+    for index in (0,) if (q, n) == (2, 2) else (0, 1):
+        assert oracle.brute_force_distribution(q, n, modulus_index=index) == expected
 
 
 def test_n_equals_one_distribution():
