@@ -23,7 +23,6 @@ from .counting import (
 )
 from .errors import (
     ArgumentOutOfRange,
-    BothZero,
     EnumerationTooLarge,
     InputTooLarge,
     InstanceTooLarge,
@@ -31,7 +30,6 @@ from .errors import (
     KnormalError,
     KOutOfRange,
     NotCoprime,
-    NotCoprimeCase,
     NotPrimePower,
 )
 from .galois import (
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArgumentOutOfRange",
-    "BothZero",
     "DegreePattern",
     "Distribution",
     "EnumerationTooLarge",
@@ -63,7 +60,6 @@ __all__ = [
     "KOutOfRange",
     "KnormalError",
     "NotCoprime",
-    "NotCoprimeCase",
     "NotPrimePower",
     "Poly",
     "PrimeField",

@@ -27,7 +27,7 @@ from .errors import (
     EnumerationTooLarge,
     InternalInconsistency,
     KOutOfRange,
-    NotCoprimeCase,
+    NotCoprime,
 )
 
 # Refuse reference enumerations beyond this many multiplicity tuples.
@@ -201,7 +201,7 @@ def count_k_normal_coprime(q: int, n: int, k: int) -> int:
     """
     params = spectrum.derive_params(q, n)
     if params.s != 0:
-        raise NotCoprimeCase(
+        raise NotCoprime(
             f"n = {n} is divisible by the characteristic {params.p} of F_{q}"
         )
     _check_k(n, k)

@@ -13,19 +13,15 @@ class NotCoprime(KnormalError):
     """Two values required to be coprime share a factor."""
 
 
-class NotCoprimeCase(KnormalError):
-    """The coprime-only counting formula was applied with gcd(n, q) > 1."""
-
-
 class InputTooLarge(KnormalError):
     """A structural input (extension degree) exceeds the documented bound."""
 
 
 class ArgumentOutOfRange(KnormalError, ValueError):
-    """An integer argument lies outside the range it is defined on.
+    """An argument lies outside the range it is defined on.
 
-    Raised for an extension degree n < 1 and for a modulus index beyond
-    the monic irreducibles that exist.
+    Raised for an extension degree n < 1, for a modulus index beyond the
+    monic irreducibles that exist, and for gcd(0, 0).
     """
 
 
@@ -43,7 +39,3 @@ class InstanceTooLarge(KnormalError):
 
 class InternalInconsistency(KnormalError):
     """An internal cross-check failed; indicates a bug, not bad input."""
-
-
-class BothZero(KnormalError):
-    """gcd(0, 0) was requested."""

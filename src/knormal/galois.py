@@ -15,7 +15,7 @@ every run of every process builds the identical tower for given (q, n).
 from functools import lru_cache
 
 from . import numtheory
-from .errors import ArgumentOutOfRange, BothZero, InternalInconsistency
+from .errors import ArgumentOutOfRange, InternalInconsistency
 
 
 class PrimeField:
@@ -301,7 +301,7 @@ class Poly:
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd by the Euclidean algorithm; gcd(f, 0) is monic f."""
     if f.is_zero and g.is_zero:
-        raise BothZero("gcd(0, 0) is undefined")
+        raise ArgumentOutOfRange("gcd(0, 0) is undefined")
     while not g.is_zero:
         f, g = g, f % g
     return f.monic()

@@ -6,9 +6,11 @@ the definition of k-normality.  Three facts keep full sweeps up to 2**22
 elements feasible, none of which borrows anything from the counting side:
 
 * elements are packed ints in an exp table, entry e holding gen**e for one
-  fixed generator, and the base-p digits of a packed int are its F_p
-  coordinates, so a rank over F_p is an elimination on ints (XOR when
-  p = 2, lazily reduced bit fields otherwise);
+  fixed generator, with each F_p coordinate in its own bit field (one bit
+  when p = 2, a ``_field_width`` field otherwise), so a rank over F_p is an
+  elimination on ints (XOR when p = 2, lazily reduced bit fields
+  otherwise), and multiplication by gen, being F_p-linear, builds the
+  table with two lookups and one addition per entry;
 * the rank is constant on classes {c * alpha**(q**i): c in F_q*, i < n},
   since the conjugates of c*alpha are c times those of alpha and those of
   alpha**q are those of alpha in cyclic order, so one rank per class
@@ -30,6 +32,7 @@ q, an independent route to the factor-degree pattern of x**n0 - 1.
 """
 
 import math
+import operator
 import struct
 
 from . import galois, numtheory, spectrum
@@ -38,8 +41,6 @@ from .errors import InstanceTooLarge, InternalInconsistency, NotCoprime
 
 # Refuse full-field sweeps beyond this many elements by default.
 DEFAULT_MAX_ORDER = 1 << 22
-# Entries of the base-p widening table in the odd-characteristic rank.
-_SPREAD_TABLE_SIZE = 4096
 
 
 def brute_force_distribution(
@@ -55,8 +56,8 @@ def brute_force_distribution(
         raise InstanceTooLarge(f"q**n = {q**n} exceeds the sweep guard {max_order}")
     tower = galois.build_tower(q, n, modulus_index)
     if n == 1:
-        # x - 1 against a nonzero constant: the table machinery would be
-        # all overhead (and the mid tables need not fit for huge prime q).
+        # x - 1 against a nonzero constant.  For a prime q the walk's low
+        # half table would hold all q elements, as many as a sweep visits.
         counts = _classify_elementwise(tower)
     else:
         counts = _classify_by_classes(tower)
@@ -108,7 +109,7 @@ def _classify_elementwise(tower: galois.TowerField) -> list[int]:
 def _classify_by_classes(tower: galois.TowerField) -> list[int]:
     """F_q-rank of the conjugates once per scalar/Frobenius class, weighted by size."""
     n, q = tower.n, tower.q
-    exp_packed = _build_tables(tower)
+    exp_packed = _power_table(tower)
     L = len(exp_packed) // (q - 1)
     if tower.prime.order == 2:
         rank = _rank_char2(tower, exp_packed)
@@ -169,8 +170,8 @@ def _rank_char2(tower, exp_packed):
 def _rank_odd(tower, exp_packed):
     """rank(e): F_q-rank of the conjugates of gen**e, odd characteristic.
 
-    The base-p digits of a packed element are its F_p coordinates.  Each is
-    widened into a bit field of ``width`` bits, wide enough that a vector
+    A packed element holds its F_p coordinates as digits in [0, p), one per
+    ``_field_width`` bit field, and the fields are wide enough that a vector
     survives one lazy reduction v += (p - c) * row per basis row without a
     carry between fields; only new basis rows are brought back to digits in
     [0, p), with pivot digit 1.
@@ -185,22 +186,11 @@ def _rank_odd(tower, exp_packed):
     M = len(exp_packed)
     offsets = _scalar_offsets(tower, M)
     digits_total = n * len(offsets)
-    width = 8
-    while (p - 1) + (digits_total - 1) * (p - 1) ** 2 >= 1 << width:
-        width *= 2
+    width = _field_width(tower)
     # A vector's fields as little-endian unsigned ints of `width` bits.
     code = {8: "B", 16: "H", 32: "I", 64: "Q"}[width]
     fields = struct.Struct(f"<{digits_total}{code}")
     mask = (1 << width) - 1
-    # spread[r]: the base-p digits of r < p**chunk, one per bit field.
-    chunk = 1
-    while p ** (chunk + 1) <= _SPREAD_TABLE_SIZE:
-        chunk += 1
-    chunk_base = p**chunk
-    chunk_bits = chunk * width
-    spread = [0] * chunk_base
-    for r in range(1, chunk_base):
-        spread[r] = spread[r // p] << width | r % p
     inverse = [0] + [pow(c, -1, p) for c in range(1, p)]
 
     def rank(e):
@@ -208,13 +198,7 @@ def _rank_odd(tower, exp_packed):
         f = e
         for i in range(n):
             for s in offsets:
-                x = exp_packed[(f + s) % M]
-                v = 0
-                shift = 0
-                while x:
-                    x, r = divmod(x, chunk_base)
-                    v |= spread[r] << shift
-                    shift += chunk_bits
+                v = exp_packed[(f + s) % M]
                 for pivot, row in rows:
                     c = (v >> pivot & mask) % p
                     if c:
@@ -245,240 +229,105 @@ def _scalar_offsets(tower, M):
     return [j * L for j in range(tower.mid_modulus.degree)]
 
 
-def _build_tables(tower: galois.TowerField) -> list[int]:
+def _field_width(tower) -> int:
+    """Bits per F_p coordinate of a packed element.
+
+    One bit when p = 2, where addition is XOR.  Otherwise the smallest of
+    8, 16, 32, 64 bits that holds (p - 1) + (N - 1) * (p - 1)**2 for the
+    N = n*m coordinates: a vector of digits < p after the at most N - 1
+    lazy reductions of ``_rank_odd``.
+    """
+    p = tower.prime.order
+    if p == 2:
+        return 1
+    coords = tower.n * tower.mid_modulus.degree
+    width = 8
+    while (p - 1) + (coords - 1) * (p - 1) ** 2 >= 1 << width:
+        width *= 2
+    return width
+
+
+def _power_table(tower: galois.TowerField) -> list[int]:
     """Exp table of the top field: entry e is gen**e packed, e < q**n - 1.
 
-    Packing concatenates coefficient indices in base q, constant coefficient
-    least significant, so its base-p digits are F_p coordinates.
+    The base-p digits of ``top.index`` are the N = n*m F_p coordinates;
+    packing puts coordinate k in bit field k of ``_field_width`` bits.
+    Multiplication by gen is F_p-linear, so one step of the walk looks up
+    the images of the low and the high half of the coordinates, each table
+    holding at most p**ceil(N/2) entries, and adds them.
     """
-    n, q = tower.n, tower.q
-    mid = tower.mid
-    order = tower.top.order
-    M = order - 1
-    add_t, mul_t = _mid_tables(mid)
+    top, p = tower.top, tower.prime.order
+    M = top.order - 1
+    coords = tower.n * tower.mid_modulus.degree
+    width = _field_width(tower)
+    gen = _find_generator(top, tower.q)
 
-    # Negated non-leading top-modulus coefficients, as indices: the
-    # reduction v**n = sum hneg[j] * v**j.
-    hcoeffs = tower.top_modulus.coeffs
-    hneg = [mid.index(mid.neg(hcoeffs[j])) for j in range(n)]
+    def pack(y):
+        i, v, shift = top.index(y), 0, 0
+        while i:
+            i, d = divmod(i, p)
+            v |= d << shift
+            shift += width
+        return v
 
-    gamma = _find_generator(M, n, q, add_t, mul_t, hneg)
+    if p == 2:
+        add = operator.xor
+    else:
+        # Fieldwise sum mod p.  A field of s = a + b is at most 2p - 2, and
+        # adding bias = 2**(width-1) - p to it sets its top bit exactly when
+        # it is >= p.  Exact while p <= 2**(width-1), so that bias >= 0, and
+        # p - 2 < 2**(width-1), so that s + bias never carries into the next
+        # field; with N >= 2, _field_width's bound p*(p-1) < 2**width gives
+        # both.
+        high = sum(1 << k * width + width - 1 for k in range(coords))
+        bias = high - p * sum(1 << k * width for k in range(coords))
 
-    if tower.prime.order == 2 and all(c <= 1 for c in gamma):
-        return _walk_packed_char2(gamma, n, q, order, M, mul_t, hneg)
-    return _walk_vector(gamma, n, q, order, M, add_t, mul_t, hneg)
+        def add(a, b):
+            s = a + b
+            return s - (((s + bias) & high) >> (width - 1)) * p
 
+    images = [pack(top.mul(gen, top.element(p**k))) for k in range(coords)]
+    half = (coords + 1) // 2
+    tables = []
+    for part in (images[:half], images[half:]):
+        # Keys are a half's bits, values the reduced images of those bits.
+        table = {0: 0}
+        for k, image in enumerate(part):
+            entries = list(table.items())
+            multiple = 0
+            for c in range(1, p):
+                multiple = add(multiple, image)
+                key = c << k * width
+                table.update({bits | key: add(v, multiple) for bits, v in entries})
+        tables.append(table)
+    low_table, high_table = tables
+    shift = half * width
+    low_mask = (1 << shift) - 1
 
-def _mid_tables(mid):
-    """Flattened add and mul tables of F_q on element indices.
-
-    Addition is digitwise in base p, since an index lists the F_p
-    coordinates; multiplication goes through the discrete logs of one
-    generator of F_q*, found by walking its powers.
-    """
-    q, p = mid.order, mid.char
-    add_t = [(a + b) % p for a in range(p) for b in range(p)]
-    size = p
-    while size < q:
-        # Prepend a most significant digit: (hi, lo) + (hi', lo').
-        wider = []
-        for hi in range(p):
-            for lo in range(size):
-                row = add_t[lo * size : (lo + 1) * size]
-                for hi2 in range(p):
-                    top = (hi + hi2) % p * size
-                    wider += [x + top for x in row]
-        add_t = wider
-        size *= p
-
-    for g in range(1, q):
-        gen = mid.element(g)
-        antilog = [1]
-        x = gen
-        while x != mid.one:
-            antilog.append(mid.index(x))
-            x = mid.mul(x, gen)
-        if len(antilog) == q - 1:
-            break
-    log = [0] * q
-    for t, a in enumerate(antilog):
-        log[a] = t
-    antilog += antilog  # log a + log b < 2(q-1) indexes without a mod
-    mul_t = [0] * q
-    for a in range(1, q):
-        la = log[a]
-        mul_t += [0] + [antilog[la + log[b]] for b in range(1, q)]
-    return add_t, mul_t
-
-
-def _find_generator(M, n, q, add_t, mul_t, hneg):
-    """Smallest-index multiplicative generator, preferring 0/1 coefficients.
-
-    Returned as a coefficient-index vector of length n.  In characteristic
-    2 an all-{0,1} generator lets the table walk run on packed ints, so
-    those candidates are tried first; correctness never depends on which
-    generator wins.
-    """
-    one = [0] * n
-    one[0] = 1
-    if M == 1:
-        return one
-    cofactors = [M // prime for prime in numtheory.factorize(M)]
-
-    def is_generator(vec):
-        return all(
-            _vec_pow(vec, cf, n, q, add_t, mul_t, hneg) != one for cf in cofactors
-        )
-
-    if q % 2 == 0:
-        # Subset bitmasks: bit j set -> coefficient of v**j is 1.
-        for mask in range(2, 1 << min(n, 14)):
-            vec = [(mask >> j) & 1 for j in range(n)]
-            if is_generator(vec):
-                return vec
-    for idx in range(2, M + 1):
-        vec = []
-        t = idx
-        for _ in range(n):
-            t, r = divmod(t, q)
-            vec.append(r)
-        if is_generator(vec):
-            return vec
-    raise InternalInconsistency("no multiplicative generator found")
-
-
-def _vec_mul(a, b, n, q, add_t, mul_t, hneg):
-    """Product of coefficient-index vectors modulo the top modulus."""
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            arow = ai * q
-            for j, bj in enumerate(b):
-                if bj:
-                    k = i + j
-                    prod[k] = add_t[prod[k] * q + mul_t[arow + bj]]
-    for i in range(2 * n - 2, n - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            crow = c * q
-            off = i - n
-            for j in range(n):
-                hj = hneg[j]
-                if hj:
-                    k = off + j
-                    prod[k] = add_t[prod[k] * q + mul_t[crow + hj]]
-    del prod[n:]
-    return prod
-
-
-def _vec_pow(vec, e, n, q, add_t, mul_t, hneg):
-    result = [0] * n
-    result[0] = 1
-    base = list(vec)
-    while e:
-        if e & 1:
-            result = _vec_mul(result, base, n, q, add_t, mul_t, hneg)
-        base = _vec_mul(base, base, n, q, add_t, mul_t, hneg)
-        e >>= 1
-    return result
-
-
-def _walk_packed_char2(gamma, n, q, order, M, mul_t, hneg):
-    """Generator-power walk on packed ints; characteristic 2, 0/1 gamma.
-
-    Packing concatenates coefficient indices in base q = 2**mbits, so
-    addition is XOR and multiplying by v is a shift plus one tabulated
-    reduction of the overflow coefficient.
-    """
-    mbits = q.bit_length() - 1
-    full = n * mbits
-    mask = order - 1
-    # corr[c]: packed form of c * (v**n reduced), i.e. sum c*hneg[j] v**j.
-    corr = [0] * q
-    for c in range(1, q):
-        crow = c * q
-        pk = 0
-        for j in reversed(range(n)):
-            pk = (pk << mbits) | mul_t[crow + hneg[j]]
-        corr[c] = pk
-    positions = [j for j, cj in enumerate(gamma) if cj]
-    seen = bytearray(order)
+    # Multiplying by gen permutes F_{q^n}*, so the walk's first repeat is a
+    # return to 1, and that return must come at step M.
     exp_packed = [0] * M
     x = 1
-    if positions == [1]:  # gamma = v: pure shift walk
-        for e in range(M):
-            if seen[x]:
-                raise InternalInconsistency("generator walk revisited an element")
-            seen[x] = 1
-            exp_packed[e] = x
-            x <<= mbits
-            ov = x >> full
-            if ov:
-                x = (x & mask) ^ corr[ov]
-    else:
-        for e in range(M):
-            if seen[x]:
-                raise InternalInconsistency("generator walk revisited an element")
-            seen[x] = 1
-            exp_packed[e] = x
-            acc = x if gamma[0] else 0
-            z = x
-            prev = 0
-            for j in positions:
-                if j == 0:
-                    continue
-                for _ in range(j - prev):
-                    z <<= mbits
-                    ov = z >> full
-                    if ov:
-                        z = (z & mask) ^ corr[ov]
-                prev = j
-                acc ^= z
-            x = acc
-    return exp_packed
-
-
-def _walk_vector(gamma, n, q, order, M, add_t, mul_t, hneg):
-    """Generator-power walk on coefficient-index vectors; any characteristic."""
-    sparse = [(j, c) for j, c in enumerate(gamma) if c]
-    seen = bytearray(order)
-    exp_packed = [0] * M
-    vec = [0] * n
-    vec[0] = 1
     for e in range(M):
-        pk = 0
-        for c in reversed(vec):
-            pk = pk * q + c
-        if seen[pk]:
-            raise InternalInconsistency("generator walk revisited an element")
-        seen[pk] = 1
-        exp_packed[e] = pk
-        acc = [0] * n
-        z = vec
-        prev = 0
-        for j, cj in sparse:
-            for _ in range(j - prev):
-                # z = z * v
-                top = z[-1]
-                z = [0] + z[:-1]
-                if top:
-                    trow = top * q
-                    for t in range(n):
-                        hj = hneg[t]
-                        if hj:
-                            z[t] = add_t[z[t] * q + mul_t[trow + hj]]
-            prev = j
-            if cj == 1:
-                for t in range(n):
-                    zt = z[t]
-                    if zt:
-                        acc[t] = add_t[acc[t] * q + zt]
-            else:
-                crow = cj * q
-                for t in range(n):
-                    zt = z[t]
-                    if zt:
-                        acc[t] = add_t[acc[t] * q + mul_t[crow + zt]]
-        vec = acc
+        exp_packed[e] = x
+        x = add(low_table[x & low_mask], high_table[x >> shift])
+        if x == 1:
+            break
+    if e != M - 1 or x != 1:
+        raise InternalInconsistency("generator walk did not return to 1 at step M")
     return exp_packed
+
+
+def _find_generator(top, q):
+    """First element of index >= q that generates the multiplicative group.
+
+    Indices below q are the constants F_q, whose orders divide q - 1, so no
+    generator lies there (the top field is a proper extension).
+    """
+    M = top.order - 1
+    cofactors = [M // prime for prime in numtheory.factorize(M)]
+    for i in range(q, top.order):
+        g = top.element(i)
+        if all(top.pow(g, cf) != top.one for cf in cofactors):
+            return g
+    raise InternalInconsistency("no multiplicative generator found")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knormal import counting, galois, numtheory, spectrum
-from knormal.errors import EnumerationTooLarge, KOutOfRange, NotCoprimeCase
+from knormal.errors import EnumerationTooLarge, KOutOfRange, NotCoprime
 
 PRIME_POWERS = [q for q in range(2, 28) if len(numtheory.factorize(q)) == 1]
 SMALL_SWEEP = [(q, n) for q in PRIME_POWERS for n in range(1, 16)]
@@ -127,7 +127,7 @@ def test_coprime_matches_series():
     for q, n in SMALL_SWEEP:
         params = spectrum.derive_params(q, n)
         if params.s != 0:
-            with pytest.raises(NotCoprimeCase):
+            with pytest.raises(NotCoprime):
                 counting.count_k_normal_coprime(q, n, 0)
             continue
         for k in range(n + 1):

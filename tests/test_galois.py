@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from knormal import galois
-from knormal.errors import BothZero
+from knormal.errors import ArgumentOutOfRange
 
 
 def all_monic(field, degree):
@@ -158,7 +158,7 @@ def test_poly_gcd_examples():
     assert galois.poly_gcd(f, zero) == f.monic()
     scaled = galois.Poly(field, (2, 2))  # 2x + 2 -> monic x + 1
     assert galois.poly_gcd(zero, scaled) == g
-    with pytest.raises(BothZero):
+    with pytest.raises(ArgumentOutOfRange):
         galois.poly_gcd(zero, zero)
 
 

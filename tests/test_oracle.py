@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knormal import counting, galois, numtheory, oracle, spectrum
-from knormal.errors import InstanceTooLarge, NotCoprime, NotPrimePower
+from knormal.errors import (
+    InstanceTooLarge,
+    InternalInconsistency,
+    NotCoprime,
+    NotPrimePower,
+)
 
-ORACLE_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
 PRIME_POWERS_4096 = [q for q in range(2, 4097) if len(numtheory.factorize(q)) == 1]
 
 
@@ -80,13 +84,50 @@ def test_class_path_is_the_codimension_of_the_conjugates():
         assert literal == oracle._classify_by_classes(tower)
 
 
-def test_mid_tables_match_generic_arithmetic():
-    for q in ORACLE_QS + (64, 81, 121, 128, 169):
-        mid = galois.build_tower(q, 2).mid
-        elems = [mid.element(i) for i in range(q)]
-        add_t = [mid.index(mid.add(a, b)) for a in elems for b in elems]
-        mul_t = [mid.index(mid.mul(a, b)) for a in elems for b in elems]
-        assert oracle._mid_tables(mid) == (add_t, mul_t), q
+def _widened(index, p, width):
+    """The base-p digits of an element index, one per width-bit field."""
+    packed = 0
+    shift = 0
+    while index:
+        index, digit = divmod(index, p)
+        packed |= digit << shift
+        shift += width
+    return packed
+
+
+def test_power_table_holds_the_generator_powers():
+    # (q, n, field width): odd N = n*m at (2, 15), 16- and 32-bit fields last
+    for q, n, width in [(2, 7, 1), (2, 15, 1), (4, 5, 1), (16, 3, 1), (512, 2, 1),
+                        (3, 7, 8), (9, 4, 8), (27, 3, 8), (23, 3, 16), (509, 2, 32)]:
+        tower = galois.build_tower(q, n)
+        top, p = tower.top, tower.prime.order
+        M = top.order - 1
+        gen = oracle._find_generator(top, q)
+        assert top.pow(gen, M) == top.one
+        assert all(top.pow(gen, M // prime) != top.one for prime in numtheory.factorize(M))
+        assert oracle._field_width(tower) == width
+        table = oracle._power_table(tower)
+        assert len(table) == M
+        stride = 1 if M < 5000 else M // 1000
+        step = top.pow(gen, stride)
+        power = top.one
+        for e in range(0, M, stride):
+            assert table[e] == _widened(top.index(power), p, width), (q, n, e)
+            power = top.mul(power, step)
+
+
+def test_power_table_refuses_a_non_generator(monkeypatch):
+    find_generator = oracle._find_generator
+    for q, n in [(2, 4), (3, 3), (25, 2)]:
+        tower = galois.build_tower(q, n)
+        for prime in numtheory.factorize(q**n - 1):
+            # gen**prime has order (q**n - 1)/prime: its walk returns to 1 early
+            monkeypatch.setattr(
+                oracle, "_find_generator",
+                lambda top, q, prime=prime: top.pow(find_generator(top, q), prime),
+            )
+            with pytest.raises(InternalInconsistency):
+                oracle._power_table(tower)
 
 
 @st.composite
