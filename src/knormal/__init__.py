@@ -28,7 +28,6 @@ from .errors import (
     InstanceTooLarge,
     InternalInconsistency,
     KnormalError,
-    KOutOfRange,
     NotCoprime,
     NotPrimePower,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "InputTooLarge",
     "InstanceTooLarge",
     "InternalInconsistency",
-    "KOutOfRange",
     "KnormalError",
     "NotCoprime",
     "NotPrimePower",

@@ -24,9 +24,9 @@ from functools import lru_cache
 
 from . import spectrum
 from .errors import (
+    ArgumentOutOfRange,
     EnumerationTooLarge,
     InternalInconsistency,
-    KOutOfRange,
     NotCoprime,
 )
 
@@ -65,7 +65,7 @@ def phi_q_prime_power(q: int, r: int, e: int) -> int:
 
 def _check_k(n: int, k: int) -> None:
     if k < 0 or k > n:
-        raise KOutOfRange(f"k must lie in 0..{n}, got {k}")
+        raise ArgumentOutOfRange(f"k must lie in 0..{n}, got {k}")
 
 
 def _group_series(q: int, r: int, v: int, ps: int, cap: int) -> list[int]:
@@ -106,7 +106,8 @@ def _group_series(q: int, r: int, v: int, ps: int, cap: int) -> list[int]:
     return g
 
 
-@lru_cache(maxsize=8192)
+# Repeats follow the first call: count --k 0..3 on a field, a loop over k.
+@lru_cache(maxsize=4)
 def _weight_series(params: spectrum.ExtensionParams) -> tuple[int, ...]:
     """Total weight of the divisors of x**n - 1 of each degree 0..n.
 
@@ -147,10 +148,7 @@ def count_normal(q: int, n: int) -> int:
     """
     params = spectrum.derive_params(q, n)
     pattern = spectrum.degree_pattern(params)
-    result = q ** (params.n - params.n0)
-    for r, count in pattern.items():
-        result *= (q**r - 1) ** count
-    return result
+    return q ** (params.n - params.n0) * _factor_product(q, pattern)
 
 
 def distribution(q: int, n: int) -> Distribution:

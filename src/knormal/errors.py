@@ -20,13 +20,11 @@ class InputTooLarge(KnormalError):
 class ArgumentOutOfRange(KnormalError, ValueError):
     """An argument lies outside the range it is defined on.
 
-    Raised for an extension degree n < 1, for a modulus index beyond the
-    monic irreducibles that exist, and for gcd(0, 0).
+    Raised for an extension degree n < 1, for a normality defect k outside
+    0..n, for a modulus index that names no monic irreducible, for
+    gcd(0, 0), and for a `table` range or a `--modulus-trials` count that the
+    CLI cannot serve.
     """
-
-
-class KOutOfRange(KnormalError):
-    """A normality defect k outside 0..n was requested."""
 
 
 class EnumerationTooLarge(KnormalError):

@@ -196,13 +196,6 @@ class Poly:
         self.field = field
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def monomial(cls, field, degree: int, coeff=None):
-        """coeff * x**degree (default coefficient 1)."""
-        if coeff is None:
-            coeff = field.one
-        return cls(field, (field.zero,) * degree + (coeff,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -275,14 +268,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __call__(self, point):
-        """Evaluate at a field element by Horner's rule."""
-        field = self.field
-        acc = field.zero
-        for c in reversed(self.coeffs):
-            acc = field.add(field.mul(acc, point), c)
-        return acc
-
     def monic(self) -> "Poly":
         """Scale by the inverse of the leading coefficient."""
         if self.is_zero:
@@ -341,18 +326,33 @@ def is_irreducible(f: Poly) -> bool:
     return poly_pow_mod(x, order**deg, f) == x
 
 
+def irreducible_count(order: int, degree: int) -> int:
+    """Number of monic irreducibles of a degree >= 1 over F_order (Gauss)."""
+    total = sum(
+        numtheory.moebius(d) * order ** (degree // d)
+        for d in numtheory.divisors(degree)
+    )
+    return total // degree
+
+
 def find_irreducible(field, degree: int, index: int = 0):
     """(index+1)-th monic irreducible of the given degree in scan order.
 
     Candidates x**degree + c are enumerated with the lower coefficients c
     in ascending mixed-radix order (constant coefficient least
     significant), so the result is reproducible bit for bit across runs.
+    An index beyond the irreducibles that exist is refused before the scan.
     """
     if degree < 1:
-        raise ValueError("degree must be >= 1")
+        raise ArgumentOutOfRange("degree must be >= 1")
     if index < 0:
-        raise ValueError("index must be >= 0")
+        raise ArgumentOutOfRange("index must be >= 0")
     order = field.order
+    exists = irreducible_count(order, degree)
+    if index >= exists:
+        raise ArgumentOutOfRange(
+            f"fewer than {index + 1} monic irreducibles of degree {degree} exist"
+        )
     seen = 0
     for j in range(order**degree):
         digits = []
@@ -365,8 +365,8 @@ def find_irreducible(field, degree: int, index: int = 0):
             if seen == index:
                 return cand
             seen += 1
-    raise ArgumentOutOfRange(
-        f"fewer than {index + 1} monic irreducibles of degree {degree} exist"
+    raise InternalInconsistency(
+        f"the scan found {seen} of the {exists} monic irreducibles of degree {degree}"
     )
 
 

@@ -13,22 +13,6 @@ from .errors import InternalInconsistency, NotCoprime, NotPrimePower
 MAX_N = 10**6
 
 
-def is_prime(x: int) -> bool:
-    """Deterministic primality test by trial division."""
-    if x < 2:
-        return False
-    if x < 4:
-        return True
-    if x % 2 == 0:
-        return False
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def factorize(x: int) -> dict[int, int]:
     """Prime factorization {p: multiplicity} by trial division, x >= 1."""
     if x < 1:
@@ -49,6 +33,11 @@ def factorize(x: int) -> dict[int, int]:
     return out
 
 
+def is_prime(x: int) -> bool:
+    """Deterministic primality test by trial division."""
+    return x >= 2 and factorize(x) == {x: 1}
+
+
 def prime_power_decompose(x: int) -> tuple[int, int]:
     """Write x = p**m with p prime; raise NotPrimePower otherwise."""
     if x < 2:
@@ -63,19 +52,11 @@ def prime_power_decompose(x: int) -> tuple[int, int]:
 
 
 def divisors(x: int) -> list[int]:
-    """All positive divisors of x in ascending order."""
-    if x < 1:
-        raise ValueError(f"no divisors for {x}")
-    small, large = [], []
-    f = 1
-    while f * f <= x:
-        if x % f == 0:
-            small.append(f)
-            if f * f != x:
-                large.append(x // f)
-        f += 1
-    large.reverse()
-    return small + large
+    """All positive divisors of x >= 1 in ascending order."""
+    divs = [1]
+    for p, m in factorize(x).items():
+        divs = [d * p**e for d in divs for e in range(m + 1)]
+    return sorted(divs)
 
 
 def moebius(x: int) -> int:

@@ -149,6 +149,14 @@ def test_table_rejects_bad_range(capsys):
     assert "range" in err
 
 
+def test_table_keeps_few_series_cached(capsys):
+    code, _, _ = run(capsys, "table", "--q", "2", "--n-min", "1", "--n-max", "300")
+    assert code == 0
+    info = counting._weight_series.cache_info()
+    assert info.maxsize < 300
+    assert info.currsize == info.maxsize
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run(capsys, "verify", "--q", "2", "--n", "5", "--oracle", "all")
     assert code == 0
@@ -161,6 +169,23 @@ def test_verify_brute_only(capsys):
     code, out, _ = run(capsys, "verify", "--q", "3", "--n", "4", "--oracle", "brute")
     assert code == 0
     assert out.count("PASS") == 1
+
+
+def test_verify_cosets_skips_the_distribution(capsys, monkeypatch):
+    def refuse(q, n):
+        raise AssertionError("the cosets check reads no distribution")
+
+    monkeypatch.setattr(counting, "distribution", refuse)
+    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "40000", "--oracle", "cosets")
+    assert code == 0
+    assert out == "PASS pattern-vs-cosets\n1 checks, all passed\n"
+
+
+def test_verify_rejects_csv_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--q", "2", "--n", "3", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_verify_closed_forms_json(capsys):
@@ -218,12 +243,6 @@ def test_verify_refuses_excess_trials_before_any_sweep(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--q", "2", "--n", "3", "--modulus-trials", "2")
     assert code == 0
     assert len(sweeps) == 2
-
-
-def test_irreducible_count():
-    assert [cli._irreducible_count(2, n) for n in range(1, 9)] == [2, 1, 2, 3, 6, 9, 18, 30]
-    assert cli._irreducible_count(4, 2) == 6
-    assert cli._irreducible_count(27, 1) == 27
 
 
 def test_verify_fails_when_no_check_ran(capsys, monkeypatch):

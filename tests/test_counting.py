@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knormal import counting, galois, numtheory, spectrum
-from knormal.errors import EnumerationTooLarge, KOutOfRange, NotCoprime
+from knormal.errors import ArgumentOutOfRange, EnumerationTooLarge, NotCoprime
 
 PRIME_POWERS = [q for q in range(2, 28) if len(numtheory.factorize(q)) == 1]
 SMALL_SWEEP = [(q, n) for q in PRIME_POWERS for n in range(1, 16)]
@@ -72,9 +72,9 @@ def test_count_k_normal_examples():
 
 
 def test_count_k_normal_k_range():
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(ArgumentOutOfRange):
         counting.count_k_normal(2, 5, 6)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(ArgumentOutOfRange):
         counting.count_k_normal(2, 5, -1)
 
 
@@ -154,9 +154,9 @@ def test_closed_forms_match_series():
 
 
 def test_closed_forms_reject_small_n():
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(ArgumentOutOfRange):
         counting.closed_form_n2(3, 1)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(ArgumentOutOfRange):
         counting.closed_form_n3(3, 2)
 
 

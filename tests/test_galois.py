@@ -1,10 +1,11 @@
 """Field towers and polynomial arithmetic, checked against brute references."""
 
 import itertools
+import time
 
 import pytest
 
-from knormal import galois
+from knormal import galois, oracle
 from knormal.errors import ArgumentOutOfRange
 
 
@@ -120,6 +121,24 @@ def test_find_irreducible_index():
         galois.find_irreducible(field, 2, index=1)  # x^2+x+1 is the only one
 
 
+def test_irreducible_count():
+    assert [galois.irreducible_count(2, n) for n in range(1, 9)] == [2, 1, 2, 3, 6, 9, 18, 30]
+    assert galois.irreducible_count(4, 2) == 6
+    assert galois.irreducible_count(27, 1) == 27
+
+
+def test_excess_modulus_index_refused_before_the_scan():
+    # 52377 monic irreducibles of degree 20 exist over F_2, 1161 of degree 14
+    t0 = time.perf_counter()
+    with pytest.raises(ArgumentOutOfRange, match="fewer than 52378"):
+        galois.find_irreducible(galois.PrimeField(2), 20, index=52377)
+    with pytest.raises(ArgumentOutOfRange, match="fewer than 1201"):
+        oracle.brute_force_distribution(2, 14, modulus_index=1200)
+    assert time.perf_counter() - t0 < 0.5
+    # the last of the 9 of degree 6 is still found
+    assert galois.is_irreducible(galois.find_irreducible(galois.PrimeField(2), 6, index=8))
+
+
 def test_find_irreducible_deterministic():
     field = galois.PrimeField(3)
     assert galois.find_irreducible(field, 5) == galois.find_irreducible(field, 5)
@@ -169,14 +188,6 @@ def test_poly_gcd_common_factor():
     c = galois.Poly(field, (0, 1))  # x
     assert galois.poly_gcd(a * b, a * c) == a
     assert galois.poly_gcd(b, c).degree == 0
-
-
-def test_poly_evaluate():
-    field = galois.PrimeField(7)
-    poly = galois.Poly(field, (1, 0, 1))  # x^2 + 1
-    assert poly(0) == 1
-    assert poly(2) == 5
-    assert poly(6) == 2  # 36 + 1 = 37 = 2 mod 7
 
 
 def test_tower_structure():
