@@ -7,6 +7,7 @@ strings; text and CSV print plain decimal digits.
 
 import argparse
 import collections
+import functools
 import json
 import sys
 
@@ -14,6 +15,7 @@ from . import counting, galois, oracle, spectrum
 from .errors import ArgumentOutOfRange, KnormalError
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knormal",
@@ -151,10 +153,10 @@ def cmd_table(args) -> int:
         raise ArgumentOutOfRange(
             f"invalid range n = {args.n_min}..{args.n_max}, k_max = {args.k_max}"
         )
-    rows = []
+    rows = []  # N_0..N_min(k_max, n) of each row: the low end of one defect series
     for n in range(args.n_min, args.n_max + 1):
-        dist = counting.distribution(args.q, n)
-        rows.append([dist[k] for k in range(min(args.k_max, n) + 1)])
+        params = spectrum.derive_params(args.q, n)
+        rows.append(counting._weight_series(params, min(args.k_max, n), defect=True))
     header = ["n"] + [f"N_{k}" for k in range(args.k_max + 1)]
     if args.format == "json":
         _emit_json(
@@ -268,13 +270,14 @@ def cmd_verify(args) -> int:
 def _run_checks(q, n, which, max_brute, modulus_trials):
     """Each check is (name, passed, detail); independent routes only."""
     checks = []
-    if which != "cosets":  # every other check reads the formula's counts
-        dist = counting.distribution(q, n)
     if which in ("brute", "all"):
-        for trial in range(modulus_trials):
-            brute = oracle.brute_force_distribution(
-                q, n, max_order=max_brute, modulus_index=trial
-            )
+        # Sweep first, so that an oversized sweep is refused before any series.
+        brutes = [
+            oracle.brute_force_distribution(q, n, max_order=max_brute, modulus_index=trial)
+            for trial in range(modulus_trials)
+        ]
+        dist = counting.distribution(q, n)
+        for trial, brute in enumerate(brutes):
             name = "formula-vs-brute"
             if modulus_trials > 1:
                 name += f"[modulus {trial}]"
@@ -299,7 +302,7 @@ def _run_checks(q, n, which, max_brute, modulus_trials):
         }
         bad = []
         for k, form in forms.items():
-            if k <= n and form(q, n) != dist[k]:
+            if k <= n and form(q, n) != counting.count_k_normal(q, n, k):
                 bad.append(k)
         checks.append(
             ("closed-forms", not bad, f"mismatch at k in {bad}" if bad else "")

@@ -11,16 +11,15 @@ per degree: the v_r factors of degree r form one group whose series in
 z**r is the v_r-th power of a single factor's series.  That series is a
 rational function, so each group's coefficients follow from a short
 integer recurrence; N_k is the coefficient of z**(n-k) in the product of
-the tau(d) group series.  A literal tuple enumeration, a binomial form for
-the squarefree case, and per-k closed forms are provided as independent
-routes for cross-checks.  All results are plain Python ints and therefore
-exact.
+the tau(d) group series, or of z**k with every series reversed.  A literal
+tuple enumeration, a binomial form for the squarefree case, and per-k
+closed forms are provided as independent routes for cross-checks.  All
+results are plain Python ints and therefore exact.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import spectrum
 from .errors import (
@@ -68,28 +67,39 @@ def _check_k(n: int, k: int) -> None:
         raise ArgumentOutOfRange(f"k must lie in 0..{n}, got {k}")
 
 
-def _group_series(q: int, r: int, v: int, ps: int, cap: int) -> list[int]:
+def _sparse_sum(*products) -> list[tuple[int, int]]:
+    """Nonzero terms, ascending, of a sum of products of {exponent: coefficient} dicts."""
+    out: dict[int, int] = {}
+    for a, b in products:
+        for (i, x), (j, y) in itertools.product(a.items(), b.items()):
+            out[i + j] = out.get(i + j, 0) + x * y
+    return [(i, x) for i, x in sorted(out.items()) if x]
+
+
+def _group_series(q: int, r: int, v: int, ps: int, cap: int, defect=False) -> list[int]:
     """Joint weight series of all v factors of degree r, up to w**cap, w = z**r.
 
     One factor's series is F(w) = sum over a <= P of phi_a w**a with
     Q = q**r, P = p**s, phi_0 = 1 and phi_a = Q**a - Q**(a-1).  In closed
     form F = N/D with N = 1 - w - c*w**(P+1), c = (Q-1)*Q**P, and
-    D = 1 - Q*w, so G = F**v satisfies N*D*G' = v*(N'*D - N*D')*G.  Reading
-    off the coefficient of w**(j-1) gives g_j from at most seven earlier
-    coefficients and one exact division by j.  G is a polynomial of degree
-    v*P, so the series stops there if that is below cap.
+    D = 1 - Q*w; the defect end reverses F, w**P * F(1/w) = N/D with
+    N = c + w**P - w**(P+1) and D = Q - w.  Either way G = F**v satisfies
+    N*D*G' = v*(N'*D - N*D')*G, so its w**(j-1) coefficient gives g_j from
+    at most seven earlier ones and one exact division by j times the
+    constant term of N*D.  G has degree v*P; the series stops there.
     """
     big_q = q**r
     c = (big_q - 1) * big_q**ps
-    # N*D = 1 + sum of nd_i w**i; the w**2 and w**(P+1) terms meet when P = 1.
-    nd: dict[int, int] = {}
-    for i, coef in ((1, -1 - big_q), (2, big_q), (ps + 1, -c), (ps + 2, c * big_q)):
-        nd[i] = nd.get(i, 0) + coef
-    lhs = [(i, coef) for i, coef in sorted(nd.items()) if coef]
-    # v*(N'*D - N*D') = v*((Q-1) - c*(P+1)*w**P + c*Q*P*w**(P+1)).
-    rhs = [(0, v * (big_q - 1)), (ps, -v * c * (ps + 1)), (ps + 1, v * c * big_q * ps)]
+    if defect:
+        num, den = {0: c, ps: 1, ps + 1: -1}, {0: big_q, 1: -1}
+    else:
+        num, den = {0: 1, 1: -1, ps + 1: -c}, {0: 1, 1: -big_q}
+    (_, lead), *lhs = _sparse_sum((num, den))
+    # v*(N'*D - N*D'), where D is linear
+    dnum = {i - 1: v * i * x for i, x in num.items() if i}
+    rhs = _sparse_sum((dnum, den), (num, {0: -v * den[1]}))
     length = min(v * ps, cap) + 1
-    g = [1] + [0] * (length - 1)
+    g = [_exact_div(num[0], den[0]) ** v] + [0] * (length - 1)
     for j in range(1, length):
         acc = 0
         for i, coef in rhs:
@@ -100,29 +110,25 @@ def _group_series(q: int, r: int, v: int, ps: int, cap: int) -> list[int]:
             if i > j:
                 break
             acc -= coef * (j - i) * g[j - i]
-        g[j], rem = divmod(acc, j)
+        g[j], rem = divmod(acc, j * lead)
         if rem:
             raise InternalInconsistency(f"group series coefficient {j} is not integral")
     return g
 
 
-# Repeats follow the first call: count --k 0..3 on a field, a loop over k.
-@lru_cache(maxsize=4)
-def _weight_series(params: spectrum.ExtensionParams) -> tuple[int, ...]:
-    """Total weight of the divisors of x**n - 1 of each degree 0..n.
+def _weight_series(params: spectrum.ExtensionParams, cap: int, defect: bool) -> list[int]:
+    """Weight series of the divisors of x**n - 1 up to z**cap, read from one end.
 
-    Coefficient of z**m is the total weight of all divisors of x**n - 1 of
-    degree m, i.e. the number of (n - m)-normal elements.  The factors of
-    one degree r share one group series in z**r, and the tau(d) groups
-    are multiplied into the dense result, skipping its zero coefficients.
-    Largest degrees go first: their partial product is nonzero only at
-    multiples of a large stride, so it stays sparse for longer.
+    On the forward end the coefficient of z**m is the total weight of the
+    divisors of degree m, i.e. N_(n-m); on the defect end every series is
+    reversed, so it is N_m, and a degree r > cap adds only its constant term.
+    The tau(d) group series are multiplied into the dense result, skipping
+    its zero coefficients.  Largest degrees go first: their partial product
+    is nonzero only at multiples of a large stride, so it stays sparse longer.
     """
-    cap = params.n
-    total = [0] * (cap + 1)
-    total[0] = 1
+    total = [1] + [0] * cap
     for r, v in reversed(spectrum.degree_pattern(params).items()):
-        group = _group_series(params.q, r, v, params.ps, cap // r)
+        group = _group_series(params.q, r, v, params.ps, cap // r, defect)
         out = [0] * (cap + 1)
         for i, t in enumerate(total):
             if not t:
@@ -130,21 +136,22 @@ def _weight_series(params: spectrum.ExtensionParams) -> tuple[int, ...]:
             stop = i + r * min(len(group), (cap - i) // r + 1)
             out[i:stop:r] = [o + t * g for o, g in zip(out[i:stop:r], group)]
         total = out
-    return tuple(total)
+    return total
 
 
 def count_k_normal(q: int, n: int, k: int) -> int:
-    """Number of k-normal elements of F_{q^n} over F_q."""
+    """Number of k-normal elements of F_{q^n} over F_q, from the nearer end."""
     params = spectrum.derive_params(q, n)
     _check_k(n, k)
-    return _weight_series(params)[n - k]
+    cap = min(k, n - k)
+    return _weight_series(params, cap, defect=cap == k)[cap]
 
 
 def count_normal(q: int, n: int) -> int:
     """Number of normal (0-normal) elements: q**(n-n0) * prod (q**r - 1)**v_r.
 
-    Independent of count_k_normal's series product; the two must agree at
-    k = 0.
+    Independent of the group series recurrence; the last coefficient of
+    its forward end, distribution's N_0, must agree with it.
     """
     params = spectrum.derive_params(q, n)
     pattern = spectrum.degree_pattern(params)
@@ -154,8 +161,7 @@ def count_normal(q: int, n: int) -> int:
 def distribution(q: int, n: int) -> Distribution:
     """Counts of k-normal elements for every k = 0..n at once."""
     params = spectrum.derive_params(q, n)
-    series = _weight_series(params)
-    counts = tuple(series[n - k] for k in range(n + 1))
+    counts = tuple(reversed(_weight_series(params, n, defect=False)))
     return Distribution(q=q, n=n, counts=counts)
 
 

@@ -53,7 +53,7 @@ def brute_force_distribution(
     """Exact k-normal distribution computed from the field itself."""
     spectrum.derive_params(q, n)  # validates q prime power, n >= 1
     if q**n > max_order:
-        raise InstanceTooLarge(f"q**n = {q**n} exceeds the sweep guard {max_order}")
+        raise InstanceTooLarge(f"q**n = {q}**{n} exceeds the sweep guard {max_order}")
     tower = galois.build_tower(q, n, modulus_index)
     if n == 1:
         # x - 1 against a nonzero constant.  For a prime q the walk's low

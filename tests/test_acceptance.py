@@ -112,7 +112,6 @@ def test_criterion_05_cli_contract(capsys):
 def _clear_library_caches():
     spectrum.derive_params.cache_clear()
     spectrum.degree_pattern.cache_clear()
-    counting._weight_series.cache_clear()
     galois.build_tower.cache_clear()
 
 

@@ -1,9 +1,11 @@
 """CLI subcommands: outputs, formats, and exit codes."""
 
+import argparse
 import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -149,12 +151,15 @@ def test_table_rejects_bad_range(capsys):
     assert "range" in err
 
 
-def test_table_keeps_few_series_cached(capsys):
-    code, _, _ = run(capsys, "table", "--q", "2", "--n-min", "1", "--n-max", "300")
-    assert code == 0
-    info = counting._weight_series.cache_info()
-    assert info.maxsize < 300
-    assert info.currsize == info.maxsize
+def test_table_counts_only_the_printed_columns(capsys):
+    for n_max, k_max in (("2500", "0"), ("300", "300")):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "table", "--q", "2", "--n-min", "1", "--n-max", n_max,
+                           "--k-max", k_max, "--format", "json")
+        assert code == 0
+        assert time.perf_counter() - start < 3.0
+    for row in json.loads(out)["rows"]:  # every column, k = 0..n
+        assert tuple(map(int, row["counts"])) == counting.distribution(2, row["n"]).counts
 
 
 def test_verify_all_passes(capsys):
@@ -173,12 +178,22 @@ def test_verify_brute_only(capsys):
 
 def test_verify_cosets_skips_the_distribution(capsys, monkeypatch):
     def refuse(q, n):
-        raise AssertionError("the cosets check reads no distribution")
+        raise AssertionError("the cosets and closed-forms checks read no distribution")
 
     monkeypatch.setattr(counting, "distribution", refuse)
-    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "40000", "--oracle", "cosets")
-    assert code == 0
-    assert out == "PASS pattern-vs-cosets\n1 checks, all passed\n"
+    for which, check in (("cosets", "pattern-vs-cosets"), ("closed-forms", "closed-forms")):
+        code, out, _ = run(capsys, "verify", "--q", "2", "--n", "40000", "--oracle", which)
+        assert code == 0
+        assert out == f"PASS {check}\n1 checks, all passed\n"
+
+
+def test_verify_refuses_oversized_brute_before_any_series(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "40000", "--oracle", "brute")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: q**n = 2**40000 exceeds the sweep guard 4194304\n"
 
 
 def test_verify_rejects_csv_format(capsys):
@@ -299,6 +314,25 @@ def test_factors_csv(capsys):
     assert lines["v_1"] == "1"
     assert lines["v_4"] == "1"
     assert lines["omega"] == "2"
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    cli.build_parser.cache_clear()
+    try:
+        assert run(capsys, "count", "--q", "2", "--n", "3", "--k", "1")[:2] == (0, "3\n")
+        first = len(built)
+        assert run(capsys, "factors", "--q", "2", "--n", "3")[0] == 0
+        assert first > 0 and len(built) == first
+    finally:
+        cli.build_parser.cache_clear()
 
 
 def test_missing_subcommand_exits_2():

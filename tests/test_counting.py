@@ -204,11 +204,16 @@ def naive_group_series(q, r, v, ps, cap):
     v=st.integers(1, 7),
     ps=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 25]),
     cap=st.integers(0, 60),
+    defect=st.booleans(),
 )
-def test_group_series_matches_literal_power(q, r, v, ps, cap):
-    # covers P = 1 (binomial) and v = 1 (one factor) through the same recurrence
-    group = counting._group_series(q, r, v, ps, cap)
-    expected = naive_group_series(q, r, v, ps, cap)
+def test_group_series_matches_literal_power(q, r, v, ps, cap, defect):
+    # covers P = 1 (binomial) and v = 1 (one factor) through the same recurrence;
+    # the defect end is the same polynomial read from its top coefficient down
+    group = counting._group_series(q, r, v, ps, cap, defect)
+    if defect:
+        expected = naive_group_series(q, r, v, ps, v * ps)[::-1][: cap + 1]
+    else:
+        expected = naive_group_series(q, r, v, ps, cap)
     assert group == expected[: len(group)]
     assert not any(expected[len(group):])
 
@@ -246,3 +251,19 @@ def test_large_fields_against_closed_forms(q, n):
     assert dist[3] == counting.closed_form_n3(q, n)
     assert dist.total() == q**n
     assert time.perf_counter() - start < 2.5
+
+
+@pytest.mark.parametrize(
+    "q,n,k,route",
+    [
+        (2, 65536, 0, counting.count_normal),
+        (2, 14000, 3, counting.closed_form_n3),
+        (3, 100000, 2, counting.closed_form_n2),
+    ],
+)
+def test_low_k_counts_read_only_the_defect_end(q, n, k, route):
+    # the full series at these n holds millions of big coefficients
+    start = time.perf_counter()
+    count = counting.count_k_normal(q, n, k)
+    assert time.perf_counter() - start < 0.5
+    assert count == route(q, n)
