@@ -153,10 +153,8 @@ def cmd_table(args) -> int:
         raise ArgumentOutOfRange(
             f"invalid range n = {args.n_min}..{args.n_max}, k_max = {args.k_max}"
         )
-    rows = []  # N_0..N_min(k_max, n) of each row: the low end of one defect series
-    for n in range(args.n_min, args.n_max + 1):
-        params = spectrum.derive_params(args.q, n)
-        rows.append(counting._weight_series(params, min(args.k_max, n), defect=True))
+    ns = range(args.n_min, args.n_max + 1)
+    rows = [counting.low_counts(args.q, n, args.k_max) for n in ns]
     header = ["n"] + [f"N_{k}" for k in range(args.k_max + 1)]
     if args.format == "json":
         _emit_json(
@@ -270,6 +268,7 @@ def cmd_verify(args) -> int:
 def _run_checks(q, n, which, max_brute, modulus_trials):
     """Each check is (name, passed, detail); independent routes only."""
     checks = []
+    params = spectrum.derive_params(q, n)  # refuses a bad q or n for every oracle
     if which in ("brute", "all"):
         # Sweep first, so that an oversized sweep is refused before any series.
         brutes = [
@@ -285,7 +284,6 @@ def _run_checks(q, n, which, max_brute, modulus_trials):
                 (name, brute == dist, f"{brute.counts} vs {dist.counts}")
             )
     if which in ("cosets", "all"):
-        params = spectrum.derive_params(q, n)
         pattern = spectrum.degree_pattern(params)
         sizes = collections.Counter(oracle.cyclotomic_cosets(q, params.n0))
         ok = dict(sizes) == pattern.entries and spectrum.omega(params) == sum(
@@ -295,15 +293,12 @@ def _run_checks(q, n, which, max_brute, modulus_trials):
             ("pattern-vs-cosets", ok, f"{dict(sizes)} vs {pattern.entries}")
         )
     if which in ("closed-forms", "all"):
-        forms = {
-            1: counting.closed_form_n1,
-            2: counting.closed_form_n2,
-            3: counting.closed_form_n3,
-        }
-        bad = []
-        for k, form in forms.items():
-            if k <= n and form(q, n) != counting.count_k_normal(q, n, k):
-                bad.append(k)
+        forms = (counting.closed_form_n1, counting.closed_form_n2, counting.closed_form_n3)
+        bad = [
+            k
+            for k, form in enumerate(forms, 1)
+            if k <= n and form(q, n) != counting.count_k_normal(q, n, k)
+        ]
         checks.append(
             ("closed-forms", not bad, f"mismatch at k in {bad}" if bad else "")
         )

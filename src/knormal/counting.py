@@ -147,6 +147,11 @@ def count_k_normal(q: int, n: int, k: int) -> int:
     return _weight_series(params, cap, defect=cap == k)[cap]
 
 
+def low_counts(q: int, n: int, k_max: int) -> list[int]:
+    """N_0..N_min(k_max, n), the low end of one defect-end weight series."""
+    return _weight_series(spectrum.derive_params(q, n), min(k_max, n), defect=True)
+
+
 def count_normal(q: int, n: int) -> int:
     """Number of normal (0-normal) elements: q**(n-n0) * prod (q**r - 1)**v_r.
 

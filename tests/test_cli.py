@@ -62,6 +62,7 @@ def test_count_rejects_k_out_of_range(capsys):
         ("distribution", "--q", "3", "--n", "0"),
         ("factors", "--q", "4", "--n", "-1"),
         ("verify", "--q", "2", "--n", "0"),
+        ("verify", "--q", "2", "--n", "0", "--oracle", "closed-forms"),
     ],
 )
 def test_nonpositive_n_exits_2(capsys, argv):
