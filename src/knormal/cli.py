@@ -29,10 +29,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_n(p):
         p.add_argument("--n", type=int, required=True, help="extension degree")
 
-    def add_format(p, default):
+    def add_format(p, default, choices=("text", "csv", "json")):
         p.add_argument(
             "--format",
-            choices=("text", "csv", "json"),
+            choices=choices,
             default=default,
             help=f"output format (default {default})",
         )
@@ -79,12 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="how many distinct field representations to sweep",
     )
-    p.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default text)",
-    )
+    add_format(p, "text", ("text", "json"))
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("factors", help="structure of x**n - 1 over F_q")
@@ -110,38 +105,35 @@ def entry() -> None:
 
 
 def cmd_count(args) -> int:
-    value = counting.count_k_normal(args.q, args.n, args.k)
-    if args.format == "json":
-        _emit_json({"q": args.q, "n": args.n, "k": args.k, "count": str(value)})
-    elif args.format == "csv":
-        print("q,n,k,count")
-        print(f"{args.q},{args.n},{args.k},{value}")
-    else:
-        print(value)
+    count = str(counting.count_k_normal(args.q, args.n, args.k))
+    _emit(
+        args,
+        {"q": args.q, "n": args.n, "k": args.k, "count": count},
+        [count],
+        ("q", "n", "k", "count"),
+        [(str(args.q), str(args.n), str(args.k), count)],
+    )
     return 0
 
 
 def cmd_distribution(args) -> int:
     dist = counting.distribution(args.q, args.n)
+    counts = [str(c) for c in dist.counts]
     total = dist.total()
     power = args.q**args.n
-    if args.format == "json":
-        _emit_json(
-            {
-                "q": args.q,
-                "n": args.n,
-                "counts": [str(c) for c in dist.counts],
-                "sum_check": total == power,
-            }
-        )
-    elif args.format == "csv":
-        print("k,count")
-        for k, c in enumerate(dist.counts):
-            print(f"{k},{c}")
-    else:
-        for k, c in enumerate(dist.counts):
-            print(f"N_{k} = {c}")
-        print(f"sum = {total} = {args.q}^{args.n}")
+
+    def text():
+        for k, c in enumerate(counts):
+            yield f"N_{k} = {c}"
+        yield f"sum = {total} = {args.q}^{args.n}"
+
+    _emit(
+        args,
+        {"q": args.q, "n": args.n, "counts": counts, "sum_check": total == power},
+        text(),
+        ("k", "count"),
+        ((str(k), c) for k, c in enumerate(counts)),
+    )
     if total != power:
         print("error: counts do not sum to q**n", file=sys.stderr)
         return 1
@@ -154,37 +146,33 @@ def cmd_table(args) -> int:
             f"invalid range n = {args.n_min}..{args.n_max}, k_max = {args.k_max}"
         )
     ns = range(args.n_min, args.n_max + 1)
-    rows = [counting.low_counts(args.q, n, args.k_max) for n in ns]
+    # Count (and so validate) every n first: a refused n wins over a row
+    # too long to print.
+    counted = [counting.low_counts(args.q, n, args.k_max) for n in ns]
+    rows = [(n, [str(c) for c in row]) for n, row in zip(ns, counted)]
     header = ["n"] + [f"N_{k}" for k in range(args.k_max + 1)]
-    if args.format == "json":
-        _emit_json(
-            {
-                "q": args.q,
-                "k_max": args.k_max,
-                "rows": [
-                    {"n": args.n_min + i, "counts": [str(c) for c in row]}
-                    for i, row in enumerate(rows)
-                ],
-            }
-        )
-        return 0
-    cells = [
-        [str(args.n_min + i)]
-        + [str(row[k]) if k < len(row) else "" for k in range(args.k_max + 1)]
-        for i, row in enumerate(rows)
-    ]
-    if args.format == "csv":
-        print(",".join(header))
-        for line in cells:
-            print(",".join(line))
-    else:
-        widths = [
-            max(len(header[c]), max(len(line[c]) for line in cells))
-            for c in range(len(header))
-        ]
-        print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-        for line in cells:
-            print("  ".join(v.rjust(w) for v, w in zip(line, widths)))
+
+    def cells():  # cells with k > n are blank
+        for n, counts in rows:
+            yield [str(n), *counts] + [""] * (len(header) - 1 - len(counts))
+
+    def text():
+        lines = [header, *cells()]
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        for line in lines:
+            yield "  ".join(v.rjust(w) for v, w in zip(line, widths))
+
+    _emit(
+        args,
+        {
+            "q": args.q,
+            "k_max": args.k_max,
+            "rows": [{"n": n, "counts": counts} for n, counts in rows],
+        },
+        text(),
+        header,
+        cells(),
+    )
     return 0
 
 
@@ -201,24 +189,14 @@ def cmd_factors(args) -> int:
         ("s", params.s),
         ("d", params.d),
     ]
-    if args.format == "json":
-        _emit_json(
-            dict(pairs)
-            | {"v": {str(r): v for r, v in pattern.items()}, "omega": count}
-        )
-    elif args.format == "csv":
-        print("key,value")
-        for key, value in pairs:
-            print(f"{key},{value}")
-        for r, v in pattern.items():
-            print(f"v_{r},{v}")
-        print(f"omega,{count}")
-    else:
-        for key, value in pairs:
-            print(f"{key} = {value}")
-        for r, v in pattern.items():
-            print(f"v_{r} = {v}")
-        print(f"omega = {count}")
+    rows = pairs + [(f"v_{r}", v) for r, v in pattern.items()] + [("omega", count)]
+    _emit(
+        args,
+        dict(pairs) | {"v": {str(r): v for r, v in pattern.items()}, "omega": count},
+        (f"{key} = {value}" for key, value in rows),
+        ("key", "value"),
+        ((key, str(value)) for key, value in rows),
+    )
     return 0
 
 
@@ -242,26 +220,28 @@ def cmd_verify(args) -> int:
     )
     # A verify that ran no check has shown nothing, so it does not pass.
     passed = bool(checks) and all(ok for _, ok, _ in checks)
-    if args.format == "json":
-        _emit_json(
-            {
-                "q": args.q,
-                "n": args.n,
-                "checks": [
-                    {"name": name, "passed": ok, "detail": detail}
-                    for name, ok, detail in checks
-                ],
-                "passed": passed,
-            }
-        )
-    else:
+
+    def text():
         for name, ok, detail in checks:
             line = f"{'PASS' if ok else 'FAIL'} {name}"
             if detail and not ok:
                 line += f" ({detail})"
-            print(line)
-        state = "all passed" if passed else "FAILED"
-        print(f"{len(checks)} checks, {state}")
+            yield line
+        yield f"{len(checks)} checks, {'all passed' if passed else 'FAILED'}"
+
+    _emit(
+        args,
+        {
+            "q": args.q,
+            "n": args.n,
+            "checks": [
+                {"name": name, "passed": ok, "detail": detail}
+                for name, ok, detail in checks
+            ],
+            "passed": passed,
+        },
+        text(),
+    )
     return 0 if passed else 1
 
 
@@ -309,8 +289,20 @@ def _run_checks(q, n, which, max_brute, modulus_trials):
     return checks
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _emit(args, payload, lines, header=(), rows=()) -> None:
+    """Print one result in args.format: a JSON payload, CSV header and rows, or text lines.
+
+    CSV cells are strings.  `lines` and `rows` are read only when their
+    format is chosen, so a generator passed for them does its work only then.
+    """
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True))
+        return
+    if args.format == "csv":
+        lines = map(",".join, [header, *rows])
+    write = sys.stdout.write  # one write per line, where print makes two
+    for line in lines:
+        write(line + "\n")
 
 
 if __name__ == "__main__":

@@ -184,10 +184,9 @@ def count_k_normal_enum(q: int, n: int, k: int, limit: int = ENUMERATION_LIMIT) 
     pattern = spectrum.degree_pattern(params)
     degrees = [r for r, count in pattern.items() for _ in range(count)]
     ps = params.ps
-    tuple_count = (ps + 1) ** len(degrees)
-    if tuple_count > limit:
+    if (ps + 1) ** len(degrees) > limit:
         raise EnumerationTooLarge(
-            f"{tuple_count} multiplicity tuples exceed the guard {limit}"
+            f"{ps + 1}**{len(degrees)} multiplicity tuples exceed the guard {limit}"
         )
     target = n - k
     total = 0
@@ -235,7 +234,10 @@ def count_k_normal_coprime(q: int, n: int, k: int) -> int:
 def _exact_div(a: int, b: int) -> int:
     q, rem = divmod(a, b)
     if rem:
-        raise InternalInconsistency(f"{b} does not divide {a}")
+        raise InternalInconsistency(
+            f"a {b.bit_length()}-bit divisor leaves a remainder on a"
+            f" {a.bit_length()}-bit dividend"
+        )
     return q
 
 

@@ -10,6 +10,8 @@ polynomials are trimmed coefficient tuples.
 
 Moduli are found by a deterministic scan in ascending coefficient order, so
 every run of every process builds the identical tower for given (q, n).
+Every modulus is monic, and division takes a leading coefficient of 1 as
+it is, so reduction by a modulus never inverts.
 """
 
 from functools import lru_cache
@@ -83,10 +85,6 @@ class ExtensionField:
         self.order = base.order**degree
         self.zero = (base.zero,) * degree
         self.one = (base.one,) + (base.zero,) * (degree - 1)
-        # Non-leading modulus coefficients, padded to full length.
-        self._mod_tail = tuple(modulus.coeffs[:degree]) + (base.zero,) * (
-            degree - len(modulus.coeffs[:degree])
-        )
 
     def add(self, a, b):
         base = self.base
@@ -101,27 +99,9 @@ class ExtensionField:
         return tuple(base.neg(x) for x in a)
 
     def mul(self, a, b):
-        base = self.base
-        deg = self.degree
-        zero = base.zero
-        prod = [zero] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai == zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj != zero:
-                    prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-        tail = self._mod_tail
-        for i in range(2 * deg - 2, deg - 1, -1):
-            c = prod[i]
-            if c == zero:
-                continue
-            prod[i] = zero
-            for j in range(deg):
-                tj = tail[j]
-                if tj != zero:
-                    prod[i - deg + j] = base.sub(prod[i - deg + j], base.mul(c, tj))
-        return tuple(prod[:deg])
+        prod = _product(self.base, a, b)
+        _divide(self.base, prod, self.modulus.coeffs)
+        return tuple(prod[: self.degree])
 
     def inv(self, a):
         """Inverse by the extended Euclidean algorithm on coefficient polys."""
@@ -153,12 +133,7 @@ class ExtensionField:
     def element(self, i: int):
         if not 0 <= i < self.order:
             raise ValueError(f"element index {i} out of range")
-        base = self.base
-        digits = []
-        for _ in range(self.degree):
-            i, r = divmod(i, base.order)
-            digits.append(base.element(r))
-        return tuple(digits)
+        return _digits(self.base, i, self.degree)
 
     def embed(self, c):
         """Lift a base-field element to a constant of this field."""
@@ -166,6 +141,53 @@ class ExtensionField:
 
     def __repr__(self):
         return f"ExtensionField(order={self.order})"
+
+
+def _digits(field, i: int, count: int) -> tuple:
+    """The `count` base-(field order) digits of i as elements, least significant first."""
+    digits = []
+    for _ in range(count):
+        i, r = divmod(i, field.order)
+        digits.append(field.element(r))
+    return tuple(digits)
+
+
+def _product(field, a, b) -> list:
+    """Coefficients of the product of two coefficient sequences; all zero if one is empty."""
+    zero = field.zero
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == zero:
+            continue
+        for j, bj in enumerate(b):
+            if bj != zero:
+                out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+    return out
+
+
+def _divide(field, rem: list, divisor) -> list:
+    """Reduce rem in place by divisor, leaving the remainder in rem[:deg divisor].
+
+    Returns the quotient.  A leading coefficient of 1 is not inverted, and the
+    leading term of each step, which cancels, is not computed.
+    """
+    zero = field.zero
+    db = len(divisor) - 1
+    lead = divisor[db]
+    scale = None if lead == field.one else field.inv(lead)
+    quot = [zero] * (len(rem) - db)  # empty when rem is the shorter
+    for i in range(len(rem) - 1 - db, -1, -1):
+        c = rem[i + db]
+        if c == zero:
+            continue
+        if scale is not None:
+            c = field.mul(c, scale)
+        quot[i] = c
+        for j in range(db):
+            t = divisor[j]
+            if t != zero:
+                rem[i + j] = field.sub(rem[i + j], field.mul(c, t))
+    return quot
 
 
 def field_pow(field, a, e: int):
@@ -232,38 +254,16 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        field = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(field, ())
-        zero = field.zero
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj != zero:
-                    out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-        return Poly(field, out)
+        return Poly(self.field, _product(self.field, self.coeffs, other.coeffs))
 
     def __divmod__(self, other):
         """Division with remainder; the divisor may be any nonzero poly."""
         field = self.field
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        db = other.degree
-        inv_lead = field.inv(other.coeffs[db])
         rem = list(self.coeffs)
-        quot = [field.zero] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1 - db, -1, -1):
-            c = rem[i + db]
-            if c == field.zero:
-                continue
-            factor = field.mul(c, inv_lead)
-            quot[i] = factor
-            for j in range(db + 1):
-                rem[i + j] = field.sub(rem[i + j], field.mul(factor, other.coeffs[j]))
-        return Poly(field, quot), Poly(field, rem[:db])
+        quot = _divide(field, rem, other.coeffs)
+        return Poly(field, quot), Poly(field, rem[: other.degree])
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -355,12 +355,7 @@ def find_irreducible(field, degree: int, index: int = 0):
         )
     seen = 0
     for j in range(order**degree):
-        digits = []
-        t = j
-        for _ in range(degree):
-            t, r = divmod(t, order)
-            digits.append(field.element(r))
-        cand = Poly(field, tuple(digits) + (field.one,))
+        cand = Poly(field, _digits(field, j, degree) + (field.one,))
         if is_irreducible(cand):
             if seen == index:
                 return cand

@@ -76,9 +76,13 @@ def cyclotomic_cosets(q: int, n0: int) -> list[int]:
         raise ValueError(f"n0 must be >= 1, got {n0}")
     if math.gcd(q, n0) != 1:
         raise NotCoprime(f"q = {q} and n0 = {n0} share a factor")
-    seen = bytearray(n0)
-    sizes = []
-    for start in range(n0):
+    return sorted(size for _, size in _orbits(q, n0))
+
+
+def _orbits(q: int, modulus: int):
+    """(least member, size) of each orbit of Z/modulus under b -> q*b, ascending."""
+    seen = bytearray(modulus)
+    for start in range(modulus):
         if seen[start]:
             continue
         size = 0
@@ -86,9 +90,8 @@ def cyclotomic_cosets(q: int, n0: int) -> list[int]:
         while not seen[b]:
             seen[b] = 1
             size += 1
-            b = b * q % n0
-        sizes.append(size)
-    return sorted(sizes)
+            b = b * q % modulus
+        yield start, size
 
 
 def _classify_elementwise(tower: galois.TowerField) -> list[int]:
@@ -118,17 +121,8 @@ def _classify_by_classes(tower: galois.TowerField) -> list[int]:
     counts = [0] * (n + 1)
     counts[n] += 1  # alpha = 0 spans nothing
     # The class of gen**e is the whole preimage in Z/M of the orbit of e mod L
-    # under multiplication by q, so classes are marked on Z/L.
-    visited = bytearray(L)
-    for e in range(L):
-        if visited[e]:
-            continue
-        size = 0
-        f = e
-        while not visited[f]:
-            visited[f] = 1
-            size += 1
-            f = f * q % L
+    # under multiplication by q, so classes are walked on Z/L.
+    for e, size in _orbits(q, L):
         counts[n - rank(e)] += (q - 1) * size
     return counts
 

@@ -336,6 +336,22 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
         cli.build_parser.cache_clear()
 
 
+def test_transcript_replays_byte_for_byte(capsys, monkeypatch):
+    # Recorded calls: every command in every format, each verify oracle, and
+    # every exit-2 refusal.  argparse wraps usage lines to COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    transcript = json.loads((GOLDEN / "cli_transcript.json").read_text())
+    replayed = []
+    for call in transcript:
+        try:
+            code = cli.main(call["argv"])
+        except SystemExit as exc:  # usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        replayed.append({"argv": call["argv"], "stdout": out, "stderr": err, "exit": code})
+    assert [r for r, call in zip(replayed, transcript) if r != call] == []
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knormal import counting, galois, numtheory, spectrum
-from knormal.errors import ArgumentOutOfRange, EnumerationTooLarge, NotCoprime
+from knormal.errors import (
+    ArgumentOutOfRange,
+    EnumerationTooLarge,
+    InternalInconsistency,
+    NotCoprime,
+)
 
 PRIME_POWERS = [q for q in range(2, 28) if len(numtheory.factorize(q)) == 1]
 SMALL_SWEEP = [(q, n) for q in PRIME_POWERS for n in range(1, 16)]
@@ -121,6 +126,14 @@ def test_enum_positive_iff_reachable():
 def test_enum_guard():
     with pytest.raises(EnumerationTooLarge):
         counting.count_k_normal_enum(2, 16, 0, limit=10)
+    # 2**27595 tuples: more digits than str() of an int may print
+    with pytest.raises(EnumerationTooLarge, match=r"2\*\*27595 multiplicity tuples"):
+        counting.count_k_normal_enum(2, 524287, 0)
+
+
+def test_inexact_division_names_bit_lengths():
+    with pytest.raises(InternalInconsistency, match="20001-bit dividend"):
+        counting._exact_div(2**20000 + 1, 2)
 
 
 def test_coprime_matches_series():

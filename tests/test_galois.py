@@ -168,6 +168,20 @@ def test_poly_divmod_property():
         assert rem.degree < g.degree
 
 
+def test_division_by_a_monic_poly_never_inverts(monkeypatch):
+    mid = galois.build_tower(9, 1).mid
+
+    def refuse(a):
+        raise AssertionError("a leading coefficient of 1 was inverted")
+
+    monkeypatch.setattr(mid, "inv", refuse)
+    f = galois.Poly(mid, [mid.element(i) for i in (5, 0, 7, 1, 3, 8)])
+    g = galois.Poly(mid, [mid.element(i) for i in (2, 4)] + [mid.one])
+    quot, rem = divmod(f, g)
+    assert quot * g + rem == f
+    assert rem.degree < g.degree
+
+
 def test_poly_gcd_examples():
     field = galois.PrimeField(3)
     f = galois.Poly(field, (2, 0, 1))  # x^2 - 1
