@@ -14,7 +14,12 @@ class NotCoprime(KnormalError):
 
 
 class InputTooLarge(KnormalError):
-    """A structural input (extension degree) exceeds the documented bound."""
+    """An input exceeds a documented bound.
+
+    Raised for an extension degree above MAX_N, and for a candidate prime
+    (the root p of q = p**m) at or above the bound below which primality
+    is proven.
+    """
 
 
 class ArgumentOutOfRange(KnormalError, ValueError):

@@ -2,15 +2,25 @@
 
 Everything works on plain Python ints, so quantities like q**r - 1 are exact
 at any size.  Structural inputs (n, moduli, orders) are expected to stay
-below MAX_N; factoring uses trial division, which is fine in that range.
+below MAX_N; `factorize` uses trial division, which is fine in that range,
+and only `factorize` does.  A prime power q = p**m of any size is split by
+exact integer roots, and p is tested by Miller-Rabin to the first 13 prime
+bases, which decides primality exactly below MR_BOUND (about 3.3e24;
+Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+Comp. 2017).  A candidate prime at or above the bound is refused rather
+than guessed.
 """
 
 import math
 
-from .errors import InternalInconsistency, NotCoprime, NotPrimePower
+from .errors import InputTooLarge, InternalInconsistency, NotCoprime, NotPrimePower
 
 # Bound on trial-division arguments (and on extension degrees downstream).
 MAX_N = 10**6
+
+# Strong probable primes to all of these bases are prime below MR_BOUND.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
 
 
 def factorize(x: int) -> dict[int, int]:
@@ -34,27 +44,85 @@ def factorize(x: int) -> dict[int, int]:
 
 
 def is_prime(x: int) -> bool:
-    """Deterministic primality test by trial division."""
-    return x >= 2 and factorize(x) == {x: 1}
+    """Deterministic primality test; raises InputTooLarge at or above MR_BOUND.
+
+    Division by the bases settles every x with a factor below 42, so only
+    a candidate with no small factor is refused, never guessed.
+    """
+    if x < 2:
+        return False
+    for base in MR_BASES:
+        if x % base == 0:
+            return x == base
+    if x >= MR_BOUND:
+        raise InputTooLarge(
+            f"{x.bit_length()}-bit prime candidate is beyond the proven"
+            " primality bound 3.3e24"
+        )
+    odd, twos = x - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for base in MR_BASES:
+        y = pow(base, odd, x)
+        if y == 1 or y == x - 1:
+            continue
+        for _ in range(twos - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(x: int, j: int) -> int:
+    """floor(x ** (1/j)) for x >= 1 and j >= 2, exactly, by integer Newton."""
+    if j == 2:
+        return math.isqrt(x)
+    r = 1 << -(-x.bit_length() // j)  # at least the root; Newton descends
+    while True:
+        s = ((j - 1) * r + x // r ** (j - 1)) // j
+        if s >= r:
+            return r
+        r = s
 
 
 def prime_power_decompose(x: int) -> tuple[int, int]:
-    """Write x = p**m with p prime; raise NotPrimePower otherwise."""
+    """Write x = p**m with p prime; raise NotPrimePower otherwise.
+
+    Exact j-th roots for prime j reduce x to a base that is no perfect
+    power; that base is the only candidate for p.
+    """
     if x < 2:
         raise NotPrimePower(f"{x} is not a prime power")
-    factors = factorize(x)
-    if len(factors) != 1:
-        raise NotPrimePower(
-            f"{x} is not a prime power (it has {len(factors)} distinct prime factors)"
-        )
-    ((p, m),) = factors.items()
-    return p, m
+    base, m, j = x, 1, 2
+    while j <= base.bit_length():
+        r = _integer_root(base, j)
+        if r**j == base:
+            base, m = r, m * j
+        else:
+            j += 1
+            while not is_prime(j):
+                j += 1
+    if not is_prime(base):
+        try:
+            name = str(x)
+        except ValueError:  # beyond CPython's int-to-str digit limit
+            name = f"a {x.bit_length()}-bit integer"
+        raise NotPrimePower(f"{name} is not a prime power")
+    return base, m
 
 
 def divisors(x: int) -> list[int]:
     """All positive divisors of x >= 1 in ascending order."""
+    return divisors_from(factorize(x))
+
+
+def divisors_from(factors: dict[int, int]) -> list[int]:
+    """Ascending divisors of the number factored as {p: multiplicity}."""
     divs = [1]
-    for p, m in factorize(x).items():
+    for p, m in factors.items():
         divs = [d * p**e for d in divs for e in range(m + 1)]
     return sorted(divs)
 

@@ -95,15 +95,20 @@ def degree_pattern(params: ExtensionParams) -> DegreePattern:
 
     With t_r = gcd(q**r - 1, n), the number of degree-r factors is
     (1/r) * sum over u | r of moebius(r/u) * t_u; degrees r run over the
-    divisors of d.
+    divisors of d.  d is factored once: its divisors, and for each r the
+    squarefree r/u that carry a nonzero moebius(r/u), come from that
+    factorization, and each t_u is computed once.
     """
+    factors = numtheory.factorize(params.d)
+    degrees = numtheory.divisors_from(factors)
+    t = {u: numtheory.gcd_qr_minus_one(params.q, u, params.n) for u in degrees}
     entries: dict[int, int] = {}
-    for r in numtheory.divisors(params.d):
-        total = 0
-        for u in numtheory.divisors(r):
-            total += numtheory.moebius(r // u) * numtheory.gcd_qr_minus_one(
-                params.q, u, params.n
-            )
+    for r in degrees:
+        signed = [(1, 1)]  # (squarefree divisor of r, its moebius value)
+        for prime in factors:
+            if r % prime == 0:
+                signed += [(f * prime, -mu) for f, mu in signed]
+        total = sum(mu * t[r // f] for f, mu in signed)
         count, rem = divmod(total, r)
         if rem or count < 0:
             raise InternalInconsistency(f"degree {r} multiplicity {total}/{r} is not integral")
@@ -121,13 +126,17 @@ def omega(params: ExtensionParams) -> int:
     """Number of distinct irreducible factors of x**n - 1 over F_q.
 
     Computed directly as (1/d) * sum over r | d of gcd(q**r - 1, n) * phi(d/r),
-    independently of degree_pattern.
+    independently of degree_pattern; d is factored once, and each phi(d/r)
+    is read from that factorization.
     """
+    factors = numtheory.factorize(params.d)
     total = 0
-    for r in numtheory.divisors(params.d):
-        total += numtheory.gcd_qr_minus_one(params.q, r, params.n) * numtheory.euler_phi(
-            params.d // r
-        )
+    for r in numtheory.divisors_from(factors):
+        phi = params.d // r
+        for prime in factors:
+            if phi % prime == 0:
+                phi -= phi // prime
+        total += numtheory.gcd_qr_minus_one(params.q, r, params.n) * phi
     count, rem = divmod(total, params.d)
     if rem:
         raise InternalInconsistency(f"factor count {total}/{params.d} is not integral")

@@ -48,6 +48,30 @@ def test_count_rejects_non_prime_power(capsys):
     assert "prime power" in err
 
 
+@pytest.mark.parametrize(
+    "q,bits",
+    [
+        ("618970019642690137449562111", 89),  # 2^89 - 1, a prime above the bound
+        ("4951760154835678088235319297", 92),  # (2^31 - 1)(2^61 - 1)
+    ],
+)
+def test_factors_refuses_a_root_beyond_the_primality_bound(capsys, q, bits):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "factors", "--q", q, "--n", "5")
+    assert time.perf_counter() - start < 0.1
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and f"{bits}-bit" in err
+    assert q not in err
+
+
+def test_factors_of_a_large_prime(capsys):
+    code, out, _ = run(capsys, "factors", "--q", "2305843009213693951", "--n", "5")
+    assert code == 0
+    assert "p = 2305843009213693951\nm = 1\n" in out
+
+
 def test_count_rejects_k_out_of_range(capsys):
     code, _, err = run(capsys, "count", "--q", "2", "--n", "5", "--k", "9")
     assert code == 2

@@ -1,11 +1,13 @@
 """Number-theoretic helpers, checked against naive reference loops."""
 
 import math
+import random
+import time
 
 import pytest
 
 from knormal import numtheory
-from knormal.errors import NotCoprime, NotPrimePower
+from knormal.errors import InputTooLarge, NotCoprime, NotPrimePower
 
 
 def naive_is_prime(x):
@@ -56,8 +58,113 @@ def test_prime_power_decompose(x, expected):
 
 @pytest.mark.parametrize("x", [0, 1, 6, 12, 100, 2 * 3 * 5])
 def test_prime_power_decompose_rejects(x):
+    with pytest.raises(NotPrimePower, match=f"^{x} is not a prime power$"):
+        numtheory.prime_power_decompose(x)
+
+
+def test_is_prime_and_decompose_match_trial_division():
+    for x in range(1, 10**5 + 1):
+        factors = numtheory.factorize(x)
+        assert numtheory.is_prime(x) == (factors == {x: 1}), x
+        if len(factors) == 1:
+            assert numtheory.prime_power_decompose(x) == next(iter(factors.items())), x
+        else:
+            with pytest.raises(NotPrimePower):
+                numtheory.prime_power_decompose(x)
+
+
+def strong_probable_prime(x, base):
+    odd, twos = x - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    y = pow(base, odd, x)
+    return y in (1, x - 1) or any(pow(y, 2**i, x) == x - 1 for i in range(1, twos))
+
+
+PSEUDOPRIMES = [
+    561, 1105, 1729, 41041, 825265,  # Carmichael numbers
+    2047, 1373653, 3215031751, 3825123056546413051,  # strong pseudoprimes
+    318665857834031151167461,  # strong pseudoprime to every base 2..37
+]
+
+
+@pytest.mark.parametrize("x", PSEUDOPRIMES)
+def test_pseudoprimes_are_composite(x):
+    assert not numtheory.is_prime(x)
     with pytest.raises(NotPrimePower):
         numtheory.prime_power_decompose(x)
+
+
+def test_only_the_thirteenth_base_catches_the_last_pseudoprime():
+    x = PSEUDOPRIMES[-1]
+    assert x < numtheory.MR_BOUND
+    assert all(strong_probable_prime(x, b) for b in numtheory.MR_BASES[:-1])
+    assert not strong_probable_prime(x, numtheory.MR_BASES[-1])
+
+
+@pytest.mark.parametrize(
+    "x,expected",
+    [((2**61 - 1) ** 2, (2**61 - 1, 2)), (2**1000, (2, 1000)), (3**5 * 3**7, (3, 12))],
+)
+def test_prime_power_decompose_large_fast(x, expected):
+    start = time.perf_counter()
+    assert numtheory.prime_power_decompose(x) == expected
+    assert time.perf_counter() - start < 0.1
+
+
+def test_prime_power_decompose_never_factors(monkeypatch):
+    def refuse(x):
+        raise AssertionError(f"factorize({x}) called")
+
+    monkeypatch.setattr(numtheory, "factorize", refuse)
+    assert numtheory.prime_power_decompose(2**61 - 1) == (2**61 - 1, 1)
+    assert numtheory.prime_power_decompose(7**40) == (7, 40)
+    assert numtheory.is_prime(104729)
+    with pytest.raises(NotPrimePower):
+        numtheory.prime_power_decompose(6**9)
+    with pytest.raises(NotPrimePower):
+        numtheory.prime_power_decompose((2**31 - 1) * (2**13 - 1))
+
+
+@pytest.mark.parametrize(
+    "x,bits",
+    [
+        (2**89 - 1, 89),  # prime
+        ((2**31 - 1) * (2**61 - 1), 92),  # composite, no factor below 42
+        ((2**89 - 1) ** 3, 89),  # the root is refused, whatever m is
+    ],
+)
+def test_candidate_at_or_above_the_bound_is_refused(x, bits):
+    with pytest.raises(InputTooLarge) as exc:
+        numtheory.prime_power_decompose(x)
+    assert f"{bits}-bit" in str(exc.value)
+    assert str(2**89 - 1) not in str(exc.value)
+
+
+def test_is_prime_decides_below_the_bound_only():
+    with pytest.raises(InputTooLarge):
+        numtheory.is_prime(numtheory.MR_BOUND)  # least strong pseudoprime to all 13
+    assert numtheory.is_prime(2**61 - 1)
+    # a small factor settles any size
+    assert not numtheory.is_prime(41 * (2**89 - 1))
+    with pytest.raises(NotPrimePower):
+        numtheory.prime_power_decompose(3 * (2**89 - 1))
+
+
+def test_a_huge_non_prime_power_is_refused_by_its_bit_length():
+    with pytest.raises(NotPrimePower, match="^a 15510-bit integer is not a prime power$"):
+        numtheory.prime_power_decompose(6**6000)
+
+
+def test_integer_root_is_the_floor():
+    rng = random.Random(7)
+    for _ in range(2000):
+        x = rng.randrange(1, 2 ** rng.randrange(1, 400))
+        j = rng.randrange(2, 45)
+        r = numtheory._integer_root(x, j)
+        assert r**j <= x < (r + 1) ** j
+    assert numtheory._integer_root(2**1000, 1000) == 2
+    assert numtheory._integer_root(2**1000 - 1, 1000) == 1
 
 
 def test_divisors():

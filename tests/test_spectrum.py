@@ -86,3 +86,31 @@ def test_omega_matches_pattern():
         for n in range(1, 40):
             params = spectrum.derive_params(q, n)
             assert spectrum.omega(params) == spectrum.degree_pattern(params).factor_count()
+
+
+def reference_pattern(params):
+    """degree_pattern's Moebius sum, re-factoring every divisor."""
+    entries = {}
+    for r in numtheory.divisors(params.d):
+        total = sum(
+            numtheory.moebius(r // u) * numtheory.gcd_qr_minus_one(params.q, u, params.n)
+            for u in numtheory.divisors(r)
+        )
+        if total:
+            entries[r] = total // r
+    return entries
+
+
+def reference_omega(params):
+    return sum(
+        numtheory.gcd_qr_minus_one(params.q, r, params.n) * numtheory.euler_phi(params.d // r)
+        for r in numtheory.divisors(params.d)
+    ) // params.d
+
+
+def test_pattern_and_omega_match_the_divisorwise_sums():
+    for q in PRIME_POWERS:
+        for n in range(1, 2001):
+            params = spectrum.derive_params(q, n)
+            assert spectrum.degree_pattern(params).entries == reference_pattern(params), (q, n)
+            assert spectrum.omega(params) == reference_omega(params), (q, n)
