@@ -141,13 +141,13 @@ def cmd_distribution(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.n_min < 1 or args.n_min > args.n_max or args.k_max < 0:
+    if not (1 <= args.n_min <= args.n_max and 0 <= args.k_max <= spectrum.MAX_DEGREE):
         raise ArgumentOutOfRange(
             f"invalid range n = {args.n_min}..{args.n_max}, k_max = {args.k_max}"
         )
+    spectrum.derive_params(args.q, args.n_max)  # refuses q or n_max before any row
     ns = range(args.n_min, args.n_max + 1)
-    # Count (and so validate) every n first: a refused n wins over a row
-    # too long to print.
+    # Count every row before printing any, so a failure prints no partial table.
     counted = [counting.low_counts(args.q, n, args.k_max) for n in ns]
     rows = [(n, [str(c) for c in row]) for n, row in zip(ns, counted)]
     header = ["n"] + [f"N_{k}" for k in range(args.k_max + 1)]
@@ -179,7 +179,7 @@ def cmd_table(args) -> int:
 def cmd_factors(args) -> int:
     params = spectrum.derive_params(args.q, args.n)
     pattern = spectrum.degree_pattern(params)
-    count = spectrum.omega(params)
+    count = pattern.factor_count()
     pairs = [
         ("q", params.q),
         ("p", params.p),

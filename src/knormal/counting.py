@@ -19,7 +19,7 @@ results are plain Python ints and therefore exact.
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import spectrum
 from .errors import (
@@ -33,13 +33,10 @@ from .errors import (
 ENUMERATION_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(namedtuple("Distribution", "q n counts")):
     """Counts of k-normal elements for k = 0..n at fixed (q, n)."""
 
-    q: int
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
     def __getitem__(self, k: int) -> int:
         return self.counts[k]
@@ -170,23 +167,24 @@ def distribution(q: int, n: int) -> Distribution:
     return Distribution(q=q, n=n, counts=counts)
 
 
-def count_k_normal_enum(q: int, n: int, k: int, limit: int = ENUMERATION_LIMIT) -> int:
+def count_k_normal_enum(q: int, n: int, k: int) -> int:
     """Reference count by explicit enumeration of multiplicity tuples.
 
     Iterates every assignment of a multiplicity 0..p**s to every distinct
     irreducible factor, keeping those whose degrees sum to n - k and adding
     the product of their weights.  Exponentially slower than
     count_k_normal but with no shared convolution machinery; guarded by
-    `limit` on the raw tuple count.
+    ENUMERATION_LIMIT on the raw tuple count.
     """
     params = spectrum.derive_params(q, n)
     _check_k(n, k)
     pattern = spectrum.degree_pattern(params)
     degrees = [r for r, count in pattern.items() for _ in range(count)]
     ps = params.ps
-    if (ps + 1) ** len(degrees) > limit:
+    if (ps + 1) ** len(degrees) > ENUMERATION_LIMIT:
         raise EnumerationTooLarge(
-            f"{ps + 1}**{len(degrees)} multiplicity tuples exceed the guard {limit}"
+            f"{ps + 1}**{len(degrees)} multiplicity tuples exceed the guard"
+            f" {ENUMERATION_LIMIT}"
         )
     target = n - k
     total = 0

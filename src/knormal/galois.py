@@ -64,8 +64,10 @@ class PrimeField:
 
 
 class ExtensionField:
-    """F[x]/(modulus) for a monic irreducible modulus over a base field.
+    """The ring F[x]/(modulus) for any monic modulus over a base field.
 
+    It is a field, and `inv` is defined, exactly when the modulus is
+    irreducible; Rabin's test walks powers in the ring of a candidate.
     Elements are tuples of exactly `degree` base-field elements, constant
     coefficient first.
     """
@@ -191,15 +193,20 @@ def _divide(field, rem: list, divisor) -> list:
 
 
 def field_pow(field, a, e: int):
-    """a**e by square and multiply; e >= 0."""
+    """a**e by square and multiply from the top bit of e; e >= 0.
+
+    The walk starts from a, so it never multiplies by one and never squares
+    past the last bit: a**2 costs one multiplication.
+    """
     if e < 0:
         raise ValueError("negative exponents are not supported")
-    result = field.one
-    while e:
-        if e & 1:
+    if e == 0:
+        return field.one
+    result = a
+    for bit in bin(e)[3:]:
+        result = field.mul(result, result)
+        if bit == "1":
             result = field.mul(result, a)
-        a = field.mul(a, a)
-        e >>= 1
     return result
 
 
@@ -292,24 +299,13 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f.monic()
 
 
-def poly_pow_mod(base: Poly, exponent: int, modulus: Poly) -> Poly:
-    """base**exponent mod modulus by square and multiply."""
-    result = Poly(base.field, (base.field.one,))
-    base = base % modulus
-    while exponent:
-        if exponent & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
-        exponent >>= 1
-    return result
-
-
 def is_irreducible(f: Poly) -> bool:
     """Rabin's criterion over the coefficient field of f (degree >= 1).
 
     f is irreducible iff x**(Q**deg) = x mod f and, for every prime l
     dividing deg, gcd(x**(Q**(deg/l)) - x, f) = 1, where Q is the field
-    order.
+    order.  The powers x**(Q**k), k = 1..deg, are one walk of Q-th powers
+    in the quotient ring F[x]/(f), each gcd taken as its k = deg/l passes.
     """
     deg = f.degree
     if deg < 1:
@@ -317,13 +313,15 @@ def is_irreducible(f: Poly) -> bool:
     if deg == 1:
         return True
     field = f.field
-    order = field.order
-    x = Poly(field, (field.zero, field.one))
-    for prime in numtheory.factorize(deg):
-        power = poly_pow_mod(x, order ** (deg // prime), f)
-        if poly_gcd(power - x, f).degree != 0:
+    ring = ExtensionField(field, f.monic())
+    x = (field.zero, field.one) + (field.zero,) * (deg - 2)
+    checks = {deg // prime for prime in numtheory.factorize(deg)}
+    power = x
+    for k in range(1, deg + 1):
+        power = ring.pow(power, field.order)
+        if k in checks and poly_gcd(Poly(field, ring.sub(power, x)), f).degree != 0:
             return False
-    return poly_pow_mod(x, order**deg, f) == x
+    return power == x
 
 
 def irreducible_count(order: int, degree: int) -> int:

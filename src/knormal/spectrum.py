@@ -6,7 +6,7 @@ how many distinct monic irreducible factors of each degree x**n0 - 1 has.
 Both come from modular arithmetic alone; no polynomial is ever factored.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import numtheory
@@ -15,21 +15,14 @@ from .errors import ArgumentOutOfRange, InputTooLarge, InternalInconsistency
 MAX_DEGREE = numtheory.MAX_N
 
 
-@dataclass(frozen=True)
-class ExtensionParams:
+class ExtensionParams(namedtuple("ExtensionParams", "q p m n n0 s d")):
     """Shape of the extension F_{q^n}/F_q.
 
     q = p**m, n = p**s * n0 with gcd(n0, p) = 1, and d is the multiplicative
     order of q mod n0, which is the largest factor degree in x**n0 - 1.
     """
 
-    q: int
-    p: int
-    m: int
-    n: int
-    n0: int
-    s: int
-    d: int
+    __slots__ = ()
 
     @property
     def ps(self) -> int:
@@ -42,19 +35,16 @@ class ExtensionParams:
         return self.s == 0
 
 
-@dataclass(frozen=True)
-class DegreePattern:
+class DegreePattern(namedtuple("DegreePattern", "entries")):
     """Map degree r -> count of distinct monic irreducible factors of x**n0 - 1.
 
     Zero counts are dropped at construction, so equality ignores them.
     """
 
-    entries: dict[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", {r: v for r, v in self.entries.items() if v}
-        )
+    def __new__(cls, entries: dict[int, int]):
+        return super().__new__(cls, {r: v for r, v in entries.items() if v})
 
     def v(self, r: int) -> int:
         """Number of distinct irreducible factors of degree r (0 if none)."""

@@ -120,6 +120,14 @@ def test_distribution_csv_parses_back(capsys):
     assert tuple(parsed) == counting.distribution(27, 9).counts
 
 
+def test_distribution_exits_1_when_counts_miss_q_to_the_n(capsys, monkeypatch):
+    wrong = counting.Distribution(q=2, n=3, counts=(4, 2, 1, 0))
+    monkeypatch.setattr(counting, "distribution", lambda q, n: wrong)
+    code, _, err = run(capsys, "distribution", "--q", "2", "--n", "3")
+    assert code == 1
+    assert err == "error: counts do not sum to q**n\n"
+
+
 @pytest.mark.parametrize(
     "golden,argv",
     [
@@ -174,6 +182,21 @@ def test_table_rejects_bad_range(capsys):
     code, _, err = run(capsys, "table", "--q", "2", "--n-min", "5", "--n-max", "2")
     assert code == 2
     assert "range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n-min", "999001", "--n-max", "1000001"),  # n_max beyond the bound
+        ("--n-min", "1", "--n-max", "2", "--k-max", "1000001"),  # k_max beyond it
+    ],
+)
+def test_table_refuses_before_any_row(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", "--q", "2", *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_table_counts_only_the_printed_columns(capsys):

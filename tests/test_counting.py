@@ -109,6 +109,20 @@ def test_distribution_invariants():
         assert dist[0] >= 1
 
 
+def test_records_keep_their_repr_hash_and_immutability():
+    params = spectrum.derive_params(4, 6)
+    assert repr(params) == "ExtensionParams(q=4, p=2, m=2, n=6, n0=3, s=1, d=1)"
+    assert {params: "cached"}[spectrum.derive_params.__wrapped__(4, 6)] == "cached"
+    pattern = spectrum.DegreePattern({1: 3, 2: 0})
+    assert repr(pattern) == "DegreePattern(entries={1: 3})"
+    dist = counting.distribution(2, 3)
+    assert repr(dist) == "Distribution(q=2, n=3, counts=(3, 3, 1, 1))"
+    assert (dist[0], dist.total()) == (3, 8)
+    for record, field in ((params, "q"), (pattern, "entries"), (dist, "counts")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def test_enum_matches_series():
     for q, n in [(2, 4), (2, 6), (2, 8), (3, 4), (3, 6), (4, 4), (5, 4), (8, 3), (9, 3)]:
         for k in range(n + 1):
@@ -124,8 +138,6 @@ def test_enum_positive_iff_reachable():
 
 
 def test_enum_guard():
-    with pytest.raises(EnumerationTooLarge):
-        counting.count_k_normal_enum(2, 16, 0, limit=10)
     # 2**27595 tuples: more digits than str() of an int may print
     with pytest.raises(EnumerationTooLarge, match=r"2\*\*27595 multiplicity tuples"):
         counting.count_k_normal_enum(2, 524287, 0)
@@ -134,6 +146,16 @@ def test_enum_guard():
 def test_inexact_division_names_bit_lengths():
     with pytest.raises(InternalInconsistency, match="20001-bit dividend"):
         counting._exact_div(2**20000 + 1, 2)
+
+
+def test_group_series_refuses_a_fractional_coefficient(monkeypatch):
+    sparse_sum = counting._sparse_sum
+    monkeypatch.setattr(
+        counting, "_sparse_sum",
+        lambda *products: [(i, x + 1) for i, x in sparse_sum(*products)],
+    )
+    with pytest.raises(InternalInconsistency, match="group series coefficient"):
+        counting.count_k_normal(3, 6, 3)
 
 
 def test_coprime_matches_series():

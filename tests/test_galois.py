@@ -82,6 +82,18 @@ def test_field_pow_matches_repeated_mul():
             acc = field.mul(acc, a)
 
 
+def test_field_pow_walks_from_the_top_bit():
+    # bit_length - 1 squarings and popcount - 1 products with a: a**2 is one mul
+    field = galois.PrimeField(7)
+    calls = []
+    mul = field.mul
+    field.mul = lambda a, b: calls.append(None) or mul(a, b)
+    for e in range(70):
+        calls.clear()
+        assert galois.field_pow(field, 3, e) == pow(3, e, 7)
+        assert len(calls) == max(0, e.bit_length() + bin(e).count("1") - 2), e
+
+
 @pytest.mark.parametrize(
     "p,degree,expected",
     [
@@ -157,6 +169,20 @@ def test_is_irreducible_over_extension():
     f4 = tower.mid
     for poly in all_monic(f4, 2):
         assert galois.is_irreducible(poly) == brute_irreducible(poly)
+
+
+def test_find_irreducible_walks_the_quotient_ring(monkeypatch):
+    # Rabin's test takes its powers in F[x]/(f), never as Poly products.
+    fields = {p: galois.PrimeField(p) for p in (2, 3, 5, 7)}
+    cases = [(2, 8, 2), (2, 6, 1), (3, 5, 1), (3, 4, 2), (5, 3, 2), (7, 2, 0)]
+    expected = [galois.find_irreducible(fields[p], degree, i) for p, degree, i in cases]
+
+    def refuse(self, other):
+        raise AssertionError("a Poly product was taken")
+
+    monkeypatch.setattr(galois.Poly, "__mul__", refuse)
+    for (p, degree, i), modulus in zip(cases, expected):
+        assert galois.find_irreducible(fields[p], degree, i) == modulus
 
 
 def test_poly_divmod_property():

@@ -130,6 +130,26 @@ def test_power_table_refuses_a_non_generator(monkeypatch):
                 oracle._power_table(tower)
 
 
+@pytest.mark.parametrize("q,n", [(4, 3), (9, 2)])  # both ranks: p = 2 and odd p
+def test_dependent_scaled_copies_are_refused(monkeypatch, q, n):
+    power_table = oracle._power_table
+
+    def folded(tower):  # gen**(e + L) reads as gen**e, so beta * alpha as alpha
+        table = power_table(tower)
+        L = len(table) // (q - 1)
+        return [table[e % L] for e in range(len(table))]
+
+    monkeypatch.setattr(oracle, "_power_table", folded)
+    with pytest.raises(InternalInconsistency, match="scaled conjugate copies are dependent"):
+        oracle._classify_by_classes(galois.build_tower(q, n))
+
+
+def test_brute_force_refuses_a_miscount(monkeypatch):
+    monkeypatch.setattr(oracle, "_classify_by_classes", lambda tower: [1] * (tower.n + 1))
+    with pytest.raises(InternalInconsistency, match="missed or double-counted"):
+        oracle.brute_force_distribution(2, 3)
+
+
 @st.composite
 def _small_fields(draw):
     q = draw(st.sampled_from(PRIME_POWERS_4096))

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from knormal import numtheory, spectrum
-from knormal.errors import InputTooLarge, NotPrimePower
+from knormal.errors import InputTooLarge, InternalInconsistency, NotPrimePower
 
 PRIME_POWERS = [q for q in range(2, 65) if len(numtheory.factorize(q)) == 1]
 
@@ -86,6 +86,23 @@ def test_omega_matches_pattern():
         for n in range(1, 40):
             params = spectrum.derive_params(q, n)
             assert spectrum.omega(params) == spectrum.degree_pattern(params).factor_count()
+
+
+def test_inexact_pattern_and_omega_are_refused(monkeypatch):
+    gcd = numtheory.gcd_qr_minus_one
+    params = spectrum.derive_params(2, 7)  # d = 3
+    # One more at every u shifts only v_1, so the degrees no longer sum to n0.
+    monkeypatch.setattr(numtheory, "gcd_qr_minus_one", lambda q, u, n: gcd(q, u, n) + 1)
+    with pytest.raises(InternalInconsistency, match="pattern degree sum 8 != n0 = 7"):
+        spectrum.degree_pattern.__wrapped__(params)
+    # One more at u = 1 only leaves v_3 and omega fractional.
+    monkeypatch.setattr(
+        numtheory, "gcd_qr_minus_one", lambda q, u, n: gcd(q, u, n) + (u == 1)
+    )
+    with pytest.raises(InternalInconsistency, match="degree 3 multiplicity .* not integral"):
+        spectrum.degree_pattern.__wrapped__(params)
+    with pytest.raises(InternalInconsistency, match="factor count .* not integral"):
+        spectrum.omega(params)
 
 
 def reference_pattern(params):
