@@ -19,7 +19,6 @@ results are plain Python ints and therefore exact.
 
 import itertools
 import math
-from collections import namedtuple
 
 from . import spectrum
 from .errors import (
@@ -33,13 +32,45 @@ from .errors import (
 ENUMERATION_LIMIT = 10**7
 
 
-class Distribution(namedtuple("Distribution", "q n counts")):
-    """Counts of k-normal elements for k = 0..n at fixed (q, n)."""
+class Distribution:
+    """Counts of k-normal elements for k = 0..n at fixed (q, n).
 
-    __slots__ = ()
+    A read-only sequence of the counts: d[k] is N_k, and slices, iteration
+    and len() read the same n + 1 counts.  q, n and counts are attributes.
+    """
 
-    def __getitem__(self, k: int) -> int:
+    __slots__ = ("q", "n", "counts")
+
+    def __init__(self, q: int, n: int, counts):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", tuple(counts))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Distribution is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Distribution is read-only; cannot delete {name!r}")
+
+    def __getitem__(self, k):
         return self.counts[k]
+
+    def __iter__(self):
+        return iter(self.counts)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __eq__(self, other):
+        if not isinstance(other, Distribution):
+            return NotImplemented
+        return (self.q, self.n, self.counts) == (other.q, other.n, other.counts)
+
+    def __hash__(self):
+        return hash((self.q, self.n, self.counts))
+
+    def __repr__(self):
+        return f"Distribution(q={self.q!r}, n={self.n!r}, counts={self.counts!r})"
 
     def total(self) -> int:
         """Sum over all k; always q**n, since every element has one defect."""

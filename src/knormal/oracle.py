@@ -8,31 +8,38 @@ elements feasible, none of which borrows anything from the counting side:
 * elements are packed ints in an exp table, entry e holding gen**e for one
   fixed generator, with each F_p coordinate in its own bit field (one bit
   when p = 2, a ``_field_width`` field otherwise), so a rank over F_p is an
-  elimination on ints (XOR when p = 2, lazily reduced bit fields
-  otherwise), and multiplication by gen, being F_p-linear, builds the
-  table with two lookups and one addition per entry;
-* the rank is constant on classes {c * alpha**(q**i): c in F_q*, i < n},
-  since the conjugates of c*alpha are c times those of alpha and those of
-  alpha**q are those of alpha in cyclic order, so one rank per class
-  suffices, weighted by class size.  In exponent terms the class of e is
-  {q**i * e + j*L mod M} with M = q**n - 1, L = M/(q-1): the preimage of
-  the orbit of e mod L under multiplication by q;
+  elimination on ints (XOR into a list indexed by pivot bit when p = 2,
+  lazily reduced bit fields otherwise, whose new rows are reduced and
+  scaled by ``bytes.translate`` when a field is one byte), and
+  multiplication by gen, being F_p-linear, builds the table with two
+  lookups and one addition per entry (list tables and an inline XOR when
+  p = 2);
+* the rank is constant on classes {c * alpha**(p**i): c in F_q*, i < m*n}.
+  The conjugates of c*alpha are c times those of alpha, and x -> x**p is
+  a field automorphism fixing F_q as a set, so it maps the F_q-span of the
+  conjugates of alpha onto that of the conjugates of alpha**p, of the same
+  dimension.  One rank per class suffices, weighted by class size.  In
+  exponent terms the class of e is {p**i * e + j*L mod M} with
+  M = q**n - 1, L = M/(q-1): the preimage of the orbit of e mod L under
+  multiplication by p, up to m times larger than its orbit under q;
 * the F_q-span of the conjugates is the F_p-span of their multiples by
   1, beta, ..., beta**(m-1), beta = gen**L, and it stops growing at the
   first conjugate already inside it.
 
+For n = 1, alpha is its own only conjugate, so the sweep reads the
+definition directly: rank 1 exactly when alpha != 0.
+
 ``_classify_elementwise`` is the literal gcd characterisation, one generic
 tower-arithmetic deg gcd(x**n - 1, g_alpha) per element with g_alpha =
-sum of alpha**(q**i) * x**(n-1-i); tests assert it agrees with the class
-path, and with a literal rank of the conjugates, on a spread of small
-fields.
+sum of alpha**(q**i) * x**(n-1-i); no sweep calls it, and tests assert it
+agrees with the class path, and with a literal rank of the conjugates, on
+a spread of small fields.
 
 ``cyclotomic_cosets`` gives the orbit sizes of Z/n0 under multiplication by
 q, an independent route to the factor-degree pattern of x**n0 - 1.
 """
 
 import math
-import operator
 import struct
 
 from . import galois, numtheory, spectrum
@@ -56,9 +63,14 @@ def brute_force_distribution(
         raise InstanceTooLarge(f"q**n = {q}**{n} exceeds the sweep guard {max_order}")
     tower = galois.build_tower(q, n, modulus_index)
     if n == 1:
-        # x - 1 against a nonzero constant.  For a prime q the walk's low
-        # half table would hold all q elements, as many as a sweep visits.
-        counts = _classify_elementwise(tower)
+        # alpha is its only conjugate, and it spans F_q exactly when alpha
+        # != 0.  The class path cannot serve n = 1: its generator search
+        # starts at index q, past the last element.
+        top = tower.top
+        counts = [0, 0]
+        for i in range(top.order):
+            rank = top.element(i) != top.zero
+            counts[1 - rank] += 1
     else:
         counts = _classify_by_classes(tower)
     if sum(counts) != q**n:
@@ -110,19 +122,19 @@ def _classify_elementwise(tower: galois.TowerField) -> list[int]:
 
 
 def _classify_by_classes(tower: galois.TowerField) -> list[int]:
-    """F_q-rank of the conjugates once per scalar/Frobenius class, weighted by size."""
-    n, q = tower.n, tower.q
+    """F_q-rank of the conjugates once per class under F_q* and x -> x**p, weighted by size."""
+    n, q, p = tower.n, tower.q, tower.prime.order
     exp_packed = _power_table(tower)
     L = len(exp_packed) // (q - 1)
-    if tower.prime.order == 2:
+    if p == 2:
         rank = _rank_char2(tower, exp_packed)
     else:
         rank = _rank_odd(tower, exp_packed)
     counts = [0] * (n + 1)
     counts[n] += 1  # alpha = 0 spans nothing
     # The class of gen**e is the whole preimage in Z/M of the orbit of e mod L
-    # under multiplication by q, so classes are walked on Z/L.
-    for e, size in _orbits(q, L):
+    # under multiplication by p, so classes are walked on Z/L.
+    for e, size in _orbits(p, L):
         counts[n - rank(e)] += (q - 1) * size
     return counts
 
@@ -131,21 +143,23 @@ def _rank_char2(tower, exp_packed):
     """rank(e): F_q-rank of the conjugates of gen**e, characteristic 2.
 
     A packed element is its F_2 coordinate vector, so elimination is an XOR
-    basis keyed by the pivot bit.  See ``_rank_odd`` for the scaled copies
+    basis indexed by the pivot bit; basis[0] stays 0 and ends the reduction
+    of a vector that reaches 0.  See ``_rank_odd`` for the scaled copies
     and the early stop.
     """
     n, q = tower.n, tower.q
     M = len(exp_packed)
     offsets = _scalar_offsets(tower, M)
+    N = n * len(offsets)
 
     def rank(e):
-        basis = {}
+        basis = [0] * (N + 1)  # basis[b]: the row whose top bit is b - 1
         f = e
         for i in range(n):
             for s in offsets:
                 v = exp_packed[(f + s) % M]
                 b = v.bit_length()
-                while b in basis:
+                while basis[b]:
                     v ^= basis[b]
                     b = v.bit_length()
                 if not v:
@@ -181,11 +195,37 @@ def _rank_odd(tower, exp_packed):
     offsets = _scalar_offsets(tower, M)
     digits_total = n * len(offsets)
     width = _field_width(tower)
-    # A vector's fields as little-endian unsigned ints of `width` bits.
-    code = {8: "B", 16: "H", 32: "I", 64: "Q"}[width]
-    fields = struct.Struct(f"<{digits_total}{code}")
     mask = (1 << width) - 1
     inverse = [0] + [pow(c, -1, p) for c in range(1, p)]
+
+    if width == 8:
+        # One byte per field: bytes.translate reduces and scales in C.
+        mod_p = bytes(d % p for d in range(256))
+        scale_by = [b""] + [bytes(d * inverse[c] % p for d in range(256)) for c in range(1, p)]
+
+        def normalise(v):
+            """(pivot shift, row) of v with digits in [0, p), pivot digit 1; None for 0."""
+            digits = v.to_bytes(digits_total, "little").translate(mod_p).rstrip(b"\0")
+            if not digits:
+                return None
+            row = digits.translate(scale_by[digits[-1]])
+            return (len(digits) - 1) * 8, int.from_bytes(row, "little")
+    else:
+        # A vector's fields as little-endian unsigned ints of `width` bits.
+        code = {16: "H", 32: "I", 64: "Q"}[width]
+        fields = struct.Struct(f"<{digits_total}{code}")
+
+        def normalise(v):
+            """(pivot shift, row) of v with digits in [0, p), pivot digit 1; None for 0."""
+            digits = fields.unpack(v.to_bytes(fields.size, "little"))
+            top = digits_total - 1
+            while top >= 0 and not digits[top] % p:
+                top -= 1
+            if top < 0:
+                return None
+            scale = inverse[digits[top] % p]
+            row = fields.pack(*[d * scale % p for d in digits])
+            return top * width, int.from_bytes(row, "little")
 
     def rank(e):
         rows = []  # (pivot shift, row), pivots descending
@@ -197,19 +237,14 @@ def _rank_odd(tower, exp_packed):
                     c = (v >> pivot & mask) % p
                     if c:
                         v += (p - c) * row
-                digits = fields.unpack(v.to_bytes(fields.size, "little"))
-                top = digits_total - 1
-                while top >= 0 and not digits[top] % p:
-                    top -= 1
-                if top < 0:
+                new = normalise(v)
+                if new is None:
                     if s:
                         raise InternalInconsistency(
                             "scaled conjugate copies are dependent"
                         )
                     return i
-                scale = inverse[digits[top] % p]
-                row = fields.pack(*[d * scale % p for d in digits])
-                rows.append((top * width, int.from_bytes(row, "little")))
+                rows.append(new)
                 rows.sort(reverse=True)
             f = f * q % M
         return n
@@ -264,37 +299,8 @@ def _power_table(tower: galois.TowerField) -> list[int]:
             shift += width
         return v
 
-    if p == 2:
-        add = operator.xor
-    else:
-        # Fieldwise sum mod p.  A field of s = a + b is at most 2p - 2, and
-        # adding bias = 2**(width-1) - p to it sets its top bit exactly when
-        # it is >= p.  Exact while p <= 2**(width-1), so that bias >= 0, and
-        # p - 2 < 2**(width-1), so that s + bias never carries into the next
-        # field; with N >= 2, _field_width's bound p*(p-1) < 2**width gives
-        # both.
-        high = sum(1 << k * width + width - 1 for k in range(coords))
-        bias = high - p * sum(1 << k * width for k in range(coords))
-
-        def add(a, b):
-            s = a + b
-            return s - (((s + bias) & high) >> (width - 1)) * p
-
     images = [pack(top.mul(gen, top.element(p**k))) for k in range(coords)]
     half = (coords + 1) // 2
-    tables = []
-    for part in (images[:half], images[half:]):
-        # Keys are a half's bits, values the reduced images of those bits.
-        table = {0: 0}
-        for k, image in enumerate(part):
-            entries = list(table.items())
-            multiple = 0
-            for c in range(1, p):
-                multiple = add(multiple, image)
-                key = c << k * width
-                table.update({bits | key: add(v, multiple) for bits, v in entries})
-        tables.append(table)
-    low_table, high_table = tables
     shift = half * width
     low_mask = (1 << shift) - 1
 
@@ -302,11 +308,48 @@ def _power_table(tower: galois.TowerField) -> list[int]:
     # return to 1, and that return must come at step M.
     exp_packed = [0] * M
     x = 1
-    for e in range(M):
-        exp_packed[e] = x
-        x = add(low_table[x & low_mask], high_table[x >> shift])
-        if x == 1:
-            break
+    if p == 2:
+        # Entry `bits` of a half's list is the image of those bits.
+        low, high = ([0], [0])
+        for table, part in ((low, images[:half]), (high, images[half:])):
+            for image in part:
+                table += [v ^ image for v in table]
+        for e in range(M):
+            exp_packed[e] = x
+            x = low[x & low_mask] ^ high[x >> shift]
+            if x == 1:
+                break
+    else:
+        # Fieldwise sum mod p.  A field of s = a + b is at most 2p - 2, and
+        # adding bias = 2**(width-1) - p to it sets its top bit exactly when
+        # it is >= p.  Exact while p <= 2**(width-1), so that bias >= 0, and
+        # p - 2 < 2**(width-1), so that s + bias never carries into the next
+        # field; with N >= 2, _field_width's bound p*(p-1) < 2**width gives
+        # both.
+        tops = sum(1 << k * width + width - 1 for k in range(coords))
+        bias = tops - p * sum(1 << k * width for k in range(coords))
+        top_bit = width - 1
+
+        def add(a, b):
+            s = a + b
+            return s - (((s + bias) & tops) >> top_bit) * p
+
+        # A half's keys are its bits, sparse in the bit fields, so dicts.
+        low, high = ({0: 0}, {0: 0})
+        for table, part in ((low, images[:half]), (high, images[half:])):
+            for k, image in enumerate(part):
+                entries = list(table.items())
+                multiple = 0
+                for c in range(1, p):
+                    multiple = add(multiple, image)
+                    key = c << k * width
+                    table.update({bits | key: add(v, multiple) for bits, v in entries})
+        for e in range(M):
+            exp_packed[e] = x
+            s = low[x & low_mask] + high[x >> shift]
+            x = s - (((s + bias) & tops) >> top_bit) * p
+            if x == 1:
+                break
     if e != M - 1 or x != 1:
         raise InternalInconsistency("generator walk did not return to 1 at step M")
     return exp_packed

@@ -123,6 +123,20 @@ def test_records_keep_their_repr_hash_and_immutability():
             setattr(record, field, None)
 
 
+def test_distribution_is_the_sequence_of_its_counts():
+    dist = counting.distribution(2, 3)
+    assert list(dist) == [3, 3, 1, 1] == [dist[k] for k in range(dist.n + 1)]
+    assert len(dist) == 4
+    assert dist[1:3] == (3, 1) and dist[-1] == 1
+    assert (dist.q, dist.n, dist.counts) == (2, 3, (3, 3, 1, 1))
+    same = counting.Distribution(q=2, n=3, counts=[3, 3, 1, 1])
+    assert dist == same and hash(dist) == hash(same)
+    assert dist != counting.Distribution(q=2, n=3, counts=(4, 2, 1, 1))
+    assert dist != (2, 3, (3, 3, 1, 1))
+    with pytest.raises(AttributeError):
+        del dist.q
+
+
 def test_enum_matches_series():
     for q, n in [(2, 4), (2, 6), (2, 8), (3, 4), (3, 6), (4, 4), (5, 4), (8, 3), (9, 3)]:
         for k in range(n + 1):

@@ -1,6 +1,7 @@
 """Brute-force field sweeps and cyclotomic cosets against the formulas."""
 
 import collections
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +174,48 @@ def test_n_equals_one_distribution():
     for q in (2, 3, 4, 9, 25, 49):
         dist = oracle.brute_force_distribution(q, 1)
         assert dist.counts == (q - 1, 1)
+
+
+def test_n_equals_one_is_swept_by_the_definition():
+    t0 = time.perf_counter()
+    dist = oracle.brute_force_distribution(65537, 1)
+    elapsed = time.perf_counter() - t0
+    assert dist.counts == (65536, 1)
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("q,n", [(4, 4), (9, 3), (27, 2)])  # m = 2, 2, 3
+def test_one_rank_per_orbit_under_multiplication_by_p(monkeypatch, q, n):
+    # alpha -> alpha**p keeps the rank, so classes are orbits of Z/L under
+    # b -> p*b, up to m times larger than the orbits under b -> q*b
+    ranked = []
+
+    def recording(make_rank):
+        def wrapped(tower, exp_packed):
+            rank = make_rank(tower, exp_packed)
+
+            def counted(e):
+                ranked.append(e)
+                return rank(e)
+
+            return counted
+
+        return wrapped
+
+    monkeypatch.setattr(oracle, "_rank_char2", recording(oracle._rank_char2))
+    monkeypatch.setattr(oracle, "_rank_odd", recording(oracle._rank_odd))
+    tower = galois.build_tower(q, n)
+    assert oracle._classify_by_classes(tower) == list(counting.distribution(q, n))
+    p = tower.prime.order
+    L = (q**n - 1) // (q - 1)
+    orbit_of = {}
+    for start, _ in oracle._orbits(p, L):
+        b = start
+        while b not in orbit_of:
+            orbit_of[b] = start
+            b = b * p % L
+    assert sorted(orbit_of[e % L] for e in ranked) == sorted(set(orbit_of.values()))
+    assert len(ranked) < len(list(oracle._orbits(q, L)))
 
 
 def test_instance_guard():
