@@ -8,6 +8,7 @@ If formulas and sweep disagree anywhere, something is broken.
 """
 
 from knormal import (
+    Poly,
     brute_force_distribution,
     build_tower,
     distribution,
@@ -25,9 +26,14 @@ assert brute == fast
 tower = build_tower(3, 4)
 print("mid modulus: ", tower.mid_modulus)
 print("top modulus: ", tower.top_modulus)
-alpha = tower.element(5)
-g = tower.g_alpha(alpha)
-defect = poly_gcd(tower.xn_minus_one(), g).degree
+top = tower.top
+alpha = top.element(5)
+conjugates = [alpha]  # alpha, alpha^q, ..., alpha^(q^(n-1))
+for _ in range(tower.n - 1):
+    conjugates.append(top.pow(conjugates[-1], tower.q))
+g = Poly(top, conjugates[::-1])  # g_alpha = sum_i alpha^(q^i) x^(n-1-i)
+xn_minus_one = Poly(top, [top.neg(top.one)] + [top.zero] * (tower.n - 1) + [top.one])
+defect = poly_gcd(xn_minus_one, g).degree
 print("element 5 has defect", defect)
 
 # The counts cannot depend on which irreducible modulus represents the

@@ -150,7 +150,8 @@ def cmd_table(args) -> int:
     # Count every row before printing any, so a failure prints no partial table.
     counted = [counting.low_counts(args.q, n, args.k_max) for n in ns]
     rows = [(n, [str(c) for c in row]) for n, row in zip(ns, counted)]
-    header = ["n"] + [f"N_{k}" for k in range(args.k_max + 1)]
+    # Columns stop at n_max: a column with k > n_max would be blank in every row.
+    header = ["n"] + [f"N_{k}" for k in range(min(args.k_max, args.n_max) + 1)]
 
     def cells():  # cells with k > n are blank
         for n, counts in rows:
@@ -284,7 +285,7 @@ def _run_checks(q, n, which, max_brute, modulus_trials):
         )
     if which == "all":
         checks.append(
-            ("sum-rule", dist.total() == q**n, f"{dist.total()} != {q}^{n}")
+            ("sum-rule", dist.total() == q**n, f"{dist.total()} vs {q}^{n}")
         )
     return checks
 

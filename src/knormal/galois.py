@@ -137,10 +137,6 @@ class ExtensionField:
             raise ValueError(f"element index {i} out of range")
         return _digits(self.base, i, self.degree)
 
-    def embed(self, c):
-        """Lift a base-field element to a constant of this field."""
-        return (c,) + (self.base.zero,) * (self.degree - 1)
-
     def __repr__(self):
         return f"ExtensionField(order={self.order})"
 
@@ -239,9 +235,6 @@ class Poly:
             and self.field is other.field
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
 
     def __add__(self, other):
         field = self.field
@@ -393,33 +386,6 @@ class TowerField:
         self.top = top
         self.mid_modulus = mid_modulus
         self.top_modulus = top_modulus
-
-    def element(self, i: int):
-        """i-th element of the top field in coefficient order."""
-        return self.top.element(i)
-
-    def frobenius_iterate(self, alpha, i: int = 1):
-        """alpha**(q**i) in the top field."""
-        if i < 0:
-            raise ValueError("i must be >= 0")
-        return field_pow(self.top, alpha, self.q**i)
-
-    def g_alpha(self, alpha) -> Poly:
-        """Conjugate polynomial sum of alpha**(q**i) * x**(n-1-i) over i < n."""
-        top = self.top
-        coeffs = [top.zero] * self.n
-        conj = alpha
-        for i in range(self.n):
-            coeffs[self.n - 1 - i] = conj
-            conj = field_pow(top, conj, self.q)
-        return Poly(top, coeffs)
-
-    def xn_minus_one(self) -> Poly:
-        """x**n - 1 over the top field."""
-        top = self.top
-        return Poly(
-            top, (top.neg(top.one),) + (top.zero,) * (self.n - 1) + (top.one,)
-        )
 
     def __repr__(self):
         return f"TowerField(q={self.q}, n={self.n})"

@@ -29,11 +29,10 @@ elements feasible, none of which borrows anything from the counting side:
 For n = 1, alpha is its own only conjugate, so the sweep reads the
 definition directly: rank 1 exactly when alpha != 0.
 
-``_classify_elementwise`` is the literal gcd characterisation, one generic
-tower-arithmetic deg gcd(x**n - 1, g_alpha) per element with g_alpha =
-sum of alpha**(q**i) * x**(n-1-i); no sweep calls it, and tests assert it
-agrees with the class path, and with a literal rank of the conjugates, on
-a spread of small fields.
+The equivalent gcd form, k = deg gcd(x**n - 1, g_alpha), is not computed
+here.  The tests take it element by element on a flat model F_p[x]/(f)
+of F_{q^n}, which shares no modulus with the tower, and assert that the
+sweep matches it.
 
 ``cyclotomic_cosets`` gives the orbit sizes of Z/n0 under multiplication by
 q, an independent route to the factor-degree pattern of x**n0 - 1.
@@ -104,21 +103,6 @@ def _orbits(q: int, modulus: int):
             size += 1
             b = b * q % modulus
         yield start, size
-
-
-def _classify_elementwise(tower: galois.TowerField) -> list[int]:
-    """One generic-arithmetic gcd per element; slow reference path."""
-    top = tower.top
-    n = tower.n
-    target = tower.xn_minus_one()
-    counts = [0] * (n + 1)
-    for i in range(top.order):
-        alpha = top.element(i)
-        if alpha == top.zero:
-            counts[n] += 1
-            continue
-        counts[galois.poly_gcd(target, tower.g_alpha(alpha)).degree] += 1
-    return counts
 
 
 def _classify_by_classes(tower: galois.TowerField) -> list[int]:

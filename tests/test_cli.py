@@ -210,12 +210,32 @@ def test_table_counts_only_the_printed_columns(capsys):
         assert tuple(map(int, row["counts"])) == counting.distribution(2, row["n"]).counts
 
 
+def test_table_prints_no_all_blank_columns(capsys):
+    # a column with k > n_max is blank in every row, so it is not printed
+    code, out, _ = run(capsys, "table", "--q", "2", "--n-min", "1", "--n-max", "10",
+                       "--k-max", "1000000")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split(",") == ["n"] + [f"N_{k}" for k in range(11)]
+    assert all(len(line.split(",")) == 12 for line in lines)
+    assert len(out) < 10_000
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run(capsys, "verify", "--q", "2", "--n", "5", "--oracle", "all")
     assert code == 0
     assert out.count("PASS") == 4
     assert "FAIL" not in out
     assert "4 checks" in out
+
+
+def test_verify_passing_details_claim_no_inequality(capsys):
+    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "5", "--oracle", "all",
+                       "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert all(c["passed"] for c in checks)
+    assert [c["detail"] for c in checks if "!=" in c["detail"]] == []
 
 
 def test_verify_brute_only(capsys):

@@ -238,7 +238,7 @@ def test_tower_structure():
     assert galois.is_irreducible(tower.mid_modulus)
     assert galois.is_irreducible(tower.top_modulus)
     assert tower.top_modulus.degree == 2
-    assert tower.element(0) == tower.top.zero
+    assert tower.top.element(0) == tower.top.zero
 
 
 def test_tower_prime_q_uses_prime_mid():
@@ -248,46 +248,17 @@ def test_tower_prime_q_uses_prime_mid():
 
 
 def test_frobenius_iterate():
+    # alpha -> alpha**(q**i) is field_pow by q**i
     tower = galois.build_tower(2, 4)
-    top = tower.top
+    top, q = tower.top, tower.q
     for i in range(top.order):
         a = top.element(i)
-        assert tower.frobenius_iterate(a, 0) == a
-        assert tower.frobenius_iterate(a, tower.n) == a  # full cycle
-        assert tower.frobenius_iterate(a, 1) == top.mul(a, a)  # q = 2
+        assert galois.field_pow(top, a, q**0) == a
+        assert galois.field_pow(top, a, q**tower.n) == a  # full cycle
+        assert galois.field_pow(top, a, q) == top.mul(a, a)  # q = 2
     # frobenius is additive
     for i, j in itertools.product(range(6), repeat=2):
         a, b = top.element(i), top.element(j)
-        assert tower.frobenius_iterate(top.add(a, b), 1) == top.add(
-            tower.frobenius_iterate(a, 1), tower.frobenius_iterate(b, 1)
+        assert galois.field_pow(top, top.add(a, b), q) == top.add(
+            galois.field_pow(top, a, q), galois.field_pow(top, b, q)
         )
-
-
-def test_g_alpha_f4_example():
-    tower = galois.build_tower(2, 2)
-    top = tower.top
-    w = top.element(2)
-    g = tower.g_alpha(w)
-    # g_w = w*x + w^2 over F_4
-    assert g.coeffs == (top.mul(w, w), w)
-    assert tower.g_alpha(top.zero).is_zero
-
-
-def test_g_alpha_respects_scaling_and_frobenius():
-    tower = galois.build_tower(3, 3)
-    top = tower.top
-    target = tower.xn_minus_one()
-    x = galois.Poly(top, (top.zero, top.one))
-    for i in range(1, top.order, 7):
-        a = top.element(i)
-        # g_{a^q} = x * g_a mod x^n - 1
-        lhs = tower.g_alpha(tower.frobenius_iterate(a, 1))
-        rhs = (x * tower.g_alpha(a)) % target
-        assert lhs == rhs
-    # scalar from the mid field: g_{c*a} = c * g_a
-    c = top.embed(tower.mid.element(2))
-    for i in range(1, top.order, 11):
-        a = top.element(i)
-        lhs = tower.g_alpha(top.mul(c, a))
-        rhs = galois.Poly(top, tuple(top.mul(c, co) for co in tower.g_alpha(a).coeffs))
-        assert lhs == rhs

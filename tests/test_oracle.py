@@ -31,17 +31,6 @@ def test_matches_formulas_small():
         assert oracle.brute_force_distribution(q, n) == counting.distribution(q, n)
 
 
-def test_elementwise_path_agrees_with_class_path():
-    # the unaccelerated per-element gcd sweep validates the class rank sweep
-    for q, n in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
-                 (4, 2), (4, 3), (5, 2), (7, 2), (8, 2), (9, 2), (16, 2), (25, 1), (27, 2),
-                 (4, 4), (8, 3), (16, 3), (27, 3), (67, 2)]:
-        tower = galois.build_tower(q, n)
-        if n == 1:
-            continue  # class path needs n >= 2; n = 1 is always elementwise
-        assert oracle._classify_elementwise(tower) == oracle._classify_by_classes(tower)
-
-
 def _rank_over(field, vectors):
     """Rank of coefficient tuples over a field, by Gauss-Jordan elimination."""
     rows = [list(v) for v in vectors]
@@ -64,15 +53,79 @@ def _rank_over(field, vectors):
     return rank
 
 
+def _conjugates(top, q, n, alpha):
+    """alpha, alpha**q, ..., alpha**(q**(n-1)) by chained q-th powers."""
+    conjugates = [alpha]
+    for _ in range(n - 1):
+        conjugates.append(galois.field_pow(top, conjugates[-1], q))
+    return conjugates
+
+
 def _literal_rank_distribution(tower):
     """n - rank of the conjugates, element by element, in generic arithmetic."""
-    n = tower.n
+    top, q, n = tower.top, tower.q, tower.n
     counts = [0] * (n + 1)
-    for i in range(tower.top.order):
-        alpha = tower.element(i)
-        conjugates = [tower.frobenius_iterate(alpha, j) for j in range(n)]
+    for i in range(top.order):
+        conjugates = _conjugates(top, q, n, top.element(i))
         counts[n - _rank_over(tower.mid, conjugates)] += 1
     return counts
+
+
+def _g_alpha(top, q, n, alpha):
+    """Conjugate polynomial sum of alpha**(q**i) * x**(n-1-i) over i < n."""
+    return galois.Poly(top, _conjugates(top, q, n, alpha)[::-1])
+
+
+def _xn_minus_one(top, n):
+    """x**n - 1 over top."""
+    return galois.Poly(top, (top.neg(top.one),) + (top.zero,) * (n - 1) + (top.one,))
+
+
+def _gcd_distribution(top, q, n):
+    """deg gcd(x**n - 1, g_alpha) element by element, in generic arithmetic.
+
+    top is any representation of F_{q^n}; F_q enters only through
+    alpha -> alpha**q.
+    """
+    target = _xn_minus_one(top, n)
+    counts = [0] * (n + 1)
+    for i in range(top.order):
+        alpha = top.element(i)
+        if alpha == top.zero:
+            counts[n] += 1  # g_0 = 0, and gcd(x**n - 1, 0) is x**n - 1
+            continue
+        counts[galois.poly_gcd(target, _g_alpha(top, q, n, alpha)).degree] += 1
+    return counts
+
+
+def test_g_alpha_f4_example():
+    tower = galois.build_tower(2, 2)
+    top = tower.top
+    w = top.element(2)
+    g = _g_alpha(top, 2, 2, w)
+    # g_w = w*x + w^2 over F_4
+    assert g.coeffs == (top.mul(w, w), w)
+    assert _g_alpha(top, 2, 2, top.zero).is_zero
+
+
+def test_g_alpha_respects_scaling_and_frobenius():
+    tower = galois.build_tower(3, 3)
+    top = tower.top
+    target = _xn_minus_one(top, 3)
+    x = galois.Poly(top, (top.zero, top.one))
+    for i in range(1, top.order, 7):
+        a = top.element(i)
+        # g_{a^q} = x * g_a mod x^n - 1
+        lhs = _g_alpha(top, 3, 3, galois.field_pow(top, a, 3))
+        rhs = (x * _g_alpha(top, 3, 3, a)) % target
+        assert lhs == rhs
+    # scalar from the mid field: g_{c*a} = c * g_a
+    c = (2, 0, 0)  # the constant 2 of F_3
+    for i in range(1, top.order, 11):
+        a = top.element(i)
+        lhs = _g_alpha(top, 3, 3, top.mul(c, a))
+        rhs = galois.Poly(top, tuple(top.mul(c, co) for co in _g_alpha(top, 3, 3, a).coeffs))
+        assert lhs == rhs
 
 
 def test_class_path_is_the_codimension_of_the_conjugates():
@@ -81,8 +134,19 @@ def test_class_path_is_the_codimension_of_the_conjugates():
     for q, n in [(2, 6), (3, 4), (4, 3), (8, 2), (9, 2), (25, 2)]:
         tower = galois.build_tower(q, n)
         literal = _literal_rank_distribution(tower)
-        assert literal == oracle._classify_elementwise(tower)
+        assert literal == _gcd_distribution(tower.top, q, n)
         assert literal == oracle._classify_by_classes(tower)
+
+
+def test_elementwise_path_agrees_with_class_path():
+    # the per-element gcd sweep, on a flat F_p model, validates the sweep
+    for q, n in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
+                 (4, 2), (4, 3), (5, 2), (7, 2), (8, 2), (9, 2), (16, 2), (25, 1), (27, 2),
+                 (4, 4), (8, 3), (16, 3), (27, 3), (67, 2)]:
+        p, m = numtheory.prime_power_decompose(q)
+        prime = galois.PrimeField(p)
+        flat = galois.ExtensionField(prime, galois.find_irreducible(prime, n * m))
+        assert _gcd_distribution(flat, q, n) == list(oracle.brute_force_distribution(q, n))
 
 
 def _widened(index, p, width):
