@@ -14,8 +14,8 @@ from .counting import (
     closed_form_n2,
     closed_form_n3,
     count_k_normal,
-    count_k_normal_coprime,
     count_k_normal_enum,
+    count_k_normal_explicit,
     count_normal,
     distribution,
     lower_bound_holds,
@@ -68,8 +68,8 @@ __all__ = [
     "closed_form_n2",
     "closed_form_n3",
     "count_k_normal",
-    "count_k_normal_coprime",
     "count_k_normal_enum",
+    "count_k_normal_explicit",
     "count_normal",
     "cyclotomic_cosets",
     "degree_pattern",

@@ -181,19 +181,11 @@ def cmd_factors(args) -> int:
     params = spectrum.derive_params(args.q, args.n)
     pattern = spectrum.degree_pattern(params)
     count = pattern.factor_count()
-    pairs = [
-        ("q", params.q),
-        ("p", params.p),
-        ("m", params.m),
-        ("n", params.n),
-        ("n0", params.n0),
-        ("s", params.s),
-        ("d", params.d),
-    ]
-    rows = pairs + [(f"v_{r}", v) for r, v in pattern.items()] + [("omega", count)]
+    shape = params._asdict()
+    rows = [*shape.items(), *((f"v_{r}", v) for r, v in pattern.items()), ("omega", count)]
     _emit(
         args,
-        dict(pairs) | {"v": {str(r): v for r, v in pattern.items()}, "omega": count},
+        shape | {"v": {str(r): v for r, v in pattern.items()}, "omega": count},
         (f"{key} = {value}" for key, value in rows),
         ("key", "value"),
         ((key, str(value)) for key, value in rows),

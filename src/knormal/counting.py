@@ -12,24 +12,22 @@ z**r is the v_r-th power of a single factor's series.  That series is a
 rational function, so each group's coefficients follow from a short
 integer recurrence; N_k is the coefficient of z**(n-k) in the product of
 the tau(d) group series, or of z**k with every series reversed.  A literal
-tuple enumeration, a binomial form for the squarefree case, and per-k
-closed forms are provided as independent routes for cross-checks.  All
-results are plain Python ints and therefore exact.
+tuple enumeration, the explicit sum over multiplicity profiles (every q
+and n), and per-k closed forms are provided as independent routes for
+cross-checks.  All results are plain Python ints and therefore exact.
 """
 
+import collections
 import itertools
 import math
 
 from . import spectrum
-from .errors import (
-    ArgumentOutOfRange,
-    EnumerationTooLarge,
-    InternalInconsistency,
-    NotCoprime,
-)
+from .errors import ArgumentOutOfRange, EnumerationTooLarge, InternalInconsistency
 
-# Refuse reference enumerations beyond this many multiplicity tuples.
+# Guards: count_k_normal_enum's multiplicity tuples, looped over one by one, and
+# count_k_normal_explicit's states (unplaced, unspent), summed over levels (r, j).
 ENUMERATION_LIMIT = 10**7
+EXPLICIT_STATE_LIMIT = 10**6
 
 
 class Distribution:
@@ -229,35 +227,38 @@ def count_k_normal_enum(q: int, n: int, k: int) -> int:
     return total
 
 
-def count_k_normal_coprime(q: int, n: int, k: int) -> int:
-    """Binomial form of count_k_normal, valid only when gcd(n, q) = 1.
+def count_k_normal_explicit(q: int, n: int, k: int) -> int:
+    """The explicit formula for every (q, n): a sum over multiplicity profiles.
 
-    With x**n - 1 squarefree, each factor is used or not, so the count is a
-    sum over choices (a_r) with 0 <= a_r <= v_r and sum r*a_r = n - k of
-    prod C(v_r, a_r) * (q**r - 1)**a_r.
+    A factor f of degree r spends r*j of cap = min(k, n-k): from the defect end j
+    is the shortfall of its multiplicity from P = p**s and it weighs phi_q(f**(P-j));
+    from the forward end j is its multiplicity and it weighs phi_q(f**j).  Placing
+    b_j of the v_r factors at each j weighs multinomial(v_r; b) * prod weight_j**b_j.
+    The descent walks j down per degree over states (u factors unplaced, cap left).
     """
     params = spectrum.derive_params(q, n)
-    if params.s != 0:
-        raise NotCoprime(
-            f"n = {n} is divisible by the characteristic {params.p} of F_{q}"
-        )
     _check_k(n, k)
-    items = spectrum.degree_pattern(params).items()
-
-    def explore(idx: int, remaining: int) -> int:
-        if idx == len(items):
-            return 1 if remaining == 0 else 0
-        r, v = items[idx]
-        total = 0
-        for a in range(min(v, remaining // r) + 1):
-            total += (
-                math.comb(v, a)
-                * (q**r - 1) ** a
-                * explore(idx + 1, remaining - r * a)
-            )
-        return total
-
-    return explore(0, n - k)
+    cap, ps = min(k, n - k), params.ps
+    groups = spectrum.degree_pattern(params).items()
+    tops = [min(ps, cap // r) for r, _ in groups]
+    states = (cap + 1) * sum((top + 1) * (v + 1) for top, (_, v) in zip(tops, groups))
+    if states > EXPLICIT_STATE_LIMIT:
+        raise EnumerationTooLarge(f"{states} profile states exceed {EXPLICIT_STATE_LIMIT}")
+    reach = {cap: 1}
+    for (r, v), top in zip(groups, tops):
+        weight = [phi_q_prime_power(q, r, ps - j if cap == k else j) for j in range(top + 1)]
+        level = {(v, left): x for left, x in reach.items()}
+        for j in range(top, 0, -1):
+            step, below = r * j, collections.defaultdict(int)
+            powers = [weight[j] ** b for b in range(min(v, cap // step) + 1)]
+            for (u, left), x in level.items():
+                for b in range(min(u, left // step) + 1):
+                    below[u - b, left - step * b] += math.comb(u, b) * powers[b] * x
+            level = below
+        reach = collections.defaultdict(int)  # the u still unplaced take weight_0
+        for (u, left), x in level.items():
+            reach[left] += weight[0] ** u * x
+    return reach[0]
 
 
 def _exact_div(a: int, b: int) -> int:

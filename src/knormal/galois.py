@@ -26,7 +26,6 @@ class PrimeField:
     def __init__(self, p: int):
         if not numtheory.is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.char = p
         self.order = p
         self.zero = 0
         self.one = 1
@@ -83,7 +82,6 @@ class ExtensionField:
         self.base = base
         self.modulus = modulus
         self.degree = degree
-        self.char = base.char
         self.order = base.order**degree
         self.zero = (base.zero,) * degree
         self.one = (base.one,) + (base.zero,) * (degree - 1)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from knormal import cli, counting, oracle
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -426,10 +428,13 @@ def test_missing_subcommand_exits_2():
 
 
 def test_module_entry_point_subprocess():
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     result = subprocess.run(
         [sys.executable, "-m", "knormal.cli", "count", "--q", "25", "--n", "3", "--k", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout == "72\n"

@@ -1,4 +1,4 @@
-"""Counting formulas: general series, enumeration, binomial, closed forms."""
+"""Counting formulas: general series, enumeration, explicit profile sum, closed forms."""
 
 import time
 
@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knormal import counting, galois, numtheory, spectrum
-from knormal.errors import (
-    ArgumentOutOfRange,
-    EnumerationTooLarge,
-    InternalInconsistency,
-    NotCoprime,
-)
+from knormal.errors import ArgumentOutOfRange, EnumerationTooLarge, InternalInconsistency
 
 PRIME_POWERS = [q for q in range(2, 28) if len(numtheory.factorize(q)) == 1]
 SMALL_SWEEP = [(q, n) for q in PRIME_POWERS for n in range(1, 16)]
@@ -23,6 +18,8 @@ PROPERTY_QS = [q for q in range(2, 65) if len(numtheory.factorize(q)) == 1] + [
     81, 125, 128, 243, 343, 1024, 3125, 1601, 2161, 4001, 65537,
 ]
 ENUM_TUPLE_LIMIT = 5000
+# Property-test fields whose characteristic p divides some n <= 300.
+RICH_QS = [q for q in PROPERTY_QS if spectrum.derive_params(q, 1).p <= 300]
 
 
 def brute_phi_q(q, r, e):
@@ -172,15 +169,43 @@ def test_group_series_refuses_a_fractional_coefficient(monkeypatch):
         counting.count_k_normal(3, 6, 3)
 
 
-def test_coprime_matches_series():
+def test_explicit_matches_series():
     for q, n in SMALL_SWEEP:
-        params = spectrum.derive_params(q, n)
-        if params.s != 0:
-            with pytest.raises(NotCoprime):
-                counting.count_k_normal_coprime(q, n, 0)
-            continue
         for k in range(n + 1):
-            assert counting.count_k_normal_coprime(q, n, k) == counting.count_k_normal(q, n, k)
+            assert counting.count_k_normal_explicit(q, n, k) == counting.count_k_normal(q, n, k)
+
+
+def test_explicit_matches_distribution_on_factor_rich_fields_with_p_dividing_n():
+    # omega = 9, 14, 13 and 12 distinct factors, of multiplicity p**s = 4, 5, 4 and 13
+    start = time.perf_counter()
+    for q, n in [(4, 60), (5, 120), (2, 252), (13, 156)]:
+        dist = counting.distribution(q, n)
+        assert [counting.count_k_normal_explicit(q, n, k) for k in range(n + 1)] == list(dist)
+    assert time.perf_counter() - start < 5
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(q=st.sampled_from(RICH_QS), data=st.data())
+def test_explicit_on_factor_rich_fields(q, data):
+    # n = p**s * n0 with s >= 1 and n0 | q - 1 or n0 | q + 1: every factor of
+    # x**n0 - 1 has degree 1 or 2, each with multiplicity p**s
+    p = spectrum.derive_params(q, 1).p
+    n0 = data.draw(st.sampled_from(
+        [d for d in range(1, 300 // p + 1) if (q - 1) % d == 0 or (q + 1) % d == 0]
+    ), label="n0")
+    s = data.draw(st.integers(1, max(s for s in range(1, 9) if p**s * n0 <= 300)), label="s")
+    n = p**s * n0
+    k = data.draw(st.integers(0, n), label="k")
+    explicit = counting.count_k_normal_explicit(q, n, k)
+    assert explicit == counting.count_k_normal(q, n, k) == counting.distribution(q, n)[k]
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 10**6, 5 * 10**5), (3, 10**6, 10**5)])
+def test_explicit_refuses_before_it_starts(q, n, k):
+    start = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge, match="profile states exceed 1000000"):
+        counting.count_k_normal_explicit(q, n, k)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_closed_form_examples():
@@ -282,8 +307,7 @@ def test_distribution_agrees_with_independent_routes(q, n, data):
             assert dist[k] == form(q, n)
     k = data.draw(st.integers(0, n), label="k")
     assert counting.count_k_normal(q, n, k) == dist[k]
-    if params.coprime:
-        assert counting.count_k_normal_coprime(q, n, k) == dist[k]
+    assert counting.count_k_normal_explicit(q, n, k) == dist[k]
     if (params.ps + 1) ** pattern.factor_count() <= ENUM_TUPLE_LIMIT:
         assert counting.count_k_normal_enum(q, n, k) == dist[k]
 
