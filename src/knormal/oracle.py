@@ -22,12 +22,12 @@ elements feasible, none of which borrows anything from the counting side:
   exponent terms the class of e is {p**i * e + j*L mod M} with
   M = q**n - 1, L = M/(q-1): the preimage of the orbit of e mod L under
   multiplication by p, up to m times larger than its orbit under q;
-* the F_q-span of the conjugates is the F_p-span of their multiples by
-  1, beta, ..., beta**(m-1), beta = gen**L, and it stops growing at the
+* the F_q-span of the conjugates depends only on their F_q*-lines, so the
+  sweep works on F_{q^n}*/F_q* = Z/L and reads a conjugate gen**f with f
+  mod L.  The span is the F_p-span of the multiples of the conjugates by
+  1, beta, ..., beta**(m-1), beta = gen**L: entries f + j*L with f < L and
+  j < m, so the exp table stops at m*L entries.  It stops growing at the
   first conjugate already inside it.
-
-For n = 1, alpha is its own only conjugate, so the sweep reads the
-definition directly: rank 1 exactly when alpha != 0.
 
 The equivalent gcd form, k = deg gcd(x**n - 1, g_alpha), is not computed
 here.  The tests take it element by element on a flat model F_p[x]/(f)
@@ -60,18 +60,7 @@ def brute_force_distribution(
     spectrum.derive_params(q, n)  # validates q prime power, n >= 1
     if q**n > max_order:
         raise InstanceTooLarge(f"q**n = {q}**{n} exceeds the sweep guard {max_order}")
-    tower = galois.build_tower(q, n, modulus_index)
-    if n == 1:
-        # alpha is its only conjugate, and it spans F_q exactly when alpha
-        # != 0.  The class path cannot serve n = 1: its generator search
-        # starts at index q, past the last element.
-        top = tower.top
-        counts = [0, 0]
-        for i in range(top.order):
-            rank = top.element(i) != top.zero
-            counts[1 - rank] += 1
-    else:
-        counts = _classify_by_classes(tower)
+    counts = _classify_by_classes(galois.build_tower(q, n, modulus_index))
     if sum(counts) != q**n:
         raise InternalInconsistency("classification missed or double-counted elements")
     return Distribution(q=q, n=n, counts=tuple(counts))
@@ -109,7 +98,7 @@ def _classify_by_classes(tower: galois.TowerField) -> list[int]:
     """F_q-rank of the conjugates once per class under F_q* and x -> x**p, weighted by size."""
     n, q, p = tower.n, tower.q, tower.prime.order
     exp_packed = _power_table(tower)
-    L = len(exp_packed) // (q - 1)
+    L = len(exp_packed) // tower.mid_modulus.degree
     if p == 2:
         rank = _rank_char2(tower, exp_packed)
     else:
@@ -132,8 +121,8 @@ def _rank_char2(tower, exp_packed):
     and the early stop.
     """
     n, q = tower.n, tower.q
-    M = len(exp_packed)
-    offsets = _scalar_offsets(tower, M)
+    L = len(exp_packed) // tower.mid_modulus.degree
+    offsets = _scalar_offsets(tower, L)
     N = n * len(offsets)
 
     def rank(e):
@@ -141,7 +130,7 @@ def _rank_char2(tower, exp_packed):
         f = e
         for i in range(n):
             for s in offsets:
-                v = exp_packed[(f + s) % M]
+                v = exp_packed[f + s]
                 b = v.bit_length()
                 while basis[b]:
                     v ^= basis[b]
@@ -153,7 +142,7 @@ def _rank_char2(tower, exp_packed):
                         )
                     return i
                 basis[b] = v
-            f = f * q % M
+            f = f * q % L
         return n
 
     return rank
@@ -168,15 +157,17 @@ def _rank_odd(tower, exp_packed):
     carry between fields; only new basis rows are brought back to digits in
     [0, p), with pivot digit 1.
 
-    The conjugate alpha**(q**i) enters as its m copies beta**j *
-    alpha**(q**i), j < m, with beta = gen**L a generator of F_q*: they span
-    its F_q-multiples over F_p, so the F_q-rank is the number of conjugates
-    taken.  The first conjugate that is already in the span ends the walk,
-    because the span of the earlier ones is then Frobenius-invariant.
+    The conjugate alpha**(q**i) = gen**(e * q**i) enters as gen**f, f = e *
+    q**i mod L, an F_q*-multiple of it on the same F_q-line, and as the m
+    copies beta**j * gen**f = gen**(f + j*L), j < m, with beta = gen**L a
+    generator of F_q*: they span its F_q-multiples over F_p, so the F_q-rank
+    is the number of conjugates taken.  The first conjugate that is already
+    in the span ends the walk, because the span of the earlier ones is then
+    Frobenius-invariant.
     """
     n, q, p = tower.n, tower.q, tower.prime.order
-    M = len(exp_packed)
-    offsets = _scalar_offsets(tower, M)
+    L = len(exp_packed) // tower.mid_modulus.degree
+    offsets = _scalar_offsets(tower, L)
     digits_total = n * len(offsets)
     width = _field_width(tower)
     mask = (1 << width) - 1
@@ -216,7 +207,7 @@ def _rank_odd(tower, exp_packed):
         f = e
         for i in range(n):
             for s in offsets:
-                v = exp_packed[(f + s) % M]
+                v = exp_packed[f + s]
                 for pivot, row in rows:
                     c = (v >> pivot & mask) % p
                     if c:
@@ -230,15 +221,14 @@ def _rank_odd(tower, exp_packed):
                     return i
                 rows.append(new)
                 rows.sort(reverse=True)
-            f = f * q % M
+            f = f * q % L
         return n
 
     return rank
 
 
-def _scalar_offsets(tower, M):
+def _scalar_offsets(tower, L):
     """Exponent offsets j*L, j < m, of the copies beta**j * alpha."""
-    L = M // (tower.q - 1)
     return [j * L for j in range(tower.mid_modulus.degree)]
 
 
@@ -246,14 +236,16 @@ def _field_width(tower) -> int:
     """Bits per F_p coordinate of a packed element.
 
     One bit when p = 2, where addition is XOR.  Otherwise the smallest of
-    8, 16, 32, 64 bits that holds (p - 1) + (N - 1) * (p - 1)**2 for the
-    N = n*m coordinates: a vector of digits < p after the at most N - 1
-    lazy reductions of ``_rank_odd``.
+    8, 16, 32, 64 bits that holds (p - 1) + (N - 1) * (p - 1)**2 with
+    N = max(2, n*m): a vector of digits < p after the at most n*m - 1 lazy
+    reductions of ``_rank_odd``.  N is at least 2 so that the bound, p*(p-1)
+    < 2**width, also gives the p <= 2**(width-1) that ``_power_table``'s
+    fieldwise addition needs when n*m = 1.
     """
     p = tower.prime.order
     if p == 2:
         return 1
-    coords = tower.n * tower.mid_modulus.degree
+    coords = max(2, tower.n * tower.mid_modulus.degree)
     width = 8
     while (p - 1) + (coords - 1) * (p - 1) ** 2 >= 1 << width:
         width *= 2
@@ -261,19 +253,28 @@ def _field_width(tower) -> int:
 
 
 def _power_table(tower: galois.TowerField) -> list[int]:
-    """Exp table of the top field: entry e is gen**e packed, e < q**n - 1.
+    """Exp table of the top field: entry e is gen**e packed, e < m*L.
+
+    These are the entries the ranks read, L = (q**n - 1)/(q - 1) being the
+    size of F_{q^n}*/F_q* (see the module docstring).
 
     The base-p digits of ``top.index`` are the N = n*m F_p coordinates;
     packing puts coordinate k in bit field k of ``_field_width`` bits.
     Multiplication by gen is F_p-linear, so one step of the walk looks up
     the images of the low and the high half of the coordinates, each table
     holding at most p**ceil(N/2) entries, and adds them.
+
+    The walk is checked twice: gen must generate F_{q^n}*, and the value
+    after its last step must be gen**(m*L) as computed in the tower.
     """
     top, p = tower.top, tower.prime.order
-    M = top.order - 1
-    coords = tower.n * tower.mid_modulus.degree
+    m = tower.mid_modulus.degree
+    steps = m * ((top.order - 1) // (tower.q - 1))
+    coords = tower.n * m
     width = _field_width(tower)
     gen = _find_generator(top, tower.q)
+    if not _generates(top, gen):
+        raise InternalInconsistency("the walk's multiplier does not generate F_{q^n}*")
 
     def pack(y):
         i, v, shift = top.index(y), 0, 0
@@ -288,9 +289,7 @@ def _power_table(tower: galois.TowerField) -> list[int]:
     shift = half * width
     low_mask = (1 << shift) - 1
 
-    # Multiplying by gen permutes F_{q^n}*, so the walk's first repeat is a
-    # return to 1, and that return must come at step M.
-    exp_packed = [0] * M
+    exp_packed = [0] * steps
     x = 1
     if p == 2:
         # Entry `bits` of a half's list is the image of those bits.
@@ -298,21 +297,19 @@ def _power_table(tower: galois.TowerField) -> list[int]:
         for table, part in ((low, images[:half]), (high, images[half:])):
             for image in part:
                 table += [v ^ image for v in table]
-        for e in range(M):
+        for e in range(steps):
             exp_packed[e] = x
             x = low[x & low_mask] ^ high[x >> shift]
-            if x == 1:
-                break
     else:
         # Fieldwise sum mod p.  A field of s = a + b is at most 2p - 2, and
         # adding bias = 2**(width-1) - p to it sets its top bit exactly when
-        # it is >= p.  Exact while p <= 2**(width-1), so that bias >= 0, and
-        # p - 2 < 2**(width-1), so that s + bias never carries into the next
-        # field; with N >= 2, _field_width's bound p*(p-1) < 2**width gives
-        # both.
-        tops = sum(1 << k * width + width - 1 for k in range(coords))
-        bias = tops - p * sum(1 << k * width for k in range(coords))
+        # it is >= p.  Exact while p <= 2**(width-1), so that bias >= 0 and
+        # s + bias never carries into the next field.
         top_bit = width - 1
+        if p > 1 << top_bit:
+            raise InternalInconsistency(f"{width}-bit fields are too narrow for p = {p}")
+        tops = sum(1 << k * width + top_bit for k in range(coords))
+        bias = tops - p * sum(1 << k * width for k in range(coords))
 
         def add(a, b):
             s = a + b
@@ -328,27 +325,25 @@ def _power_table(tower: galois.TowerField) -> list[int]:
                     multiple = add(multiple, image)
                     key = c << k * width
                     table.update({bits | key: add(v, multiple) for bits, v in entries})
-        for e in range(M):
+        for e in range(steps):
             exp_packed[e] = x
             s = low[x & low_mask] + high[x >> shift]
             x = s - (((s + bias) & tops) >> top_bit) * p
-            if x == 1:
-                break
-    if e != M - 1 or x != 1:
-        raise InternalInconsistency("generator walk did not return to 1 at step M")
+    if x != pack(top.pow(gen, steps)):
+        raise InternalInconsistency("generator walk did not end at gen**(m*L)")
     return exp_packed
 
 
 def _find_generator(top, q):
-    """First element of index >= q that generates the multiplicative group.
-
-    Indices below q are the constants F_q, whose orders divide q - 1, so no
-    generator lies there (the top field is a proper extension).
-    """
-    M = top.order - 1
-    cofactors = [M // prime for prime in numtheory.factorize(M)]
-    for i in range(q, top.order):
+    """First generator of top*, from index q (past the constants) or, in F_q, from 1."""
+    for i in range(q if top.degree > 1 else 1, top.order):
         g = top.element(i)
-        if all(top.pow(g, cf) != top.one for cf in cofactors):
+        if _generates(top, g):
             return g
     raise InternalInconsistency("no multiplicative generator found")
+
+
+def _generates(top, g) -> bool:
+    """g has order M = |top*|: g**(M/l) != 1 for every prime l | M."""
+    M = top.order - 1
+    return all(top.pow(g, M // prime) != top.one for prime in numtheory.factorize(M))

@@ -161,9 +161,11 @@ def _widened(index, p, width):
 
 
 def test_power_table_holds_the_generator_powers():
-    # (q, n, field width): odd N = n*m at (2, 15), 16- and 32-bit fields last
-    for q, n, width in [(2, 7, 1), (2, 15, 1), (4, 5, 1), (16, 3, 1), (512, 2, 1),
-                        (3, 7, 8), (9, 4, 8), (27, 3, 8), (23, 3, 16), (509, 2, 32)]:
+    # (q, n, field width): odd N = n*m at (2, 15), 16- and 32-bit fields last;
+    # n = 1 at (251, 1) needs 16 bits, since the fieldwise sum needs p <= 2**7
+    for q, n, width in [(2, 7, 1), (2, 15, 1), (4, 5, 1), (16, 3, 1), (512, 2, 1), (4, 1, 1),
+                        (3, 7, 8), (9, 4, 8), (27, 3, 8), (23, 3, 16), (509, 2, 32),
+                        (251, 1, 16)]:
         tower = galois.build_tower(q, n)
         top, p = tower.top, tower.prime.order
         M = top.order - 1
@@ -172,11 +174,12 @@ def test_power_table_holds_the_generator_powers():
         assert all(top.pow(gen, M // prime) != top.one for prime in numtheory.factorize(M))
         assert oracle._field_width(tower) == width
         table = oracle._power_table(tower)
-        assert len(table) == M
-        stride = 1 if M < 5000 else M // 1000
+        # gen**e for e < m*L: the conjugates mod L and their m scaled copies
+        assert len(table) == tower.mid_modulus.degree * M // (q - 1)
+        stride = 1 if len(table) < 5000 else len(table) // 1000
         step = top.pow(gen, stride)
         power = top.one
-        for e in range(0, M, stride):
+        for e in range(0, len(table), stride):
             assert table[e] == _widened(top.index(power), p, width), (q, n, e)
             power = top.mul(power, step)
 
@@ -195,13 +198,32 @@ def test_power_table_refuses_a_non_generator(monkeypatch):
                 oracle._power_table(tower)
 
 
+def test_power_table_refuses_fields_too_narrow_for_the_walk(monkeypatch):
+    # 8-bit fields cannot hold the fieldwise sum mod 131 (it needs p <= 128)
+    monkeypatch.setattr(oracle, "_field_width", lambda tower: 8)
+    with pytest.raises(InternalInconsistency):
+        oracle._power_table(galois.build_tower(131, 2))
+
+
+def test_power_table_checks_the_walk_end_against_the_tower(monkeypatch):
+    # the walk's last value is compared with gen**(m*L) taken in the tower
+    tower = galois.build_tower(4, 3)
+    steps = 2 * (4**3 - 1) // 3  # m*L, not a cofactor M/l of the generator test
+    tower_pow = tower.top.pow
+    monkeypatch.setattr(
+        tower.top, "pow", lambda a, e: tower_pow(a, e + 1 if e == steps else e)
+    )
+    with pytest.raises(InternalInconsistency, match="did not end"):
+        oracle._power_table(tower)
+
+
 @pytest.mark.parametrize("q,n", [(4, 3), (9, 2)])  # both ranks: p = 2 and odd p
 def test_dependent_scaled_copies_are_refused(monkeypatch, q, n):
     power_table = oracle._power_table
 
     def folded(tower):  # gen**(e + L) reads as gen**e, so beta * alpha as alpha
         table = power_table(tower)
-        L = len(table) // (q - 1)
+        L = (q**n - 1) // (q - 1)
         return [table[e % L] for e in range(len(table))]
 
     monkeypatch.setattr(oracle, "_power_table", folded)
@@ -235,7 +257,8 @@ def test_brute_force_matches_formulas_property(field):
 
 
 def test_n_equals_one_distribution():
-    for q in (2, 3, 4, 9, 25, 49):
+    # 131 and 251 are 8-bit primes above 128: their fields must be 16 bits wide
+    for q in (2, 3, 4, 9, 25, 49, 131, 251):
         dist = oracle.brute_force_distribution(q, 1)
         assert dist.counts == (q - 1, 1)
 
@@ -246,6 +269,15 @@ def test_n_equals_one_is_swept_by_the_definition():
     elapsed = time.perf_counter() - t0
     assert dist.counts == (65536, 1)
     assert elapsed < 1.0
+
+
+def test_large_prime_field_sweeps_only_the_lines():
+    # F_{2039^2} has 2040 lines over F_2039: the table holds 2040 powers, not 2039**2 - 1
+    t0 = time.perf_counter()
+    dist = oracle.brute_force_distribution(2039, 2)
+    elapsed = time.perf_counter() - t0
+    assert dist == counting.distribution(2039, 2)
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("q,n", [(4, 4), (9, 3), (27, 2)])  # m = 2, 2, 3
