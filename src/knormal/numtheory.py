@@ -4,11 +4,13 @@ Everything works on plain Python ints, so quantities like q**r - 1 are exact
 at any size.  Structural inputs (n, moduli, orders) are expected to stay
 below MAX_N; `factorize` uses trial division, which is fine in that range,
 and only `factorize` does.  A prime power q = p**m of any size is split by
-exact integer roots, and p is tested by Miller-Rabin to the first 13 prime
-bases, which decides primality exactly below MR_BOUND (about 3.3e24;
-Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
-Comp. 2017).  A candidate prime at or above the bound is refused rather
-than guessed.
+exact integer roots, and p is tested by Miller-Rabin to the first t prime
+bases, the fewest that decide primality exactly at the size of p: t runs
+from 1 below 2047 to 13 below MR_BOUND (about 3.3e24), by the least strong
+pseudoprimes psi_t to the first t prime bases (Pomerance, Selfridge and
+Wagstaff 1980; Jaeschke 1993; Jiang and Deng 2014; Sorenson and Webster,
+"Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).  A
+candidate prime at or above the bound is refused rather than guessed.
 """
 
 import math
@@ -21,6 +23,22 @@ MAX_N = 10**6
 # Strong probable primes to all of these bases are prime below MR_BOUND.
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3317044064679887385961981
+
+# (psi_t, t): psi_t is the least strong pseudoprime to the first t bases, so
+# below it those t bases decide primality.  A t is left out where psi_t
+# equals the psi of a larger t (psi_8 = psi_7, psi_10 = psi_11 = psi_9).
+MR_PREFIXES = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (MR_BOUND, 13),
+)
 
 
 def factorize(x: int) -> dict[int, int]:
@@ -47,7 +65,9 @@ def is_prime(x: int) -> bool:
     """Deterministic primality test; raises InputTooLarge at or above MR_BOUND.
 
     Division by the bases settles every x with a factor below 42, so only
-    a candidate with no small factor is refused, never guessed.
+    a candidate with no small factor is refused, never guessed.  The rest
+    are tested to the shortest prefix of the bases that MR_PREFIXES proves
+    exact for x.
     """
     if x < 2:
         return False
@@ -59,11 +79,12 @@ def is_prime(x: int) -> bool:
             f"{x.bit_length()}-bit prime candidate is beyond the proven"
             " primality bound 3.3e24"
         )
+    count = next(t for psi, t in MR_PREFIXES if x < psi)
     odd, twos = x - 1, 0
     while odd % 2 == 0:
         odd //= 2
         twos += 1
-    for base in MR_BASES:
+    for base in MR_BASES[:count]:
         y = pow(base, odd, x)
         if y == 1 or y == x - 1:
             continue

@@ -273,7 +273,7 @@ def _power_table(tower: galois.TowerField) -> list[int]:
     coords = tower.n * m
     width = _field_width(tower)
     gen = _find_generator(top, tower.q)
-    if not _generates(top, gen):
+    if not galois.generates(top, gen, numtheory.factorize(top.order - 1)):
         raise InternalInconsistency("the walk's multiplier does not generate F_{q^n}*")
 
     def pack(y):
@@ -336,14 +336,4 @@ def _power_table(tower: galois.TowerField) -> list[int]:
 
 def _find_generator(top, q):
     """First generator of top*, from index q (past the constants) or, in F_q, from 1."""
-    for i in range(q if top.degree > 1 else 1, top.order):
-        g = top.element(i)
-        if _generates(top, g):
-            return g
-    raise InternalInconsistency("no multiplicative generator found")
-
-
-def _generates(top, g) -> bool:
-    """g has order M = |top*|: g**(M/l) != 1 for every prime l | M."""
-    M = top.order - 1
-    return all(top.pow(g, M // prime) != top.one for prime in numtheory.factorize(M))
+    return galois.find_generator(top, q if top.degree > 1 else 1)

@@ -1,12 +1,20 @@
 """Field towers and polynomial arithmetic, checked against brute references."""
 
 import itertools
+import random
 import time
 
 import pytest
 
-from knormal import galois, oracle
-from knormal.errors import ArgumentOutOfRange
+from knormal import galois, numtheory, oracle
+from knormal.errors import ArgumentOutOfRange, InternalInconsistency
+
+
+def tuple_field(q):
+    """F_q = F_p[u]/(g) as the tuple ExtensionField, g the first irreducible."""
+    p, m = numtheory.prime_power_decompose(q)
+    prime = galois.PrimeField(p)
+    return galois.ExtensionField(prime, galois.find_irreducible(prime, m))
 
 
 def all_monic(field, degree):
@@ -55,8 +63,7 @@ def test_extension_field_f4_tables():
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
 def test_extension_field_axioms(q):
-    tower = galois.build_tower(q, 1)
-    field = tower.mid
+    field = tuple_field(q)
     elems = [field.element(i) for i in range(field.order)]
     for a in elems:
         assert field.add(a, field.zero) == a
@@ -69,6 +76,67 @@ def test_extension_field_axioms(q):
     for a, b, c in itertools.product(elems[: min(6, len(elems))], repeat=3):
         assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
         assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 243, 512])
+def test_tabulated_field_matches_the_tuple_field(q):
+    field = tuple_field(q)
+    table = galois.TabulatedField(field)
+    assert (table.order, table.zero, table.one) == (q, 0, 1)
+
+    def index(op, *indices):
+        return field.index(op(*(field.element(i) for i in indices)))
+
+    if q <= 27:
+        pairs = list(itertools.product(range(q), repeat=2))
+    else:
+        # zero, equal and opposite operands, then a fixed random sample
+        rng = random.Random(q)
+        pairs = [(0, i) for i in range(q)] + [(i, 0) for i in range(q)]
+        pairs += [(i, i) for i in range(q)] + [(i, index(field.neg, i)) for i in range(q)]
+        pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for a, b in pairs:
+        assert table.add(a, b) == index(field.add, a, b), (a, b)
+        assert table.sub(a, b) == index(field.sub, a, b), (a, b)
+        assert table.mul(a, b) == index(field.mul, a, b), (a, b)
+    for a in range(q):
+        assert table.neg(a) == index(field.neg, a), a
+        if a:
+            assert table.inv(a) == index(field.inv, a), a
+        for e in (0, 1, 2, 5, q - 1, q, 2 * q + 3):
+            assert table.pow(a, e) == field.index(field.pow(field.element(a), e)), (a, e)
+        assert table.element(a) == table.index(a) == a
+    with pytest.raises(ZeroDivisionError):
+        table.inv(0)
+    with pytest.raises(ValueError):
+        table.element(q)
+
+
+def test_tabulated_field_refuses_a_non_generator(monkeypatch):
+    # u^3 has order 5 in F_16 = F_2[u]/(u^4 + u + 1), so its walk misses F_16*
+    field = tuple_field(16)
+    monkeypatch.setattr(galois, "find_generator", lambda field, start: field.element(8))
+    with pytest.raises(InternalInconsistency, match="do not cover"):
+        galois.TabulatedField(field)
+
+
+@pytest.mark.parametrize(
+    "q,n,modulus_index",
+    [(4, 2, 0), (4, 5, 1), (8, 3, 2), (9, 2, 1), (9, 4, 0), (16, 3, 1), (25, 2, 3),
+     (27, 2, 0), (27, 3, 1), (49, 2, 2), (64, 2, 5), (81, 2, 1), (243, 2, 0), (512, 2, 1)],
+)
+def test_tabulated_mid_keeps_the_tower(monkeypatch, q, n, modulus_index):
+    # same top modulus (as indices) and the same packed power table as over tuples
+    tabulated = galois.TowerField(q, n, modulus_index)
+    assert isinstance(tabulated.mid, galois.TabulatedField)
+    monkeypatch.setattr(galois, "TabulatedField", lambda field: field)
+    plain = galois.TowerField(q, n, modulus_index)
+    assert isinstance(plain.mid, galois.ExtensionField)
+    assert tabulated.mid_modulus.coeffs == plain.mid_modulus.coeffs
+    assert [tabulated.mid.index(c) for c in tabulated.top_modulus.coeffs] == [
+        plain.mid.index(c) for c in plain.top_modulus.coeffs
+    ]
+    assert oracle._power_table(tabulated) == oracle._power_table(plain)
 
 
 def test_field_pow_matches_repeated_mul():

@@ -95,6 +95,28 @@ def test_pseudoprimes_are_composite(x):
         numtheory.prime_power_decompose(x)
 
 
+@pytest.mark.parametrize("psi,t", numtheory.MR_PREFIXES)
+def test_each_prefix_bound_is_a_pseudoprime_to_its_prefix(psi, t):
+    # psi_t passes the t bases used below it, so is_prime must use more at psi_t
+    assert all(strong_probable_prime(psi, b) for b in numtheory.MR_BASES[:t])
+    if psi < numtheory.MR_BOUND:
+        assert not numtheory.is_prime(psi)
+        with pytest.raises(NotPrimePower):
+            numtheory.prime_power_decompose(psi)
+
+
+def test_is_prime_matches_a_sieve_below_a_million():
+    limit = 10**6
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for f in range(2, math.isqrt(limit) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = bytes(len(range(f * f, limit, f)))
+    assert [x for x in range(limit) if numtheory.is_prime(x)] == [
+        x for x in range(limit) if sieve[x]
+    ]
+
+
 def test_only_the_thirteenth_base_catches_the_last_pseudoprime():
     x = PSEUDOPRIMES[-1]
     assert x < numtheory.MR_BOUND

@@ -271,6 +271,18 @@ def test_n_equals_one_is_swept_by_the_definition():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("q", [2**16, 3**10])
+def test_n_equals_one_leaves_f_q_untabulated(q):
+    # tables for F_q cost O(q), over a second here, and a sweep at n = 1 needs
+    # only a handful of F_q operations
+    galois.build_tower.cache_clear()
+    t0 = time.perf_counter()
+    dist = oracle.brute_force_distribution(q, 1)
+    elapsed = time.perf_counter() - t0
+    assert dist.counts == (q - 1, 1)
+    assert elapsed < 0.5
+
+
 def test_large_prime_field_sweeps_only_the_lines():
     # F_{2039^2} has 2040 lines over F_2039: the table holds 2040 powers, not 2039**2 - 1
     t0 = time.perf_counter()
