@@ -1,8 +1,8 @@
 """Trust, but verify: sweeping an actual field element by element.
 
 The formulas never touch a field element.  The oracle does nothing but:
-it builds F_p -> F_q -> F_{q^n} with deterministically chosen moduli and
-buckets every alpha by the codimension of the F_q-span of its conjugates.
+it builds F_{q^n} = F_p[x]/(f) with a deterministically chosen modulus f
+and buckets every alpha by the codimension of the F_q-span of its conjugates.
 The same defect is deg gcd(x^n - 1, g_alpha), shown below for one element.
 If formulas and sweep disagree anywhere, something is broken.
 """
@@ -22,10 +22,10 @@ print("brute force:", brute.counts)
 print("formulas:   ", fast.counts)
 assert brute == fast
 
-# Under the hood: the tower and one element's conjugate polynomial.
+# Under the hood: the field, its generator and one element's conjugate polynomial.
 tower = build_tower(3, 4)
-print("mid modulus: ", tower.mid_modulus)
-print("top modulus: ", tower.top_modulus)
+print("modulus:   ", tower.top_modulus)
+print("generator: ", tower.gen)
 top = tower.top
 alpha = top.element(5)
 conjugates = [alpha]  # alpha, alpha^q, ..., alpha^(q^(n-1))
@@ -41,7 +41,7 @@ print("element 5 has defect", defect)
 other = brute_force_distribution(3, 4, modulus_index=1)
 assert other == brute
 assert build_tower(3, 4, 1).top_modulus != tower.top_modulus
-print("same distribution under a different top modulus")
+print("same distribution under a different modulus")
 
 # The sweep refuses huge fields unless the guard is raised explicitly.
 try:

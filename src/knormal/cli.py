@@ -200,13 +200,14 @@ def cmd_verify(args) -> int:
         )
     if args.modulus_trials > 1 and args.oracle in ("brute", "all"):
         # Refuse before any sweep, not after the sweeps of the moduli that exist.
-        spectrum.derive_params(args.q, args.n)  # q a prime power, n >= 1
-        moduli = galois.irreducible_count(args.q, args.n)
+        params = spectrum.derive_params(args.q, args.n)  # q a prime power, n >= 1
+        degree = args.n * params.m  # the sweep's field is F_p[x]/(f), deg f = n*m
+        moduli = galois.irreducible_count(params.p, degree)
         if args.modulus_trials > moduli:
             raise ArgumentOutOfRange(
                 f"--modulus-trials {args.modulus_trials} asks for more moduli"
                 f" than exist: fewer than {moduli + 1} monic irreducibles of degree"
-                f" {args.n} over F_{args.q}"
+                f" {degree} over F_{params.p}"
             )
     checks = _run_checks(
         args.q, args.n, args.oracle, args.max_brute, args.modulus_trials

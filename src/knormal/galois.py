@@ -1,23 +1,16 @@
-"""Finite-field towers and dense polynomial arithmetic.
+"""Finite fields and dense polynomial arithmetic.
 
 The ground-truth classifier needs honest field arithmetic: a prime field
-F_p, an extension F_q = F_p[u]/(g), a top extension F_{q^n} = F_q[v]/(h),
-polynomials over any of these, and a Euclidean gcd.  Fields stay small (the
-classifier refuses anything past its guard), so the code favors clarity
-over asymptotics: prime-field elements are ints in [0, p), elements of an
-`ExtensionField` are tuples of subfield elements (constant coefficient
-first), and polynomials are trimmed coefficient tuples.
-
-The exception is the middle field of a `TowerField`: F_q with q = p**m,
-m > 1 and n >= 2 is a `TabulatedField`, whose elements are their indices
-in the tuple field, ints in [0, q), with exp/log and Zech tables built once
-from that field's own arithmetic.  An index is the same int in both codings,
-so `top.index`, `top.element`, the scan order and every modulus found are
-the same bit for bit; only the cost of each F_q operation changes, from a
-tuple product and remainder to a few list lookups.
+F_p, an extension F_p[x]/(f), polynomials over either, and a Euclidean gcd.
+Fields stay small (the classifier refuses anything past its guard), so the
+code favors clarity over asymptotics: prime-field elements are ints in
+[0, p), elements of an `ExtensionField` are tuples of base-field elements
+(constant coefficient first), and polynomials are trimmed coefficient
+tuples.  An extension may sit over another extension; the classifier's
+F_{q^n} sits over F_p directly (`TowerField`).
 
 Moduli are found by a deterministic scan in ascending coefficient order, so
-every run of every process builds the identical tower for given (q, n).
+every run of every process builds the identical field for given (q, n).
 Every modulus is monic, and division takes a leading coefficient of 1 as
 it is, so reduction by a modulus never inverts.
 """
@@ -144,110 +137,6 @@ class ExtensionField:
 
     def __repr__(self):
         return f"ExtensionField(order={self.order})"
-
-
-class TabulatedField:
-    """F_q = F_p[u]/(g) with each element coded as its index in `field`, an int in [0, q).
-
-    One walk of a generator's powers in the tuple field fills exp and log,
-    which give mul, inv and pow.  In characteristic 2 an index is the F_2
-    coordinate vector in bits, so add and sub are XOR.  Otherwise Zech
-    logarithms zech[d] = log(1 + gen**d) give add and sub, with -1 at the
-    one d where 1 + gen**d = 0, d = (q-1)/2, so that -b = gen**(log b + d).
-    exp and zech are stored twice over, so that a sum of two logs, or a
-    difference of two (as a negative list index), needs no reduction.
-    Every table holds O(q) entries.
-    """
-
-    def __init__(self, field: ExtensionField):
-        q = field.order
-        units = q - 1
-        gen = find_generator(field, field.base.order)
-        exp = [0] * (2 * units)
-        log = [0] * q  # log[0] is never read: zero is tested first
-        x = field.one
-        for e in range(units):
-            i = field.index(x)
-            exp[e] = exp[e + units] = i
-            log[i] = e
-            x = field.mul(x, gen)
-        if sorted(exp[:units]) != list(range(1, q)):
-            raise InternalInconsistency("the generator's powers do not cover F_q*")
-        self.order = q
-        self.zero = 0
-        self.one = 1
-        self._units = units
-        self._exp = exp
-        self._log = log
-        self._half = units // 2
-        self._zech = None
-        if field.base.order != 2:
-            zech = [-1] * units
-            for d in range(units):
-                s = field.add(field.one, field.element(exp[d]))
-                if s != field.zero:
-                    zech[d] = log[field.index(s)]
-            self._zech = zech * 2
-
-    def add(self, a, b):
-        zech = self._zech
-        if zech is None:
-            return a ^ b
-        if not a:
-            return b
-        if not b:
-            return a
-        la = self._log[a]
-        z = zech[self._log[b] - la]
-        return self._exp[la + z] if z >= 0 else 0
-
-    def sub(self, a, b):
-        zech = self._zech
-        if zech is None:
-            return a ^ b
-        if not b:
-            return a
-        lb = self._log[b] + self._half  # log of -b
-        if not a:
-            return self._exp[lb]
-        la = self._log[a]
-        z = zech[lb - la]
-        return self._exp[la + z] if z >= 0 else 0
-
-    def neg(self, a):
-        if self._zech is None or not a:
-            return a
-        return self._exp[self._log[a] + self._half]
-
-    def mul(self, a, b):
-        if a and b:
-            return self._exp[self._log[a] + self._log[b]]
-        return 0
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return self._exp[self._units - self._log[a]]
-
-    def pow(self, a, e: int):
-        if e < 0:
-            raise ValueError("negative exponents are not supported")
-        if e == 0:
-            return 1
-        if not a:
-            return 0
-        return self._exp[self._log[a] * e % self._units]
-
-    def index(self, a) -> int:
-        return a
-
-    def element(self, i: int):
-        if not 0 <= i < self.order:
-            raise ValueError(f"element index {i} out of range")
-        return i
-
-    def __repr__(self):
-        return f"TabulatedField(order={self.order})"
 
 
 def find_generator(field, start: int):
@@ -482,15 +371,16 @@ def find_irreducible(field, degree: int, index: int = 0):
 
 
 class TowerField:
-    """The tower F_p -> F_q = F_p[u]/(g) -> F_{q^n} = F_q[v]/(h).
+    """F_{q^n} = F_p[x]/(f) for q = p**m, flat over the prime field.
 
-    Both moduli come from the deterministic irreducible scan;
-    `modulus_index` picks a later hit for the top modulus so callers can
-    check that counts do not depend on the field representation.  F_q is a
-    `TabulatedField` when m > 1 and n >= 2, and the tuple `ExtensionField`
-    otherwise: its tables cost O(q) tuple operations, which a tower with
-    n = 1, whose whole sweep takes a handful of F_q operations, never
-    repays.  The top field and both moduli are the same either way.
+    f is a monic irreducible of degree n*m over F_p from the deterministic
+    scan; `modulus_index` picks a later hit so callers can check that counts
+    do not depend on the field representation.  F_q is the subfield fixed
+    by x -> x**q, and the classifier reaches it through powers of `gen`, so
+    the field carries no F_q coordinates.  `gen` is the first generator of
+    F_{q^n}*, scanned from index p, past the constants (from 1 when
+    n*m = 1), and found here once, so that a cached field never searches
+    again.
     """
 
     def __init__(self, q: int, n: int, modulus_index: int = 0):
@@ -498,25 +388,15 @@ class TowerField:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         prime = PrimeField(p)
-        if m == 1:
-            mid = prime
-            mid_modulus = find_irreducible(prime, 1)
-        else:
-            mid_modulus = find_irreducible(prime, m)
-            mid = ExtensionField(prime, mid_modulus)
-            if n >= 2:
-                mid = TabulatedField(mid)
-        top_modulus = find_irreducible(mid, n, index=modulus_index)
-        top = ExtensionField(mid, top_modulus)
-        if mid.order != q or top.order != q**n:
-            raise InternalInconsistency("tower cardinalities do not match q, q**n")
+        top_modulus = find_irreducible(prime, n * m, index=modulus_index)
+        top = ExtensionField(prime, top_modulus)
         self.q = q
         self.n = n
+        self.m = m
         self.prime = prime
-        self.mid = mid
         self.top = top
-        self.mid_modulus = mid_modulus
         self.top_modulus = top_modulus
+        self.gen = find_generator(top, p if n * m > 1 else 1)
 
     def __repr__(self):
         return f"TowerField(q={self.q}, n={self.n})"
@@ -524,5 +404,5 @@ class TowerField:
 
 @lru_cache(maxsize=None)
 def build_tower(q: int, n: int, modulus_index: int = 0) -> TowerField:
-    """Shared TowerField instances; construction scans for moduli."""
+    """Shared TowerField instances; construction scans for the modulus and the generator."""
     return TowerField(q, n, modulus_index)

@@ -2,8 +2,11 @@
 
 ``brute_force_distribution`` walks all of F_{q^n} and buckets every element
 alpha by k = n - dim span_{F_q}(alpha, alpha**q, ..., alpha**(q**(n-1))),
-the definition of k-normality.  Three facts keep full sweeps up to 2**22
-elements feasible, none of which borrows anything from the counting side:
+the definition of k-normality.  The field is F_p[x]/(f), f of degree
+n*m for q = p**m (``galois.TowerField``), with no F_q coordinates: F_q*
+is generated by beta = gen**L, and x -> x**q is exponent arithmetic.
+Three facts keep full sweeps up to 2**22 elements feasible, none of which
+borrows anything from the counting side:
 
 * elements are packed ints in an exp table, entry e holding gen**e for one
   fixed generator, with each F_p coordinate in its own bit field (one bit
@@ -30,9 +33,9 @@ elements feasible, none of which borrows anything from the counting side:
   first conjugate already inside it.
 
 The equivalent gcd form, k = deg gcd(x**n - 1, g_alpha), is not computed
-here.  The tests take it element by element on a flat model F_p[x]/(f)
-of F_{q^n}, which shares no modulus with the tower, and assert that the
-sweep matches it.
+here.  The tests take it element by element on F_p[x]/(f') for a second
+modulus f' of the same degree wherever one exists, so that it shares no
+representation with the sweep's field, and assert that the sweep matches it.
 
 ``cyclotomic_cosets`` gives the orbit sizes of Z/n0 under multiplication by
 q, an independent route to the factor-degree pattern of x**n0 - 1.
@@ -98,7 +101,7 @@ def _classify_by_classes(tower: galois.TowerField) -> list[int]:
     """F_q-rank of the conjugates once per class under F_q* and x -> x**p, weighted by size."""
     n, q, p = tower.n, tower.q, tower.prime.order
     exp_packed = _power_table(tower)
-    L = len(exp_packed) // tower.mid_modulus.degree
+    L = len(exp_packed) // tower.m
     if p == 2:
         rank = _rank_char2(tower, exp_packed)
     else:
@@ -121,7 +124,7 @@ def _rank_char2(tower, exp_packed):
     and the early stop.
     """
     n, q = tower.n, tower.q
-    L = len(exp_packed) // tower.mid_modulus.degree
+    L = len(exp_packed) // tower.m
     offsets = _scalar_offsets(tower, L)
     N = n * len(offsets)
 
@@ -166,7 +169,7 @@ def _rank_odd(tower, exp_packed):
     Frobenius-invariant.
     """
     n, q, p = tower.n, tower.q, tower.prime.order
-    L = len(exp_packed) // tower.mid_modulus.degree
+    L = len(exp_packed) // tower.m
     offsets = _scalar_offsets(tower, L)
     digits_total = n * len(offsets)
     width = _field_width(tower)
@@ -229,7 +232,7 @@ def _rank_odd(tower, exp_packed):
 
 def _scalar_offsets(tower, L):
     """Exponent offsets j*L, j < m, of the copies beta**j * alpha."""
-    return [j * L for j in range(tower.mid_modulus.degree)]
+    return [j * L for j in range(tower.m)]
 
 
 def _field_width(tower) -> int:
@@ -245,7 +248,7 @@ def _field_width(tower) -> int:
     p = tower.prime.order
     if p == 2:
         return 1
-    coords = max(2, tower.n * tower.mid_modulus.degree)
+    coords = max(2, tower.n * tower.m)
     width = 8
     while (p - 1) + (coords - 1) * (p - 1) ** 2 >= 1 << width:
         width *= 2
@@ -258,31 +261,25 @@ def _power_table(tower: galois.TowerField) -> list[int]:
     These are the entries the ranks read, L = (q**n - 1)/(q - 1) being the
     size of F_{q^n}*/F_q* (see the module docstring).
 
-    The base-p digits of ``top.index`` are the N = n*m F_p coordinates;
-    packing puts coordinate k in bit field k of ``_field_width`` bits.
+    The N = n*m coefficients of an element of F_p[x]/(f) are its F_p
+    coordinates; packing puts coefficient k in bit field k of
+    ``_field_width`` bits.
     Multiplication by gen is F_p-linear, so one step of the walk looks up
     the images of the low and the high half of the coordinates, each table
     holding at most p**ceil(N/2) entries, and adds them.
 
     The walk is checked twice: gen must generate F_{q^n}*, and the value
-    after its last step must be gen**(m*L) as computed in the tower.
+    after its last step must be gen**(m*L) as computed in the field.
     """
-    top, p = tower.top, tower.prime.order
-    m = tower.mid_modulus.degree
+    top, p, m, gen = tower.top, tower.prime.order, tower.m, tower.gen
     steps = m * ((top.order - 1) // (tower.q - 1))
     coords = tower.n * m
     width = _field_width(tower)
-    gen = _find_generator(top, tower.q)
     if not galois.generates(top, gen, numtheory.factorize(top.order - 1)):
         raise InternalInconsistency("the walk's multiplier does not generate F_{q^n}*")
 
     def pack(y):
-        i, v, shift = top.index(y), 0, 0
-        while i:
-            i, d = divmod(i, p)
-            v |= d << shift
-            shift += width
-        return v
+        return sum(c << k * width for k, c in enumerate(y))
 
     images = [pack(top.mul(gen, top.element(p**k))) for k in range(coords)]
     half = (coords + 1) // 2
@@ -332,8 +329,3 @@ def _power_table(tower: galois.TowerField) -> list[int]:
     if x != pack(top.pow(gen, steps)):
         raise InternalInconsistency("generator walk did not end at gen**(m*L)")
     return exp_packed
-
-
-def _find_generator(top, q):
-    """First generator of top*, from index q (past the constants) or, in F_q, from 1."""
-    return galois.find_generator(top, q if top.degree > 1 else 1)

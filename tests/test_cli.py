@@ -310,24 +310,26 @@ def test_verify_refuses_more_trials_than_moduli(capsys):
 
 
 def test_verify_refuses_excess_trials_before_any_sweep(capsys, monkeypatch):
-    # 6 monic irreducible quadratics exist over F_4: (4**2 - 4) / 2
+    # F_{4^2} is swept as F_2[x]/(f) with deg f = 4, and only 3 such f exist:
+    # x^4+x+1, x^4+x^3+1 and x^4+x^3+x^2+x+1 (not the 6 quadratics over F_4)
     sweeps = []
     real = oracle.brute_force_distribution
     monkeypatch.setattr(
         oracle, "brute_force_distribution",
         lambda *args, **kw: sweeps.append(args) or real(*args, **kw),
     )
-    code, out, err = run(capsys, "verify", "--q", "4", "--n", "2",
-                         "--modulus-trials", "7")
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert "fewer than 7 monic irreducibles" in err
+    for trials in ("7", "4"):
+        code, out, err = run(capsys, "verify", "--q", "4", "--n", "2",
+                             "--modulus-trials", trials)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "fewer than 4 monic irreducibles of degree 4 over F_2" in err
     assert sweeps == []
     # every existing modulus is still accepted
-    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "3", "--modulus-trials", "2")
+    code, out, _ = run(capsys, "verify", "--q", "4", "--n", "2", "--modulus-trials", "3")
     assert code == 0
-    assert len(sweeps) == 2
+    assert len(sweeps) == 3
 
 
 def test_verify_fails_when_no_check_ran(capsys, monkeypatch):

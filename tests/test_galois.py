@@ -1,13 +1,12 @@
 """Field towers and polynomial arithmetic, checked against brute references."""
 
 import itertools
-import random
 import time
 
 import pytest
 
 from knormal import galois, numtheory, oracle
-from knormal.errors import ArgumentOutOfRange, InternalInconsistency
+from knormal.errors import ArgumentOutOfRange
 
 
 def tuple_field(q):
@@ -50,7 +49,7 @@ def test_prime_field_ops():
 
 
 def test_extension_field_f4_tables():
-    # mid is F_2 here; check the top field F_4 built over it
+    # F_4 = F_2[x]/(x^2 + x + 1), the only quadratic modulus over F_2
     tower = galois.build_tower(2, 2)
     f4 = tower.top
     zero, one = f4.zero, f4.one
@@ -76,67 +75,6 @@ def test_extension_field_axioms(q):
     for a, b, c in itertools.product(elems[: min(6, len(elems))], repeat=3):
         assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
         assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
-
-
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 243, 512])
-def test_tabulated_field_matches_the_tuple_field(q):
-    field = tuple_field(q)
-    table = galois.TabulatedField(field)
-    assert (table.order, table.zero, table.one) == (q, 0, 1)
-
-    def index(op, *indices):
-        return field.index(op(*(field.element(i) for i in indices)))
-
-    if q <= 27:
-        pairs = list(itertools.product(range(q), repeat=2))
-    else:
-        # zero, equal and opposite operands, then a fixed random sample
-        rng = random.Random(q)
-        pairs = [(0, i) for i in range(q)] + [(i, 0) for i in range(q)]
-        pairs += [(i, i) for i in range(q)] + [(i, index(field.neg, i)) for i in range(q)]
-        pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
-    for a, b in pairs:
-        assert table.add(a, b) == index(field.add, a, b), (a, b)
-        assert table.sub(a, b) == index(field.sub, a, b), (a, b)
-        assert table.mul(a, b) == index(field.mul, a, b), (a, b)
-    for a in range(q):
-        assert table.neg(a) == index(field.neg, a), a
-        if a:
-            assert table.inv(a) == index(field.inv, a), a
-        for e in (0, 1, 2, 5, q - 1, q, 2 * q + 3):
-            assert table.pow(a, e) == field.index(field.pow(field.element(a), e)), (a, e)
-        assert table.element(a) == table.index(a) == a
-    with pytest.raises(ZeroDivisionError):
-        table.inv(0)
-    with pytest.raises(ValueError):
-        table.element(q)
-
-
-def test_tabulated_field_refuses_a_non_generator(monkeypatch):
-    # u^3 has order 5 in F_16 = F_2[u]/(u^4 + u + 1), so its walk misses F_16*
-    field = tuple_field(16)
-    monkeypatch.setattr(galois, "find_generator", lambda field, start: field.element(8))
-    with pytest.raises(InternalInconsistency, match="do not cover"):
-        galois.TabulatedField(field)
-
-
-@pytest.mark.parametrize(
-    "q,n,modulus_index",
-    [(4, 2, 0), (4, 5, 1), (8, 3, 2), (9, 2, 1), (9, 4, 0), (16, 3, 1), (25, 2, 3),
-     (27, 2, 0), (27, 3, 1), (49, 2, 2), (64, 2, 5), (81, 2, 1), (243, 2, 0), (512, 2, 1)],
-)
-def test_tabulated_mid_keeps_the_tower(monkeypatch, q, n, modulus_index):
-    # same top modulus (as indices) and the same packed power table as over tuples
-    tabulated = galois.TowerField(q, n, modulus_index)
-    assert isinstance(tabulated.mid, galois.TabulatedField)
-    monkeypatch.setattr(galois, "TabulatedField", lambda field: field)
-    plain = galois.TowerField(q, n, modulus_index)
-    assert isinstance(plain.mid, galois.ExtensionField)
-    assert tabulated.mid_modulus.coeffs == plain.mid_modulus.coeffs
-    assert [tabulated.mid.index(c) for c in tabulated.top_modulus.coeffs] == [
-        plain.mid.index(c) for c in plain.top_modulus.coeffs
-    ]
-    assert oracle._power_table(tabulated) == oracle._power_table(plain)
 
 
 def test_field_pow_matches_repeated_mul():
@@ -233,8 +171,7 @@ def test_is_irreducible_matches_brute(p, max_degree):
 
 
 def test_is_irreducible_over_extension():
-    tower = galois.build_tower(4, 1)
-    f4 = tower.mid
+    f4 = tuple_field(4)
     for poly in all_monic(f4, 2):
         assert galois.is_irreducible(poly) == brute_irreducible(poly)
 
@@ -263,14 +200,14 @@ def test_poly_divmod_property():
 
 
 def test_division_by_a_monic_poly_never_inverts(monkeypatch):
-    mid = galois.build_tower(9, 1).mid
+    f9 = tuple_field(9)
 
     def refuse(a):
         raise AssertionError("a leading coefficient of 1 was inverted")
 
-    monkeypatch.setattr(mid, "inv", refuse)
-    f = galois.Poly(mid, [mid.element(i) for i in (5, 0, 7, 1, 3, 8)])
-    g = galois.Poly(mid, [mid.element(i) for i in (2, 4)] + [mid.one])
+    monkeypatch.setattr(f9, "inv", refuse)
+    f = galois.Poly(f9, [f9.element(i) for i in (5, 0, 7, 1, 3, 8)])
+    g = galois.Poly(f9, [f9.element(i) for i in (2, 4)] + [f9.one])
     quot, rem = divmod(f, g)
     assert quot * g + rem == f
     assert rem.degree < g.degree
@@ -299,20 +236,26 @@ def test_poly_gcd_common_factor():
 
 
 def test_tower_structure():
-    tower = galois.build_tower(9, 2)
-    assert tower.prime.order == 3
-    assert tower.mid.order == 9
-    assert tower.top.order == 81
-    assert galois.is_irreducible(tower.mid_modulus)
-    assert galois.is_irreducible(tower.top_modulus)
-    assert tower.top_modulus.degree == 2
-    assert tower.top.element(0) == tower.top.zero
-
-
-def test_tower_prime_q_uses_prime_mid():
-    tower = galois.build_tower(7, 3)
-    assert tower.mid is tower.prime
-    assert tower.top.order == 343
+    # F_{q^n} = F_p[x]/(f) directly over the prime field, deg f = n*m, for
+    # prime q, for m > 1 and for n = 1
+    for q, n, p, m in [(9, 2, 3, 2), (7, 3, 7, 1), (8, 1, 2, 3), (5, 1, 5, 1), (16, 3, 2, 4)]:
+        tower = galois.build_tower(q, n)
+        assert (tower.q, tower.n, tower.m, tower.prime.order) == (q, n, m, p)
+        assert tower.top.base is tower.prime
+        assert tower.top.modulus is tower.top_modulus
+        assert tower.top_modulus.field is tower.prime
+        assert tower.top_modulus.degree == n * m
+        assert galois.is_irreducible(tower.top_modulus)
+        assert tower.top.order == q**n
+        assert tower.top.element(0) == tower.top.zero
+        # gen is the first generator past the constants
+        primes = numtheory.factorize(q**n - 1)
+        start = p if n * m > 1 else 1
+        first = tower.top.index(tower.gen)
+        assert first >= start and galois.generates(tower.top, tower.gen, primes)
+        assert not any(
+            galois.generates(tower.top, tower.top.element(i), primes) for i in range(start, first)
+        )
 
 
 def test_frobenius_iterate():

@@ -61,13 +61,25 @@ def _conjugates(top, q, n, alpha):
     return conjugates
 
 
-def _literal_rank_distribution(tower):
-    """n - rank of the conjugates, element by element, in generic arithmetic."""
-    top, q, n = tower.top, tower.q, tower.n
+def _two_level_field(q, n):
+    """(F_q, F_{q^n}) as F_q = F_p[u]/(g) and F_{q^n} = F_q[v]/(h), in tuples.
+
+    An element of F_{q^n} is its n coordinates over F_q, so a rank over F_q
+    is an elimination on them; the sweep's field has no such coordinates.
+    """
+    p, m = numtheory.prime_power_decompose(q)
+    prime = galois.PrimeField(p)
+    mid = prime if m == 1 else galois.ExtensionField(prime, galois.find_irreducible(prime, m))
+    return mid, galois.ExtensionField(mid, galois.find_irreducible(mid, n))
+
+
+def _literal_rank_distribution(q, n):
+    """n - rank over F_q of the conjugates, element by element, in generic arithmetic."""
+    mid, top = _two_level_field(q, n)
     counts = [0] * (n + 1)
     for i in range(top.order):
         conjugates = _conjugates(top, q, n, top.element(i))
-        counts[n - _rank_over(tower.mid, conjugates)] += 1
+        counts[n - _rank_over(mid, conjugates)] += 1
     return counts
 
 
@@ -81,12 +93,22 @@ def _xn_minus_one(top, n):
     return galois.Poly(top, (top.neg(top.one),) + (top.zero,) * (n - 1) + (top.one,))
 
 
-def _gcd_distribution(top, q, n):
+def _second_flat_field(q, n):
+    """F_{q^n} as F_p[x]/(f), f the second monic irreducible of degree n*m in
+    scan order wherever one exists; the sweep's field takes the first."""
+    p, m = numtheory.prime_power_decompose(q)
+    prime = galois.PrimeField(p)
+    index = 1 if galois.irreducible_count(p, n * m) > 1 else 0
+    return galois.ExtensionField(prime, galois.find_irreducible(prime, n * m, index))
+
+
+def _gcd_distribution(q, n):
     """deg gcd(x**n - 1, g_alpha) element by element, in generic arithmetic.
 
-    top is any representation of F_{q^n}; F_q enters only through
+    The field is ``_second_flat_field(q, n)``; F_q enters only through
     alpha -> alpha**q.
     """
+    top = _second_flat_field(q, n)
     target = _xn_minus_one(top, n)
     counts = [0] * (n + 1)
     for i in range(top.order):
@@ -119,7 +141,7 @@ def test_g_alpha_respects_scaling_and_frobenius():
         lhs = _g_alpha(top, 3, 3, galois.field_pow(top, a, 3))
         rhs = (x * _g_alpha(top, 3, 3, a)) % target
         assert lhs == rhs
-    # scalar from the mid field: g_{c*a} = c * g_a
+    # scalar from F_3: g_{c*a} = c * g_a
     c = (2, 0, 0)  # the constant 2 of F_3
     for i in range(1, top.order, 11):
         a = top.element(i)
@@ -132,21 +154,17 @@ def test_class_path_is_the_codimension_of_the_conjugates():
     # the definition itself: the F_q-span of alpha, alpha**q, ... has
     # codimension k exactly for the k-normal alpha
     for q, n in [(2, 6), (3, 4), (4, 3), (8, 2), (9, 2), (25, 2)]:
-        tower = galois.build_tower(q, n)
-        literal = _literal_rank_distribution(tower)
-        assert literal == _gcd_distribution(tower.top, q, n)
-        assert literal == oracle._classify_by_classes(tower)
+        literal = _literal_rank_distribution(q, n)
+        assert literal == _gcd_distribution(q, n)
+        assert literal == oracle._classify_by_classes(galois.build_tower(q, n))
 
 
 def test_elementwise_path_agrees_with_class_path():
-    # the per-element gcd sweep, on a flat F_p model, validates the sweep
+    # the per-element gcd sweep, on a second modulus where one exists, validates the sweep
     for q, n in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
                  (4, 2), (4, 3), (5, 2), (7, 2), (8, 2), (9, 2), (16, 2), (25, 1), (27, 2),
                  (4, 4), (8, 3), (16, 3), (27, 3), (67, 2)]:
-        p, m = numtheory.prime_power_decompose(q)
-        prime = galois.PrimeField(p)
-        flat = galois.ExtensionField(prime, galois.find_irreducible(prime, n * m))
-        assert _gcd_distribution(flat, q, n) == list(oracle.brute_force_distribution(q, n))
+        assert _gcd_distribution(q, n) == list(oracle.brute_force_distribution(q, n))
 
 
 def _widened(index, p, width):
@@ -169,13 +187,13 @@ def test_power_table_holds_the_generator_powers():
         tower = galois.build_tower(q, n)
         top, p = tower.top, tower.prime.order
         M = top.order - 1
-        gen = oracle._find_generator(top, q)
+        gen = tower.gen
         assert top.pow(gen, M) == top.one
         assert all(top.pow(gen, M // prime) != top.one for prime in numtheory.factorize(M))
         assert oracle._field_width(tower) == width
         table = oracle._power_table(tower)
         # gen**e for e < m*L: the conjugates mod L and their m scaled copies
-        assert len(table) == tower.mid_modulus.degree * M // (q - 1)
+        assert len(table) == tower.m * M // (q - 1)
         stride = 1 if len(table) < 5000 else len(table) // 1000
         step = top.pow(gen, stride)
         power = top.one
@@ -184,18 +202,37 @@ def test_power_table_holds_the_generator_powers():
             power = top.mul(power, step)
 
 
-def test_power_table_refuses_a_non_generator(monkeypatch):
-    find_generator = oracle._find_generator
+def test_power_table_refuses_a_non_generator():
     for q, n in [(2, 4), (3, 3), (25, 2)]:
-        tower = galois.build_tower(q, n)
+        tower = galois.TowerField(q, n)  # not the cached instance
+        gen = tower.gen
         for prime in numtheory.factorize(q**n - 1):
             # gen**prime has order (q**n - 1)/prime: its walk returns to 1 early
-            monkeypatch.setattr(
-                oracle, "_find_generator",
-                lambda top, q, prime=prime: top.pow(find_generator(top, q), prime),
-            )
+            tower.gen = tower.top.pow(gen, prime)
             with pytest.raises(InternalInconsistency):
                 oracle._power_table(tower)
+
+
+def test_a_cached_field_searches_for_its_generator_once(monkeypatch):
+    # the search runs when build_tower first builds the field; check (a)
+    # still tests the generator on every later sweep
+    calls = []
+    find_generator = galois.find_generator
+    monkeypatch.setattr(
+        galois, "find_generator", lambda *args: calls.append(args) or find_generator(*args)
+    )
+    galois.build_tower.cache_clear()
+    try:
+        for _ in range(2):
+            assert oracle.brute_force_distribution(9, 3) == counting.distribution(9, 3)
+        assert len(calls) == 1
+        tower = galois.build_tower(9, 3, 0)  # the cache key the sweep uses
+        monkeypatch.setattr(tower, "gen", tower.top.pow(tower.gen, 2))
+        with pytest.raises(InternalInconsistency, match="does not generate"):
+            oracle.brute_force_distribution(9, 3)
+        assert len(calls) == 1
+    finally:
+        galois.build_tower.cache_clear()  # drop the field built by the wrapper
 
 
 def test_power_table_refuses_fields_too_narrow_for_the_walk(monkeypatch):
@@ -251,8 +288,10 @@ def _small_fields(draw):
 def test_brute_force_matches_formulas_property(field):
     q, n = field
     expected = counting.distribution(q, n)
-    # x**2 + x + 1 is the only monic irreducible quadratic over F_2
-    for index in (0,) if (q, n) == (2, 2) else (0, 1):
+    # the field is F_p[x]/(f) with deg f = n*m; x**2 + x + 1 is the only
+    # modulus of (2, 2) and (4, 1)
+    p, m = numtheory.prime_power_decompose(q)
+    for index in (0,) if galois.irreducible_count(p, n * m) < 2 else (0, 1):
         assert oracle.brute_force_distribution(q, n, modulus_index=index) == expected
 
 
@@ -273,8 +312,8 @@ def test_n_equals_one_is_swept_by_the_definition():
 
 @pytest.mark.parametrize("q", [2**16, 3**10])
 def test_n_equals_one_leaves_f_q_untabulated(q):
-    # tables for F_q cost O(q), over a second here, and a sweep at n = 1 needs
-    # only a handful of F_q operations
+    # F_q = F_p[x]/(f) has no tables of its own: a sweep at n = 1 with m > 1
+    # takes only a handful of field operations, none of them O(q)
     galois.build_tower.cache_clear()
     t0 = time.perf_counter()
     dist = oracle.brute_force_distribution(q, 1)
