@@ -258,6 +258,15 @@ def test_tower_structure():
         )
 
 
+def test_tower_prime_q_uses_prime_mid():
+    # for prime q the field F_q is F_p itself: m = 1 and the modulus has degree n
+    tower = galois.build_tower(7, 3)
+    assert tower.m == 1 and tower.prime.order == 7
+    assert tower.top.base is tower.prime
+    assert tower.top_modulus.degree == 3
+    assert tower.top.order == 343
+
+
 def test_frobenius_iterate():
     # alpha -> alpha**(q**i) is field_pow by q**i
     tower = galois.build_tower(2, 4)
