@@ -22,17 +22,17 @@ print("brute force:", brute.counts)
 print("formulas:   ", fast.counts)
 assert brute == fast
 
-# Under the hood: the field, its generator and one element's conjugate polynomial.
-tower = build_tower(3, 4)
-print("modulus:   ", tower.top_modulus)
-print("generator: ", tower.gen)
-top = tower.top
-alpha = top.element(5)
+# Under the hood: the sweep's own field (modulus index 0, built once and
+# cached), its generator and one element's conjugate polynomial.
+field = build_tower(3, 4, 0)
+print("modulus:   ", field.modulus)
+print("generator: ", field.gen)
+alpha = field.element(5)
 conjugates = [alpha]  # alpha, alpha^q, ..., alpha^(q^(n-1))
-for _ in range(tower.n - 1):
-    conjugates.append(top.pow(conjugates[-1], tower.q))
-g = Poly(top, conjugates[::-1])  # g_alpha = sum_i alpha^(q^i) x^(n-1-i)
-xn_minus_one = Poly(top, [top.neg(top.one)] + [top.zero] * (tower.n - 1) + [top.one])
+for _ in range(field.n - 1):
+    conjugates.append(field.pow(conjugates[-1], field.q))
+g = Poly(field, conjugates[::-1])  # g_alpha = sum_i alpha^(q^i) x^(n-1-i)
+xn_minus_one = Poly(field, [field.neg(field.one)] + [field.zero] * (field.n - 1) + [field.one])
 defect = poly_gcd(xn_minus_one, g).degree
 print("element 5 has defect", defect)
 
@@ -40,7 +40,7 @@ print("element 5 has defect", defect)
 # field; ask for a different representation and sweep again.
 other = brute_force_distribution(3, 4, modulus_index=1)
 assert other == brute
-assert build_tower(3, 4, 1).top_modulus != tower.top_modulus
+assert build_tower(3, 4, 1).modulus != field.modulus
 print("same distribution under a different modulus")
 
 # The sweep refuses huge fields unless the guard is raised explicitly.

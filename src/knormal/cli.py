@@ -199,8 +199,8 @@ def cmd_verify(args) -> int:
             f"--modulus-trials must be >= 1, got {args.modulus_trials}"
         )
     if args.modulus_trials > 1 and args.oracle in ("brute", "all"):
-        # Refuse before any sweep, not after the sweeps of the moduli that exist.
-        params = spectrum.derive_params(args.q, args.n)  # q a prime power, n >= 1
+        # Refuse before any sweep; count moduli only for a field the guard admits.
+        params = oracle.sweep_params(args.q, args.n, args.max_brute)
         degree = args.n * params.m  # the sweep's field is F_p[x]/(f), deg f = n*m
         moduli = galois.irreducible_count(params.p, degree)
         if args.modulus_trials > moduli:

@@ -139,10 +139,10 @@ class ExtensionField:
         return f"ExtensionField(order={self.order})"
 
 
-def find_generator(field, start: int):
-    """First generator of field*, scanning indices from `start`."""
+def find_generator(field):
+    """First generator of field*, an extension, scanned past the constants (from 1 at degree 1)."""
     primes = numtheory.factorize(field.order - 1)
-    for i in range(start, field.order):
+    for i in range(field.base.order if field.degree > 1 else 1, field.order):
         g = field.element(i)
         if generates(field, g, primes):
             return g
@@ -370,7 +370,7 @@ def find_irreducible(field, degree: int, index: int = 0):
     )
 
 
-class TowerField:
+class TowerField(ExtensionField):
     """F_{q^n} = F_p[x]/(f) for q = p**m, flat over the prime field.
 
     f is a monic irreducible of degree n*m over F_p from the deterministic
@@ -378,31 +378,24 @@ class TowerField:
     do not depend on the field representation.  F_q is the subfield fixed
     by x -> x**q, and the classifier reaches it through powers of `gen`, so
     the field carries no F_q coordinates.  `gen` is the first generator of
-    F_{q^n}*, scanned from index p, past the constants (from 1 when
-    n*m = 1), and found here once, so that a cached field never searches
-    again.
+    F_{q^n}* (`find_generator`), found here once, so that a cached field
+    never searches again.
     """
 
-    def __init__(self, q: int, n: int, modulus_index: int = 0):
+    def __init__(self, q: int, n: int, modulus_index: int):
         p, m = numtheory.prime_power_decompose(q)
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
         prime = PrimeField(p)
-        top_modulus = find_irreducible(prime, n * m, index=modulus_index)
-        top = ExtensionField(prime, top_modulus)
+        super().__init__(prime, find_irreducible(prime, n * m, index=modulus_index))
         self.q = q
         self.n = n
         self.m = m
-        self.prime = prime
-        self.top = top
-        self.top_modulus = top_modulus
-        self.gen = find_generator(top, p if n * m > 1 else 1)
+        self.gen = find_generator(self)
 
     def __repr__(self):
         return f"TowerField(q={self.q}, n={self.n})"
 
 
 @lru_cache(maxsize=None)
-def build_tower(q: int, n: int, modulus_index: int = 0) -> TowerField:
-    """Shared TowerField instances; construction scans for the modulus and the generator."""
+def build_tower(q: int, n: int, modulus_index: int, /) -> TowerField:
+    """The shared TowerField; positional arguments give each field one cache entry."""
     return TowerField(q, n, modulus_index)

@@ -60,13 +60,21 @@ def brute_force_distribution(
     modulus_index: int = 0,
 ) -> Distribution:
     """Exact k-normal distribution computed from the field itself."""
-    spectrum.derive_params(q, n)  # validates q prime power, n >= 1
-    if q**n > max_order:
-        raise InstanceTooLarge(f"q**n = {q}**{n} exceeds the sweep guard {max_order}")
+    sweep_params(q, n, max_order)
     counts = _classify_by_classes(galois.build_tower(q, n, modulus_index))
     if sum(counts) != q**n:
         raise InternalInconsistency("classification missed or double-counted elements")
     return Distribution(q=q, n=n, counts=tuple(counts))
+
+
+def sweep_params(q: int, n: int, max_order: int = DEFAULT_MAX_ORDER):
+    """``spectrum.derive_params(q, n)``, refusing q**n > max_order by bit lengths
+    first (q**n >= 2**(n*(b-1)) for q of b bits), so a huge q**n is never built.
+    """
+    params = spectrum.derive_params(q, n)  # validates q prime power, n >= 1
+    if n * (q.bit_length() - 1) >= max_order.bit_length() or q**n > max_order:
+        raise InstanceTooLarge(f"q**n = {q}**{n} exceeds the sweep guard {max_order}")
+    return params
 
 
 def cyclotomic_cosets(q: int, n0: int) -> list[int]:
@@ -99,7 +107,7 @@ def _orbits(q: int, modulus: int):
 
 def _classify_by_classes(tower: galois.TowerField) -> list[int]:
     """F_q-rank of the conjugates once per class under F_q* and x -> x**p, weighted by size."""
-    n, q, p = tower.n, tower.q, tower.prime.order
+    n, q, p = tower.n, tower.q, tower.base.order
     exp_packed = _power_table(tower)
     L = len(exp_packed) // tower.m
     if p == 2:
@@ -125,7 +133,7 @@ def _rank_char2(tower, exp_packed):
     """
     n, q = tower.n, tower.q
     L = len(exp_packed) // tower.m
-    offsets = _scalar_offsets(tower, L)
+    offsets = [j * L for j in range(tower.m)]  # exponents of the copies beta**j * alpha
     N = n * len(offsets)
 
     def rank(e):
@@ -168,9 +176,9 @@ def _rank_odd(tower, exp_packed):
     in the span ends the walk, because the span of the earlier ones is then
     Frobenius-invariant.
     """
-    n, q, p = tower.n, tower.q, tower.prime.order
+    n, q, p = tower.n, tower.q, tower.base.order
     L = len(exp_packed) // tower.m
-    offsets = _scalar_offsets(tower, L)
+    offsets = [j * L for j in range(tower.m)]  # exponents of the copies beta**j * alpha
     digits_total = n * len(offsets)
     width = _field_width(tower)
     mask = (1 << width) - 1
@@ -230,11 +238,6 @@ def _rank_odd(tower, exp_packed):
     return rank
 
 
-def _scalar_offsets(tower, L):
-    """Exponent offsets j*L, j < m, of the copies beta**j * alpha."""
-    return [j * L for j in range(tower.m)]
-
-
 def _field_width(tower) -> int:
     """Bits per F_p coordinate of a packed element.
 
@@ -245,7 +248,7 @@ def _field_width(tower) -> int:
     < 2**width, also gives the p <= 2**(width-1) that ``_power_table``'s
     fieldwise addition needs when n*m = 1.
     """
-    p = tower.prime.order
+    p = tower.base.order
     if p == 2:
         return 1
     coords = max(2, tower.n * tower.m)
@@ -256,7 +259,7 @@ def _field_width(tower) -> int:
 
 
 def _power_table(tower: galois.TowerField) -> list[int]:
-    """Exp table of the top field: entry e is gen**e packed, e < m*L.
+    """Exp table of the field: entry e is gen**e packed, e < m*L.
 
     These are the entries the ranks read, L = (q**n - 1)/(q - 1) being the
     size of F_{q^n}*/F_q* (see the module docstring).
@@ -271,17 +274,17 @@ def _power_table(tower: galois.TowerField) -> list[int]:
     The walk is checked twice: gen must generate F_{q^n}*, and the value
     after its last step must be gen**(m*L) as computed in the field.
     """
-    top, p, m, gen = tower.top, tower.prime.order, tower.m, tower.gen
-    steps = m * ((top.order - 1) // (tower.q - 1))
+    p, m, gen = tower.base.order, tower.m, tower.gen
+    steps = m * ((tower.order - 1) // (tower.q - 1))
     coords = tower.n * m
     width = _field_width(tower)
-    if not galois.generates(top, gen, numtheory.factorize(top.order - 1)):
+    if not galois.generates(tower, gen, numtheory.factorize(tower.order - 1)):
         raise InternalInconsistency("the walk's multiplier does not generate F_{q^n}*")
 
     def pack(y):
         return sum(c << k * width for k, c in enumerate(y))
 
-    images = [pack(top.mul(gen, top.element(p**k))) for k in range(coords)]
+    images = [pack(tower.mul(gen, tower.element(p**k))) for k in range(coords)]
     half = (coords + 1) // 2
     shift = half * width
     low_mask = (1 << shift) - 1
@@ -326,6 +329,6 @@ def _power_table(tower: galois.TowerField) -> list[int]:
             exp_packed[e] = x
             s = low[x & low_mask] + high[x >> shift]
             x = s - (((s + bias) & tops) >> top_bit) * p
-    if x != pack(top.pow(gen, steps)):
+    if x != pack(tower.pow(gen, steps)):
         raise InternalInconsistency("generator walk did not end at gen**(m*L)")
     return exp_packed

@@ -224,7 +224,7 @@ def test_criterion_12_modulus_invariance():
     for q, n in [(2, 6), (3, 4), (4, 3)]:
         base = counting.distribution(q, n)
         towers = [galois.build_tower(q, n, idx) for idx in (0, 1)]
-        if towers[0].top_modulus == towers[1].top_modulus:
+        if towers[0].modulus == towers[1].modulus:
             ok = False
         for idx in (0, 1):
             if oracle.brute_force_distribution(q, n, modulus_index=idx) != base:

@@ -266,6 +266,22 @@ def test_verify_refuses_oversized_brute_before_any_series(capsys):
     assert err == "error: q**n = 2**40000 exceeds the sweep guard 4194304\n"
 
 
+def test_verify_counts_moduli_only_for_a_field_the_guard_admits(capsys, monkeypatch):
+    # the moduli count of degree 10**6 over F_p would build p**(10**6) first
+    counted = []
+    monkeypatch.setattr(
+        cli.galois, "irreducible_count", lambda *args: counted.append(args) or 1
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--q", "1000000000039", "--n", "1000000",
+                         "--modulus-trials", "2")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err == "error: q**n = 1000000000039**1000000 exceeds the sweep guard 4194304\n"
+    assert counted == []
+
+
 def test_verify_rejects_csv_format(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--q", "2", "--n", "3", "--format", "csv"])

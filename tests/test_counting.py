@@ -26,8 +26,7 @@ def brute_phi_q(q, r, e):
     """Count residues coprime to f**e by trial gcd over F_q[x], f irreducible."""
     field = galois.PrimeField(q) if numtheory.is_prime(q) else None
     if field is None:
-        tower = galois.build_tower(q, 1)
-        field = tower.top
+        field = galois.build_tower(q, 1, 0)
     f = galois.find_irreducible(field, r)
     modulus = f
     for _ in range(e - 1):

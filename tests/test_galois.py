@@ -50,8 +50,7 @@ def test_prime_field_ops():
 
 def test_extension_field_f4_tables():
     # F_4 = F_2[x]/(x^2 + x + 1), the only quadratic modulus over F_2
-    tower = galois.build_tower(2, 2)
-    f4 = tower.top
+    f4 = galois.build_tower(2, 2, 0)
     zero, one = f4.zero, f4.one
     w = f4.element(2)  # the adjoined root
     w2 = f4.mul(w, w)
@@ -78,8 +77,7 @@ def test_extension_field_axioms(q):
 
 
 def test_field_pow_matches_repeated_mul():
-    tower = galois.build_tower(3, 2)
-    field = tower.top
+    field = galois.build_tower(3, 2, 0)
     for i in range(field.order):
         a = field.element(i)
         acc = field.one
@@ -239,46 +237,51 @@ def test_tower_structure():
     # F_{q^n} = F_p[x]/(f) directly over the prime field, deg f = n*m, for
     # prime q, for m > 1 and for n = 1
     for q, n, p, m in [(9, 2, 3, 2), (7, 3, 7, 1), (8, 1, 2, 3), (5, 1, 5, 1), (16, 3, 2, 4)]:
-        tower = galois.build_tower(q, n)
-        assert (tower.q, tower.n, tower.m, tower.prime.order) == (q, n, m, p)
-        assert tower.top.base is tower.prime
-        assert tower.top.modulus is tower.top_modulus
-        assert tower.top_modulus.field is tower.prime
-        assert tower.top_modulus.degree == n * m
-        assert galois.is_irreducible(tower.top_modulus)
-        assert tower.top.order == q**n
-        assert tower.top.element(0) == tower.top.zero
+        tower = galois.build_tower(q, n, 0)
+        assert isinstance(tower, galois.ExtensionField)
+        assert (tower.q, tower.n, tower.m, tower.base.order) == (q, n, m, p)
+        assert isinstance(tower.base, galois.PrimeField)
+        assert tower.modulus.field is tower.base
+        assert tower.modulus.degree == n * m
+        assert galois.is_irreducible(tower.modulus)
+        assert tower.order == q**n
+        assert tower.element(0) == tower.zero
         # gen is the first generator past the constants
         primes = numtheory.factorize(q**n - 1)
         start = p if n * m > 1 else 1
-        first = tower.top.index(tower.gen)
-        assert first >= start and galois.generates(tower.top, tower.gen, primes)
+        first = tower.index(tower.gen)
+        assert first >= start and galois.generates(tower, tower.gen, primes)
         assert not any(
-            galois.generates(tower.top, tower.top.element(i), primes) for i in range(start, first)
+            galois.generates(tower, tower.element(i), primes) for i in range(start, first)
         )
 
 
 def test_tower_prime_q_uses_prime_mid():
     # for prime q the field F_q is F_p itself: m = 1 and the modulus has degree n
-    tower = galois.build_tower(7, 3)
-    assert tower.m == 1 and tower.prime.order == 7
-    assert tower.top.base is tower.prime
-    assert tower.top_modulus.degree == 3
-    assert tower.top.order == 343
+    tower = galois.build_tower(7, 3, 0)
+    assert tower.m == 1 and tower.base.order == 7
+    assert isinstance(tower.base, galois.PrimeField)
+    assert tower.modulus.degree == 3
+    assert tower.order == 343
+
+
+def test_tower_field_refuses_degree_zero():
+    with pytest.raises(ArgumentOutOfRange):
+        galois.TowerField(2, 0, 0)
 
 
 def test_frobenius_iterate():
     # alpha -> alpha**(q**i) is field_pow by q**i
-    tower = galois.build_tower(2, 4)
-    top, q = tower.top, tower.q
-    for i in range(top.order):
-        a = top.element(i)
-        assert galois.field_pow(top, a, q**0) == a
-        assert galois.field_pow(top, a, q**tower.n) == a  # full cycle
-        assert galois.field_pow(top, a, q) == top.mul(a, a)  # q = 2
+    field = galois.build_tower(2, 4, 0)
+    q = field.q
+    for i in range(field.order):
+        a = field.element(i)
+        assert galois.field_pow(field, a, q**0) == a
+        assert galois.field_pow(field, a, q**field.n) == a  # full cycle
+        assert galois.field_pow(field, a, q) == field.mul(a, a)  # q = 2
     # frobenius is additive
     for i, j in itertools.product(range(6), repeat=2):
-        a, b = top.element(i), top.element(j)
-        assert galois.field_pow(top, top.add(a, b), q) == top.add(
-            galois.field_pow(top, a, q), galois.field_pow(top, b, q)
+        a, b = field.element(i), field.element(j)
+        assert galois.field_pow(field, field.add(a, b), q) == field.add(
+            galois.field_pow(field, a, q), galois.field_pow(field, b, q)
         )

@@ -121,8 +121,7 @@ def _gcd_distribution(q, n):
 
 
 def test_g_alpha_f4_example():
-    tower = galois.build_tower(2, 2)
-    top = tower.top
+    top = galois.build_tower(2, 2, 0)
     w = top.element(2)
     g = _g_alpha(top, 2, 2, w)
     # g_w = w*x + w^2 over F_4
@@ -131,8 +130,7 @@ def test_g_alpha_f4_example():
 
 
 def test_g_alpha_respects_scaling_and_frobenius():
-    tower = galois.build_tower(3, 3)
-    top = tower.top
+    top = galois.build_tower(3, 3, 0)
     target = _xn_minus_one(top, 3)
     x = galois.Poly(top, (top.zero, top.one))
     for i in range(1, top.order, 7):
@@ -156,7 +154,7 @@ def test_class_path_is_the_codimension_of_the_conjugates():
     for q, n in [(2, 6), (3, 4), (4, 3), (8, 2), (9, 2), (25, 2)]:
         literal = _literal_rank_distribution(q, n)
         assert literal == _gcd_distribution(q, n)
-        assert literal == oracle._classify_by_classes(galois.build_tower(q, n))
+        assert literal == oracle._classify_by_classes(galois.build_tower(q, n, 0))
 
 
 def test_elementwise_path_agrees_with_class_path():
@@ -184,31 +182,31 @@ def test_power_table_holds_the_generator_powers():
     for q, n, width in [(2, 7, 1), (2, 15, 1), (4, 5, 1), (16, 3, 1), (512, 2, 1), (4, 1, 1),
                         (3, 7, 8), (9, 4, 8), (27, 3, 8), (23, 3, 16), (509, 2, 32),
                         (251, 1, 16)]:
-        tower = galois.build_tower(q, n)
-        top, p = tower.top, tower.prime.order
-        M = top.order - 1
+        tower = galois.build_tower(q, n, 0)
+        p = tower.base.order
+        M = tower.order - 1
         gen = tower.gen
-        assert top.pow(gen, M) == top.one
-        assert all(top.pow(gen, M // prime) != top.one for prime in numtheory.factorize(M))
+        assert tower.pow(gen, M) == tower.one
+        assert all(tower.pow(gen, M // prime) != tower.one for prime in numtheory.factorize(M))
         assert oracle._field_width(tower) == width
         table = oracle._power_table(tower)
         # gen**e for e < m*L: the conjugates mod L and their m scaled copies
         assert len(table) == tower.m * M // (q - 1)
         stride = 1 if len(table) < 5000 else len(table) // 1000
-        step = top.pow(gen, stride)
-        power = top.one
+        step = tower.pow(gen, stride)
+        power = tower.one
         for e in range(0, len(table), stride):
-            assert table[e] == _widened(top.index(power), p, width), (q, n, e)
-            power = top.mul(power, step)
+            assert table[e] == _widened(tower.index(power), p, width), (q, n, e)
+            power = tower.mul(power, step)
 
 
 def test_power_table_refuses_a_non_generator():
     for q, n in [(2, 4), (3, 3), (25, 2)]:
-        tower = galois.TowerField(q, n)  # not the cached instance
+        tower = galois.TowerField(q, n, 0)  # not the cached instance
         gen = tower.gen
         for prime in numtheory.factorize(q**n - 1):
             # gen**prime has order (q**n - 1)/prime: its walk returns to 1 early
-            tower.gen = tower.top.pow(gen, prime)
+            tower.gen = tower.pow(gen, prime)
             with pytest.raises(InternalInconsistency):
                 oracle._power_table(tower)
 
@@ -225,9 +223,13 @@ def test_a_cached_field_searches_for_its_generator_once(monkeypatch):
     try:
         for _ in range(2):
             assert oracle.brute_force_distribution(9, 3) == counting.distribution(9, 3)
-        assert len(calls) == 1
-        tower = galois.build_tower(9, 3, 0)  # the cache key the sweep uses
-        monkeypatch.setattr(tower, "gen", tower.top.pow(tower.gen, 2))
+        hits = galois.build_tower.cache_info().hits
+        tower = galois.build_tower(9, 3, 0)  # the sweep's field: a hit, no new search
+        assert galois.build_tower.cache_info().hits == hits + 1
+        assert calls == [(tower,)]
+        with pytest.raises(TypeError):
+            galois.build_tower(9, 3)  # the index has no default, so no second key
+        monkeypatch.setattr(tower, "gen", tower.pow(tower.gen, 2))
         with pytest.raises(InternalInconsistency, match="does not generate"):
             oracle.brute_force_distribution(9, 3)
         assert len(calls) == 1
@@ -239,16 +241,16 @@ def test_power_table_refuses_fields_too_narrow_for_the_walk(monkeypatch):
     # 8-bit fields cannot hold the fieldwise sum mod 131 (it needs p <= 128)
     monkeypatch.setattr(oracle, "_field_width", lambda tower: 8)
     with pytest.raises(InternalInconsistency):
-        oracle._power_table(galois.build_tower(131, 2))
+        oracle._power_table(galois.build_tower(131, 2, 0))
 
 
 def test_power_table_checks_the_walk_end_against_the_tower(monkeypatch):
     # the walk's last value is compared with gen**(m*L) taken in the tower
-    tower = galois.build_tower(4, 3)
+    tower = galois.build_tower(4, 3, 0)
     steps = 2 * (4**3 - 1) // 3  # m*L, not a cofactor M/l of the generator test
-    tower_pow = tower.top.pow
+    tower_pow = tower.pow
     monkeypatch.setattr(
-        tower.top, "pow", lambda a, e: tower_pow(a, e + 1 if e == steps else e)
+        tower, "pow", lambda a, e: tower_pow(a, e + 1 if e == steps else e)
     )
     with pytest.raises(InternalInconsistency, match="did not end"):
         oracle._power_table(tower)
@@ -265,7 +267,7 @@ def test_dependent_scaled_copies_are_refused(monkeypatch, q, n):
 
     monkeypatch.setattr(oracle, "_power_table", folded)
     with pytest.raises(InternalInconsistency, match="scaled conjugate copies are dependent"):
-        oracle._classify_by_classes(galois.build_tower(q, n))
+        oracle._classify_by_classes(galois.build_tower(q, n, 0))
 
 
 def test_brute_force_refuses_a_miscount(monkeypatch):
@@ -351,9 +353,9 @@ def test_one_rank_per_orbit_under_multiplication_by_p(monkeypatch, q, n):
 
     monkeypatch.setattr(oracle, "_rank_char2", recording(oracle._rank_char2))
     monkeypatch.setattr(oracle, "_rank_odd", recording(oracle._rank_odd))
-    tower = galois.build_tower(q, n)
+    tower = galois.build_tower(q, n, 0)
     assert oracle._classify_by_classes(tower) == list(counting.distribution(q, n))
-    p = tower.prime.order
+    p = tower.base.order
     L = (q**n - 1) // (q - 1)
     orbit_of = {}
     for start, _ in oracle._orbits(p, L):
@@ -363,6 +365,22 @@ def test_one_rank_per_orbit_under_multiplication_by_p(monkeypatch, q, n):
             b = b * p % L
     assert sorted(orbit_of[e % L] for e in ranked) == sorted(set(orbit_of.values()))
     assert len(ranked) < len(list(oracle._orbits(q, L)))
+
+
+def test_instance_guard_decides_by_bit_lengths():
+    # q**n would have 40 Mbit; the refusal must not build it
+    start = time.perf_counter()
+    with pytest.raises(InstanceTooLarge, match="1000000000039\\*\\*1000000 exceeds"):
+        oracle.brute_force_distribution(1000000000039, 10**6)
+    assert time.perf_counter() - start < 0.5
+    # near the bound the comparison is exact, for any max_order
+    for q, n, max_order in [(2, 22, 2**22), (3, 5, 243), (5, 4, 2**10), (7, 2, 49)]:
+        assert oracle.sweep_params(q, n, max_order).q == q
+        with pytest.raises(InstanceTooLarge):
+            oracle.sweep_params(q, n, q**n - 1)
+    for max_order in (0, -1, -(2**40)):
+        with pytest.raises(InstanceTooLarge):
+            oracle.sweep_params(2, 1, max_order)
 
 
 def test_instance_guard():
@@ -384,7 +402,7 @@ def test_modulus_choice_does_not_change_counts():
     for q, n in [(2, 6), (3, 4), (4, 3)]:
         t0 = galois.build_tower(q, n, 0)
         t1 = galois.build_tower(q, n, 1)
-        assert t0.top_modulus != t1.top_modulus
+        assert t0.modulus != t1.modulus
         assert oracle.brute_force_distribution(q, n, modulus_index=0) == \
             oracle.brute_force_distribution(q, n, modulus_index=1)
 
