@@ -15,7 +15,7 @@ Every modulus is monic, and division takes a leading coefficient of 1 as
 it is, so reduction by a modulus never inverts.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import numtheory
 from .errors import ArgumentOutOfRange, InternalInconsistency
@@ -376,10 +376,12 @@ class TowerField(ExtensionField):
     f is a monic irreducible of degree n*m over F_p from the deterministic
     scan; `modulus_index` picks a later hit so callers can check that counts
     do not depend on the field representation.  F_q is the subfield fixed
-    by x -> x**q, and the classifier reaches it through powers of `gen`, so
-    the field carries no F_q coordinates.  `gen` is the first generator of
-    F_{q^n}* (`find_generator`), found here once, so that a cached field
-    never searches again.
+    by x -> x**q, and the classifier reaches it through powers of `gen` in
+    odd characteristic and through the kernel of x -> x**q minus 1 in
+    characteristic 2, so the field carries no F_q coordinates.  `gen` is the
+    first generator of F_{q^n}* (`find_generator`), searched for on first
+    use and then kept, so that a cached field never searches again and a
+    field that never needs it never searches.
     """
 
     def __init__(self, q: int, n: int, modulus_index: int):
@@ -389,7 +391,10 @@ class TowerField(ExtensionField):
         self.q = q
         self.n = n
         self.m = m
-        self.gen = find_generator(self)
+
+    @cached_property
+    def gen(self):
+        return find_generator(self)
 
     def __repr__(self):
         return f"TowerField(q={self.q}, n={self.n})"

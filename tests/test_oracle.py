@@ -177,11 +177,11 @@ def _widened(index, p, width):
 
 
 def test_power_table_holds_the_generator_powers():
-    # (q, n, field width): odd N = n*m at (2, 15), 16- and 32-bit fields last;
-    # n = 1 at (251, 1) needs 16 bits, since the fieldwise sum needs p <= 2**7
-    for q, n, width in [(2, 7, 1), (2, 15, 1), (4, 5, 1), (16, 3, 1), (512, 2, 1), (4, 1, 1),
-                        (3, 7, 8), (9, 4, 8), (27, 3, 8), (23, 3, 16), (509, 2, 32),
-                        (251, 1, 16)]:
+    # (q, n, field width): odd N = n*m at (3, 7) and (125, 1), n = 1 with m > 1
+    # at (9, 1), 16- and 32-bit fields last; n = 1 at (251, 1) needs 16 bits,
+    # since the fieldwise sum needs p <= 2**7
+    for q, n, width in [(3, 7, 8), (9, 4, 8), (27, 3, 8), (81, 2, 8), (9, 1, 8), (125, 1, 8),
+                        (23, 3, 16), (509, 2, 32), (251, 1, 16)]:
         tower = galois.build_tower(q, n, 0)
         p = tower.base.order
         M = tower.order - 1
@@ -201,7 +201,7 @@ def test_power_table_holds_the_generator_powers():
 
 
 def test_power_table_refuses_a_non_generator():
-    for q, n in [(2, 4), (3, 3), (25, 2)]:
+    for q, n in [(9, 2), (3, 3), (25, 2)]:
         tower = galois.TowerField(q, n, 0)  # not the cached instance
         gen = tower.gen
         for prime in numtheory.factorize(q**n - 1):
@@ -212,8 +212,8 @@ def test_power_table_refuses_a_non_generator():
 
 
 def test_a_cached_field_searches_for_its_generator_once(monkeypatch):
-    # the search runs when build_tower first builds the field; check (a)
-    # still tests the generator on every later sweep
+    # the search runs when the first sweep of a cached field reads gen; the
+    # walk still tests the generator on every later sweep
     calls = []
     find_generator = galois.find_generator
     monkeypatch.setattr(
@@ -246,8 +246,8 @@ def test_power_table_refuses_fields_too_narrow_for_the_walk(monkeypatch):
 
 def test_power_table_checks_the_walk_end_against_the_tower(monkeypatch):
     # the walk's last value is compared with gen**(m*L) taken in the tower
-    tower = galois.build_tower(4, 3, 0)
-    steps = 2 * (4**3 - 1) // 3  # m*L, not a cofactor M/l of the generator test
+    tower = galois.build_tower(9, 3, 0)
+    steps = 2 * (9**3 - 1) // 8  # m*L, not a cofactor M/l of the generator test
     tower_pow = tower.pow
     monkeypatch.setattr(
         tower, "pow", lambda a, e: tower_pow(a, e + 1 if e == steps else e)
@@ -256,7 +256,7 @@ def test_power_table_checks_the_walk_end_against_the_tower(monkeypatch):
         oracle._power_table(tower)
 
 
-@pytest.mark.parametrize("q,n", [(4, 3), (9, 2)])  # both ranks: p = 2 and odd p
+@pytest.mark.parametrize("q,n", [(9, 2)])
 def test_dependent_scaled_copies_are_refused(monkeypatch, q, n):
     power_table = oracle._power_table
 
@@ -268,6 +268,62 @@ def test_dependent_scaled_copies_are_refused(monkeypatch, q, n):
     monkeypatch.setattr(oracle, "_power_table", folded)
     with pytest.raises(InternalInconsistency, match="scaled conjugate copies are dependent"):
         oracle._classify_by_classes(galois.build_tower(q, n, 0))
+
+
+def test_a_dependent_f_q_basis_is_refused(monkeypatch):
+    # b_1 = b_0 = 1: the scaled copy of every conjugate is the conjugate itself
+    monkeypatch.setattr(oracle, "_fq_basis", lambda images, m: [1] * m)
+    with pytest.raises(InternalInconsistency, match="scaled conjugate copies are dependent"):
+        oracle._classify_by_classes(galois.build_tower(4, 3, 0))
+
+
+def _replace_frobenius(monkeypatch, make):
+    """Sweep with make(the true images function, f, q) as the images of x -> x**q."""
+    frobenius_images = oracle._frobenius_images
+    monkeypatch.setattr(oracle, "_frobenius_images", lambda f, q: make(frobenius_images, f, q))
+
+
+@pytest.mark.parametrize("q,n,k,bit", [(2, 5, 0, 1), (4, 4, 1, 1)])
+def test_a_perturbed_frobenius_is_refused(monkeypatch, q, n, k, bit):
+    # one bit flipped in the image of x**k under x -> x**q: F_q keeps its
+    # dimension for these moduli, but the lanes no longer return after n steps
+    def flip(images_of, f, q):
+        images = images_of(f, q)
+        images[k] ^= 1 << bit
+        return images
+
+    _replace_frobenius(monkeypatch, flip)
+    with pytest.raises(InternalInconsistency, match="did not return"):
+        oracle._classify_by_classes(galois.build_tower(q, n, 0))
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (4, 4)])
+def test_a_wrong_f_q_dimension_is_refused(monkeypatch, q, n):
+    # x -> x**(q*q) fixes F_{q^2}, of dimension 2m, inside F_{q^n} for even n
+    _replace_frobenius(monkeypatch, lambda images_of, f, q: images_of(f, q * q))
+    with pytest.raises(InternalInconsistency, match="F_q has dimension"):
+        oracle._classify_by_classes(galois.build_tower(q, n, 0))
+
+
+def test_a_char2_sweep_needs_no_generator_or_exp_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("not part of a characteristic-2 sweep")
+
+    for module, name in [(oracle, "_power_table"), (oracle, "_orbits"),
+                         (galois, "find_generator")]:
+        monkeypatch.setattr(module, name, refuse)
+    for q, n in [(2, 9), (4, 4), (8, 3), (16, 1)]:
+        tower = galois.TowerField(q, n, 0)  # gen not yet searched for
+        assert oracle._classify_by_classes(tower) == list(counting.distribution(q, n))
+        assert "gen" not in vars(tower)
+
+
+def test_char2_lanes_split_into_small_blocks(monkeypatch):
+    # 8 lanes a block: the first block takes the degrees with fewer lanes,
+    # each larger degree fills blocks whose high digits flip whole planes
+    monkeypatch.setattr(oracle, "_LANE_BLOCK_BITS", 3)
+    for q, n in [(2, 10), (4, 5), (8, 3), (16, 2), (2, 3)]:
+        assert oracle.brute_force_distribution(q, n) == counting.distribution(q, n)
 
 
 def test_brute_force_refuses_a_miscount(monkeypatch):
@@ -333,7 +389,7 @@ def test_large_prime_field_sweeps_only_the_lines():
     assert elapsed < 0.5
 
 
-@pytest.mark.parametrize("q,n", [(4, 4), (9, 3), (27, 2)])  # m = 2, 2, 3
+@pytest.mark.parametrize("q,n", [(25, 2), (9, 3), (27, 2)])  # m = 2, 2, 3
 def test_one_rank_per_orbit_under_multiplication_by_p(monkeypatch, q, n):
     # alpha -> alpha**p keeps the rank, so classes are orbits of Z/L under
     # b -> p*b, up to m times larger than the orbits under b -> q*b
@@ -351,7 +407,6 @@ def test_one_rank_per_orbit_under_multiplication_by_p(monkeypatch, q, n):
 
         return wrapped
 
-    monkeypatch.setattr(oracle, "_rank_char2", recording(oracle._rank_char2))
     monkeypatch.setattr(oracle, "_rank_odd", recording(oracle._rank_odd))
     tower = galois.build_tower(q, n, 0)
     assert oracle._classify_by_classes(tower) == list(counting.distribution(q, n))
