@@ -377,8 +377,8 @@ class TowerField(ExtensionField):
     scan; `modulus_index` picks a later hit so callers can check that counts
     do not depend on the field representation.  F_q is the subfield fixed
     by x -> x**q, and the classifier reaches it through powers of `gen` in
-    odd characteristic and through the kernel of x -> x**q minus 1 in
-    characteristic 2, so the field carries no F_q coordinates.  `gen` is the
+    characteristic p >= 5 and through the kernel of x -> x**q minus 1 in
+    characteristics 2 and 3, so the field carries no F_q coordinates.  `gen` is the
     first generator of F_{q^n}* (`find_generator`), searched for on first
     use and then kept, so that a cached field never searches again and a
     field that never needs it never searches.

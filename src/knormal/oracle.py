@@ -5,30 +5,17 @@ alpha by k = n - dim span_{F_q}(alpha, alpha**q, ..., alpha**(q**(n-1))),
 the definition of k-normality.  The field is F_p[x]/(f), f of degree
 N = n*m for q = p**m (``galois.TowerField``), with no F_q coordinates.
 The F_q-span of the conjugates depends only on their F_q*-lines, so each
-line is ranked once and weighted by q - 1; alpha = 0 spans nothing.  The
-two characteristics take two routes, which keep full sweeps up to 2**22
-elements feasible and borrow nothing from the counting side.
+line is ranked once and weighted by q - 1; alpha = 0 spans nothing.  Three
+cases take two routes, which keep full sweeps up to 2**22 elements feasible
+and borrow nothing from the counting side.
 
-Characteristic 2 (``_sweep_char2``) ranks every line at once, bit-sliced:
+Characteristics 2 and 3 rank every line at once, bit-sliced, in the
+``lanes`` module: two bit planes per F_3 digit, one per F_2 digit, and all
+lines of a block eliminated together by AND/OR/XOR on big ints, with no
+generator, exp table or orbit walk.  ``lanes`` is imported on the first such
+sweep, so commands that sweep nothing never compile it.
 
-* elements are packed ints, bit k the coefficient of x**k, multiplied by a
-  carry-less mulmod; F_q = ker(x -> x**q minus 1) gets an F_2-basis
-  b_0 = 1, b_1, ..., b_{m-1} by elimination, and must have dimension m;
-* {1, x, ..., x**(n-1)} is an F_q-basis of F, since x has degree n over
-  F_q, so each line has one representative x**j + sum_{k<j} c_k x**k with
-  c_k in F_q, j < n: L = (q**n - 1)/(q - 1) lanes, every nonzero element
-  when q = 2.  Plane c is an int whose bit l is coordinate c of lane l,
-  built from periodic bit patterns;
-* x -> x**q and the products by b_i are F_2-linear, so they act on all
-  lanes as XORs of planes, and the m vectors b_i * alpha**(q**j), which
-  span the F_q-multiples of a conjugate over F_2, enter an XOR basis per
-  lane, kept as one row mask per pivot bit.  A lane is ranked at the first
-  conjugate already in its span, which is then Frobenius-invariant; the
-  other b_i-copies of a new conjugate must be new too, and the planes must
-  return to their start after n steps of x -> x**q.  The lanes are taken
-  2**_LANE_BLOCK_BITS at a time, so memory stays flat as the field grows.
-
-Odd characteristic ranks one line per class, through a table of powers of
+Characteristic p >= 5 ranks one line per class, through a table of powers of
 the first generator gen of F_{q^n}*, F_q* being generated by beta = gen**L
 and x -> x**q being exponent arithmetic:
 
@@ -70,8 +57,6 @@ from .errors import InstanceTooLarge, InternalInconsistency, NotCoprime
 
 # Refuse full-field sweeps beyond this many elements by default.
 DEFAULT_MAX_ORDER = 1 << 22
-# A characteristic-2 sweep ranks at most 2**_LANE_BLOCK_BITS lines at once.
-_LANE_BLOCK_BITS = 16
 
 
 def brute_force_distribution(
@@ -130,11 +115,14 @@ def _orbits(q: int, modulus: int):
 def _classify_by_classes(tower: galois.TowerField) -> list[int]:
     """F_q-rank of the conjugates once per class under F_q* and x -> x**p, weighted by size.
 
-    Characteristic 2 ranks every F_q*-line instead, bit-sliced (``_sweep_char2``).
+    Characteristics 2 and 3 rank every F_q*-line instead, bit-sliced
+    (``lanes.sweep``).
     """
     n, q, p = tower.n, tower.q, tower.base.order
-    if p == 2:
-        return _sweep_char2(tower)
+    if p in (2, 3):
+        from . import lanes  # compiled on the first sweep that needs it
+
+        return lanes.sweep(tower)
     exp_packed = _power_table(tower)
     L = len(exp_packed) // tower.m
     rank = _rank_odd(tower, exp_packed)
@@ -145,188 +133,6 @@ def _classify_by_classes(tower: galois.TowerField) -> list[int]:
     for e, size in _orbits(p, L):
         counts[n - rank(e)] += (q - 1) * size
     return counts
-
-
-def _sweep_char2(tower: galois.TowerField) -> list[int]:
-    """Counts N_0..N_n of F = F_2[x]/(f), every F_q*-line ranked at once.
-
-    A lane is one line representative alpha, and plane c is an int whose
-    bit l is coordinate c of lane l.  x -> x**q and the products by an
-    F_2-basis b_0 = 1, b_1, ... of F_q are F_2-linear, so they map all lanes
-    at once by XORs of planes (``_apply``), and ``_rank_lanes`` runs one
-    elimination per lane in the same bitwise operations.
-    """
-    n, q, m = tower.n, tower.q, tower.m
-    f = sum(c << k for k, c in enumerate(tower.modulus.coeffs))
-    images = _frobenius_images(f, q)
-    basis = _fq_basis(images, m)
-    N = len(images)
-    frobenius = _linear_map(images)
-    scalings = [_linear_map([_mulmod2(b, 1 << k, f) for k in range(N)]) for b in basis[1:]]
-    # bit k*m + i of a lane's index adds b_i * x**k (see _lane_blocks)
-    digits = [_mulmod2(basis[s % m], 1 << s // m, f) for s in range((n - 1) * m)]
-    counts = [0] * (n + 1)
-    counts[n] += 1  # alpha = 0 spans nothing
-    for planes, lanes in _lane_blocks(n, m, digits, _LANE_BLOCK_BITS):
-        _rank_lanes(planes, lanes, n, q, frobenius, scalings, counts)
-    return counts
-
-
-def _mulmod2(a: int, b: int, f: int) -> int:
-    """a*b mod f over F_2 for a reduced mod f; bit k of a packed poly is its x**k coefficient."""
-    top = f.bit_length() - 1
-    product = 0
-    while b:
-        if b & 1:
-            product ^= a
-        b >>= 1
-        a <<= 1
-        if a >> top & 1:
-            a ^= f
-    return product
-
-
-def _frobenius_images(f: int, q: int) -> list[int]:
-    """(x**k)**q mod f packed, k < deg f: the columns of x -> x**q over F_2."""
-    xq = _mulmod2(1, 2, f)  # x, which deg f = 1 reduces
-    for _ in range(q.bit_length() - 1):
-        xq = _mulmod2(xq, xq, f)
-    images = [1]
-    for _ in range(f.bit_length() - 2):
-        images.append(_mulmod2(images[-1], xq, f))
-    return images
-
-
-def _fq_basis(images: list[int], m: int) -> list[int]:
-    """F_2-basis of F_q = ker(x -> x**q minus 1) in F, packed, with 1 first.
-
-    Each column of the map minus 1 is reduced into an XOR basis together
-    with the set of columns it has combined.  A column that reaches 0 gives
-    a kernel vector whose top bit is that column's own, so the vectors are
-    independent; column 0 gives 1, which x -> x**q fixes.
-    """
-    pivots = {}  # top bit -> (reduced column, combination)
-    basis = []
-    for k, image in enumerate(images):
-        v, combination = image ^ 1 << k, 1 << k
-        while v:
-            top = v.bit_length()
-            if top not in pivots:
-                pivots[top] = (v, combination)
-                break
-            row, row_combination = pivots[top]
-            v ^= row
-            combination ^= row_combination
-        else:
-            basis.append(combination)
-    if len(basis) != m:
-        raise InternalInconsistency(f"F_q has dimension {len(basis)} over F_2, not m = {m}")
-    return basis
-
-
-def _linear_map(images: list[int]) -> list[list[int]]:
-    """For each output coordinate c, the input coordinates whose images have bit c."""
-    return [[k for k, image in enumerate(images) if image >> c & 1] for c in range(len(images))]
-
-
-def _apply(linear_map: list[list[int]], planes: list[int]) -> list[int]:
-    """The planes of the images of all lanes under a ``_linear_map``."""
-    out = []
-    for inputs in linear_map:
-        v = 0
-        for k in inputs:
-            v ^= planes[k]
-        out.append(v)
-    return out
-
-
-def _lane_blocks(n, m, digits, block_bits):
-    """(planes, lane count) of the F_q*-lines of F, at most 2**block_bits lanes a block.
-
-    Each line has one representative x**j + sum of c_k * x**k over k < j,
-    c_k in F_q, j < n: {1, x, ..., x**(n-1)} is an F_q-basis of F, since x
-    has degree n over F_q.  Lane t < q**j of degree j is x**j plus the sum
-    of digits[s] over the bits s of t.  Over the low bits of t the planes
-    are one pattern, built by doubling, and a higher bit of t only flips
-    whole planes.  The degrees with fewer lanes than a block share the
-    first block; each other degree fills whole blocks.
-    """
-    N = n * m
-    pattern = [0] * N  # bit u of plane c: coordinate c of the sum of digits[s] over bits s of u
-    for s in range(min(block_bits, len(digits))):
-        half = 1 << s
-        ones = (1 << half) - 1
-        d = digits[s]
-        pattern = [v | (v ^ (ones if d >> c & 1 else 0)) << half for c, v in enumerate(pattern)]
-    head, head_lanes = [0] * N, 0
-    wide = []
-    for j in range(n):
-        if j * m >= block_bits:
-            wide.append(j)
-            continue
-        lanes = 1 << j * m
-        mask = (1 << lanes) - 1
-        for c in range(N):
-            head[c] |= (pattern[c] & mask ^ (mask if c == j else 0)) << head_lanes
-        head_lanes += lanes
-    yield head, head_lanes
-    full = (1 << (1 << block_bits)) - 1
-    for j in wide:
-        for high in range(1 << j * m - block_bits):
-            offset = 1 << j
-            for s in range(j * m - block_bits):
-                if high >> s & 1:
-                    offset ^= digits[block_bits + s]
-            yield [v ^ (full if offset >> c & 1 else 0) for c, v in enumerate(pattern)], 1 << block_bits
-
-
-def _rank_lanes(planes, lanes, n, q, frobenius, scalings, counts):
-    """Add (q - 1) to N_{n-r} for each lane whose conjugates have F_q-rank r.
-
-    The conjugate alpha**(q**j) enters as the m vectors b_i * alpha**(q**j),
-    which span its F_q-multiples over F_2.  ``alive`` marks the lanes whose
-    conjugates so far are independent; a lane leaves it at the first
-    conjugate already in the span, whose span is then Frobenius-invariant.
-    """
-    start = planes
-    alive = (1 << lanes) - 1
-    pivots = [0] * len(planes)  # lanes with a basis row of that top bit
-    rows = [[0] * b for b in range(len(planes))]  # the rows' planes below the top bit
-    for j in range(n):
-        if alive:
-            inserted = _insert(planes, rows, pivots)
-            counts[n - j] += (q - 1) * (alive & ~inserted).bit_count()
-            alive &= inserted
-            for scaling in scalings:
-                if alive & ~_insert(_apply(scaling, planes), rows, pivots):
-                    raise InternalInconsistency("scaled conjugate copies are dependent")
-        planes = _apply(frobenius, planes)
-    if planes != start:
-        raise InternalInconsistency("the lanes did not return after n steps of x -> x**q")
-    counts[0] += (q - 1) * alive.bit_count()
-
-
-def _insert(vector, rows, pivots):
-    """Reduce one vector per lane into that lane's XOR basis; the lanes where it was new.
-
-    rows[b] holds, plane by plane below b, the row with top bit b of every
-    lane in pivots[b] (0 elsewhere).  A lane whose vector has bit b set and
-    no such row takes the vector as that row, and in every lane with bit b
-    set the row is then XORed out of the vector.
-    """
-    v = list(vector)
-    inserted = 0
-    for b in range(len(v) - 1, -1, -1):
-        vb = v[b]
-        if not vb:
-            continue
-        new = vb & ~pivots[b]
-        if new:
-            pivots[b] |= new
-            inserted |= new
-            rows[b] = [r | x & new for r, x in zip(rows[b], v)]
-        v[:b] = [x ^ r & vb for x, r in zip(v, rows[b])]
-    return inserted
 
 
 def _rank_odd(tower, exp_packed):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knormal import counting, galois, numtheory, oracle, spectrum
+from knormal import counting, galois, lanes, numtheory, oracle, spectrum
 from knormal.errors import (
     InstanceTooLarge,
     InternalInconsistency,
@@ -177,10 +177,11 @@ def _widened(index, p, width):
 
 
 def test_power_table_holds_the_generator_powers():
-    # (q, n, field width): odd N = n*m at (3, 7) and (125, 1), n = 1 with m > 1
-    # at (9, 1), 16- and 32-bit fields last; n = 1 at (251, 1) needs 16 bits,
-    # since the fieldwise sum needs p <= 2**7
-    for q, n, width in [(3, 7, 8), (9, 4, 8), (27, 3, 8), (81, 2, 8), (9, 1, 8), (125, 1, 8),
+    # (q, n, field width): odd N = n*m at (7, 5), (125, 3) and (125, 1), N = 8
+    # at (25, 4) and (625, 2), n = 1 with m > 1 at (25, 1), 16- and 32-bit
+    # fields last; n = 1 at (251, 1) needs 16 bits, since the fieldwise sum
+    # needs p <= 2**7.  p = 2 and 3 sweep without the table.
+    for q, n, width in [(7, 5, 8), (25, 4, 8), (125, 3, 8), (625, 2, 8), (25, 1, 8), (125, 1, 8),
                         (23, 3, 16), (509, 2, 32), (251, 1, 16)]:
         tower = galois.build_tower(q, n, 0)
         p = tower.base.order
@@ -201,7 +202,7 @@ def test_power_table_holds_the_generator_powers():
 
 
 def test_power_table_refuses_a_non_generator():
-    for q, n in [(9, 2), (3, 3), (25, 2)]:
+    for q, n in [(49, 2), (7, 3), (25, 2)]:
         tower = galois.TowerField(q, n, 0)  # not the cached instance
         gen = tower.gen
         for prime in numtheory.factorize(q**n - 1):
@@ -222,16 +223,16 @@ def test_a_cached_field_searches_for_its_generator_once(monkeypatch):
     galois.build_tower.cache_clear()
     try:
         for _ in range(2):
-            assert oracle.brute_force_distribution(9, 3) == counting.distribution(9, 3)
+            assert oracle.brute_force_distribution(25, 3) == counting.distribution(25, 3)
         hits = galois.build_tower.cache_info().hits
-        tower = galois.build_tower(9, 3, 0)  # the sweep's field: a hit, no new search
+        tower = galois.build_tower(25, 3, 0)  # the sweep's field: a hit, no new search
         assert galois.build_tower.cache_info().hits == hits + 1
         assert calls == [(tower,)]
         with pytest.raises(TypeError):
-            galois.build_tower(9, 3)  # the index has no default, so no second key
+            galois.build_tower(25, 3)  # the index has no default, so no second key
         monkeypatch.setattr(tower, "gen", tower.pow(tower.gen, 2))
         with pytest.raises(InternalInconsistency, match="does not generate"):
-            oracle.brute_force_distribution(9, 3)
+            oracle.brute_force_distribution(25, 3)
         assert len(calls) == 1
     finally:
         galois.build_tower.cache_clear()  # drop the field built by the wrapper
@@ -246,8 +247,8 @@ def test_power_table_refuses_fields_too_narrow_for_the_walk(monkeypatch):
 
 def test_power_table_checks_the_walk_end_against_the_tower(monkeypatch):
     # the walk's last value is compared with gen**(m*L) taken in the tower
-    tower = galois.build_tower(9, 3, 0)
-    steps = 2 * (9**3 - 1) // 8  # m*L, not a cofactor M/l of the generator test
+    tower = galois.build_tower(25, 3, 0)
+    steps = 2 * (25**3 - 1) // 24  # m*L, not a cofactor M/l of the generator test
     tower_pow = tower.pow
     monkeypatch.setattr(
         tower, "pow", lambda a, e: tower_pow(a, e + 1 if e == steps else e)
@@ -256,7 +257,7 @@ def test_power_table_checks_the_walk_end_against_the_tower(monkeypatch):
         oracle._power_table(tower)
 
 
-@pytest.mark.parametrize("q,n", [(9, 2)])
+@pytest.mark.parametrize("q,n", [(25, 2)])
 def test_dependent_scaled_copies_are_refused(monkeypatch, q, n):
     power_table = oracle._power_table
 
@@ -272,58 +273,126 @@ def test_dependent_scaled_copies_are_refused(monkeypatch, q, n):
 
 def test_a_dependent_f_q_basis_is_refused(monkeypatch):
     # b_1 = b_0 = 1: the scaled copy of every conjugate is the conjugate itself
-    monkeypatch.setattr(oracle, "_fq_basis", lambda images, m: [1] * m)
-    with pytest.raises(InternalInconsistency, match="scaled conjugate copies are dependent"):
-        oracle._classify_by_classes(galois.build_tower(4, 3, 0))
+    monkeypatch.setattr(lanes, "_fq_basis", lambda F, images, m: [F.one] * m)
+    for q, n in [(4, 3), (9, 3)]:
+        with pytest.raises(InternalInconsistency, match="scaled conjugate copies are dependent"):
+            oracle._classify_by_classes(galois.build_tower(q, n, 0))
 
 
 def _replace_frobenius(monkeypatch, make):
-    """Sweep with make(the true images function, f, q) as the images of x -> x**q."""
-    frobenius_images = oracle._frobenius_images
-    monkeypatch.setattr(oracle, "_frobenius_images", lambda f, q: make(frobenius_images, f, q))
+    """Sweep with make(the true images function, F, q) as the images of x -> x**q."""
+    frobenius_images = lanes._frobenius_images
+    monkeypatch.setattr(lanes, "_frobenius_images", lambda F, q: make(frobenius_images, F, q))
 
 
-@pytest.mark.parametrize("q,n,k,bit", [(2, 5, 0, 1), (4, 4, 1, 1)])
-def test_a_perturbed_frobenius_is_refused(monkeypatch, q, n, k, bit):
-    # one bit flipped in the image of x**k under x -> x**q: F_q keeps its
-    # dimension for these moduli, but the lanes no longer return after n steps
-    def flip(images_of, f, q):
-        images = images_of(f, q)
-        images[k] ^= 1 << bit
+def _changed(k, c, t):
+    """Column k of x -> x**q with t times x**c added."""
+
+    def make(images_of, F, q):
+        images = images_of(F, q)
+        for _ in range(t):
+            images[k] = F.add(images[k], F.monomial(c))
         return images
 
-    _replace_frobenius(monkeypatch, flip)
+    return make
+
+
+@pytest.mark.parametrize("q,n,k,c", [(2, 5, 0, 1), (4, 4, 1, 1), (3, 4, 1, 2), (9, 3, 5, 1)])
+def test_a_perturbed_frobenius_is_refused(monkeypatch, q, n, k, c):
+    # x**c added to the image of x**k under x -> x**q, with the check tied to f
+    # taken out: F_q keeps its dimension for these moduli, but the lanes no
+    # longer return after n steps
+    monkeypatch.setattr(lanes, "_check_frobenius", lambda F, images: None)
+    _replace_frobenius(monkeypatch, _changed(k, c, 1))
     with pytest.raises(InternalInconsistency, match="did not return"):
         oracle._classify_by_classes(galois.build_tower(q, n, 0))
 
 
-@pytest.mark.parametrize("q,n", [(2, 4), (4, 4)])
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4)])
+def test_every_single_digit_change_of_the_frobenius_is_refused(monkeypatch, q, n):
+    # without the check tied to f, 4 of the 25 bit flips at (2, 5) and 12 of
+    # the 32 digit changes at (3, 4) pass every other check
+    tower = galois.build_tower(q, n, 0)
+    N, p = tower.n * tower.m, tower.base.order
+    for k, c, t in [(k, c, t) for k in range(N) for c in range(N) for t in range(1, p)]:
+        _replace_frobenius(monkeypatch, _changed(k, c, t))
+        with pytest.raises(InternalInconsistency, match="Frobenius column"):
+            oracle._classify_by_classes(tower)
+        monkeypatch.undo()  # the next change starts from the true columns
+
+    def powers_of_a_non_root(images_of, F, q):  # the powers of x**q + 1
+        y = F.add(images_of(F, q)[1], F.one)
+        images = [F.one]
+        for _ in range(F.N - 1):
+            images.append(F.mulmod(images[-1], y))
+        return images
+
+    _replace_frobenius(monkeypatch, powers_of_a_non_root)
+    with pytest.raises(InternalInconsistency, match="not a root of f"):
+        oracle._classify_by_classes(tower)
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (4, 4), (3, 4), (9, 4)])
 def test_a_wrong_f_q_dimension_is_refused(monkeypatch, q, n):
     # x -> x**(q*q) fixes F_{q^2}, of dimension 2m, inside F_{q^n} for even n
-    _replace_frobenius(monkeypatch, lambda images_of, f, q: images_of(f, q * q))
+    _replace_frobenius(monkeypatch, lambda images_of, F, q: images_of(F, q * q))
     with pytest.raises(InternalInconsistency, match="F_q has dimension"):
         oracle._classify_by_classes(galois.build_tower(q, n, 0))
 
 
+def test_f3_digit_arithmetic_over_all_digits():
+    # lane l of a plane holds digit a[l] of a vector; every pair of digits
+    F = lanes._Trits(galois.build_tower(3, 2, 0).modulus.coeffs)
+
+    def plane(digits):
+        return (sum(1 << l for l, d in enumerate(digits) if d == 1),
+                sum(1 << l for l, d in enumerate(digits) if d == 2))
+
+    def digits(v, count):
+        return [F.digit(v, l) for l in range(count)]
+
+    a, b = [d // 3 for d in range(9)], [d % 3 for d in range(9)]
+    assert digits(F.add(plane(a), plane(b)), 9) == [(x + y) % 3 for x, y in zip(a, b)]
+    assert digits(F.neg(plane(a)), 9) == [-x % 3 for x in a]
+    # apply: output 0 is input 0 plus 2 times input 1
+    out = F.apply([([0], [1])], [plane(a), plane(b)])
+    assert digits(out[0], 9) == [(x + 2 * y) % 3 for x, y in zip(a, b)]
+    # insert: (d, r) enters as the row d * (d, r) = (1, d*r); then (e, s) reduces
+    # to (0, s - e*d*r), new exactly where that digit is nonzero
+    cases = [(d, r, e, s) for d in (1, 2) for r in range(3) for e in range(3) for s in range(3)]
+    first = [plane([r for d, r, e, s in cases]), plane([d for d, r, e, s in cases])]
+    second = [plane([s for d, r, e, s in cases]), plane([e for d, r, e, s in cases])]
+    rows, pivots = [[F.zero] * b for b in range(2)], [0, 0]
+    assert F.insert(first, rows, pivots) == (1 << len(cases)) - 1
+    assert digits(rows[1][0], len(cases)) == [d * r % 3 for d, r, e, s in cases]
+    new = F.insert(second, rows, pivots)
+    assert [new >> l & 1 for l in range(len(cases))] == [
+        int((s - e * d * r) % 3 != 0) for d, r, e, s in cases
+    ]
+
+
 def test_a_char2_sweep_needs_no_generator_or_exp_table(monkeypatch):
+    # nor does a characteristic-3 sweep: both rank the lanes
     def refuse(*args):
-        raise AssertionError("not part of a characteristic-2 sweep")
+        raise AssertionError("not part of a characteristic-2 or -3 sweep")
 
     for module, name in [(oracle, "_power_table"), (oracle, "_orbits"),
                          (galois, "find_generator")]:
         monkeypatch.setattr(module, name, refuse)
-    for q, n in [(2, 9), (4, 4), (8, 3), (16, 1)]:
+    for q, n in [(2, 9), (4, 4), (8, 3), (16, 1), (3, 7), (9, 3), (27, 2), (81, 1)]:
         tower = galois.TowerField(q, n, 0)  # gen not yet searched for
         assert oracle._classify_by_classes(tower) == list(counting.distribution(q, n))
         assert "gen" not in vars(tower)
 
 
 def test_char2_lanes_split_into_small_blocks(monkeypatch):
-    # 8 lanes a block: the first block takes the degrees with fewer lanes,
-    # each larger degree fills blocks whose high digits flip whole planes
-    monkeypatch.setattr(oracle, "_LANE_BLOCK_BITS", 3)
-    for q, n in [(2, 10), (4, 5), (8, 3), (16, 2), (2, 3)]:
-        assert oracle.brute_force_distribution(q, n) == counting.distribution(q, n)
+    # at most 2**bits lanes a block, 2**bits for p = 2 and 3 or 9 for p = 3:
+    # the first block takes the degrees with fewer lanes, each larger degree
+    # fills blocks whose high digits add a constant to whole planes
+    for bits in (3, 4):
+        monkeypatch.setattr(lanes, "_LANE_BLOCK_BITS", bits)
+        for q, n in [(2, 10), (4, 5), (8, 3), (16, 2), (2, 3), (3, 6), (9, 3), (27, 2), (3, 2)]:
+            assert oracle.brute_force_distribution(q, n) == counting.distribution(q, n)
 
 
 def test_brute_force_refuses_a_miscount(monkeypatch):
@@ -389,7 +458,7 @@ def test_large_prime_field_sweeps_only_the_lines():
     assert elapsed < 0.5
 
 
-@pytest.mark.parametrize("q,n", [(25, 2), (9, 3), (27, 2)])  # m = 2, 2, 3
+@pytest.mark.parametrize("q,n", [(25, 2), (25, 3), (125, 2)])  # m = 2, 2, 3
 def test_one_rank_per_orbit_under_multiplication_by_p(monkeypatch, q, n):
     # alpha -> alpha**p keeps the rank, so classes are orbits of Z/L under
     # b -> p*b, up to m times larger than the orbits under b -> q*b
