@@ -23,10 +23,9 @@ print("formulas:   ", fast.counts)
 assert brute == fast
 
 # Under the hood: the sweep's own field (modulus index 0, built once and
-# cached), its generator and one element's conjugate polynomial.
+# cached) and one element's conjugate polynomial.
 field = build_tower(3, 4, 0)
 print("modulus:   ", field.modulus)
-print("generator: ", field.gen)
 alpha = field.element(5)
 conjugates = [alpha]  # alpha, alpha^q, ..., alpha^(q^(n-1))
 for _ in range(field.n - 1):

@@ -15,7 +15,7 @@ Every modulus is monic, and division takes a leading coefficient of 1 as
 it is, so reduction by a modulus never inverts.
 """
 
-from functools import cached_property, lru_cache
+from functools import lru_cache, reduce
 
 from . import numtheory
 from .errors import ArgumentOutOfRange, InternalInconsistency
@@ -137,22 +137,6 @@ class ExtensionField:
 
     def __repr__(self):
         return f"ExtensionField(order={self.order})"
-
-
-def find_generator(field):
-    """First generator of field*, an extension, scanned past the constants (from 1 at degree 1)."""
-    primes = numtheory.factorize(field.order - 1)
-    for i in range(field.base.order if field.degree > 1 else 1, field.order):
-        g = field.element(i)
-        if generates(field, g, primes):
-            return g
-    raise InternalInconsistency("no multiplicative generator found")
-
-
-def generates(field, g, primes) -> bool:
-    """g has order M = |field*|: g**(M/l) != 1 for every prime l | M, given as `primes`."""
-    M = field.order - 1
-    return all(field.pow(g, M // prime) != field.one for prime in primes)
 
 
 def _digits(field, i: int, count: int) -> tuple:
@@ -313,6 +297,8 @@ def is_irreducible(f: Poly) -> bool:
     dividing deg, gcd(x**(Q**(deg/l)) - x, f) = 1, where Q is the field
     order.  The powers x**(Q**k), k = 1..deg, are one walk of Q-th powers
     in the quotient ring F[x]/(f), each gcd taken as its k = deg/l passes.
+    A root 0 or 1 is a linear factor, so f(0) = 0 or f(1) = 0 refuses f
+    before the walk.
     """
     deg = f.degree
     if deg < 1:
@@ -320,6 +306,8 @@ def is_irreducible(f: Poly) -> bool:
     if deg == 1:
         return True
     field = f.field
+    if f.coeffs[0] == field.zero or reduce(field.add, f.coeffs) == field.zero:
+        return False
     ring = ExtensionField(field, f.monic())
     x = (field.zero, field.one) + (field.zero,) * (deg - 2)
     checks = {deg // prime for prime in numtheory.factorize(deg)}
@@ -376,12 +364,8 @@ class TowerField(ExtensionField):
     f is a monic irreducible of degree n*m over F_p from the deterministic
     scan; `modulus_index` picks a later hit so callers can check that counts
     do not depend on the field representation.  F_q is the subfield fixed
-    by x -> x**q, and the classifier reaches it through powers of `gen` in
-    characteristic p >= 5 and through the kernel of x -> x**q minus 1 in
-    characteristics 2 and 3, so the field carries no F_q coordinates.  `gen` is the
-    first generator of F_{q^n}* (`find_generator`), searched for on first
-    use and then kept, so that a cached field never searches again and a
-    field that never needs it never searches.
+    by x -> x**q, which the classifier finds as the kernel of x -> x**q
+    minus 1, so the field carries no F_q coordinates.
     """
 
     def __init__(self, q: int, n: int, modulus_index: int):
@@ -391,10 +375,6 @@ class TowerField(ExtensionField):
         self.q = q
         self.n = n
         self.m = m
-
-    @cached_property
-    def gen(self):
-        return find_generator(self)
 
     def __repr__(self):
         return f"TowerField(q={self.q}, n={self.n})"

@@ -1,36 +1,35 @@
-"""Bit-sliced sweeps of the fields of characteristic 2 and 3, all lines at once.
+"""Sweeps of F_{q^n} that rank every F_q*-line at once, in packed lanes.
 
-``sweep(tower)`` gives the counts N_0..N_n of F = F_p[x]/(f), p = 2 or 3,
-for ``oracle``: the F_q-span of the conjugates depends only on their
-F_q*-lines, so each line is ranked once and weighted by q - 1.  The digit
-arithmetic of F_p is kept apart, in ``_Bits`` and ``_Trits``; the rest does
-not branch on p.
+``sweep(tower)`` gives the counts N_0..N_n of F = F_p[x]/(f) for ``oracle``:
+the F_q-span of the conjugates depends only on their F_q*-lines, so each
+line is ranked once and weighted by q - 1.  Only the digit arithmetic of F_p
+is per characteristic: ``_Bits`` (p = 2) packs a vector in one int, a bit a
+digit; ``_Trits`` (p = 3) in two bit planes, lo and hi, after Boothby and
+Bradshaw, so a sum takes seven AND/OR/XOR operations and a negation swaps
+them; ``_Digits`` (p >= 5) in one int of w-bit fields, w = bitlen(p - 1) + 1,
+each kept in [0, p) (SIMD within a register, after Fisher and Dietz), so a
+sum is one int addition and a subtraction of p where a field reached p.
 
-* An F_p-vector is packed by digit: in characteristic 2 one int, bit k the
-  digit k; in characteristic 3 a pair (lo, hi) of ints, bit k of lo set
-  where digit k is 1 and of hi where it is 2 (two bit planes per F_3
-  digit, after Boothby and Bradshaw), so that a sum takes seven
-  AND/OR/XOR operations and a negation swaps lo and hi.
-* Elements of F are such vectors, digit k the coefficient of x**k, and are
-  multiplied by shifts and digitwise sums mod f.  The columns of
-  x -> x**q must be the powers of a root of f; F_q = ker(x -> x**q minus 1)
-  gets an F_p-basis b_0 = 1, b_1, ..., b_{m-1} by elimination, and must
-  have dimension m.  No generator, exp table or orbit walk is needed.
-* {1, x, ..., x**(n-1)} is an F_q-basis of F, since x has degree n over
-  F_q, so each line has one representative x**j + sum_{k<j} c_k x**k with
-  c_k in F_q, j < n: L = (q**n - 1)/(q - 1) lanes, every nonzero element
-  when q = 2.  Plane c is a vector whose digit l is coordinate c of lane l,
-  built from periodic digit patterns.
+* Elements of F are such vectors, digit k the coefficient of x**k.  The
+  columns of x -> x**q must be the powers of a root of f, and F_q =
+  ker(x -> x**q minus 1), with an F_p-basis b_0 = 1, ..., b_{m-1} found by
+  elimination, must have dimension m.  No generator or exp table is needed.
+* {1, x, ..., x**(n-1)} is an F_q-basis of F, so each line has one
+  representative x**j + sum_{k<j} c_k x**k, c_k in F_q: one lane each,
+  L = (q**n - 1)/(q - 1) in all.  Plane c is a vector whose digit l is
+  coordinate c of lane l, and a lane mask has the low bit of each lane's
+  digit set.
 * x -> x**q and the products by b_i are F_p-linear, so they act on all
-  lanes as digitwise sums of planes, and the m vectors b_i * alpha**(q**j),
-  which span the F_q-multiples of a conjugate over F_p, enter an echelon
-  basis per lane, kept as one row per pivot digit.  A lane is ranked at the
-  first conjugate already in its span, which is then Frobenius-invariant;
-  the other b_i-copies of a new conjugate must be new too, and the planes
-  must return to their start after n steps of x -> x**q.  The lanes are
-  taken at most 2**_LANE_BLOCK_BITS at a time (3**10 for p = 3), so memory
-  stays flat as the field grows.
+  lanes as digitwise sums of planes, and the b_i * alpha**(q**j) enter an
+  echelon basis per lane, one row per pivot digit.  A lane is ranked at its
+  first conjugate already in the span, which is then Frobenius-invariant.
+  The other b_i-copies of a new conjugate must be new too, the planes must
+  return after n steps of x -> x**q, and one lane of the lowest rank found
+  and one of full rank are ranked again in scalar arithmetic.  At most
+  2**_LANE_BLOCK_BITS lanes are taken at a time, so memory stays flat.
 """
+
+from functools import reduce
 
 from . import galois
 from .errors import InternalInconsistency
@@ -40,15 +39,14 @@ _LANE_BLOCK_BITS = 16
 
 
 def sweep(tower: galois.TowerField) -> list[int]:
-    """Counts N_0..N_n of F = F_p[x]/(f), p = 2 or 3, every F_q*-line ranked at once.
+    """Counts N_0..N_n of F = F_p[x]/(f), every F_q*-line ranked at once.
 
-    A lane is one line representative alpha, and plane c holds coordinate c
-    of every lane.  x -> x**q and the products by an F_p-basis b_0 = 1,
-    b_1, ... of F_q are F_p-linear, so they map all lanes at once (the
-    ``apply`` of the digit arithmetic F), and ``_rank_lanes`` runs one
-    elimination per lane in the same digitwise operations.
+    x -> x**q and the products by b_1, ... map all lanes at once (``apply``
+    of the digit arithmetic F), and ``_rank_lanes`` runs one elimination per
+    lane in the same digitwise operations.
     """
-    F = {2: _Bits, 3: _Trits}[tower.base.order](tower.modulus.coeffs)
+    p, coeffs = tower.base.order, tower.modulus.coeffs
+    F = {2: _Bits, 3: _Trits}[p](coeffs) if p < 5 else _Digits(coeffs, p)
     n, q, m = tower.n, tower.q, tower.m
     N = n * m
     images = _frobenius_images(F, q)
@@ -65,23 +63,34 @@ def sweep(tower: galois.TowerField) -> list[int]:
     # base-p digit s of a lane's index adds a multiple of b_i * x**k, s = k*m + i
     digits = [columns[s % m][s // m] for s in range((n - 1) * m)]
     block_digits = 0  # p**block_digits lanes a block, at most 2**_LANE_BLOCK_BITS
-    while F.p ** (block_digits + 1) <= 1 << _LANE_BLOCK_BITS:
+    while p ** (block_digits + 1) <= 1 << _LANE_BLOCK_BITS:
         block_digits += 1
     counts = [0] * (n + 1)
     counts[n] += 1  # alpha = 0 spans nothing
+    samples = {}  # rank -> the element of one lane of that rank
     for planes, lanes in _lane_blocks(F, n, m, digits, block_digits):
-        _rank_lanes(F, planes, lanes, n, q, frobenius, scalings, counts)
+        _rank_lanes(F, planes, lanes, n, q, frobenius, scalings, counts, samples)
+    for rank, alpha in samples.items():
+        if _span_dimension(F, alpha, n, q, basis) != rank * m:
+            raise InternalInconsistency(f"a lane of rank {rank} re-ranks differently")
     return counts
+
+
+def _power(F, a, e: int):
+    """a**e in F for e >= 1, squaring from the top bit of e."""
+    if a == F.one:  # every sweep re-ranks the lane of alpha = 1
+        return a
+    result = a
+    for bit in bin(e)[3:]:
+        result = F.mulmod(result, result)
+        if bit == "1":
+            result = F.mulmod(result, a)
+    return result
 
 
 def _frobenius_images(F, q: int) -> list:
     """(x**k)**q mod f packed, k < deg f: the columns of x -> x**q over F_p."""
-    x = F.mulmod(F.one, F.monomial(1))
-    xq = x
-    for bit in bin(q)[3:]:
-        xq = F.mulmod(xq, xq)
-        if bit == "1":
-            xq = F.mulmod(xq, x)
+    xq = _power(F, F.mulmod(F.one, F.monomial(1)), q)
     images = [F.one]
     for _ in range(F.N - 1):
         images.append(F.mulmod(images[-1], xq))
@@ -107,61 +116,87 @@ def _check_frobenius(F, images: list) -> None:
         if k < F.N and images[k] != power:
             raise InternalInconsistency(f"Frobenius column {k} is not column 1 to the power {k}")
         if c:
-            root = F.add(root, power if c == 1 else F.neg(power))  # c = 2 = -1 when p = 3
+            root = F.add(root, F.scale(power, c))
     if root != F.zero:
         raise InternalInconsistency("Frobenius column 1 is not a root of f")
+
+
+def _eliminate(F, rows: dict, v):
+    """Reduce v by monic `rows` (keyed by top digit + 1); keep a nonzero rest as a row.
+
+    Returns the new row, or None when v is in their span.
+    """
+    while top := F.top(v):
+        d = F.digit(v, top - 1)
+        row = rows.get(top)
+        if row is None:
+            row = rows[top] = v if d == 1 else F.scale(v, pow(d, -1, F.p))
+            return row
+        v = F.add(v, row if d == F.p - 1 else F.scale(row, F.p - d))
+    return None
 
 
 def _fq_basis(F, images: list, m: int) -> list:
     """F_p-basis of F_q = ker(x -> x**q minus 1) in F, packed, with 1 first.
 
-    Each column of the map minus 1 is reduced into an echelon basis with
-    pivot digit 1, together with the combination of columns it stands for.
-    A column that reaches 0 gives a kernel vector whose top digit is that
-    column's own, so the vectors are independent; column 0 gives 1, which
-    x -> x**q fixes.
+    Column k of the map minus 1 is eliminated as (column) * x**N + x**k: a
+    rest below x**N is a kernel vector with top digit k, so they are
+    independent; column 0 gives 1, which x -> x**q fixes.
     """
-    pivots = {}  # top digit + 1 -> (reduced column, combination)
-    basis = []
+    rows, basis = {}, []
     for k, image in enumerate(images):
-        combination = F.monomial(k)
-        v = F.add(image, F.neg(combination))
-        while top := F.support(v).bit_length():
-            if F.digit(v, top - 1) != 1:  # 2 = -1 when p = 3
-                v, combination = F.neg(v), F.neg(combination)
-            if top not in pivots:
-                pivots[top] = (v, combination)
-                break
-            row, row_combination = pivots[top]
-            v = F.add(v, F.neg(row))
-            combination = F.add(combination, F.neg(row_combination))
-        else:
-            basis.append(combination)
+        x_k = F.monomial(k)
+        row = _eliminate(F, rows, F.add(F.shift(F.add(image, F.scale(x_k, F.p - 1)), F.N), x_k))
+        if row is not None and F.top(row) <= F.N:
+            basis.append(row)
     if len(basis) != m:
         raise InternalInconsistency(f"F_q has dimension {len(basis)} over F_{F.p}, not m = {m}")
     return basis
 
 
+def _span_dimension(F, alpha, n: int, q: int, basis: list) -> int:
+    """F_p-dimension of the span of the b_i * alpha**(q**j), m times the F_q-rank.
+
+    Scalar arithmetic, sharing neither the lanes' map x -> x**q nor their
+    elimination: powers by ``mulmod`` and one ``_eliminate``, up to the first
+    conjugate already in the span.
+    """
+    rows, conjugate = {}, alpha
+    for j in range(n):
+        if j:
+            conjugate = _power(F, conjugate, q)
+        if _eliminate(F, rows, conjugate) is None:  # b_0 = 1
+            break
+        for b in basis[1:]:
+            _eliminate(F, rows, F.mulmod(conjugate, b))
+    return len(rows)
+
+
+def _lane_mask(F, lanes: int) -> int:
+    """The lane mask of `lanes` lanes: the low bit of each of their digits."""
+    return ((1 << lanes * F.width) - 1) // ((1 << F.width) - 1)
+
+
+def _lane_element(F, planes: list, mask: int):
+    """The element held by the lowest lane of `mask` in `planes`."""
+    lane = ((mask & -mask).bit_length() - 1) // F.width
+    terms = [F.scale(F.monomial(c), F.digit(plane, lane)) for c, plane in enumerate(planes)]
+    return reduce(F.add, terms, F.zero)
+
+
 def _lane_blocks(F, n, m, digits, block_digits):
     """(planes, lane count) of the F_q*-lines of F, at most p**block_digits lanes a block.
 
-    Each line has one representative x**j + sum of c_k * x**k over k < j,
-    c_k in F_q, j < n: {1, x, ..., x**(n-1)} is an F_q-basis of F, since x
-    has degree n over F_q.  Lane t < q**j of degree j is x**j plus the sum
-    of d * digits[s] over the base-p digits d of t.  Over the low digits of
-    t the planes are one pattern, built by repeating it p times with
-    digits[s] added 0, 1, ..., p - 1 times, and a higher digit of t only
-    adds a constant to whole planes.  The degrees with fewer lanes than a
-    block share the first block; each other degree fills whole blocks.
+    Lane t < q**j of degree j < n is x**j plus the sum of d * digits[s] over
+    the base-p digits d of t.  Over the low digits of t the planes are one
+    pattern (``_repeat``), and a higher digit of t only adds a constant to
+    whole planes.  The degrees with fewer lanes than a block share the first
+    block, which is empty when a block is one lane; the others fill blocks.
     """
     patterns = [[F.zero] * (n * m)]  # patterns[s]: the p**s lanes of the low s digits
     lanes = 1
     for d in digits[:block_digits]:
-        ones = (1 << lanes) - 1
-        parts = [patterns[-1]]
-        for _ in range(F.p - 1):
-            parts.append(F.plus(parts[-1], d, ones))
-        patterns.append(F.concat([(part, lanes) for part in parts]))
+        patterns.append(_repeat(F, patterns[-1], lanes, d))
         lanes *= F.p
     head, wide = [], []
     for j in range(n):
@@ -169,78 +204,120 @@ def _lane_blocks(F, n, m, digits, block_digits):
             wide.append(j)
             continue
         width = F.p ** (j * m)
-        head.append((F.plus(patterns[j * m], F.monomial(j), (1 << width) - 1), width))
-    yield F.concat(head), sum(width for _, width in head)
-    full = (1 << lanes) - 1
+        head.append((F.plus(patterns[j * m], F.monomial(j), _lane_mask(F, width)), width))
+    if head:
+        yield F.concat(head), sum(width for _, width in head)
+    full = _lane_mask(F, lanes)
     for j in wide:
         for high in range(F.p ** (j * m - block_digits)):
             offset = F.monomial(j)
             s = block_digits
             while high:
                 high, d = divmod(high, F.p)
-                for _ in range(d):
-                    offset = F.add(offset, digits[s])
+                offset = F.add(offset, F.scale(digits[s], d))
                 s += 1
             yield F.plus(patterns[-1], offset, full), lanes
 
 
-def _rank_lanes(F, planes, lanes, n, q, frobenius, scalings, counts):
+def _repeat(F, planes, lanes, d):
+    """p copies of the `lanes` lanes of `planes`, copy t with t * d added,
+    doubled from the top bit of p down: O(log p) concatenations, not p."""
+    out, copies = planes, 1
+    for bit in bin(F.p)[3:]:
+        width = copies * lanes
+        parts = [(out, width), (F.plus(out, F.scale(d, copies), _lane_mask(F, width)), width)]
+        copies *= 2
+        if bit == "1":
+            parts.append((F.plus(planes, F.scale(d, copies), _lane_mask(F, lanes)), lanes))
+            copies += 1
+        out = F.concat(parts)
+    return out
+
+
+def _rank_lanes(F, planes, lanes, n, q, frobenius, scalings, counts, samples):
     """Add (q - 1) to N_{n-r} for each lane whose conjugates have F_q-rank r.
 
-    The conjugate alpha**(q**j) enters as the m vectors b_i * alpha**(q**j),
-    which span its F_q-multiples over F_p.  ``alive`` marks the lanes whose
-    conjugates so far are independent; a lane leaves it at the first
-    conjugate already in the span, whose span is then Frobenius-invariant.
+    alpha**(q**j) enters as the m vectors b_i * alpha**(q**j), which span its
+    F_q-multiples over F_p.  ``alive`` marks the lanes whose conjugates so
+    far are independent.  `samples` maps a rank to the element of one lane
+    of it: full rank once, and each rank below every rank it holds.
     """
     apply, insert = F.apply, F.insert
     start = planes
-    alive = (1 << lanes) - 1
-    pivots = [0] * len(planes)  # lanes with a basis row of that top digit
-    rows = [[F.zero] * b for b in range(len(planes))]  # the rows' planes below the top digit
+    ones = alive = _lane_mask(F, lanes)
+    pivots = [0] * len(planes)  # per top digit, the lanes with a basis row there (see insert)
+    rows = [[F.row_zero] * b for b in range(len(planes))]  # the rows' planes below the top digit
     for j in range(n):
         if alive:
-            inserted = insert(planes, rows, pivots)
-            counts[n - j] += (q - 1) * (alive & ~inserted).bit_count()
+            inserted = insert(planes, rows, pivots, ones)
+            ranked = alive & ~inserted
+            if ranked:
+                counts[n - j] += (q - 1) * ranked.bit_count()
+                if j < min(samples, default=n):
+                    samples[j] = _lane_element(F, start, ranked)
             alive &= inserted
             for scaling in scalings:
-                if alive & ~insert(apply(scaling, planes), rows, pivots):
+                if alive & ~insert(apply(scaling, planes, ones), rows, pivots, ones):
                     raise InternalInconsistency("scaled conjugate copies are dependent")
-        planes = apply(frobenius, planes)
+        planes = apply(frobenius, planes, ones)
     if planes != start:
         raise InternalInconsistency("the lanes did not return after n steps of x -> x**q")
     counts[0] += (q - 1) * alive.bit_count()
+    if alive and n not in samples:
+        samples[n] = _lane_element(F, start, alive)
 
 
-class _Bits:
+class _Packed:
+    """A vector packed in one int, `width` bits a digit, digit k at bit k*width."""
+
+    width = fill = 1  # bits of a digit, and the mask of one
+    zero = 0
+    one = 1
+
+    def monomial(self, k):
+        return 1 << k * self.width
+
+    def shift(self, a, k):
+        return a << k * self.width
+
+    def top(self, a):
+        """The number of digits up to the top nonzero one."""
+        return -(-a.bit_length() // self.width)
+
+    def digit(self, a, k):
+        return a >> k * self.width & self.fill
+
+    def concat(self, blocks):
+        """The planes of the lanes of `blocks`, (planes, lane count) pairs, in turn."""
+        out, offset = blocks[0]
+        for planes, lanes in blocks[1:]:
+            shift = offset * self.width
+            out = [v | w << shift for v, w in zip(out, planes)]
+            offset += lanes
+        return out
+
+
+class _Bits(_Packed):
     """Digits of F_2, bit-sliced: a vector is an int whose bit k is digit k.
 
     A vector is an element of F = F_2[x]/(f), digit k its coefficient of
-    x**k, or a plane, digit l the coordinate of lane l.
+    x**k, or a plane, digit l the coordinate of lane l.  The lane mask
+    `ones` of ``apply`` and ``insert`` is read only by ``_Digits``.
     """
 
     p = 2
-    zero = 0
-    one = 1
+    row_zero = 0
 
     def __init__(self, coeffs):
         self.coeffs = coeffs  # of f, constant first
         self.N = len(coeffs) - 1
         self.f = sum(c << k for k, c in enumerate(coeffs))
 
-    def monomial(self, k):
-        return 1 << k
-
     def add(self, a, b):
         return a ^ b
 
-    def neg(self, a):
-        return a
-
-    def support(self, a):
-        return a
-
-    def digit(self, a, k):
-        return a >> k & 1
+    def scale(self, a, c):
+        return a if c else 0
 
     def mulmod(self, a, b):
         """a*b mod f for a reduced mod f, by shifts and XORs."""
@@ -259,19 +336,11 @@ class _Bits:
         """The planes with `element` added to each lane of `ones`."""
         return [v ^ ones if element >> c & 1 else v for c, v in enumerate(planes)]
 
-    def concat(self, blocks):
-        """The planes of the lanes of `blocks`, (planes, lane count) pairs, in turn."""
-        out, offset = blocks[0]
-        for planes, lanes in blocks[1:]:
-            out = [v | w << offset for v, w in zip(out, planes)]
-            offset += lanes
-        return out
-
     def linear_map(self, images):
         """For each output coordinate c, the input coordinates whose images have digit c."""
         return [[k for k, image in enumerate(images) if image >> c & 1] for c in range(self.N)]
 
-    def apply(self, linear_map, planes):
+    def apply(self, linear_map, planes, ones):
         """The planes of the images of all lanes under a ``linear_map``."""
         out = []
         for inputs in linear_map:
@@ -281,7 +350,7 @@ class _Bits:
             out.append(v)
         return out
 
-    def insert(self, vector, rows, pivots):
+    def insert(self, vector, rows, pivots, ones):
         """Reduce one vector per lane into that lane's XOR basis; the lanes where it was new.
 
         rows[b] holds, plane by plane below b, the row with top bit b of every
@@ -306,16 +375,13 @@ class _Bits:
 
 class _Trits:
     """Digits of F_3, bit-sliced: a vector is a pair (lo, hi) of ints, bit k of
-    lo set where digit k is 1 and bit k of hi where it is 2.
-
-    A vector is an element of F = F_3[x]/(f), digit k its coefficient of
-    x**k, or a plane, digit l the coordinate of lane l.  Sums take seven
-    AND/OR/XOR operations, negation swaps lo and hi, and as 1/1 = 1 and
-    1/2 = 2 a vector is made monic by its own leading digit.
+    lo set where digit k is 1 and bit k of hi where it is 2.  As 1/1 = 1 and
+    1/2 = 2, a vector is made monic by its own leading digit.
     """
 
     p = 3
-    zero = (0, 0)
+    width = 1  # bits of a lane in a lane mask
+    zero = row_zero = (0, 0)
     one = (1, 0)
 
     def __init__(self, coeffs):
@@ -327,6 +393,9 @@ class _Trits:
     def monomial(self, k):
         return 1 << k, 0
 
+    def shift(self, a, k):
+        return a[0] << k, a[1] << k
+
     def add(self, a, b):
         (al, ah), (bl, bh) = a, b
         t = (al | bh) ^ (ah | bl)
@@ -335,30 +404,32 @@ class _Trits:
     def neg(self, a):
         return a[1], a[0]
 
-    def support(self, a):
-        return a[0] | a[1]
+    def scale(self, a, c):
+        return self.zero if not c else a if c == 1 else self.neg(a)
+
+    def top(self, a):
+        return (a[0] | a[1]).bit_length()
 
     def digit(self, a, k):
         return (a[0] >> k & 1) | (a[1] >> k & 1) << 1
 
     def mulmod(self, a, b):
         """a*b mod f for a reduced mod f, by shifts and digitwise sums."""
-        f, minus_f, top = self.f, self.neg(self.f), self.N
-        product = self.zero
+        (fl, fh), top = self.f, self.N
+        pl = ph = 0
+        al, ah = a
         bl, bh = b
         while bl | bh:
-            if bl & 1:
-                product = self.add(product, a)
-            elif bh & 1:
-                product = self.add(product, self.neg(a))
-            bl >>= 1
-            bh >>= 1
-            a = a[0] << 1, a[1] << 1
-            if a[0] >> top & 1:
-                a = self.add(a, minus_f)
-            elif a[1] >> top & 1:
-                a = self.add(a, f)
-        return product
+            if bl & 1 or bh & 1:
+                xl, xh = (al, ah) if bl & 1 else (ah, al)  # a or -a
+                t = (pl | xh) ^ (ph | xl)
+                pl, ph = (ph | xh) ^ t, (pl | xl) ^ t
+            bl, bh, al, ah = bl >> 1, bh >> 1, al << 1, ah << 1
+            if (al | ah) >> top & 1:
+                xl, xh = (fh, fl) if al >> top & 1 else (fl, fh)  # -f or f
+                t = (al | xh) ^ (ah | xl)
+                al, ah = (ah | xh) ^ t, (al | xl) ^ t
+        return pl, ph
 
     def plus(self, planes, element, ones):
         """The planes with `element` added to each lane of `ones`: a digit
@@ -387,23 +458,23 @@ class _Trits:
         return [([k for k, (lo, _) in enumerate(images) if lo >> c & 1],
                  [k for k, (_, hi) in enumerate(images) if hi >> c & 1]) for c in range(self.N)]
 
-    def apply(self, linear_map, planes):
+    def apply(self, linear_map, planes, ones):
         """The planes of the images of all lanes under a ``linear_map``."""
         out = []
-        for ones, twos in linear_map:
+        for plus, minus in linear_map:  # inputs of digit 1 and of digit 2 = -1
             lo = hi = 0
-            for k in ones:
+            for k in plus:
                 bl, bh = planes[k]
                 t = (lo | bh) ^ (hi | bl)
                 lo, hi = (hi | bh) ^ t, (lo | bl) ^ t
-            for k in twos:
+            for k in minus:
                 bh, bl = planes[k]
                 t = (lo | bh) ^ (hi | bl)
                 lo, hi = (hi | bh) ^ t, (lo | bl) ^ t
             out.append((lo, hi))
         return out
 
-    def insert(self, vector, rows, pivots):
+    def insert(self, vector, rows, pivots, ones):
         """Reduce one vector per lane into that lane's echelon basis; the lanes where it was new.
 
         rows[b] holds, plane by plane below b, the row with top digit b of
@@ -430,5 +501,165 @@ class _Trits:
                 yl, yh = rl & dh | rh & dl, rh & dh | rl & dl  # -d times the row
                 t = (xl | yh) ^ (xh | yl)
                 reduced.append(((xh | yh) ^ t, (xl | yl) ^ t))
+            v[:b] = reduced
+        return inserted
+
+
+class _Digits(_Packed):
+    """Digits of F_p, p >= 5: a vector is an int whose w-bit field k holds
+    digit k in [0, p), w = bitlen(p - 1) + 1, so a field's top bit is free.
+
+    A sum s = a + b subtracts p from each field whose top bit is set in
+    s + (2**(w-1) - p), so no field carries into the next.  A product by
+    per-lane digits d adds the j-th doubling of the vector where bit j of d
+    is set, and 1/d = d**(p-2).
+    """
+
+    def __init__(self, coeffs, p):
+        self.p = p
+        self.coeffs = coeffs  # of f, constant first
+        self.N = len(coeffs) - 1
+        self.bits = (p - 1).bit_length()  # of a digit, and its doublings taken
+        self.width = self.bits + 1
+        self.fill = (1 << self.width) - 1
+        self.excess = (1 << self.bits) - p  # per field: s + excess has the top bit iff s >= p
+        self.row_zero = (0,) * self.bits
+        self.tail = [(k, c) for k, c in enumerate(coeffs[:-1]) if c]  # f - x**N, sparse
+        self.wide = (self.N * (p - 1) ** 2).bit_length()  # a digit of a product before mod p
+        self.low = _lane_mask(self, 2 * self.N)  # elements: ``_fq_basis`` has 2N digits
+        self.bias = self.low * self.excess
+
+    def add(self, a, b):
+        s = a + b
+        return s - ((s + self.bias) >> self.bits & self.low) * self.p
+
+    def scale(self, a, c):
+        """c*a for a digit c."""
+        p, width, fill = self.p, self.width, self.fill
+        out = shift = 0
+        while a:
+            out |= (a & fill) * c % p << shift
+            a >>= width
+            shift += width
+        return out
+
+    def mulmod(self, a, b):
+        """a*b mod f for a reduced mod f: one int product of the digits spread
+        to fields wide enough for their sums, then reduced digit by digit."""
+        p, N, width, fill, wide = self.p, self.N, self.width, self.fill, self.wide
+        spread = []
+        for v in a, b:
+            out = shift = 0
+            while v:
+                out, v, shift = out | (v & fill) << shift, v >> width, shift + wide
+            spread.append(out)
+        product, digits = spread[0] * spread[1], []
+        while product:
+            digits.append(product & (1 << wide) - 1)
+            product >>= wide
+        for i in range(len(digits) - 1, N - 1, -1):  # f is monic
+            c = digits[i] % p
+            if c:
+                for k, t in self.tail:
+                    digits[i - N + k] -= c * t
+        out = 0
+        for c in reversed(digits[:N]):
+            out = out << width | c % p
+        return out
+
+    def plus(self, planes, element, ones):
+        """The planes with `element` added to each lane of `ones`."""
+        bias, bits, p = ones * self.excess, self.bits, self.p
+        sums = [v + self.digit(element, c) * ones for c, v in enumerate(planes)]
+        return [s - ((s + bias) >> bits & ones) * p for s in sums]
+
+    def linear_map(self, images):
+        """For each output coordinate c, the pairs (k, j) with bit j set in
+        digit c of the image of input coordinate k: its j-th doubling enters."""
+        return [[(k, j) for k, image in enumerate(images) for j in range(self.bits)
+                 if self.digit(image, c) >> j & 1] for c in range(self.N)]
+
+    def doublings(self, v, ones):
+        """(v, 2v, 4v, ...) mod p, bitlen(p - 1) of them, on the lanes of `ones`."""
+        bias, bits, p = ones * self.excess, self.bits, self.p
+        out = [v]
+        for _ in range(bits - 1):
+            s = v << 1
+            v = s - ((s + bias) >> bits & ones) * p
+            out.append(v)
+        return out
+
+    def apply(self, linear_map, planes, ones):
+        """The planes of the images of all lanes under a ``linear_map``."""
+        bias, bits, p = ones * self.excess, self.bits, self.p
+        doublings = [self.doublings(v, ones) for v in planes]
+        out = []
+        for terms in linear_map:
+            v = 0
+            for k, j in terms:
+                s = v + doublings[k][j]
+                v = s - ((s + bias) >> bits & ones) * p
+            out.append(v)
+        return out
+
+    def mul(self, a, d, ones):
+        """a times the per-lane digits d."""
+        bias, bits, p, fill = ones * self.excess, self.bits, self.p, self.fill
+        out = 0
+        for j, doubling in enumerate(self.doublings(a, ones)):
+            s = out + (doubling & (d >> j & ones) * fill)
+            out = s - ((s + bias) >> bits & ones) * p
+        return out
+
+    def inverse(self, d, ones):
+        """1/d per lane as d**(p-2), so 0 where d is 0."""
+        out = d
+        for bit in bin(self.p - 2)[3:]:
+            out = self.mul(out, out, ones)
+            if bit == "1":
+                out = self.mul(out, d, ones)
+        return out
+
+    def insert(self, vector, rows, pivots, ones):
+        """Reduce one vector per lane into that lane's echelon basis; the lanes where it was new.
+
+        rows[b] holds, plane by plane below b, the doublings of the row with
+        top digit b of every lane that has one, and pivots[b] the inverse of
+        that digit (0 elsewhere).  A lane with a digit d != 0 at b and no row
+        there takes the vector as its row; then -d/(digit b of the row) times
+        the row is added to the vector, a doubling for each bit of it.
+        """
+        bias, bits, p, fill = ones * self.excess, self.bits, self.p, self.fill
+        nonzero = ones * (fill >> 1)  # per field: d + nonzero has the top bit iff d != 0
+        v = list(vector)
+        inserted = 0
+        for b in range(len(v) - 1, -1, -1):
+            d = v[b]
+            if not d:
+                continue
+            inverse = pivots[b]
+            live = (d + nonzero) >> bits & ones
+            new = live & ~((inverse + nonzero) >> bits)
+            if new:
+                inserted |= new
+                spread = new * fill
+                lead = d & spread
+                inverse |= new if lead == new else self.inverse(lead, ones)  # 1/1 = 1
+                pivots[b] = inverse
+                rows[b] = [row if not x & spread else tuple(
+                    r | y for r, y in zip(row, self.doublings(x & spread, ones)))
+                    for row, x in zip(rows[b], v)]
+            if inverse & live * fill != live:  # unless every digit b of the rows is 1
+                d = self.mul(d, inverse, ones)
+            factor = live * p - d  # -d/(digit b of the row)
+            masks = [(factor >> j & ones) * fill for j in range(bits)]
+            reduced = []
+            for x, row in zip(v, rows[b]):
+                for mask, r in zip(masks, row):
+                    t = r & mask
+                    if t:
+                        s = x + t
+                        x = s - ((s + bias) >> bits & ones) * p
+                reduced.append(x)
             v[:b] = reduced
         return inserted

@@ -4,40 +4,11 @@
 alpha by k = n - dim span_{F_q}(alpha, alpha**q, ..., alpha**(q**(n-1))),
 the definition of k-normality.  The field is F_p[x]/(f), f of degree
 N = n*m for q = p**m (``galois.TowerField``), with no F_q coordinates.
-The F_q-span of the conjugates depends only on their F_q*-lines, so each
-line is ranked once and weighted by q - 1; alpha = 0 spans nothing.  Three
-cases take two routes, which keep full sweeps up to 2**22 elements feasible
-and borrow nothing from the counting side.
-
-Characteristics 2 and 3 rank every line at once, bit-sliced, in the
-``lanes`` module: two bit planes per F_3 digit, one per F_2 digit, and all
-lines of a block eliminated together by AND/OR/XOR on big ints, with no
-generator, exp table or orbit walk.  ``lanes`` is imported on the first such
-sweep, so commands that sweep nothing never compile it.
-
-Characteristic p >= 5 ranks one line per class, through a table of powers of
-the first generator gen of F_{q^n}*, F_q* being generated by beta = gen**L
-and x -> x**q being exponent arithmetic:
-
-* elements are packed ints in an exp table, entry e holding gen**e, with
-  each F_p coordinate in its own ``_field_width`` bit field, so a rank over
-  F_p is an elimination on lazily reduced bit fields, whose new rows are
-  reduced and scaled by ``bytes.translate`` when a field is one byte, and
-  multiplication by gen, being F_p-linear, builds the table with two
-  lookups and one fieldwise addition per entry;
-* the rank is constant on classes {c * alpha**(p**i): c in F_q*, i < m*n}.
-  The conjugates of c*alpha are c times those of alpha, and x -> x**p is
-  a field automorphism fixing F_q as a set, so it maps the F_q-span of the
-  conjugates of alpha onto that of the conjugates of alpha**p, of the same
-  dimension.  One rank per class suffices, weighted by class size.  In
-  exponent terms the class of e is {p**i * e + j*L mod M} with
-  M = q**n - 1: the preimage of the orbit of e mod L under multiplication
-  by p, up to m times larger than its orbit under q;
-* the sweep works on F_{q^n}*/F_q* = Z/L and reads a conjugate gen**f with
-  f mod L.  The span is the F_p-span of the multiples of the conjugates by
-  1, beta, ..., beta**(m-1): entries f + j*L with f < L and j < m, so the
-  exp table stops at m*L entries.  It stops growing at the first conjugate
-  already inside it.
+Each F_q*-line is ranked once and weighted by q - 1, and alpha = 0 spans
+nothing.  One route serves every characteristic: ``lanes`` ranks all lines
+at once, with F_p-vectors packed by digit, so that full sweeps up to 2**22
+elements stay feasible and borrow nothing from the counting side.  It is
+imported on the first sweep, so commands that sweep nothing never compile it.
 
 The equivalent gcd form, k = deg gcd(x**n - 1, g_alpha), is not computed
 here.  The tests take it element by element on F_p[x]/(f') for a second
@@ -49,9 +20,8 @@ q, an independent route to the factor-degree pattern of x**n0 - 1.
 """
 
 import math
-import struct
 
-from . import galois, numtheory, spectrum
+from . import galois, spectrum
 from .counting import Distribution
 from .errors import InstanceTooLarge, InternalInconsistency, NotCoprime
 
@@ -68,7 +38,9 @@ def brute_force_distribution(
 ) -> Distribution:
     """Exact k-normal distribution computed from the field itself."""
     sweep_params(q, n, max_order)
-    counts = _classify_by_classes(galois.build_tower(q, n, modulus_index))
+    from . import lanes  # compiled on the first sweep, so commands that sweep nothing never do
+
+    counts = lanes.sweep(galois.build_tower(q, n, modulus_index))
     if sum(counts) != q**n:
         raise InternalInconsistency("classification missed or double-counted elements")
     return Distribution(q=q, n=n, counts=tuple(counts))
@@ -110,188 +82,3 @@ def _orbits(q: int, modulus: int):
             size += 1
             b = b * q % modulus
         yield start, size
-
-
-def _classify_by_classes(tower: galois.TowerField) -> list[int]:
-    """F_q-rank of the conjugates once per class under F_q* and x -> x**p, weighted by size.
-
-    Characteristics 2 and 3 rank every F_q*-line instead, bit-sliced
-    (``lanes.sweep``).
-    """
-    n, q, p = tower.n, tower.q, tower.base.order
-    if p in (2, 3):
-        from . import lanes  # compiled on the first sweep that needs it
-
-        return lanes.sweep(tower)
-    exp_packed = _power_table(tower)
-    L = len(exp_packed) // tower.m
-    rank = _rank_odd(tower, exp_packed)
-    counts = [0] * (n + 1)
-    counts[n] += 1  # alpha = 0 spans nothing
-    # The class of gen**e is the whole preimage in Z/M of the orbit of e mod L
-    # under multiplication by p, so classes are walked on Z/L.
-    for e, size in _orbits(p, L):
-        counts[n - rank(e)] += (q - 1) * size
-    return counts
-
-
-def _rank_odd(tower, exp_packed):
-    """rank(e): F_q-rank of the conjugates of gen**e, odd characteristic.
-
-    A packed element holds its F_p coordinates as digits in [0, p), one per
-    ``_field_width`` bit field, and the fields are wide enough that a vector
-    survives one lazy reduction v += (p - c) * row per basis row without a
-    carry between fields; only new basis rows are brought back to digits in
-    [0, p), with pivot digit 1.
-
-    The conjugate alpha**(q**i) = gen**(e * q**i) enters as gen**f, f = e *
-    q**i mod L, an F_q*-multiple of it on the same F_q-line, and as the m
-    copies beta**j * gen**f = gen**(f + j*L), j < m, with beta = gen**L a
-    generator of F_q*: they span its F_q-multiples over F_p, so the F_q-rank
-    is the number of conjugates taken.  The first conjugate that is already
-    in the span ends the walk, because the span of the earlier ones is then
-    Frobenius-invariant.
-    """
-    n, q, p = tower.n, tower.q, tower.base.order
-    L = len(exp_packed) // tower.m
-    offsets = [j * L for j in range(tower.m)]  # exponents of the copies beta**j * alpha
-    digits_total = n * len(offsets)
-    width = _field_width(tower)
-    mask = (1 << width) - 1
-    inverse = [0] + [pow(c, -1, p) for c in range(1, p)]
-
-    if width == 8:
-        # One byte per field: bytes.translate reduces and scales in C.
-        mod_p = bytes(d % p for d in range(256))
-        scale_by = [b""] + [bytes(d * inverse[c] % p for d in range(256)) for c in range(1, p)]
-
-        def normalise(v):
-            """(pivot shift, row) of v with digits in [0, p), pivot digit 1; None for 0."""
-            digits = v.to_bytes(digits_total, "little").translate(mod_p).rstrip(b"\0")
-            if not digits:
-                return None
-            row = digits.translate(scale_by[digits[-1]])
-            return (len(digits) - 1) * 8, int.from_bytes(row, "little")
-    else:
-        # A vector's fields as little-endian unsigned ints of `width` bits.
-        code = {16: "H", 32: "I", 64: "Q"}[width]
-        fields = struct.Struct(f"<{digits_total}{code}")
-
-        def normalise(v):
-            """(pivot shift, row) of v with digits in [0, p), pivot digit 1; None for 0."""
-            digits = fields.unpack(v.to_bytes(fields.size, "little"))
-            top = digits_total - 1
-            while top >= 0 and not digits[top] % p:
-                top -= 1
-            if top < 0:
-                return None
-            scale = inverse[digits[top] % p]
-            row = fields.pack(*[d * scale % p for d in digits])
-            return top * width, int.from_bytes(row, "little")
-
-    def rank(e):
-        rows = []  # (pivot shift, row), pivots descending
-        f = e
-        for i in range(n):
-            for s in offsets:
-                v = exp_packed[f + s]
-                for pivot, row in rows:
-                    c = (v >> pivot & mask) % p
-                    if c:
-                        v += (p - c) * row
-                new = normalise(v)
-                if new is None:
-                    if s:
-                        raise InternalInconsistency(
-                            "scaled conjugate copies are dependent"
-                        )
-                    return i
-                rows.append(new)
-                rows.sort(reverse=True)
-            f = f * q % L
-        return n
-
-    return rank
-
-
-def _field_width(tower) -> int:
-    """Bits per F_p coordinate of a packed element, odd p.
-
-    The smallest of 8, 16, 32, 64 bits that holds (p - 1) + (N - 1) * (p - 1)**2
-    with N = max(2, n*m): a vector of digits < p after the at most n*m - 1
-    lazy reductions of ``_rank_odd``.  N is at least 2 so that the bound,
-    p*(p-1) < 2**width, also gives the p <= 2**(width-1) that
-    ``_power_table``'s fieldwise addition needs when n*m = 1.
-    """
-    p = tower.base.order
-    coords = max(2, tower.n * tower.m)
-    width = 8
-    while (p - 1) + (coords - 1) * (p - 1) ** 2 >= 1 << width:
-        width *= 2
-    return width
-
-
-def _power_table(tower: galois.TowerField) -> list[int]:
-    """Exp table of the field, odd p: entry e is gen**e packed, e < m*L.
-
-    These are the entries the ranks read, L = (q**n - 1)/(q - 1) being the
-    size of F_{q^n}*/F_q* (see the module docstring).
-
-    The N = n*m coefficients of an element of F_p[x]/(f) are its F_p
-    coordinates; packing puts coefficient k in bit field k of
-    ``_field_width`` bits.
-    Multiplication by gen is F_p-linear, so one step of the walk looks up
-    the images of the low and the high half of the coordinates, each table
-    holding at most p**ceil(N/2) entries, and adds them.
-
-    The walk is checked twice: gen must generate F_{q^n}*, and the value
-    after its last step must be gen**(m*L) as computed in the field.
-    """
-    p, m, gen = tower.base.order, tower.m, tower.gen
-    steps = m * ((tower.order - 1) // (tower.q - 1))
-    coords = tower.n * m
-    width = _field_width(tower)
-    if not galois.generates(tower, gen, numtheory.factorize(tower.order - 1)):
-        raise InternalInconsistency("the walk's multiplier does not generate F_{q^n}*")
-
-    def pack(y):
-        return sum(c << k * width for k, c in enumerate(y))
-
-    images = [pack(tower.mul(gen, tower.element(p**k))) for k in range(coords)]
-    half = (coords + 1) // 2
-    shift = half * width
-    low_mask = (1 << shift) - 1
-
-    # Fieldwise sum mod p.  A field of s = a + b is at most 2p - 2, and
-    # adding bias = 2**(width-1) - p to it sets its top bit exactly when
-    # it is >= p.  Exact while p <= 2**(width-1), so that bias >= 0 and
-    # s + bias never carries into the next field.
-    top_bit = width - 1
-    if p > 1 << top_bit:
-        raise InternalInconsistency(f"{width}-bit fields are too narrow for p = {p}")
-    tops = sum(1 << k * width + top_bit for k in range(coords))
-    bias = tops - p * sum(1 << k * width for k in range(coords))
-
-    def add(a, b):
-        s = a + b
-        return s - (((s + bias) & tops) >> top_bit) * p
-
-    # A half's keys are its bits, sparse in the bit fields, so dicts.
-    low, high = ({0: 0}, {0: 0})
-    for table, part in ((low, images[:half]), (high, images[half:])):
-        for k, image in enumerate(part):
-            entries = list(table.items())
-            multiple = 0
-            for c in range(1, p):
-                multiple = add(multiple, image)
-                key = c << k * width
-                table.update({bits | key: add(v, multiple) for bits, v in entries})
-    exp_packed = [0] * steps
-    x = 1
-    for e in range(steps):
-        exp_packed[e] = x
-        s = low[x & low_mask] + high[x >> shift]
-        x = s - (((s + bias) & tops) >> top_bit) * p
-    if x != pack(tower.pow(gen, steps)):
-        raise InternalInconsistency("generator walk did not end at gen**(m*L)")
-    return exp_packed

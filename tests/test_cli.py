@@ -456,3 +456,21 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout == "72\n"
+
+
+def test_the_cli_compiles_the_lane_code_only_for_a_sweep():
+    # `lanes` serves every sweep; importing it with the CLI would cost every
+    # command that sweeps nothing its compile time and memory
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = (
+        "import sys, knormal.cli\n"
+        "before = 'knormal.lanes' in sys.modules\n"
+        "knormal.cli.main(['verify', '--q', '5', '--n', '2', '--oracle', 'brute'])\n"
+        "print(before, 'knormal.lanes' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False True"

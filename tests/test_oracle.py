@@ -154,7 +154,7 @@ def test_class_path_is_the_codimension_of_the_conjugates():
     for q, n in [(2, 6), (3, 4), (4, 3), (8, 2), (9, 2), (25, 2)]:
         literal = _literal_rank_distribution(q, n)
         assert literal == _gcd_distribution(q, n)
-        assert literal == oracle._classify_by_classes(galois.build_tower(q, n, 0))
+        assert literal == lanes.sweep(galois.build_tower(q, n, 0))
 
 
 def test_elementwise_path_agrees_with_class_path():
@@ -165,118 +165,43 @@ def test_elementwise_path_agrees_with_class_path():
         assert _gcd_distribution(q, n) == list(oracle.brute_force_distribution(q, n))
 
 
-def _widened(index, p, width):
-    """The base-p digits of an element index, one per width-bit field."""
-    packed = 0
-    shift = 0
-    while index:
-        index, digit = divmod(index, p)
-        packed |= digit << shift
-        shift += width
-    return packed
-
-
-def test_power_table_holds_the_generator_powers():
-    # (q, n, field width): odd N = n*m at (7, 5), (125, 3) and (125, 1), N = 8
-    # at (25, 4) and (625, 2), n = 1 with m > 1 at (25, 1), 16- and 32-bit
-    # fields last; n = 1 at (251, 1) needs 16 bits, since the fieldwise sum
-    # needs p <= 2**7.  p = 2 and 3 sweep without the table.
-    for q, n, width in [(7, 5, 8), (25, 4, 8), (125, 3, 8), (625, 2, 8), (25, 1, 8), (125, 1, 8),
-                        (23, 3, 16), (509, 2, 32), (251, 1, 16)]:
-        tower = galois.build_tower(q, n, 0)
-        p = tower.base.order
-        M = tower.order - 1
-        gen = tower.gen
-        assert tower.pow(gen, M) == tower.one
-        assert all(tower.pow(gen, M // prime) != tower.one for prime in numtheory.factorize(M))
-        assert oracle._field_width(tower) == width
-        table = oracle._power_table(tower)
-        # gen**e for e < m*L: the conjugates mod L and their m scaled copies
-        assert len(table) == tower.m * M // (q - 1)
-        stride = 1 if len(table) < 5000 else len(table) // 1000
-        step = tower.pow(gen, stride)
-        power = tower.one
-        for e in range(0, len(table), stride):
-            assert table[e] == _widened(tower.index(power), p, width), (q, n, e)
-            power = tower.mul(power, step)
-
-
-def test_power_table_refuses_a_non_generator():
-    for q, n in [(49, 2), (7, 3), (25, 2)]:
-        tower = galois.TowerField(q, n, 0)  # not the cached instance
-        gen = tower.gen
-        for prime in numtheory.factorize(q**n - 1):
-            # gen**prime has order (q**n - 1)/prime: its walk returns to 1 early
-            tower.gen = tower.pow(gen, prime)
-            with pytest.raises(InternalInconsistency):
-                oracle._power_table(tower)
-
-
-def test_a_cached_field_searches_for_its_generator_once(monkeypatch):
-    # the search runs when the first sweep of a cached field reads gen; the
-    # walk still tests the generator on every later sweep
+def test_a_cached_field_scans_for_its_modulus_once(monkeypatch):
+    # a sweep reads its field from the cache: a second sweep, and a direct
+    # build_tower of the same field, scan for no modulus
     calls = []
-    find_generator = galois.find_generator
+    find_irreducible = galois.find_irreducible
     monkeypatch.setattr(
-        galois, "find_generator", lambda *args: calls.append(args) or find_generator(*args)
+        galois, "find_irreducible", lambda *args, **kw: calls.append(args) or find_irreducible(*args, **kw)
     )
     galois.build_tower.cache_clear()
     try:
         for _ in range(2):
             assert oracle.brute_force_distribution(25, 3) == counting.distribution(25, 3)
         hits = galois.build_tower.cache_info().hits
-        tower = galois.build_tower(25, 3, 0)  # the sweep's field: a hit, no new search
+        tower = galois.build_tower(25, 3, 0)  # the sweep's field: a hit, no new scan
         assert galois.build_tower.cache_info().hits == hits + 1
-        assert calls == [(tower,)]
+        assert calls == [(tower.base, 6)]
         with pytest.raises(TypeError):
             galois.build_tower(25, 3)  # the index has no default, so no second key
-        monkeypatch.setattr(tower, "gen", tower.pow(tower.gen, 2))
-        with pytest.raises(InternalInconsistency, match="does not generate"):
-            oracle.brute_force_distribution(25, 3)
-        assert len(calls) == 1
     finally:
         galois.build_tower.cache_clear()  # drop the field built by the wrapper
 
 
-def test_power_table_refuses_fields_too_narrow_for_the_walk(monkeypatch):
-    # 8-bit fields cannot hold the fieldwise sum mod 131 (it needs p <= 128)
-    monkeypatch.setattr(oracle, "_field_width", lambda tower: 8)
-    with pytest.raises(InternalInconsistency):
-        oracle._power_table(galois.build_tower(131, 2, 0))
-
-
-def test_power_table_checks_the_walk_end_against_the_tower(monkeypatch):
-    # the walk's last value is compared with gen**(m*L) taken in the tower
-    tower = galois.build_tower(25, 3, 0)
-    steps = 2 * (25**3 - 1) // 24  # m*L, not a cofactor M/l of the generator test
-    tower_pow = tower.pow
-    monkeypatch.setattr(
-        tower, "pow", lambda a, e: tower_pow(a, e + 1 if e == steps else e)
-    )
-    with pytest.raises(InternalInconsistency, match="did not end"):
-        oracle._power_table(tower)
-
-
 @pytest.mark.parametrize("q,n", [(25, 2)])
 def test_dependent_scaled_copies_are_refused(monkeypatch, q, n):
-    power_table = oracle._power_table
-
-    def folded(tower):  # gen**(e + L) reads as gen**e, so beta * alpha as alpha
-        table = power_table(tower)
-        L = (q**n - 1) // (q - 1)
-        return [table[e % L] for e in range(len(table))]
-
-    monkeypatch.setattr(oracle, "_power_table", folded)
+    # b_1 = 2 * b_0: the scaled copy 2 * alpha of every conjugate is an
+    # F_p-multiple of it
+    monkeypatch.setattr(lanes, "_fq_basis", lambda F, images, m: [F.one, F.scale(F.one, 2)])
     with pytest.raises(InternalInconsistency, match="scaled conjugate copies are dependent"):
-        oracle._classify_by_classes(galois.build_tower(q, n, 0))
+        lanes.sweep(galois.build_tower(q, n, 0))
 
 
 def test_a_dependent_f_q_basis_is_refused(monkeypatch):
     # b_1 = b_0 = 1: the scaled copy of every conjugate is the conjugate itself
     monkeypatch.setattr(lanes, "_fq_basis", lambda F, images, m: [F.one] * m)
-    for q, n in [(4, 3), (9, 3)]:
+    for q, n in [(4, 3), (9, 3), (25, 3)]:
         with pytest.raises(InternalInconsistency, match="scaled conjugate copies are dependent"):
-            oracle._classify_by_classes(galois.build_tower(q, n, 0))
+            lanes.sweep(galois.build_tower(q, n, 0))
 
 
 def _replace_frobenius(monkeypatch, make):
@@ -297,7 +222,8 @@ def _changed(k, c, t):
     return make
 
 
-@pytest.mark.parametrize("q,n,k,c", [(2, 5, 0, 1), (4, 4, 1, 1), (3, 4, 1, 2), (9, 3, 5, 1)])
+@pytest.mark.parametrize("q,n,k,c", [(2, 5, 0, 1), (4, 4, 1, 1), (3, 4, 1, 2), (9, 3, 5, 1),
+                                     (5, 3, 0, 1), (25, 2, 1, 1)])
 def test_a_perturbed_frobenius_is_refused(monkeypatch, q, n, k, c):
     # x**c added to the image of x**k under x -> x**q, with the check tied to f
     # taken out: F_q keeps its dimension for these moduli, but the lanes no
@@ -305,10 +231,10 @@ def test_a_perturbed_frobenius_is_refused(monkeypatch, q, n, k, c):
     monkeypatch.setattr(lanes, "_check_frobenius", lambda F, images: None)
     _replace_frobenius(monkeypatch, _changed(k, c, 1))
     with pytest.raises(InternalInconsistency, match="did not return"):
-        oracle._classify_by_classes(galois.build_tower(q, n, 0))
+        lanes.sweep(galois.build_tower(q, n, 0))
 
 
-@pytest.mark.parametrize("q,n", [(2, 5), (3, 4)])
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 3)])
 def test_every_single_digit_change_of_the_frobenius_is_refused(monkeypatch, q, n):
     # without the check tied to f, 4 of the 25 bit flips at (2, 5) and 12 of
     # the 32 digit changes at (3, 4) pass every other check
@@ -317,7 +243,7 @@ def test_every_single_digit_change_of_the_frobenius_is_refused(monkeypatch, q, n
     for k, c, t in [(k, c, t) for k in range(N) for c in range(N) for t in range(1, p)]:
         _replace_frobenius(monkeypatch, _changed(k, c, t))
         with pytest.raises(InternalInconsistency, match="Frobenius column"):
-            oracle._classify_by_classes(tower)
+            lanes.sweep(tower)
         monkeypatch.undo()  # the next change starts from the true columns
 
     def powers_of_a_non_root(images_of, F, q):  # the powers of x**q + 1
@@ -329,15 +255,15 @@ def test_every_single_digit_change_of_the_frobenius_is_refused(monkeypatch, q, n
 
     _replace_frobenius(monkeypatch, powers_of_a_non_root)
     with pytest.raises(InternalInconsistency, match="not a root of f"):
-        oracle._classify_by_classes(tower)
+        lanes.sweep(tower)
 
 
-@pytest.mark.parametrize("q,n", [(2, 4), (4, 4), (3, 4), (9, 4)])
+@pytest.mark.parametrize("q,n", [(2, 4), (4, 4), (3, 4), (9, 4), (5, 4)])
 def test_a_wrong_f_q_dimension_is_refused(monkeypatch, q, n):
     # x -> x**(q*q) fixes F_{q^2}, of dimension 2m, inside F_{q^n} for even n
     _replace_frobenius(monkeypatch, lambda images_of, F, q: images_of(F, q * q))
     with pytest.raises(InternalInconsistency, match="F_q has dimension"):
-        oracle._classify_by_classes(galois.build_tower(q, n, 0))
+        lanes.sweep(galois.build_tower(q, n, 0))
 
 
 def test_f3_digit_arithmetic_over_all_digits():
@@ -355,7 +281,7 @@ def test_f3_digit_arithmetic_over_all_digits():
     assert digits(F.add(plane(a), plane(b)), 9) == [(x + y) % 3 for x, y in zip(a, b)]
     assert digits(F.neg(plane(a)), 9) == [-x % 3 for x in a]
     # apply: output 0 is input 0 plus 2 times input 1
-    out = F.apply([([0], [1])], [plane(a), plane(b)])
+    out = F.apply([([0], [1])], [plane(a), plane(b)], (1 << 9) - 1)
     assert digits(out[0], 9) == [(x + 2 * y) % 3 for x, y in zip(a, b)]
     # insert: (d, r) enters as the row d * (d, r) = (1, d*r); then (e, s) reduces
     # to (0, s - e*d*r), new exactly where that digit is nonzero
@@ -363,42 +289,128 @@ def test_f3_digit_arithmetic_over_all_digits():
     first = [plane([r for d, r, e, s in cases]), plane([d for d, r, e, s in cases])]
     second = [plane([s for d, r, e, s in cases]), plane([e for d, r, e, s in cases])]
     rows, pivots = [[F.zero] * b for b in range(2)], [0, 0]
-    assert F.insert(first, rows, pivots) == (1 << len(cases)) - 1
+    ones = (1 << len(cases)) - 1
+    assert F.insert(first, rows, pivots, ones) == ones
     assert digits(rows[1][0], len(cases)) == [d * r % 3 for d, r, e, s in cases]
-    new = F.insert(second, rows, pivots)
+    new = F.insert(second, rows, pivots, ones)
     assert [new >> l & 1 for l in range(len(cases))] == [
         int((s - e * d * r) % 3 != 0) for d, r, e, s in cases
     ]
 
 
-def test_a_char2_sweep_needs_no_generator_or_exp_table(monkeypatch):
-    # nor does a characteristic-3 sweep: both rank the lanes
-    def refuse(*args):
-        raise AssertionError("not part of a characteristic-2 or -3 sweep")
+@pytest.mark.parametrize("p", [5, 7, 11, 131])
+def test_packed_digit_arithmetic_over_all_digits(p):
+    # lane l of a plane holds digit a[l] of a vector; every pair of digits
+    tower = galois.build_tower(p, 2, 0)
+    F = lanes._Digits(tower.modulus.coeffs, p)
 
-    for module, name in [(oracle, "_power_table"), (oracle, "_orbits"),
-                         (galois, "find_generator")]:
-        monkeypatch.setattr(module, name, refuse)
-    for q, n in [(2, 9), (4, 4), (8, 3), (16, 1), (3, 7), (9, 3), (27, 2), (81, 1)]:
-        tower = galois.TowerField(q, n, 0)  # gen not yet searched for
-        assert oracle._classify_by_classes(tower) == list(counting.distribution(q, n))
-        assert "gen" not in vars(tower)
+    def plane(digits):
+        return sum(d << l * F.width for l, d in enumerate(digits))
+
+    def digits(v, count):
+        return [F.digit(v, l) for l in range(count)]
+
+    a, b = [d // p for d in range(p * p)], [d % p for d in range(p * p)]
+    ones = lanes._lane_mask(F, p * p)
+    # apply: output 0 is input 0 plus input 1, output 1 is p - 1 times input 0
+    minus = [(0, j) for j in range(F.bits) if (p - 1) >> j & 1]
+    total, negated = F.apply([[(0, 0), (1, 0)], minus], [plane(a), plane(b)], ones)
+    assert digits(total, p * p) == [(x + y) % p for x, y in zip(a, b)]
+    assert digits(negated, p * p) == [-x % p for x in a]
+    assert digits(F.mul(plane(a), plane(b), ones), p * p) == [x * y % p for x, y in zip(a, b)]
+    assert digits(F.inverse(plane(a), ones), p * p) == [pow(x, -1, p) if x else 0 for x in a]
+    # insert: (d, r) enters as the row (d, r) with 1/d kept as its pivot
+    # inverse; then (e, s) reduces to (0, s - e*r/d), new exactly where that
+    # digit is nonzero
+    values = range(p) if p < 12 else (0, 1, 2, p // 2, p - 2, p - 1)
+    cases = [(d, r, e, s) for d in values if d for r in values for e in values for s in values]
+    first = [plane([r for d, r, e, s in cases]), plane([d for d, r, e, s in cases])]
+    second = [plane([s for d, r, e, s in cases]), plane([e for d, r, e, s in cases])]
+    rows, pivots = [[F.row_zero] * b for b in range(2)], [0, 0]
+    ones = lanes._lane_mask(F, len(cases))
+    assert F.insert(first, rows, pivots, ones) == ones
+    assert digits(rows[1][0][0], len(cases)) == [r for d, r, e, s in cases]
+    assert digits(pivots[1], len(cases)) == [pow(d, -1, p) for d, r, e, s in cases]
+    new = F.insert(second, rows, pivots, ones)
+    assert digits(new, len(cases)) == [
+        int((s - e * r * pow(d, -1, p)) % p != 0) for d, r, e, s in cases
+    ]
+    # element products match the generic field F_p[x]/(f)
+    elements = range(tower.order) if p < 12 else range(0, tower.order, 97)
+    for i in elements:
+        for j in elements:
+            x, y = tower.element(i), tower.element(j)
+            assert F.mulmod(plane(x), plane(y)) == plane(tower.mul(x, y))
+
+
+def test_a_char2_sweep_needs_no_generator_or_exp_table(monkeypatch):
+    # nor does a sweep of any other characteristic: every sweep ranks the
+    # lanes in its packed digits, with no orbit walk and no generic field
+    # arithmetic (the fields are built first: the modulus scan uses it)
+    fields = [(2, 9), (4, 4), (8, 3), (16, 1), (3, 7), (9, 3), (27, 2), (81, 1),
+              (5, 4), (7, 3), (25, 2), (125, 1), (131, 2)]
+    towers = [galois.TowerField(q, n, 0) for q, n in fields]
+
+    def refuse(*args):
+        raise AssertionError("not part of a lane sweep")
+
+    for owner, name in [(oracle, "_orbits"), (galois, "field_pow"),
+                        (galois.ExtensionField, "mul"), (galois.ExtensionField, "inv")]:
+        monkeypatch.setattr(owner, name, refuse)
+    for (q, n), tower in zip(fields, towers):
+        assert lanes.sweep(tower) == list(counting.distribution(q, n))
 
 
 def test_char2_lanes_split_into_small_blocks(monkeypatch):
-    # at most 2**bits lanes a block, 2**bits for p = 2 and 3 or 9 for p = 3:
-    # the first block takes the degrees with fewer lanes, each larger degree
-    # fills blocks whose high digits add a constant to whole planes
+    # at most 2**bits lanes a block, 2**bits for p = 2 and 3 or 9 for p = 3,
+    # 5 for p = 5: the first block takes the degrees with fewer lanes, each
+    # larger degree fills blocks whose high digits add a constant to whole
+    # planes; with p = 11 > 2**3 a block is one lane and the first is empty
     for bits in (3, 4):
         monkeypatch.setattr(lanes, "_LANE_BLOCK_BITS", bits)
-        for q, n in [(2, 10), (4, 5), (8, 3), (16, 2), (2, 3), (3, 6), (9, 3), (27, 2), (3, 2)]:
+        for q, n in [(2, 10), (4, 5), (8, 3), (16, 2), (2, 3), (3, 6), (9, 3), (27, 2), (3, 2),
+                     (5, 4), (25, 2), (11, 2)]:
             assert oracle.brute_force_distribution(q, n) == counting.distribution(q, n)
 
 
 def test_brute_force_refuses_a_miscount(monkeypatch):
-    monkeypatch.setattr(oracle, "_classify_by_classes", lambda tower: [1] * (tower.n + 1))
+    monkeypatch.setattr(lanes, "sweep", lambda tower: [1] * (tower.n + 1))
     with pytest.raises(InternalInconsistency, match="missed or double-counted"):
         oracle.brute_force_distribution(2, 3)
+
+
+class _Unchecked:
+    """A span dimension that no rank contradicts."""
+
+    def __ne__(self, other):
+        return False
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (5, 3), (25, 2), (2039, 2)])
+def test_a_misranked_lane_is_refused(monkeypatch, q, n):
+    # the first insert drops the lowest new lane from its result, as if its
+    # pivot were lost: that lane reads rank 0, its q - 1 elements move to
+    # N_n, and the counts still sum to q**n; only the scalar re-rank of the
+    # lowest-ranked lane sees it
+    tower = galois.build_tower(q, n, 0)
+    digits = {2: lanes._Bits, 3: lanes._Trits}.get(tower.base.order, lanes._Digits)
+    insert = digits.insert
+    calls = []
+
+    def dropping(self, vector, rows, pivots, ones):
+        inserted = insert(self, vector, rows, pivots, ones)
+        calls.append(inserted)
+        return inserted & ~(inserted & -inserted) if len(calls) == 1 else inserted
+
+    monkeypatch.setattr(digits, "insert", dropping)
+    monkeypatch.setattr(lanes, "_span_dimension", lambda *args: _Unchecked())
+    counts = lanes.sweep(tower)
+    assert sum(counts) == q**n and counts != list(counting.distribution(q, n))
+    monkeypatch.undo()
+    monkeypatch.setattr(digits, "insert", dropping)
+    calls.clear()
+    with pytest.raises(InternalInconsistency, match="a lane of rank 0 re-ranks differently"):
+        oracle.brute_force_distribution(q, n)
 
 
 @st.composite
@@ -423,10 +435,19 @@ def test_brute_force_matches_formulas_property(field):
 
 
 def test_n_equals_one_distribution():
-    # 131 and 251 are 8-bit primes above 128: their fields must be 16 bits wide
     for q in (2, 3, 4, 9, 25, 49, 131, 251):
         dist = oracle.brute_force_distribution(q, 1)
         assert dist.counts == (q - 1, 1)
+
+
+def test_the_largest_prime_under_the_guard_sweeps_one_lane():
+    # F_4194301 is one line over itself: a sweep builds no table of O(p) entries
+    galois.build_tower.cache_clear()
+    t0 = time.perf_counter()
+    dist = oracle.brute_force_distribution(4194301, 1)
+    elapsed = time.perf_counter() - t0
+    assert dist.counts == (4194300, 1)
+    assert elapsed < 0.5
 
 
 def test_n_equals_one_is_swept_by_the_definition():
@@ -450,45 +471,12 @@ def test_n_equals_one_leaves_f_q_untabulated(q):
 
 
 def test_large_prime_field_sweeps_only_the_lines():
-    # F_{2039^2} has 2040 lines over F_2039: the table holds 2040 powers, not 2039**2 - 1
+    # F_{2039^2} has 2040 lines over F_2039: the sweep ranks 2040 lanes, not 2039**2 - 1 elements
     t0 = time.perf_counter()
     dist = oracle.brute_force_distribution(2039, 2)
     elapsed = time.perf_counter() - t0
     assert dist == counting.distribution(2039, 2)
     assert elapsed < 0.5
-
-
-@pytest.mark.parametrize("q,n", [(25, 2), (25, 3), (125, 2)])  # m = 2, 2, 3
-def test_one_rank_per_orbit_under_multiplication_by_p(monkeypatch, q, n):
-    # alpha -> alpha**p keeps the rank, so classes are orbits of Z/L under
-    # b -> p*b, up to m times larger than the orbits under b -> q*b
-    ranked = []
-
-    def recording(make_rank):
-        def wrapped(tower, exp_packed):
-            rank = make_rank(tower, exp_packed)
-
-            def counted(e):
-                ranked.append(e)
-                return rank(e)
-
-            return counted
-
-        return wrapped
-
-    monkeypatch.setattr(oracle, "_rank_odd", recording(oracle._rank_odd))
-    tower = galois.build_tower(q, n, 0)
-    assert oracle._classify_by_classes(tower) == list(counting.distribution(q, n))
-    p = tower.base.order
-    L = (q**n - 1) // (q - 1)
-    orbit_of = {}
-    for start, _ in oracle._orbits(p, L):
-        b = start
-        while b not in orbit_of:
-            orbit_of[b] = start
-            b = b * p % L
-    assert sorted(orbit_of[e % L] for e in ranked) == sorted(set(orbit_of.values()))
-    assert len(ranked) < len(list(oracle._orbits(q, L)))
 
 
 def test_instance_guard_decides_by_bit_lengths():
