@@ -11,7 +11,8 @@ per degree: the v_r factors of degree r form one group whose series in
 z**r is the v_r-th power of a single factor's series.  That series is a
 rational function, so each group's coefficients follow from a short
 integer recurrence; N_k is the coefficient of z**(n-k) in the product of
-the tau(d) group series, or of z**k with every series reversed.  A literal
+the tau(d) group series, or of z**k with every series reversed, where the
+common content of the weights is kept out of the product.  A literal
 tuple enumeration, the explicit sum over multiplicity profiles (every q
 and n), and per-k closed forms are provided as independent routes for
 cross-checks.  All results are plain Python ints and therefore exact.
@@ -102,29 +103,17 @@ def _sparse_sum(*products) -> list[tuple[int, int]]:
     return [(i, x) for i, x in sorted(out.items()) if x]
 
 
-def _group_series(q: int, r: int, v: int, ps: int, cap: int, defect=False) -> list[int]:
-    """Joint weight series of all v factors of degree r, up to w**cap, w = z**r.
+def _group_series(num: dict, den: dict, v: int, length: int) -> list[int]:
+    """The first length coefficients of G = (N/D)**v, N and D sparse, D linear.
 
-    One factor's series is F(w) = sum over a <= P of phi_a w**a with
-    Q = q**r, P = p**s, phi_0 = 1 and phi_a = Q**a - Q**(a-1).  In closed
-    form F = N/D with N = 1 - w - c*w**(P+1), c = (Q-1)*Q**P, and
-    D = 1 - Q*w; the defect end reverses F, w**P * F(1/w) = N/D with
-    N = c + w**P - w**(P+1) and D = Q - w.  Either way G = F**v satisfies
-    N*D*G' = v*(N'*D - N*D')*G, so its w**(j-1) coefficient gives g_j from
-    at most seven earlier ones and one exact division by j times the
-    constant term of N*D.  G has degree v*P; the series stops there.
+    G satisfies N*D*G' = v*(N'*D - N*D')*G, so its w**(j-1) coefficient
+    gives g_j from at most seven earlier ones and one exact division by j
+    times the constant term of N*D.
     """
-    big_q = q**r
-    c = (big_q - 1) * big_q**ps
-    if defect:
-        num, den = {0: c, ps: 1, ps + 1: -1}, {0: big_q, 1: -1}
-    else:
-        num, den = {0: 1, 1: -1, ps + 1: -c}, {0: 1, 1: -big_q}
     (_, lead), *lhs = _sparse_sum((num, den))
     # v*(N'*D - N*D'), where D is linear
     dnum = {i - 1: v * i * x for i, x in num.items() if i}
     rhs = _sparse_sum((dnum, den), (num, {0: -v * den[1]}))
-    length = min(v * ps, cap) + 1
     g = [_exact_div(num[0], den[0]) ** v] + [0] * (length - 1)
     for j in range(1, length):
         acc = 0
@@ -142,19 +131,55 @@ def _group_series(q: int, r: int, v: int, ps: int, cap: int, defect=False) -> li
     return g
 
 
-def _weight_series(params: spectrum.ExtensionParams, cap: int, defect: bool) -> list[int]:
+def _factor_fraction(q: int, r: int, ps: int, top: int, defect: bool) -> tuple[dict, dict, int]:
+    """One degree-r factor's series up to w**top as unit * N/D, w = z**r.
+
+    Forward, F(w) = sum over a <= P of phi_a w**a with Q = q**r, P = p**s,
+    phi_0 = 1 and phi_a = Q**a - Q**(a-1); in closed form N = 1 - w -
+    c*w**(P+1), c = (Q-1)*Q**P, and D = 1 - Q*w.  The defect end reverses F:
+    w**P * F(1/w) has coefficients c_j = phi_(P-j), i.e. N = c + w**P -
+    w**(P+1) and D = Q - w.  When P > 1 it is read at z = q*u, where w =
+    Q*t with t = u**r and c_j*Q**j = c0 = (Q-1)*Q**(P-1) for every j < P,
+    so below t**P the factor is c0 / (1 - t), and in full it is
+    Q**(P-1) * (Q - 1 + t**P - Q*t**(P+1)) / (1 - t).  At P = 1 (p not
+    dividing n) the rescale would only inflate the coefficients, so the
+    reversed N/D is read as it is.
+    """
+    big_q = q**r
+    if not defect:
+        return {0: 1, 1: -1, ps + 1: -(big_q - 1) * big_q**ps}, {0: 1, 1: -big_q}, 1
+    if ps == 1:
+        return {0: (big_q - 1) * big_q, 1: 1, 2: -1}, {0: big_q, 1: -1}, 1
+    if top < ps:
+        return {0: 1}, {0: 1, 1: -1}, phi_q_prime_power(q, r, ps)
+    return {0: big_q - 1, ps: 1, ps + 1: -big_q}, {0: 1, 1: -1}, big_q ** (ps - 1)
+
+
+def _weight_series(
+    params: spectrum.ExtensionParams, cap: int, defect: bool
+) -> tuple[int, list[int]]:
     """Weight series of the divisors of x**n - 1 up to z**cap, read from one end.
 
-    On the forward end the coefficient of z**m is the total weight of the
-    divisors of degree m, i.e. N_(n-m); on the defect end every series is
-    reversed, so it is N_m, and a degree r > cap adds only its constant term.
-    The tau(d) group series are multiplied into the dense result, skipping
-    its zero coefficients.  Largest degrees go first: their partial product
-    is nonzero only at multiples of a large stride, so it stays sparse longer.
+    Returns (content, s).  On the forward end content is 1 and s_m is the
+    total weight of the divisors of degree m, i.e. N_(n-m).  On the defect
+    end every series is reversed and N_m = q**-m * content * s_m when p | n
+    (the series is read at z = q*u), content * s_m otherwise.  There each
+    group's unit**v goes into content, so s holds small integers, and a
+    degree r > cap adds only its constant term c0**v to content.  The tau(d)
+    group series are multiplied into the dense s, skipping its zero
+    coefficients.  Largest degrees go first: their partial product is
+    nonzero only at multiples of a large stride, so it stays sparse longer.
     """
-    total = [1] + [0] * cap
+    q, ps = params.q, params.ps
+    content, total = 1, [1] + [0] * cap
     for r, v in reversed(spectrum.degree_pattern(params).items()):
-        group = _group_series(params.q, r, v, params.ps, cap // r, defect)
+        top = cap // r
+        if defect and not top:
+            content *= phi_q_prime_power(q, r, ps) ** v
+            continue
+        num, den, unit = _factor_fraction(q, r, ps, top, defect)
+        content *= unit**v
+        group = _group_series(num, den, v, min(v * ps, top) + 1)
         out = [0] * (cap + 1)
         for i, t in enumerate(total):
             if not t:
@@ -162,20 +187,29 @@ def _weight_series(params: spectrum.ExtensionParams, cap: int, defect: bool) -> 
             stop = i + r * min(len(group), (cap - i) // r + 1)
             out[i:stop:r] = [o + t * g for o, g in zip(out[i:stop:r], group)]
         total = out
-    return total
+    return content, total
+
+
+def _defect_counts(params: spectrum.ExtensionParams, cap: int, ks) -> list[int]:
+    """N_k for each k in ks (all <= cap), from one defect-end series to z**cap."""
+    content, series = _weight_series(params, cap, defect=True)
+    scale = params.q if params.ps > 1 else 1
+    return [_exact_div(content * series[k], scale**k) for k in ks]
 
 
 def count_k_normal(q: int, n: int, k: int) -> int:
     """Number of k-normal elements of F_{q^n} over F_q, from the nearer end."""
     params = spectrum.derive_params(q, n)
     _check_k(n, k)
-    cap = min(k, n - k)
-    return _weight_series(params, cap, defect=cap == k)[cap]
+    if k > n - k:
+        return _weight_series(params, n - k, defect=False)[1][n - k]
+    return _defect_counts(params, k, [k])[0]
 
 
 def low_counts(q: int, n: int, k_max: int) -> list[int]:
     """N_0..N_min(k_max, n), the low end of one defect-end weight series."""
-    return _weight_series(spectrum.derive_params(q, n), min(k_max, n), defect=True)
+    cap = min(k_max, n)
+    return _defect_counts(spectrum.derive_params(q, n), cap, range(cap + 1))
 
 
 def count_normal(q: int, n: int) -> int:
@@ -192,7 +226,7 @@ def count_normal(q: int, n: int) -> int:
 def distribution(q: int, n: int) -> Distribution:
     """Counts of k-normal elements for every k = 0..n at once."""
     params = spectrum.derive_params(q, n)
-    counts = tuple(reversed(_weight_series(params, n, defect=False)))
+    counts = tuple(reversed(_weight_series(params, n, defect=False)[1]))
     return Distribution(q=q, n=n, counts=counts)
 
 

@@ -67,7 +67,7 @@ def sweep(tower: galois.TowerField) -> list[int]:
         block_digits += 1
     counts = [0] * (n + 1)
     counts[n] += 1  # alpha = 0 spans nothing
-    samples = {}  # rank -> the element of one lane of that rank
+    samples = {}  # rank -> the element of the first lane found with that rank
     for planes, lanes in _lane_blocks(F, n, m, digits, block_digits):
         _rank_lanes(F, planes, lanes, n, q, frobenius, scalings, counts, samples)
     for rank, alpha in samples.items():
@@ -180,7 +180,7 @@ def _lane_mask(F, lanes: int) -> int:
 def _lane_element(F, planes: list, mask: int):
     """The element held by the lowest lane of `mask` in `planes`."""
     lane = ((mask & -mask).bit_length() - 1) // F.width
-    terms = [F.scale(F.monomial(c), F.digit(plane, lane)) for c, plane in enumerate(planes)]
+    terms = [F.shift(F.scale(F.one, F.digit(plane, lane)), c) for c, plane in enumerate(planes)]
     return reduce(F.add, terms, F.zero)
 
 
@@ -239,8 +239,8 @@ def _rank_lanes(F, planes, lanes, n, q, frobenius, scalings, counts, samples):
 
     alpha**(q**j) enters as the m vectors b_i * alpha**(q**j), which span its
     F_q-multiples over F_p.  ``alive`` marks the lanes whose conjugates so
-    far are independent.  `samples` maps a rank to the element of one lane
-    of it: full rank once, and each rank below every rank it holds.
+    far are independent.  `samples` maps each rank found to the element of
+    the first lane found with it.
     """
     apply, insert = F.apply, F.insert
     start = planes
@@ -253,7 +253,7 @@ def _rank_lanes(F, planes, lanes, n, q, frobenius, scalings, counts, samples):
             ranked = alive & ~inserted
             if ranked:
                 counts[n - j] += (q - 1) * ranked.bit_count()
-                if j < min(samples, default=n):
+                if j not in samples:
                     samples[j] = _lane_element(F, start, ranked)
             alive &= inserted
             for scaling in scalings:
@@ -285,7 +285,8 @@ class _Packed:
         return -(-a.bit_length() // self.width)
 
     def digit(self, a, k):
-        return a >> k * self.width & self.fill
+        shift = k * self.width
+        return (a & self.fill << shift) >> shift  # masked first: a may be a plane of many lanes
 
     def concat(self, blocks):
         """The planes of the lanes of `blocks`, (planes, lane count) pairs, in turn."""
@@ -411,7 +412,8 @@ class _Trits:
         return (a[0] | a[1]).bit_length()
 
     def digit(self, a, k):
-        return (a[0] >> k & 1) | (a[1] >> k & 1) << 1
+        bit = 1 << k  # masked first, as in _Packed.digit
+        return (a[0] & bit) >> k | (a[1] & bit) >> k << 1
 
     def mulmod(self, a, b):
         """a*b mod f for a reduced mod f, by shifts and digitwise sums."""

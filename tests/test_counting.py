@@ -183,20 +183,53 @@ def test_explicit_matches_distribution_on_factor_rich_fields_with_p_dividing_n()
     assert time.perf_counter() - start < 5
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(q=st.sampled_from(RICH_QS), data=st.data())
-def test_explicit_on_factor_rich_fields(q, data):
-    # n = p**s * n0 with s >= 1 and n0 | q - 1 or n0 | q + 1: every factor of
-    # x**n0 - 1 has degree 1 or 2, each with multiplicity p**s
+@st.composite
+def _factor_rich_fields(draw):
+    """(q, p**s, n) with n = p**s * n0, s >= 1 and n0 | q - 1 or n0 | q + 1:
+    every factor of x**n0 - 1 has degree 1 or 2, each with multiplicity p**s."""
+    q = draw(st.sampled_from(RICH_QS), label="q")
     p = spectrum.derive_params(q, 1).p
-    n0 = data.draw(st.sampled_from(
+    n0 = draw(st.sampled_from(
         [d for d in range(1, 300 // p + 1) if (q - 1) % d == 0 or (q + 1) % d == 0]
     ), label="n0")
-    s = data.draw(st.integers(1, max(s for s in range(1, 9) if p**s * n0 <= 300)), label="s")
-    n = p**s * n0
+    s = draw(st.integers(1, max(s for s in range(1, 9) if p**s * n0 <= 300)), label="s")
+    return q, p**s, p**s * n0
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(field=_factor_rich_fields(), data=st.data())
+def test_explicit_on_factor_rich_fields(field, data):
+    q, _, n = field
     k = data.draw(st.integers(0, n), label="k")
     explicit = counting.count_k_normal_explicit(q, n, k)
     assert explicit == counting.count_k_normal(q, n, k) == counting.distribution(q, n)[k]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(field=_factor_rich_fields(), data=st.data())
+def test_defect_end_on_factor_rich_fields(field, data):
+    # p | n, so the defect end is read at z = q*u: below k = p**s every
+    # factor's series is c0 / (1 - t); from there the linear factors read
+    # their full numerator Q - 1 + t**P - Q*t**(P+1)
+    q, ps, n = field
+    full = ps <= n // 2 and data.draw(st.booleans(), label="k >= p**s")
+    k = data.draw(st.integers(ps, n // 2) if full else st.integers(0, min(ps - 1, n // 2)),
+                  label="k")
+    dist = counting.distribution(q, n)
+    assert counting.count_k_normal(q, n, k) == counting.count_k_normal_explicit(q, n, k) == dist[k]
+    assert counting.low_counts(q, n, k) == list(dist[: k + 1])
+
+
+def test_a_corrupted_content_is_refused(monkeypatch):
+    # (2, 12): p**s = 4 > k = 3, so the content is prod ((Q-1)*Q**3)**v, a
+    # multiple of 2**9; one more in each factor's c0 leaves it odd, and the
+    # division by q**k that ends the defect end must fail
+    phi = counting.phi_q_prime_power
+    monkeypatch.setattr(counting, "phi_q_prime_power", lambda q, r, e: phi(q, r, e) + 1)
+    with pytest.raises(InternalInconsistency, match="leaves a remainder"):
+        counting.count_k_normal(2, 12, 3)
+    with pytest.raises(InternalInconsistency, match="leaves a remainder"):
+        counting.low_counts(2, 12, 3)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 10**6, 5 * 10**5), (3, 10**6, 10**5)])
@@ -281,10 +314,14 @@ def naive_group_series(q, r, v, ps, cap):
 )
 def test_group_series_matches_literal_power(q, r, v, ps, cap, defect):
     # covers P = 1 (binomial) and v = 1 (one factor) through the same recurrence;
-    # the defect end is the same polynomial read from its top coefficient down
-    group = counting._group_series(q, r, v, ps, cap, defect)
+    # the defect end is the same polynomial read from its top coefficient down,
+    # when P > 1 at z = q*u (coefficient j times Q**j) and without unit**v
+    num, den, unit = counting._factor_fraction(q, r, ps, cap, defect)
+    group = counting._group_series(num, den, v, min(v * ps, cap) + 1)
     if defect:
         expected = naive_group_series(q, r, v, ps, v * ps)[::-1][: cap + 1]
+        expected = [counting._exact_div(x * q ** (r * j * (ps > 1)), unit**v)
+                    for j, x in enumerate(expected)]
     else:
         expected = naive_group_series(q, r, v, ps, cap)
     assert group == expected[: len(group)]
@@ -339,3 +376,37 @@ def test_low_k_counts_read_only_the_defect_end(q, n, k, route):
     count = counting.count_k_normal(q, n, k)
     assert time.perf_counter() - start < 0.5
     assert count == route(q, n)
+
+
+@pytest.mark.parametrize(
+    "q,n,k,explicit",
+    [
+        (2, 207360, 452, True),  # p**s = 512 > k: every factor is c0 / (1 - t)
+        (5, 556875, 467, False),  # p**s = 625 > k, 1.3 Mbit counts
+        (2, 10**6, 1000, False),  # p**s = 64: degrees up to 15 read their full numerator
+        (2, 10**6, 100, True),
+        (3, 100000, 300, True),  # p does not divide n: no rescale, degrees > k in the content
+    ],
+)
+def test_defect_end_of_large_fields(q, n, k, explicit):
+    # the series holds small integers; the content enters only the counts returned
+    start = time.perf_counter()
+    count = counting.count_k_normal(q, n, k)
+    assert time.perf_counter() - start < 1
+    if explicit:
+        assert count == counting.count_k_normal_explicit(q, n, k)
+    start = time.perf_counter()
+    low = counting.low_counts(q, n, 3)
+    assert time.perf_counter() - start < 1
+    assert low == [counting.count_normal(q, n), counting.closed_form_n1(q, n),
+                   counting.closed_form_n2(q, n), counting.closed_form_n3(q, n)]
+
+
+def test_coprime_defect_end_keeps_its_pace():
+    # p = 2 does not divide n, so the series is not rescaled: the old reversed
+    # recurrence runs on every degree (all <= 16 < k); about 1.5 s.  The residue
+    # pins the count, which no independent route reaches at this size
+    start = time.perf_counter()
+    count = counting.count_k_normal(2, 65535, 30000)
+    assert time.perf_counter() - start < 3
+    assert (count.bit_length(), count % (2**61 - 1)) == (39617, 1966675656894518680)

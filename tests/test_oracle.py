@@ -103,20 +103,36 @@ def _second_flat_field(q, n):
 
 
 def _gcd_distribution(q, n):
-    """deg gcd(x**n - 1, g_alpha) element by element, in generic arithmetic.
+    """deg gcd(x**n - 1, g_alpha) for every alpha, once per F_q*-line, in generic arithmetic.
 
     The field is ``_second_flat_field(q, n)``; F_q enters only through
-    alpha -> alpha**q.
+    alpha -> alpha**q, whose fixed points are F_q.  As g_(c*alpha) =
+    c*g_alpha, the degree holds on the whole line of alpha: its q - 1
+    elements c*alpha are marked one by one, and none may be marked twice.
     """
     top = _second_flat_field(q, n)
     target = _xn_minus_one(top, n)
+    scalars = []  # F_q*, the nonzero fixed points
+    for i in range(1, top.order):
+        if len(scalars) == q - 1:
+            break
+        beta = top.element(i)
+        if galois.field_pow(top, beta, q) == beta:
+            scalars.append(beta)
+    assert len(scalars) == q - 1
     counts = [0] * (n + 1)
-    for i in range(top.order):
-        alpha = top.element(i)
-        if alpha == top.zero:
-            counts[n] += 1  # g_0 = 0, and gcd(x**n - 1, 0) is x**n - 1
+    counts[n] = 1  # g_0 = 0, and gcd(x**n - 1, 0) is x**n - 1
+    marked = bytearray(top.order)
+    for i in range(1, top.order):
+        if marked[i]:
             continue
-        counts[galois.poly_gcd(target, _g_alpha(top, q, n, alpha)).degree] += 1
+        alpha = top.element(i)
+        k = galois.poly_gcd(target, _g_alpha(top, q, n, alpha)).degree
+        for c in scalars:
+            j = top.index(top.mul(c, alpha))
+            assert not marked[j], "two F_q*-lines share an element"
+            marked[j] = 1
+            counts[k] += 1
     return counts
 
 
@@ -148,7 +164,7 @@ def test_g_alpha_respects_scaling_and_frobenius():
         assert lhs == rhs
 
 
-def test_class_path_is_the_codimension_of_the_conjugates():
+def test_k_normal_is_the_codimension_of_the_conjugates():
     # the definition itself: the F_q-span of alpha, alpha**q, ... has
     # codimension k exactly for the k-normal alpha
     for q, n in [(2, 6), (3, 4), (4, 3), (8, 2), (9, 2), (25, 2)]:
@@ -157,7 +173,7 @@ def test_class_path_is_the_codimension_of_the_conjugates():
         assert literal == lanes.sweep(galois.build_tower(q, n, 0))
 
 
-def test_elementwise_path_agrees_with_class_path():
+def test_gcd_reference_on_a_second_modulus_agrees_with_the_sweep():
     # the per-element gcd sweep, on a second modulus where one exists, validates the sweep
     for q, n in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
                  (4, 2), (4, 3), (5, 2), (7, 2), (8, 2), (9, 2), (16, 2), (25, 1), (27, 2),
@@ -386,13 +402,12 @@ class _Unchecked:
         return False
 
 
-@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (5, 3), (25, 2), (2039, 2)])
-def test_a_misranked_lane_is_refused(monkeypatch, q, n):
-    # the first insert drops the lowest new lane from its result, as if its
-    # pivot were lost: that lane reads rank 0, its q - 1 elements move to
-    # N_n, and the counts still sum to q**n; only the scalar re-rank of the
-    # lowest-ranked lane sees it
-    tower = galois.build_tower(q, n, 0)
+def _misrank(monkeypatch, tower, rank):
+    """Patch the digit arithmetic so that, in the first block, the lowest lane
+    still independent at step `rank` drops out of that step's insert, as if its
+    pivot were lost: the lane reads rank `rank`, its q - 1 elements move to
+    N_(n-rank), and the counts still sum to q**n.
+    """
     digits = {2: lanes._Bits, 3: lanes._Trits}.get(tower.base.order, lanes._Digits)
     insert = digits.insert
     calls = []
@@ -400,17 +415,31 @@ def test_a_misranked_lane_is_refused(monkeypatch, q, n):
     def dropping(self, vector, rows, pivots, ones):
         inserted = insert(self, vector, rows, pivots, ones)
         calls.append(inserted)
-        return inserted & ~(inserted & -inserted) if len(calls) == 1 else inserted
+        # one insert of the conjugate and m - 1 of its scaled copies per step
+        return inserted & ~(inserted & -inserted) if len(calls) == rank * tower.m + 1 else inserted
 
     monkeypatch.setattr(digits, "insert", dropping)
-    monkeypatch.setattr(lanes, "_span_dimension", lambda *args: _Unchecked())
-    counts = lanes.sweep(tower)
-    assert sum(counts) == q**n and counts != list(counting.distribution(q, n))
-    monkeypatch.undo()
-    monkeypatch.setattr(digits, "insert", dropping)
-    calls.clear()
-    with pytest.raises(InternalInconsistency, match="a lane of rank 0 re-ranks differently"):
-        oracle.brute_force_distribution(q, n)
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (5, 3), (25, 2), (2039, 2), (7, 4)])
+def test_a_misranked_lane_is_refused(monkeypatch, q, n):
+    # rank 0 is below every true rank; at rank 2 (for n >= 4 here) the lane
+    # is the first one found with that rank, but neither the lowest rank
+    # found (alpha = 1 has rank 1) nor full rank, so only a re-rank of each
+    # rank found sees it
+    tower = galois.build_tower(q, n, 0)
+    for rank in (0, 2) if n >= 4 else (0,):
+        _misrank(monkeypatch, tower, rank)
+        monkeypatch.setattr(lanes, "_span_dimension", lambda *args: _Unchecked())
+        counts = lanes.sweep(tower)
+        assert sum(counts) == q**n and counts != list(counting.distribution(q, n))
+        monkeypatch.undo()
+        _misrank(monkeypatch, tower, rank)
+        with pytest.raises(
+            InternalInconsistency, match=f"a lane of rank {rank} re-ranks differently"
+        ):
+            oracle.brute_force_distribution(q, n)
+        monkeypatch.undo()
 
 
 @st.composite
@@ -459,7 +488,7 @@ def test_n_equals_one_is_swept_by_the_definition():
 
 
 @pytest.mark.parametrize("q", [2**16, 3**10])
-def test_n_equals_one_leaves_f_q_untabulated(q):
+def test_n_equals_one_sweeps_without_o_q_work(q):
     # F_q = F_p[x]/(f) has no tables of its own: a sweep at n = 1 with m > 1
     # takes only a handful of field operations, none of them O(q)
     galois.build_tower.cache_clear()
