@@ -191,7 +191,14 @@ def _weight_series(
 
 
 def _defect_counts(params: spectrum.ExtensionParams, cap: int, ks) -> list[int]:
-    """N_k for each k in ks (all <= cap), from one defect-end series to z**cap."""
+    """N_k for each k in ks (all <= cap), from one defect-end series to z**cap.
+
+    The exact division by q**k refuses a wrong content, not a wrong series
+    coefficient.  When p | n the content carries q**(n - n0), and n - n0 >=
+    n/2 >= every k of ``count_k_normal``, so any s_k divides out; otherwise
+    the divisor is 1.  The tests catch a wrong coefficient by comparison
+    with ``count_k_normal_explicit``.
+    """
     content, series = _weight_series(params, cap, defect=True)
     scale = params.q if params.ps > 1 else 1
     return [_exact_div(content * series[k], scale**k) for k in ks]

@@ -2,34 +2,33 @@
 
 ``sweep(tower)`` gives the counts N_0..N_n of F = F_p[x]/(f) for ``oracle``:
 the F_q-span of the conjugates depends only on their F_q*-lines, so each
-line is ranked once and weighted by q - 1.  Only the digit arithmetic of F_p
-is per characteristic: ``_Bits`` (p = 2) packs a vector in one int, a bit a
-digit; ``_Trits`` (p = 3) in two bit planes, lo and hi, after Boothby and
-Bradshaw, so a sum takes seven AND/OR/XOR operations and a negation swaps
-them; ``_Digits`` (p >= 5) in one int of w-bit fields, w = bitlen(p - 1) + 1,
-each kept in [0, p) (SIMD within a register, after Fisher and Dietz), so a
-sum is one int addition and a subtraction of p where a field reached p.
+line is ranked once and weighted by q - 1.  A vector over F_p is one int
+with a w-bit field per digit, each kept in [0, p): w = 1 for ``_Bits``
+(p = 2), w = bitlen(p - 1) + 1 for ``_Digits`` (p >= 3), where a sum is one
+int addition and a subtraction of p where a field reached p (SIMD within a
+register, after Fisher and Dietz).  Every element of F is such a vector,
+whatever p, so only the plane kernels differ by p: ``_Trits`` (p = 3) keeps
+a plane as two bit planes, lo and hi, after Boothby and Bradshaw, so a sum
+of planes takes seven AND/OR/XOR operations and a negation swaps them.
 
-* Elements of F are such vectors, digit k the coefficient of x**k.  The
+* Digit k of an element is its coefficient of x**k.  The
   columns of x -> x**q must be the powers of a root of f, and F_q =
   ker(x -> x**q minus 1), with an F_p-basis b_0 = 1, ..., b_{m-1} found by
   elimination, must have dimension m.  No generator or exp table is needed.
 * {1, x, ..., x**(n-1)} is an F_q-basis of F, so each line has one
   representative x**j + sum_{k<j} c_k x**k, c_k in F_q: one lane each,
-  L = (q**n - 1)/(q - 1) in all.  Plane c is a vector whose digit l is
-  coordinate c of lane l, and a lane mask has the low bit of each lane's
-  digit set.
+  L = (q**n - 1)/(q - 1) in all.  Plane c holds coordinate c of every lane,
+  lane l at bit l * lane_width, and a lane mask has the low bit of each
+  lane set.
 * x -> x**q and the products by b_i are F_p-linear, so they act on all
   lanes as digitwise sums of planes, and the b_i * alpha**(q**j) enter an
   echelon basis per lane, one row per pivot digit.  A lane is ranked at its
   first conjugate already in the span, which is then Frobenius-invariant.
   The other b_i-copies of a new conjugate must be new too, the planes must
-  return after n steps of x -> x**q, and one lane of the lowest rank found
-  and one of full rank are ranked again in scalar arithmetic.  At most
-  2**_LANE_BLOCK_BITS lanes are taken at a time, so memory stays flat.
+  return after n steps of x -> x**q, and the first lane found of every rank
+  is ranked again in scalar arithmetic.  At most 2**_LANE_BLOCK_BITS lanes
+  are taken at a time, so memory stays flat.
 """
-
-from functools import reduce
 
 from . import galois
 from .errors import InternalInconsistency
@@ -173,15 +172,14 @@ def _span_dimension(F, alpha, n: int, q: int, basis: list) -> int:
 
 
 def _lane_mask(F, lanes: int) -> int:
-    """The lane mask of `lanes` lanes: the low bit of each of their digits."""
-    return ((1 << lanes * F.width) - 1) // ((1 << F.width) - 1)
+    """The lane mask of `lanes` lanes: the low bit of each lane."""
+    return ((1 << lanes * F.lane_width) - 1) // ((1 << F.lane_width) - 1)
 
 
 def _lane_element(F, planes: list, mask: int):
     """The element held by the lowest lane of `mask` in `planes`."""
-    lane = ((mask & -mask).bit_length() - 1) // F.width
-    terms = [F.shift(F.scale(F.one, F.digit(plane, lane)), c) for c, plane in enumerate(planes)]
-    return reduce(F.add, terms, F.zero)
+    lane = ((mask & -mask).bit_length() - 1) // F.lane_width
+    return sum(F.shift(F.lane_digit(plane, lane), c) for c, plane in enumerate(planes))
 
 
 def _lane_blocks(F, n, m, digits, block_digits):
@@ -193,7 +191,7 @@ def _lane_blocks(F, n, m, digits, block_digits):
     whole planes.  The degrees with fewer lanes than a block share the first
     block, which is empty when a block is one lane; the others fill blocks.
     """
-    patterns = [[F.zero] * (n * m)]  # patterns[s]: the p**s lanes of the low s digits
+    patterns = [[F.plane_zero] * (n * m)]  # patterns[s]: the p**s lanes of the low s digits
     lanes = 1
     for d in digits[:block_digits]:
         patterns.append(_repeat(F, patterns[-1], lanes, d))
@@ -268,11 +266,19 @@ def _rank_lanes(F, planes, lanes, n, q, frobenius, scalings, counts, samples):
 
 
 class _Packed:
-    """A vector packed in one int, `width` bits a digit, digit k at bit k*width."""
+    """A vector packed in one int, `width` bits a digit, digit k at bit k*width.
 
-    width = fill = 1  # bits of a digit, and the mask of one
-    zero = 0
+    Elements of F are such vectors, and so are planes but in ``_Trits``:
+    the plane code reads a lane by ``lane_digit``, `lane_width` bits a lane.
+    """
+
+    width = fill = bits = 1  # bits of a digit, the mask of one, and its doublings taken
+    zero = plane_zero = 0
     one = 1
+
+    @property
+    def lane_width(self):
+        return self.width
 
     def monomial(self, k):
         return 1 << k * self.width
@@ -288,13 +294,26 @@ class _Packed:
         shift = k * self.width
         return (a & self.fill << shift) >> shift  # masked first: a may be a plane of many lanes
 
+    lane_digit = digit
+
     def concat(self, blocks):
         """The planes of the lanes of `blocks`, (planes, lane count) pairs, in turn."""
         out, offset = blocks[0]
         for planes, lanes in blocks[1:]:
-            shift = offset * self.width
+            shift = offset * self.lane_width
             out = [v | w << shift for v, w in zip(out, planes)]
             offset += lanes
+        return out
+
+    def linear_map(self, images):
+        """For each output coordinate c, the pairs (k, j) with bit j set in
+        digit c of the image of input coordinate k: its j-th doubling enters."""
+        out = [[] for _ in range(self.N)]
+        for k, image in enumerate(images):
+            while image:  # bit s is bit s % width of digit s // width
+                s = (image & -image).bit_length() - 1
+                out[s // self.width].append((k, s % self.width))
+                image &= image - 1
         return out
 
 
@@ -337,16 +356,12 @@ class _Bits(_Packed):
         """The planes with `element` added to each lane of `ones`."""
         return [v ^ ones if element >> c & 1 else v for c, v in enumerate(planes)]
 
-    def linear_map(self, images):
-        """For each output coordinate c, the input coordinates whose images have digit c."""
-        return [[k for k, image in enumerate(images) if image >> c & 1] for c in range(self.N)]
-
     def apply(self, linear_map, planes, ones):
         """The planes of the images of all lanes under a ``linear_map``."""
         out = []
-        for inputs in linear_map:
+        for terms in linear_map:
             v = 0
-            for k in inputs:
+            for k, _ in terms:
                 v ^= planes[k]
             out.append(v)
         return out
@@ -374,142 +389,10 @@ class _Bits(_Packed):
         return inserted
 
 
-class _Trits:
-    """Digits of F_3, bit-sliced: a vector is a pair (lo, hi) of ints, bit k of
-    lo set where digit k is 1 and bit k of hi where it is 2.  As 1/1 = 1 and
-    1/2 = 2, a vector is made monic by its own leading digit.
-    """
-
-    p = 3
-    width = 1  # bits of a lane in a lane mask
-    zero = row_zero = (0, 0)
-    one = (1, 0)
-
-    def __init__(self, coeffs):
-        self.coeffs = coeffs  # of f, constant first
-        self.N = len(coeffs) - 1
-        self.f = (sum(1 << k for k, c in enumerate(coeffs) if c == 1),
-                  sum(1 << k for k, c in enumerate(coeffs) if c == 2))
-
-    def monomial(self, k):
-        return 1 << k, 0
-
-    def shift(self, a, k):
-        return a[0] << k, a[1] << k
-
-    def add(self, a, b):
-        (al, ah), (bl, bh) = a, b
-        t = (al | bh) ^ (ah | bl)
-        return (ah | bh) ^ t, (al | bl) ^ t
-
-    def neg(self, a):
-        return a[1], a[0]
-
-    def scale(self, a, c):
-        return self.zero if not c else a if c == 1 else self.neg(a)
-
-    def top(self, a):
-        return (a[0] | a[1]).bit_length()
-
-    def digit(self, a, k):
-        bit = 1 << k  # masked first, as in _Packed.digit
-        return (a[0] & bit) >> k | (a[1] & bit) >> k << 1
-
-    def mulmod(self, a, b):
-        """a*b mod f for a reduced mod f, by shifts and digitwise sums."""
-        (fl, fh), top = self.f, self.N
-        pl = ph = 0
-        al, ah = a
-        bl, bh = b
-        while bl | bh:
-            if bl & 1 or bh & 1:
-                xl, xh = (al, ah) if bl & 1 else (ah, al)  # a or -a
-                t = (pl | xh) ^ (ph | xl)
-                pl, ph = (ph | xh) ^ t, (pl | xl) ^ t
-            bl, bh, al, ah = bl >> 1, bh >> 1, al << 1, ah << 1
-            if (al | ah) >> top & 1:
-                xl, xh = (fh, fl) if al >> top & 1 else (fl, fh)  # -f or f
-                t = (al | xh) ^ (ah | xl)
-                al, ah = (ah | xh) ^ t, (al | xl) ^ t
-        return pl, ph
-
-    def plus(self, planes, element, ones):
-        """The planes with `element` added to each lane of `ones`: a digit
-        added to a plane permutes its zero, lo and hi masks cyclically."""
-        el, eh = element
-        out = []
-        for c, (lo, hi) in enumerate(planes):
-            if el >> c & 1:
-                lo, hi = ones & ~(lo | hi), lo
-            elif eh >> c & 1:
-                lo, hi = hi, ones & ~(lo | hi)
-            out.append((lo, hi))
-        return out
-
-    def concat(self, blocks):
-        """The planes of the lanes of `blocks`, (planes, lane count) pairs, in turn."""
-        out, offset = blocks[0]
-        for planes, lanes in blocks[1:]:
-            out = [(lo | wl << offset, hi | wh << offset) for (lo, hi), (wl, wh) in zip(out, planes)]
-            offset += lanes
-        return out
-
-    def linear_map(self, images):
-        """For each output coordinate c, the input coordinates whose images have
-        digit 1 there, and those whose images have digit 2."""
-        return [([k for k, (lo, _) in enumerate(images) if lo >> c & 1],
-                 [k for k, (_, hi) in enumerate(images) if hi >> c & 1]) for c in range(self.N)]
-
-    def apply(self, linear_map, planes, ones):
-        """The planes of the images of all lanes under a ``linear_map``."""
-        out = []
-        for plus, minus in linear_map:  # inputs of digit 1 and of digit 2 = -1
-            lo = hi = 0
-            for k in plus:
-                bl, bh = planes[k]
-                t = (lo | bh) ^ (hi | bl)
-                lo, hi = (hi | bh) ^ t, (lo | bl) ^ t
-            for k in minus:
-                bh, bl = planes[k]
-                t = (lo | bh) ^ (hi | bl)
-                lo, hi = (hi | bh) ^ t, (lo | bl) ^ t
-            out.append((lo, hi))
-        return out
-
-    def insert(self, vector, rows, pivots, ones):
-        """Reduce one vector per lane into that lane's echelon basis; the lanes where it was new.
-
-        rows[b] holds, plane by plane below b, the row with top digit b of
-        every lane in pivots[b] (0 elsewhere), made monic: its digit b is 1
-        and implied.  A lane whose vector has a digit d != 0 at b and no such
-        row takes d times the vector as that row, and in every lane with
-        digit d at b, -d times the row is then added to the vector.
-        """
-        v = list(vector)
-        inserted = 0
-        for b in range(len(v) - 1, -1, -1):
-            dl, dh = v[b]
-            if not dl | dh:
-                continue
-            new = (dl | dh) & ~pivots[b]
-            if new:
-                pivots[b] |= new
-                inserted |= new
-                sl, sh = dl & new, dh & new
-                rows[b] = [(rl | xl & sl | xh & sh, rh | xh & sl | xl & sh)
-                           for (rl, rh), (xl, xh) in zip(rows[b], v)]
-            reduced = []
-            for (xl, xh), (rl, rh) in zip(v, rows[b]):
-                yl, yh = rl & dh | rh & dl, rh & dh | rl & dl  # -d times the row
-                t = (xl | yh) ^ (xh | yl)
-                reduced.append(((xh | yh) ^ t, (xl | yl) ^ t))
-            v[:b] = reduced
-        return inserted
-
-
 class _Digits(_Packed):
-    """Digits of F_p, p >= 5: a vector is an int whose w-bit field k holds
+    """Digits of F_p, p >= 3: a vector is an int whose w-bit field k holds
     digit k in [0, p), w = bitlen(p - 1) + 1, so a field's top bit is free.
+    At p = 3 only elements are such vectors (``_Trits``).
 
     A sum s = a + b subtracts p from each field whose top bit is set in
     s + (2**(w-1) - p), so no field carries into the next.  A product by
@@ -525,25 +408,22 @@ class _Digits(_Packed):
         self.width = self.bits + 1
         self.fill = (1 << self.width) - 1
         self.excess = (1 << self.bits) - p  # per field: s + excess has the top bit iff s >= p
-        self.row_zero = (0,) * self.bits
         self.tail = [(k, c) for k, c in enumerate(coeffs[:-1]) if c]  # f - x**N, sparse
         self.wide = (self.N * (p - 1) ** 2).bit_length()  # a digit of a product before mod p
-        self.low = _lane_mask(self, 2 * self.N)  # elements: ``_fq_basis`` has 2N digits
+        self.low = ((1 << 2 * self.N * self.width) - 1) // self.fill  # ``_fq_basis`` has 2N digits
         self.bias = self.low * self.excess
+
+    @property
+    def row_zero(self):
+        return (0,) * self.bits  # a row is kept as its doublings
 
     def add(self, a, b):
         s = a + b
         return s - ((s + self.bias) >> self.bits & self.low) * self.p
 
     def scale(self, a, c):
-        """c*a for a digit c."""
-        p, width, fill = self.p, self.width, self.fill
-        out = shift = 0
-        while a:
-            out |= (a & fill) * c % p << shift
-            a >>= width
-            shift += width
-        return out
+        """c*a for a digit c: the lane product by c in every digit."""
+        return self.mul(a, c * self.low, self.low)
 
     def mulmod(self, a, b):
         """a*b mod f for a reduced mod f: one int product of the digits spread
@@ -574,12 +454,6 @@ class _Digits(_Packed):
         bias, bits, p = ones * self.excess, self.bits, self.p
         sums = [v + self.digit(element, c) * ones for c, v in enumerate(planes)]
         return [s - ((s + bias) >> bits & ones) * p for s in sums]
-
-    def linear_map(self, images):
-        """For each output coordinate c, the pairs (k, j) with bit j set in
-        digit c of the image of input coordinate k: its j-th doubling enters."""
-        return [[(k, j) for k, image in enumerate(images) for j in range(self.bits)
-                 if self.digit(image, c) >> j & 1] for c in range(self.N)]
 
     def doublings(self, v, ones):
         """(v, 2v, 4v, ...) mod p, bitlen(p - 1) of them, on the lanes of `ones`."""
@@ -663,5 +537,88 @@ class _Digits(_Packed):
                         s = x + t
                         x = s - ((s + bias) >> bits & ones) * p
                 reduced.append(x)
+            v[:b] = reduced
+        return inserted
+
+
+class _Trits(_Digits):
+    """Digits of F_3: elements as in ``_Digits`` (w = 3), but a plane is a
+    pair (lo, hi) of ints, bit l of lo set where lane l's digit is 1 and bit
+    l of hi where it is 2.  The doublings of a plane are the plane and its
+    negation, which swaps lo and hi.  As 1/1 = 1 and 1/2 = 2, a row is made
+    monic by its own leading digit.
+    """
+
+    lane_width = 1
+    plane_zero = row_zero = (0, 0)
+
+    def __init__(self, coeffs):
+        super().__init__(coeffs, 3)
+
+    def lane_digit(self, plane, l):
+        bit = 1 << l  # masked first, as in _Packed.digit
+        return (plane[0] & bit) >> l | (plane[1] & bit) >> l << 1
+
+    def plus(self, planes, element, ones):
+        """The planes with `element` added to each lane of `ones`: a digit
+        added to a plane permutes its zero, lo and hi masks cyclically."""
+        out = []
+        for c, (lo, hi) in enumerate(planes):
+            d = self.digit(element, c)
+            if d == 1:
+                lo, hi = ones & ~(lo | hi), lo
+            elif d == 2:
+                lo, hi = hi, ones & ~(lo | hi)
+            out.append((lo, hi))
+        return out
+
+    def concat(self, blocks):
+        """The planes of the lanes of `blocks`, (planes, lane count) pairs, in turn."""
+        out, offset = blocks[0]
+        for planes, lanes in blocks[1:]:
+            out = [(lo | wl << offset, hi | wh << offset) for (lo, hi), (wl, wh) in zip(out, planes)]
+            offset += lanes
+        return out
+
+    def apply(self, linear_map, planes, ones):
+        """The planes of the images of all lanes under a ``linear_map``."""
+        doublings = [(v, v[::-1]) for v in planes]
+        out = []
+        for terms in linear_map:
+            lo = hi = 0
+            for k, j in terms:
+                bl, bh = doublings[k][j]
+                t = (lo | bh) ^ (hi | bl)
+                lo, hi = (hi | bh) ^ t, (lo | bl) ^ t
+            out.append((lo, hi))
+        return out
+
+    def insert(self, vector, rows, pivots, ones):
+        """Reduce one vector per lane into that lane's echelon basis; the lanes where it was new.
+
+        rows[b] holds, plane by plane below b, the row with top digit b of
+        every lane in pivots[b] (0 elsewhere), made monic: its digit b is 1
+        and implied.  A lane whose vector has a digit d != 0 at b and no such
+        row takes d times the vector as that row, and in every lane with
+        digit d at b, -d times the row is then added to the vector.
+        """
+        v = list(vector)
+        inserted = 0
+        for b in range(len(v) - 1, -1, -1):
+            dl, dh = v[b]
+            if not dl | dh:
+                continue
+            new = (dl | dh) & ~pivots[b]
+            if new:
+                pivots[b] |= new
+                inserted |= new
+                sl, sh = dl & new, dh & new
+                rows[b] = [(rl | xl & sl | xh & sh, rh | xh & sl | xl & sh)
+                           for (rl, rh), (xl, xh) in zip(rows[b], v)]
+            reduced = []
+            for (xl, xh), (rl, rh) in zip(v, rows[b]):
+                yl, yh = rl & dh | rh & dl, rh & dh | rl & dl  # -d times the row
+                t = (xl | yh) ^ (xh | yl)
+                reduced.append(((xh | yh) ^ t, (xl | yl) ^ t))
             v[:b] = reduced
         return inserted

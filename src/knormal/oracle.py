@@ -66,19 +66,13 @@ def cyclotomic_cosets(q: int, n0: int) -> list[int]:
         raise ValueError(f"n0 must be >= 1, got {n0}")
     if math.gcd(q, n0) != 1:
         raise NotCoprime(f"q = {q} and n0 = {n0} share a factor")
-    return sorted(size for _, size in _orbits(q, n0))
-
-
-def _orbits(q: int, modulus: int):
-    """(least member, size) of each orbit of Z/modulus under b -> q*b, ascending."""
-    seen = bytearray(modulus)
-    for start in range(modulus):
-        if seen[start]:
-            continue
-        size = 0
-        b = start
+    seen, sizes = bytearray(n0), []
+    for start in range(n0):
+        size, b = 0, start
         while not seen[b]:
             seen[b] = 1
             size += 1
-            b = b * q % modulus
-        yield start, size
+            b = b * q % n0
+        if size:
+            sizes.append(size)
+    return sorted(sizes)
