@@ -28,9 +28,12 @@ of planes takes seven AND/OR/XOR operations and a negation swaps them.
   return after n steps of x -> x**q, and the first lane found of every rank
   is ranked again in scalar arithmetic.  At most 2**_LANE_BLOCK_BITS lanes
   are taken at a time, so memory stays flat.
+* ``galois.TowerField`` takes f from ``find_modulus``: the scan order of
+  ``galois.find_irreducible``, with Rabin's test run in this arithmetic
+  (powers by ``mulmod``, a gcd of packed polynomials).
 """
 
-from . import galois
+from . import galois, numtheory
 from .errors import InternalInconsistency
 
 # A sweep ranks at most 2**_LANE_BLOCK_BITS lines at once.
@@ -44,8 +47,8 @@ def sweep(tower: galois.TowerField) -> list[int]:
     of the digit arithmetic F), and ``_rank_lanes`` runs one elimination per
     lane in the same digitwise operations.
     """
-    p, coeffs = tower.base.order, tower.modulus.coeffs
-    F = {2: _Bits, 3: _Trits}[p](coeffs) if p < 5 else _Digits(coeffs, p)
+    F = _field(tower.base.order, tower.modulus.coeffs)
+    p = F.p
     n, q, m = tower.n, tower.q, tower.m
     N = n * m
     images = _frobenius_images(F, q)
@@ -73,6 +76,89 @@ def sweep(tower: galois.TowerField) -> list[int]:
         if _span_dimension(F, alpha, n, q, basis) != rank * m:
             raise InternalInconsistency(f"a lane of rank {rank} re-ranks differently")
     return counts
+
+
+def _field(p: int, coeffs):
+    """The packed digit arithmetic of F_p[x]/(f), f monic with `coeffs`, constant first."""
+    return _Bits(coeffs) if p == 2 else _Trits(coeffs) if p == 3 else _Digits(coeffs, p)
+
+
+def find_modulus(p: int, degree: int, index: int) -> tuple:
+    """Coefficients, constant first, of the (index+1)-th monic irreducible of
+    the given degree over F_p, in the scan order of ``galois.find_irreducible``:
+    x**degree + c with the lower coefficients c in ascending mixed radix.
+
+    ``galois.TowerField`` refuses an index beyond the irreducibles that
+    exist before it calls this.
+    """
+    irreducible = _rabin(p, degree)
+    seen, low = 0, [0] * degree
+    while True:
+        coeffs = (*low, 1)
+        if irreducible(coeffs):
+            if seen == index:
+                return coeffs
+            seen += 1
+        k = 0  # count up, constant coefficient first
+        while k < degree and low[k] == p - 1:
+            low[k] = 0
+            k += 1
+        if k == degree:
+            raise InternalInconsistency(
+                f"the scan found only {seen} monic irreducibles of degree {degree}")
+        low[k] += 1
+
+
+def _rabin(p: int, N: int):
+    """Rabin's irreducibility test (``galois.is_irreducible``) for monic
+    polynomials of degree N >= 1 over F_p: a function of their coefficients.
+
+    f is irreducible iff x**(p**N) = x mod f and gcd(x**(p**(N/l)) - x, f)
+    = 1 for every prime l dividing N.  The powers are one walk of p-th
+    powers by ``mulmod`` in F_p[x]/(f), each gcd (``_poly_gcd``, on packed
+    polynomials) taken as its k = N/l passes.  A reducible f has a factor
+    of a degree d <= N/2, which the gcd at k finds when d divides k; where
+    every such d divides a k (N = 2, 3, 4, 6) the gcds decide, and the walk
+    stops at the last of them.  A root 0, 1 or -1 refuses f before the walk.
+    """
+    if N == 1:
+        return lambda coeffs: True
+    checks = {N // prime for prime in numtheory.factorize(N)}
+    decided = all(any(k % d == 0 for k in checks) for d in range(2, N // 2 + 1))
+    steps = max(checks) if decided else N
+    F = _field(p, (0,) * N + (1,))  # set to each f in turn
+    x, minus_x = F.monomial(1), F.shift(p - 1, 1)
+
+    def irreducible(coeffs):
+        if not coeffs[0] or not sum(coeffs) % p or not (sum(coeffs[::2]) - sum(coeffs[1::2])) % p:
+            return False
+        F.set_modulus(coeffs)
+        power = x
+        for k in range(1, steps + 1):
+            power = _power(F, power, p)
+            if k in checks and F.top(_poly_gcd(F, F.add(power, minus_x), F.f)) != 1:
+                return False
+        return decided or power == x
+
+    return irreducible
+
+
+def _poly_gcd(F, a, b):
+    """A gcd of the polynomials a and b over F_p, packed as vectors (digit k
+    the coefficient of x**k, at most 2N digits), by Euclid's algorithm; a
+    nonzero constant as soon as one is met."""
+    p, width = F.p, F.width
+    while b:
+        top = -(-b.bit_length() // width)  # digits up to the top nonzero one, as F.top
+        if top == 1:
+            return b
+        inverse = pow(b >> (top - 1) * width, -1, p)
+        while (shift := -(-a.bit_length() // width) - top) >= 0:
+            c = a >> (top + shift - 1) * width  # the top digit of a
+            m = (p - c) * inverse % p
+            a = F.add(a, (b if m == 1 else F.scale(b, m)) << shift * width)
+        a, b = b, a
+    return a
 
 
 def _power(F, a, e: int):
@@ -125,13 +211,15 @@ def _eliminate(F, rows: dict, v):
 
     Returns the new row, or None when v is in their span.
     """
-    while top := F.top(v):
-        d = F.digit(v, top - 1)
+    p, width = F.p, F.width
+    while v:
+        top = -(-v.bit_length() // width)  # as F.top
+        d = v >> (top - 1) * width  # the top digit
         row = rows.get(top)
         if row is None:
-            row = rows[top] = v if d == 1 else F.scale(v, pow(d, -1, F.p))
+            row = rows[top] = v if d == 1 else F.scale(v, pow(d, -1, p))
             return row
-        v = F.add(v, row if d == F.p - 1 else F.scale(row, F.p - d))
+        v = F.add(v, row if d == p - 1 else F.scale(row, p - d))
     return None
 
 
@@ -220,14 +308,16 @@ def _lane_blocks(F, n, m, digits, block_digits):
 def _repeat(F, planes, lanes, d):
     """p copies of the `lanes` lanes of `planes`, copy t with t * d added,
     doubled from the top bit of p down: O(log p) concatenations, not p."""
-    out, copies = planes, 1
+    out, copies, multiple = planes, 1, d  # multiple = copies * d
     for bit in bin(F.p)[3:]:
         width = copies * lanes
-        parts = [(out, width), (F.plus(out, F.scale(d, copies), _lane_mask(F, width)), width)]
+        parts = [(out, width), (F.plus(out, multiple, _lane_mask(F, width)), width)]
         copies *= 2
+        multiple = F.add(multiple, multiple)
         if bit == "1":
-            parts.append((F.plus(planes, F.scale(d, copies), _lane_mask(F, lanes)), lanes))
+            parts.append((F.plus(planes, multiple, _lane_mask(F, lanes)), lanes))
             copies += 1
+            multiple = F.add(multiple, d)
         out = F.concat(parts)
     return out
 
@@ -296,6 +386,29 @@ class _Packed:
 
     lane_digit = digit
 
+    def _moves(self, wide):
+        """The moves of ``spread`` to fields of `wide` bits, for up to N + 1 digits.
+
+        Digit k moves by (wide - width) * k, one bit i of k at a time, high i
+        first: before the move of bit i the digits lie in blocks of 2**(i+1)
+        fields, a block every 2**(i+1) wide fields, and the upper half of
+        each block moves.
+        """
+        moves = []  # (the bits that move, by how much)
+        for i in reversed(range(self.N.bit_length())):
+            half, block = self.width << i, wide << i + 1
+            upper = ((1 << half) - 1) << half
+            blocks = ((1 << block * ((self.N >> i + 1) + 1)) - 1) // ((1 << block) - 1)
+            moves.append((upper * blocks, (wide - self.width) << i))
+        return moves
+
+    def spread(self, v):
+        """v with digit k moved to bit k * wide, by the moves of ``_moves``."""
+        for bits, move in self.moves:
+            t = v & bits
+            v = v ^ t | t << move
+        return v
+
     def concat(self, blocks):
         """The planes of the lanes of `blocks`, (planes, lane count) pairs, in turn."""
         out, offset = blocks[0]
@@ -329,9 +442,14 @@ class _Bits(_Packed):
     row_zero = 0
 
     def __init__(self, coeffs):
-        self.coeffs = coeffs  # of f, constant first
         self.N = len(coeffs) - 1
-        self.f = sum(c << k for k, c in enumerate(coeffs))
+        self.moves = self._moves(2)
+        self.set_modulus(coeffs)
+
+    def set_modulus(self, coeffs):
+        """Reduce by the monic f of degree N with `coeffs`, constant first."""
+        self.coeffs = coeffs
+        self.f = sum(c << k for k, c in enumerate(coeffs))  # packed
 
     def add(self, a, b):
         return a ^ b
@@ -340,16 +458,20 @@ class _Bits(_Packed):
         return a if c else 0
 
     def mulmod(self, a, b):
-        """a*b mod f for a reduced mod f, by shifts and XORs."""
-        f, top = self.f, self.N
-        product = 0
-        while b:
-            if b & 1:
-                product ^= a
-            b >>= 1
-            a <<= 1
-            if a >> top & 1:
-                a ^= f
+        """a*b mod f for a and b reduced mod f (b = x too when N = 1): a shifted
+        copy of a for each set bit of b, or a square as the digits of a spread
+        to the even bits, then f shifted under each top bit from x**N up."""
+        f, N = self.f, self.N
+        if a == b:
+            product = self.spread(a)
+        else:
+            product = 0
+            while b:
+                low = b & -b
+                product ^= a * low
+                b ^= low
+        while (top := product.bit_length() - 1) >= N:
+            product ^= f << top - N
         return product
 
     def plus(self, planes, element, ones):
@@ -397,21 +519,30 @@ class _Digits(_Packed):
     A sum s = a + b subtracts p from each field whose top bit is set in
     s + (2**(w-1) - p), so no field carries into the next.  A product by
     per-lane digits d adds the j-th doubling of the vector where bit j of d
-    is set, and 1/d = d**(p-2).
+    is set, and 1/d = d**(p-2), taken once per ``insert``.
     """
 
     def __init__(self, coeffs, p):
         self.p = p
-        self.coeffs = coeffs  # of f, constant first
-        self.N = len(coeffs) - 1
+        self.N = N = len(coeffs) - 1
         self.bits = (p - 1).bit_length()  # of a digit, and its doublings taken
         self.width = self.bits + 1
         self.fill = (1 << self.width) - 1
         self.excess = (1 << self.bits) - p  # per field: s + excess has the top bit iff s >= p
-        self.tail = [(k, c) for k, c in enumerate(coeffs[:-1]) if c]  # f - x**N, sparse
-        self.wide = (self.N * (p - 1) ** 2).bit_length()  # a digit of a product before mod p
-        self.low = ((1 << 2 * self.N * self.width) - 1) // self.fill  # ``_fq_basis`` has 2N digits
+        self.low = ((1 << 2 * N * self.width) - 1) // self.fill  # ``_fq_basis`` has 2N digits
         self.bias = self.low * self.excess
+        # ``mulmod``: a product's digit, before mod p, is below 2N (p - 1)**2
+        self.wide = wide = (2 * N * (p - 1) ** 2).bit_length()
+        self.moves = self._moves(wide)
+        self.tops = [(i * wide, (i - N) * wide) for i in range(2 * N - 1, N - 1, -1)]  # x**i, i >= N
+        self.lows = [k * wide for k in reversed(range(N))]
+        self.set_modulus(coeffs)
+
+    def set_modulus(self, coeffs):
+        """Reduce by the monic f of degree N with `coeffs`, constant first."""
+        self.coeffs = coeffs
+        self.f = sum(c << k * self.width for k, c in enumerate(coeffs))  # packed
+        self.tail = sum(c << k * self.wide for k, c in enumerate(coeffs[:-1]))  # f - x**N, spread
 
     @property
     def row_zero(self):
@@ -426,27 +557,25 @@ class _Digits(_Packed):
         return self.mul(a, c * self.low, self.low)
 
     def mulmod(self, a, b):
-        """a*b mod f for a reduced mod f: one int product of the digits spread
-        to fields wide enough for their sums, then reduced digit by digit."""
-        p, N, width, fill, wide = self.p, self.N, self.width, self.fill, self.wide
-        spread = []
-        for v in a, b:
-            out = shift = 0
-            while v:
-                out, v, shift = out | (v & fill) << shift, v >> width, shift + wide
-            spread.append(out)
-        product, digits = spread[0] * spread[1], []
-        while product:
-            digits.append(product & (1 << wide) - 1)
-            product >>= wide
-        for i in range(len(digits) - 1, N - 1, -1):  # f is monic
-            c = digits[i] % p
+        """a*b mod f for a and b reduced mod f (b = x too when N = 1).
+
+        The digits of both move to fields wide enough for the sums of the
+        product, one move per bit of the digit index, so one int product
+        gives a*b.  From the top, a digit c at x**i, i >= N, is reduced by
+        adding (p - c) * (f - x**N) * x**(i-N) to the whole product: the
+        fields keep growing, but no field reaches the next.  The low N
+        fields, mod p, are the result.
+        """
+        p, width, tail = self.p, self.width, self.tail
+        spread = self.spread(a)
+        product, field = spread * (spread if a == b else self.spread(b)), (1 << self.wide) - 1
+        for at, down in self.tops:
+            c = (product >> at & field) % p
             if c:
-                for k, t in self.tail:
-                    digits[i - N + k] -= c * t
+                product += (p - c) * tail << down
         out = 0
-        for c in reversed(digits[:N]):
-            out = out << width | c % p
+        for at in self.lows:
+            out = out << width | (product >> at & field) % p
         return out
 
     def plus(self, planes, element, ones):
@@ -503,12 +632,17 @@ class _Digits(_Packed):
         top digit b of every lane that has one, and pivots[b] the inverse of
         that digit (0 elsewhere).  A lane with a digit d != 0 at b and no row
         there takes the vector as its row; then -d/(digit b of the row) times
-        the row is added to the vector, a doubling for each bit of it.
+        the row is added to the vector, a doubling for each bit of it.  That
+        factor is -1 in a lane whose row is new, which leaves the rest of its
+        vector 0.  So a lane takes at most one row per insert, and the
+        inverses of the new rows' digits b are taken once, as one d**(p-2)
+        over all lanes, and written to pivots at the end.
         """
         bias, bits, p, fill = ones * self.excess, self.bits, self.p, self.fill
         nonzero = ones * (fill >> 1)  # per field: d + nonzero has the top bit iff d != 0
         v = list(vector)
-        inserted = 0
+        inserted = leads = 0  # the lanes with a new row, and its digit at its top
+        fresh = []  # (b, the lanes with a new row at b)
         for b in range(len(v) - 1, -1, -1):
             d = v[b]
             if not d:
@@ -519,15 +653,17 @@ class _Digits(_Packed):
             if new:
                 inserted |= new
                 spread = new * fill
-                lead = d & spread
-                inverse |= new if lead == new else self.inverse(lead, ones)  # 1/1 = 1
-                pivots[b] = inverse
+                leads |= d & spread
+                fresh.append((b, new))
                 rows[b] = [row if not x & spread else tuple(
                     r | y for r, y in zip(row, self.doublings(x & spread, ones)))
                     for row, x in zip(rows[b], v)]
-            if inverse & live * fill != live:  # unless every digit b of the rows is 1
-                d = self.mul(d, inverse, ones)
-            factor = live * p - d  # -d/(digit b of the row)
+            old = live ^ new
+            if inverse & old * fill != old:  # unless every older digit b of the rows is 1
+                d = self.mul(d, inverse, ones)  # 0 where the row is new
+            else:
+                d &= old * fill
+            factor = live * p - d - new  # -d/(digit b of the row); -1 where it is new
             masks = [(factor >> j & ones) * fill for j in range(bits)]
             reduced = []
             for x, row in zip(v, rows[b]):
@@ -538,6 +674,10 @@ class _Digits(_Packed):
                         x = s - ((s + bias) >> bits & ones) * p
                 reduced.append(x)
             v[:b] = reduced
+        if leads != inserted:  # unless every new row's digit is 1, which is its own inverse
+            leads = self.inverse(leads, ones)
+        for b, new in fresh:
+            pivots[b] |= leads & new * fill
         return inserted
 
 

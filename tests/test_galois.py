@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from knormal import galois, numtheory, oracle
+from knormal import galois, lanes, numtheory, oracle
 from knormal.errors import ArgumentOutOfRange
 
 
@@ -157,7 +157,8 @@ def test_excess_modulus_index_refused_before_the_scan():
 
 def test_the_sweep_moduli_are_pinned():
     # the first two moduli of degree n*m over F_p for a few sweep fields
-    # (q, n): refusing a root 0 or 1 before Rabin's walk changes none of them
+    # (q, n): refusing a root 0 or 1 before Rabin's walk changes none of them,
+    # and the tower's scan on packed ints finds the same
     pinned = {
         (2, 12): [(1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), (1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1)],
         (3, 8): [(2, 0, 1, 0, 0, 0, 0, 0, 1), (2, 0, 2, 0, 0, 0, 0, 0, 1)],
@@ -171,6 +172,35 @@ def test_the_sweep_moduli_are_pinned():
         p, m = numtheory.prime_power_decompose(q)
         field = galois.PrimeField(p)
         assert [galois.find_irreducible(field, n * m, i).coeffs for i in (0, 1)] == moduli
+        assert [galois.build_tower(q, n, i).modulus.coeffs for i in (0, 1)] == moduli
+
+
+def test_the_packed_irreducibility_test_matches_the_generic_one():
+    # Rabin's test on packed ints is the test the tower scans with
+    for p, max_degree in [(2, 10), (3, 6), (5, 4), (7, 3)]:
+        field = galois.PrimeField(p)
+        for degree in range(1, max_degree + 1):
+            irreducible = lanes._rabin(p, degree)
+            for poly in all_monic(field, degree):
+                assert irreducible(poly.coeffs) == galois.is_irreducible(poly), poly
+
+
+def test_the_tower_scan_finds_the_generic_scan_moduli():
+    # every field up to 2**18 elements of the acceptance q, first and second modulus
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
+        p, m = numtheory.prime_power_decompose(q)
+        field = galois.PrimeField(p)
+        n = 1
+        while q**n <= 1 << 18:
+            for i in (0, 1):
+                try:
+                    expected = galois.find_irreducible(field, n * m, i).coeffs
+                except ArgumentOutOfRange as refusal:  # x^2 + x + 1 is the only quadratic over F_2
+                    with pytest.raises(ArgumentOutOfRange, match=str(refusal)):
+                        galois.build_tower(q, n, i)
+                else:
+                    assert galois.build_tower(q, n, i).modulus.coeffs == expected, (q, n, i)
+            n += 1
 
 
 def test_find_irreducible_deterministic():

@@ -185,10 +185,8 @@ def test_a_cached_field_scans_for_its_modulus_once(monkeypatch):
     # a sweep reads its field from the cache: a second sweep, and a direct
     # build_tower of the same field, scan for no modulus
     calls = []
-    find_irreducible = galois.find_irreducible
-    monkeypatch.setattr(
-        galois, "find_irreducible", lambda *args, **kw: calls.append(args) or find_irreducible(*args, **kw)
-    )
+    find_modulus = lanes.find_modulus
+    monkeypatch.setattr(lanes, "find_modulus", lambda *args: calls.append(args) or find_modulus(*args))
     galois.build_tower.cache_clear()
     try:
         for _ in range(2):
@@ -196,7 +194,7 @@ def test_a_cached_field_scans_for_its_modulus_once(monkeypatch):
         hits = galois.build_tower.cache_info().hits
         tower = galois.build_tower(25, 3, 0)  # the sweep's field: a hit, no new scan
         assert galois.build_tower.cache_info().hits == hits + 1
-        assert calls == [(tower.base, 6)]
+        assert calls == [(5, 6, 0)] and tower.base.order == 5
         with pytest.raises(TypeError):
             galois.build_tower(25, 3)  # the index has no default, so no second key
     finally:
