@@ -11,10 +11,10 @@ F_{q^n} sits over F_p directly (`TowerField`).
 
 Moduli are found by a deterministic scan in ascending coefficient order, so
 every run of every process builds the identical field for given (q, n).
-``find_irreducible`` scans over any base field in this generic arithmetic.
-A ``TowerField`` takes the same scan over F_p from ``knormal.lanes``, which
-runs Rabin's test on packed ints and is imported with the first tower; the
-generic scan is the tests' reference for it.  Every modulus is monic, and
+``find_irreducible`` is that scan: over F_p it runs Rabin's test on the
+packed ints of ``knormal.lanes``, imported with the first such scan, and
+over an extension base it runs the generic ``is_irreducible``, which is the
+tests' reference for the packed test.  Every modulus is monic, and
 division takes a leading coefficient of 1 as it is, so reduction by a
 modulus never inverts.
 """
@@ -332,21 +332,6 @@ def irreducible_count(order: int, degree: int) -> int:
     return total // degree
 
 
-def _refuse_excess_index(order: int, degree: int, index: int) -> int:
-    """The number of monic irreducibles of the degree over F_order, refusing
-    a degree < 1 or an index beyond them."""
-    if degree < 1:
-        raise ArgumentOutOfRange("degree must be >= 1")
-    if index < 0:
-        raise ArgumentOutOfRange("index must be >= 0")
-    exists = irreducible_count(order, degree)
-    if index >= exists:
-        raise ArgumentOutOfRange(
-            f"fewer than {index + 1} monic irreducibles of degree {degree} exist"
-        )
-    return exists
-
-
 def find_irreducible(field, degree: int, index: int = 0):
     """(index+1)-th monic irreducible of the given degree in scan order.
 
@@ -354,15 +339,32 @@ def find_irreducible(field, degree: int, index: int = 0):
     in ascending mixed-radix order (constant coefficient least
     significant), so the result is reproducible bit for bit across runs.
     An index beyond the irreducibles that exist is refused before the scan.
+    Over F_p each candidate takes Rabin's test on the packed ints of
+    ``lanes`` (imported on the first such scan); over an extension it takes
+    ``is_irreducible``.
     """
+    if degree < 1:
+        raise ArgumentOutOfRange("degree must be >= 1")
+    if index < 0:
+        raise ArgumentOutOfRange("index must be >= 0")
     order = field.order
-    exists = _refuse_excess_index(order, degree, index)
+    exists = irreducible_count(order, degree)
+    if index >= exists:
+        raise ArgumentOutOfRange(
+            f"fewer than {index + 1} monic irreducibles of degree {degree} exist"
+        )
+    if isinstance(field, PrimeField):
+        from . import lanes  # the sweep's packed arithmetic, compiled with the first scan
+
+        irreducible = lanes.rabin(order, degree)
+    else:
+        irreducible = lambda coeffs: is_irreducible(Poly(field, coeffs))
     seen = 0
     for j in range(order**degree):
-        cand = Poly(field, _digits(field, j, degree) + (field.one,))
-        if is_irreducible(cand):
+        coeffs = _digits(field, j, degree) + (field.one,)
+        if irreducible(coeffs):
             if seen == index:
-                return cand
+                return Poly(field, coeffs)
             seen += 1
     raise InternalInconsistency(
         f"the scan found {seen} of the {exists} monic irreducibles of degree {degree}"
@@ -373,8 +375,8 @@ class TowerField(ExtensionField):
     """F_{q^n} = F_p[x]/(f) for q = p**m, flat over the prime field.
 
     f is a monic irreducible of degree n*m over F_p from the deterministic
-    scan, run on packed ints (``lanes.find_modulus``); an index beyond the
-    irreducibles that exist is refused before it.  `modulus_index` picks a
+    scan (``find_irreducible``, on packed ints over F_p); an index beyond
+    the irreducibles that exist is refused before it.  `modulus_index` picks a
     later hit so callers can check that counts do not depend on the field
     representation.  F_q is the subfield fixed by x -> x**q, which the
     classifier finds as the kernel of x -> x**q minus 1, so the field
@@ -384,10 +386,7 @@ class TowerField(ExtensionField):
     def __init__(self, q: int, n: int, modulus_index: int):
         p, m = numtheory.prime_power_decompose(q)
         prime = PrimeField(p)
-        _refuse_excess_index(p, n * m, modulus_index)
-        from . import lanes  # the sweep's packed arithmetic, compiled with the first tower
-
-        super().__init__(prime, Poly(prime, lanes.find_modulus(p, n * m, modulus_index)))
+        super().__init__(prime, find_irreducible(prime, n * m, modulus_index))
         self.q = q
         self.n = n
         self.m = m

@@ -28,9 +28,9 @@ of planes takes seven AND/OR/XOR operations and a negation swaps them.
   return after n steps of x -> x**q, and the first lane found of every rank
   is ranked again in scalar arithmetic.  At most 2**_LANE_BLOCK_BITS lanes
   are taken at a time, so memory stays flat.
-* ``galois.TowerField`` takes f from ``find_modulus``: the scan order of
-  ``galois.find_irreducible``, with Rabin's test run in this arithmetic
-  (powers by ``mulmod``, a gcd of packed polynomials).
+* ``galois.find_irreducible`` scans for f over F_p with ``rabin``:
+  Rabin's test run in this arithmetic (powers by ``mulmod``, a gcd of
+  packed polynomials).
 """
 
 from . import galois, numtheory
@@ -83,33 +83,7 @@ def _field(p: int, coeffs):
     return _Bits(coeffs) if p == 2 else _Trits(coeffs) if p == 3 else _Digits(coeffs, p)
 
 
-def find_modulus(p: int, degree: int, index: int) -> tuple:
-    """Coefficients, constant first, of the (index+1)-th monic irreducible of
-    the given degree over F_p, in the scan order of ``galois.find_irreducible``:
-    x**degree + c with the lower coefficients c in ascending mixed radix.
-
-    ``galois.TowerField`` refuses an index beyond the irreducibles that
-    exist before it calls this.
-    """
-    irreducible = _rabin(p, degree)
-    seen, low = 0, [0] * degree
-    while True:
-        coeffs = (*low, 1)
-        if irreducible(coeffs):
-            if seen == index:
-                return coeffs
-            seen += 1
-        k = 0  # count up, constant coefficient first
-        while k < degree and low[k] == p - 1:
-            low[k] = 0
-            k += 1
-        if k == degree:
-            raise InternalInconsistency(
-                f"the scan found only {seen} monic irreducibles of degree {degree}")
-        low[k] += 1
-
-
-def _rabin(p: int, N: int):
+def rabin(p: int, N: int):
     """Rabin's irreducibility test (``galois.is_irreducible``) for monic
     polynomials of degree N >= 1 over F_p: a function of their coefficients.
 

@@ -23,6 +23,17 @@ def all_monic(field, degree):
         yield galois.Poly(field, coeffs)
 
 
+def scan_order(field, degree):
+    """Every monic polynomial of the given degree, in the scan order of
+    find_irreducible: constant coefficient least significant."""
+    for j in range(field.order**degree):
+        digits = []
+        for _ in range(degree):
+            j, r = divmod(j, field.order)
+            digits.append(field.element(r))
+        yield galois.Poly(field, tuple(digits) + (field.one,))
+
+
 def brute_irreducible(poly):
     """No monic factor of degree 1..deg/2 divides it."""
     field = poly.field
@@ -114,14 +125,7 @@ def test_find_irreducible_smallest(p, degree, expected):
     poly = galois.find_irreducible(field, degree)
     assert poly.coeffs == expected
     # nothing smaller in scan order is irreducible
-    order = field.order
-    for low in range(order**degree):
-        digits = []
-        t = low
-        for _ in range(degree):
-            t, r = divmod(t, order)
-            digits.append(field.element(r))
-        cand = galois.Poly(field, tuple(digits) + (field.one,))
+    for cand in scan_order(field, degree):
         if cand == poly:
             break
         assert not brute_irreducible(cand)
@@ -135,6 +139,11 @@ def test_find_irreducible_index():
     assert galois.is_irreducible(first) and galois.is_irreducible(second)
     with pytest.raises(ValueError):
         galois.find_irreducible(field, 2, index=1)  # x^2+x+1 is the only one
+    # over an extension base every index below the count is found
+    f4 = tuple_field(4)
+    found = [galois.find_irreducible(f4, 2, index=i) for i in range(galois.irreducible_count(4, 2))]
+    assert len({poly.coeffs for poly in found}) == 6
+    assert all(brute_irreducible(poly) for poly in found)
 
 
 def test_irreducible_count():
@@ -143,7 +152,7 @@ def test_irreducible_count():
     assert galois.irreducible_count(27, 1) == 27
 
 
-def test_excess_modulus_index_refused_before_the_scan():
+def test_excess_modulus_index_refused_before_the_scan(monkeypatch):
     # 52377 monic irreducibles of degree 20 exist over F_2, 1161 of degree 14
     t0 = time.perf_counter()
     with pytest.raises(ArgumentOutOfRange, match="fewer than 52378"):
@@ -151,6 +160,12 @@ def test_excess_modulus_index_refused_before_the_scan():
     with pytest.raises(ArgumentOutOfRange, match="fewer than 1201"):
         oracle.brute_force_distribution(2, 14, modulus_index=1200)
     assert time.perf_counter() - t0 < 0.5
+    # over F_4 the 6 quadratics are all there are; the scan never starts
+    f4 = tuple_field(4)
+    with monkeypatch.context() as patch:
+        patch.setattr(galois, "is_irreducible", lambda f: pytest.fail("the scan ran"))
+        with pytest.raises(ArgumentOutOfRange, match="fewer than 7 monic irreducibles of degree 2"):
+            galois.find_irreducible(f4, 2, index=6)
     # the last of the 9 of degree 6 is still found
     assert galois.is_irreducible(galois.find_irreducible(galois.PrimeField(2), 6, index=8))
 
@@ -180,26 +195,27 @@ def test_the_packed_irreducibility_test_matches_the_generic_one():
     for p, max_degree in [(2, 10), (3, 6), (5, 4), (7, 3)]:
         field = galois.PrimeField(p)
         for degree in range(1, max_degree + 1):
-            irreducible = lanes._rabin(p, degree)
+            irreducible = lanes.rabin(p, degree)
             for poly in all_monic(field, degree):
                 assert irreducible(poly.coeffs) == galois.is_irreducible(poly), poly
 
 
 def test_the_tower_scan_finds_the_generic_scan_moduli():
-    # every field up to 2**18 elements of the acceptance q, first and second modulus
+    # every field up to 2**18 elements of the acceptance q, first and second
+    # modulus, against a scan by the generic is_irreducible in candidate order
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
         p, m = numtheory.prime_power_decompose(q)
         field = galois.PrimeField(p)
         n = 1
         while q**n <= 1 << 18:
+            irreducibles = (f.coeffs for f in scan_order(field, n * m) if galois.is_irreducible(f))
+            expected = list(itertools.islice(irreducibles, 2))
             for i in (0, 1):
-                try:
-                    expected = galois.find_irreducible(field, n * m, i).coeffs
-                except ArgumentOutOfRange as refusal:  # x^2 + x + 1 is the only quadratic over F_2
-                    with pytest.raises(ArgumentOutOfRange, match=str(refusal)):
+                if i < len(expected):
+                    assert galois.build_tower(q, n, i).modulus.coeffs == expected[i], (q, n, i)
+                else:  # x^2 + x + 1 is the only quadratic over F_2
+                    with pytest.raises(ArgumentOutOfRange, match=f"fewer than {i + 1} monic"):
                         galois.build_tower(q, n, i)
-                else:
-                    assert galois.build_tower(q, n, i).modulus.coeffs == expected, (q, n, i)
             n += 1
 
 
@@ -223,17 +239,25 @@ def test_is_irreducible_over_extension():
 
 
 def test_find_irreducible_walks_the_quotient_ring(monkeypatch):
-    # Rabin's test takes its powers in F[x]/(f), never as Poly products.
+    # Rabin's generic test takes its powers in F[x]/(f), never as Poly
+    # products: on the candidates of a scan up to its (count)-th hit.
     fields = {p: galois.PrimeField(p) for p in (2, 3, 5, 7)}
-    cases = [(2, 8, 2), (2, 6, 1), (3, 5, 1), (3, 4, 2), (5, 3, 2), (7, 2, 0)]
-    expected = [galois.find_irreducible(fields[p], degree, i) for p, degree, i in cases]
+    cases = [(2, 8, 3), (2, 6, 2), (3, 5, 2), (3, 4, 3), (5, 3, 3), (7, 2, 1)]
+    verdicts = []
+    for p, degree, count in cases:
+        for cand in scan_order(fields[p], degree):
+            verdict = galois.is_irreducible(cand)
+            verdicts.append((cand, verdict))
+            count -= verdict
+            if not count:
+                break
 
     def refuse(self, other):
         raise AssertionError("a Poly product was taken")
 
     monkeypatch.setattr(galois.Poly, "__mul__", refuse)
-    for (p, degree, i), modulus in zip(cases, expected):
-        assert galois.find_irreducible(fields[p], degree, i) == modulus
+    for cand, verdict in verdicts:
+        assert galois.is_irreducible(cand) == verdict, cand
 
 
 def test_poly_divmod_property():

@@ -185,8 +185,11 @@ def test_a_cached_field_scans_for_its_modulus_once(monkeypatch):
     # a sweep reads its field from the cache: a second sweep, and a direct
     # build_tower of the same field, scan for no modulus
     calls = []
-    find_modulus = lanes.find_modulus
-    monkeypatch.setattr(lanes, "find_modulus", lambda *args: calls.append(args) or find_modulus(*args))
+    find_irreducible = galois.find_irreducible
+    monkeypatch.setattr(
+        galois, "find_irreducible",
+        lambda field, *args: calls.append((field.order, *args)) or find_irreducible(field, *args),
+    )
     galois.build_tower.cache_clear()
     try:
         for _ in range(2):
