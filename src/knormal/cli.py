@@ -22,6 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counts of k-normal elements of F_{q^n} over F_q.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> that command's own parser
 
     def add_q(p):
         p.add_argument("--q", type=int, required=True, help="field order (prime power)")
@@ -92,7 +93,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no command named: the top-level parser says so
+        args = parser.parse_args(argv)
+    else:
+        # One pass, by the command's own parser: the top-level pass would only
+        # hand it argv[1:].  Leftovers are refused as parse_args refuses them.
+        args, extras = command.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.handler(args)
     except KnormalError as exc:

@@ -137,19 +137,14 @@ class ExtensionField:
     def element(self, i: int):
         if not 0 <= i < self.order:
             raise ValueError(f"element index {i} out of range")
-        return _digits(self.base, i, self.degree)
+        digits = []  # base-(base order) digits of i as elements, least significant first
+        for _ in range(self.degree):
+            i, r = divmod(i, self.base.order)
+            digits.append(self.base.element(r))
+        return tuple(digits)
 
     def __repr__(self):
         return f"ExtensionField(order={self.order})"
-
-
-def _digits(field, i: int, count: int) -> tuple:
-    """The `count` base-(field order) digits of i as elements, least significant first."""
-    digits = []
-    for _ in range(count):
-        i, r = divmod(i, field.order)
-        digits.append(field.element(r))
-    return tuple(digits)
 
 
 def _product(field, a, b) -> list:
@@ -353,19 +348,29 @@ def find_irreducible(field, degree: int, index: int = 0):
         raise ArgumentOutOfRange(
             f"fewer than {index + 1} monic irreducibles of degree {degree} exist"
         )
+    candidate = lambda digits: Poly(field, [field.element(d) for d in digits])
     if isinstance(field, PrimeField):
         from . import lanes  # the sweep's packed arithmetic, compiled with the first scan
 
         irreducible = lanes.rabin(order, degree)
     else:
-        irreducible = lambda coeffs: is_irreducible(Poly(field, coeffs))
+        irreducible = lambda digits: is_irreducible(candidate(digits))
+    # Coefficients as element indices, constant first (index 1 is field.one;
+    # over F_p the indices are the coefficients), counted up in place.
+    digits = [0] * degree + [1]
     seen = 0
-    for j in range(order**degree):
-        coeffs = _digits(field, j, degree) + (field.one,)
-        if irreducible(coeffs):
+    while True:
+        if irreducible(digits):
             if seen == index:
-                return Poly(field, coeffs)
+                return candidate(digits)
             seen += 1
+        k = 0
+        while k < degree and digits[k] == order - 1:
+            digits[k] = 0
+            k += 1
+        if k == degree:
+            break
+        digits[k] += 1
     raise InternalInconsistency(
         f"the scan found {seen} of the {exists} monic irreducibles of degree {degree}"
     )

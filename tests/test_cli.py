@@ -423,6 +423,37 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
         cli.build_parser.cache_clear()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--q", "2", "--n", "3", "--k", "1"],
+        ["distribution", "--q", "3", "--n", "2", "--format", "json"],
+        ["table", "--q", "2", "--n-min", "1", "--n-max", "4", "--k-max", "1"],
+        ["verify", "--q", "2", "--n", "3", "--oracle", "closed-forms"],
+        ["factors", "--q", "4", "--n", "6", "--format", "csv"],
+    ],
+)
+def test_a_command_is_parsed_once_by_its_own_parser(monkeypatch, argv):
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(vars(args)) or 0)
+    cli.build_parser.cache_clear()  # rebuilt with the recording handler
+    try:
+        expected = vars(cli.build_parser().parse_args(argv))
+        parsers = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self.prog)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+        assert cli.main(argv) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert parsers == [f"knormal {argv[0]}"]
+    assert seen == [expected] and expected["command"] == argv[0]
+
+
 def test_transcript_replays_byte_for_byte(capsys, monkeypatch):
     # Recorded calls: every command in every format, each verify oracle, and
     # every exit-2 refusal.  argparse wraps usage lines to COLUMNS.
@@ -456,6 +487,22 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout == "72\n"
+
+
+def test_module_entry_point_reports_a_stray_argument_with_the_top_level_usage():
+    # argv=None: main reads sys.argv, as `entry()` and `python -m` call it
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), COLUMNS="80")
+    result = subprocess.run(
+        [sys.executable, "-m", "knormal.cli", "count", "--q", "2", "--n", "3", "--k", "1", "--bogus"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: knormal [-h] {count,distribution,table,verify,factors}")
+    assert result.stderr.endswith("knormal: error: unrecognized arguments: --bogus\n")
 
 
 def test_the_cli_compiles_the_lane_code_only_for_a_sweep():
