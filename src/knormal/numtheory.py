@@ -3,19 +3,23 @@
 Everything works on plain Python ints, so quantities like q**r - 1 are exact
 at any size.  Structural inputs (n, moduli, orders) are expected to stay
 below MAX_N; `factorize` uses trial division, which is fine in that range,
-and only `factorize` does.  A prime power q = p**m of any size is split by
-exact integer roots, and p is tested by Miller-Rabin to the first t prime
-bases, the fewest that decide primality exactly at the size of p: t runs
-from 1 below 2047 to 13 below MR_BOUND (about 3.3e24), by the least strong
-pseudoprimes psi_t to the first t prime bases (Pomerance, Selfridge and
-Wagstaff 1980; Jaeschke 1993; Jiang and Deng 2014; Sorenson and Webster,
-"Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).  A
-candidate prime at or above the bound is refused rather than guessed.
+and only `factorize` does.  A prime power q = p**m of any size is split
+without factoring: a factor below 43 settles q by one comparison, a prime q
+below MR_BOUND by one primality test, and any other q is reduced to p by
+exact integer roots of prime degree.  p is tested by Miller-Rabin to the
+first t prime bases, the fewest that decide primality exactly at the size
+of p: t runs from 1 below 2047 to 13 below MR_BOUND (about 3.3e24), by the
+least strong pseudoprimes psi_t to the first t prime bases (Pomerance,
+Selfridge and Wagstaff 1980; Jaeschke 1993; Jiang and Deng 2014; Sorenson
+and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp.
+2017).  A candidate prime at or above the bound is refused rather than
+guessed.
 """
 
+import itertools
 import math
 
-from .errors import InputTooLarge, InternalInconsistency, NotCoprime, NotPrimePower
+from .errors import InputTooLarge, NotCoprime, NotPrimePower
 
 # Bound on trial-division arguments (and on extension degrees downstream).
 MAX_N = 10**6
@@ -112,27 +116,44 @@ def _integer_root(x: int, j: int) -> int:
 def prime_power_decompose(x: int) -> tuple[int, int]:
     """Write x = p**m with p prime; raise NotPrimePower otherwise.
 
-    Exact j-th roots for prime j reduce x to a base that is no perfect
-    power; that base is the only candidate for p.
+    A factor l < 43 (one of MR_BASES) settles x at once: x is a prime power
+    only as l**m, with m read from the size of x.  Otherwise p >= 43; a prime
+    x below MR_BOUND is returned after one primality test, and any other x
+    is reduced by exact j-th roots for prime j <= log_43 x to a base that
+    is no perfect power, the only candidate for p.  The test on x comes
+    first only below the bound, so an x at or above it is refused for the
+    size of its root, not its own.
     """
     if x < 2:
-        raise NotPrimePower(f"{x} is not a prime power")
-    base, m, j = x, 1, 2
-    while j <= base.bit_length():
+        raise _not_a_prime_power(x)
+    for small in MR_BASES:
+        if x % small == 0:
+            m = round(math.log(x, small))
+            if small**m != x:
+                raise _not_a_prime_power(x)
+            return small, m
+    if x < MR_BOUND and is_prime(x):
+        return x, 1
+    base, m = x, 1
+    # MR_BASES are the primes below 43; only x >= 43**43 reaches a larger j.
+    for j in itertools.chain(MR_BASES, filter(is_prime, itertools.count(43, 2))):
+        if 43**j > base:
+            break
         r = _integer_root(base, j)
-        if r**j == base:
-            base, m = r, m * j
-        else:
-            j += 1
-            while not is_prime(j):
-                j += 1
+        while r**j == base:
+            base, m, r = r, m * j, _integer_root(r, j)
     if not is_prime(base):
-        try:
-            name = str(x)
-        except ValueError:  # beyond CPython's int-to-str digit limit
-            name = f"a {x.bit_length()}-bit integer"
-        raise NotPrimePower(f"{name} is not a prime power")
+        raise _not_a_prime_power(x)
     return base, m
+
+
+def _not_a_prime_power(x: int) -> NotPrimePower:
+    """The refusal of x, named by its bit length when str(x) would fail."""
+    try:
+        name = str(x)
+    except ValueError:  # beyond CPython's int-to-str digit limit
+        name = f"a {x.bit_length()}-bit integer"
+    return NotPrimePower(f"{name} is not a prime power")
 
 
 def divisors(x: int) -> list[int]:
@@ -165,7 +186,13 @@ def euler_phi(x: int) -> int:
 
 
 def multiplicative_order(a: int, modulus: int) -> int:
-    """Least e >= 1 with a**e = 1 mod modulus; order is 1 when modulus = 1."""
+    """Least e >= 1 with a**e = 1 mod modulus; order is 1 when modulus = 1.
+
+    The order divides phi(modulus): starting from e = phi, each prime l of
+    phi is divided out of e while a**(e/l) is still 1, which takes at most
+    Omega(phi) + omega(phi) modular powers (Cohen, A Course in Computational
+    Algebraic Number Theory, section 1.4).
+    """
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     if modulus == 1:
@@ -173,10 +200,11 @@ def multiplicative_order(a: int, modulus: int) -> int:
     a %= modulus
     if math.gcd(a, modulus) != 1:
         raise NotCoprime(f"{a} and {modulus} are not coprime")
-    for e in divisors(euler_phi(modulus)):
-        if pow(a, e, modulus) == 1:
-            return e
-    raise InternalInconsistency("no multiplicative order found")
+    e = euler_phi(modulus)
+    for prime in factorize(e):
+        while e % prime == 0 and pow(a, e // prime, modulus) == 1:
+            e //= prime
+    return e
 
 
 def gcd_qr_minus_one(q: int, r: int, n: int) -> int:

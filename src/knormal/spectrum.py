@@ -83,27 +83,25 @@ def derive_params(q: int, n: int) -> ExtensionParams:
 def degree_pattern(params: ExtensionParams) -> DegreePattern:
     """Factor-degree multiplicities of x**n0 - 1 via Moebius inversion.
 
-    With t_r = gcd(q**r - 1, n), the number of degree-r factors is
+    With t_u = gcd(q**u - 1, n), the number of degree-r factors is
     (1/r) * sum over u | r of moebius(r/u) * t_u; degrees r run over the
-    divisors of d.  d is factored once: its divisors, and for each r the
-    squarefree r/u that carry a nonzero moebius(r/u), come from that
-    factorization, and each t_u is computed once.
+    divisors of d.  The inversion is taken one prime l of d at a time: going
+    down the divisors, t_r -= t_(r/l) wherever l | r, so after every prime
+    t_r = r * v_r, in omega(d) * tau(d) subtractions.
     """
     factors = numtheory.factorize(params.d)
     degrees = numtheory.divisors_from(factors)
     t = {u: numtheory.gcd_qr_minus_one(params.q, u, params.n) for u in degrees}
+    for prime in factors:
+        for r in reversed(degrees):
+            if r % prime == 0:
+                t[r] -= t[r // prime]
     entries: dict[int, int] = {}
     for r in degrees:
-        signed = [(1, 1)]  # (squarefree divisor of r, its moebius value)
-        for prime in factors:
-            if r % prime == 0:
-                signed += [(f * prime, -mu) for f, mu in signed]
-        total = sum(mu * t[r // f] for f, mu in signed)
-        count, rem = divmod(total, r)
+        count, rem = divmod(t[r], r)
         if rem or count < 0:
-            raise InternalInconsistency(f"degree {r} multiplicity {total}/{r} is not integral")
-        if count:
-            entries[r] = count
+            raise InternalInconsistency(f"degree {r} multiplicity {t[r]}/{r} is not integral")
+        entries[r] = count
     pattern = DegreePattern(entries)
     if pattern.degree_sum() != params.n0:
         raise InternalInconsistency(

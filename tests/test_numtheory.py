@@ -126,12 +126,37 @@ def test_only_the_thirteenth_base_catches_the_last_pseudoprime():
 
 @pytest.mark.parametrize(
     "x,expected",
-    [((2**61 - 1) ** 2, (2**61 - 1, 2)), (2**1000, (2, 1000)), (3**5 * 3**7, (3, 12))],
+    [
+        ((2**61 - 1) ** 2, (2**61 - 1, 2)),
+        (2**1000, (2, 1000)),
+        (3**5 * 3**7, (3, 12)),
+        pytest.param(43**47, (43, 47), id="43**47"),
+        pytest.param(2**4099, (2, 4099), id="2**4099"),
+        pytest.param(10007**13, (10007, 13), id="10007**13"),
+        pytest.param(3**10**5, (3, 10**5), id="3**10**5"),
+    ],
 )
 def test_prime_power_decompose_large_fast(x, expected):
     start = time.perf_counter()
     assert numtheory.prime_power_decompose(x) == expected
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("x", [2 * 3**40, 12**500], ids=["2*3**40", "12**500"])
+def test_prime_power_decompose_refuses_large_fast(x):
+    start = time.perf_counter()
+    with pytest.raises(NotPrimePower, match=f"^{x} is not a prime power$"):
+        numtheory.prime_power_decompose(x)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("x", [2**61 - 1, 999999999989])
+def test_a_prime_below_the_bound_takes_no_root(monkeypatch, x):
+    def refuse(base, j):
+        raise AssertionError(f"_integer_root({base}, {j}) called")
+
+    monkeypatch.setattr(numtheory, "_integer_root", refuse)
+    assert numtheory.prime_power_decompose(x) == (x, 1)
 
 
 def test_prime_power_decompose_never_factors(monkeypatch):
@@ -227,6 +252,48 @@ def test_multiplicative_order_matches_naive():
                     numtheory.multiplicative_order(a, modulus)
             else:
                 assert numtheory.multiplicative_order(a, modulus) == naive_order(a, modulus)
+
+
+def random_odd_prime(rng, below):
+    while True:
+        x = rng.randrange(3, below)
+        if numtheory.is_prime(x):
+            return x
+
+
+def test_multiplicative_order_is_the_least_exponent():
+    rng = random.Random(11)
+    moduli = []
+    for _ in range(50):
+        small = random_odd_prime(rng, 1000)
+        moduli += [
+            random_odd_prime(rng, 10**6),
+            small ** rng.randrange(2, int(math.log(10**6, small)) + 1),
+            2 ** rng.randrange(1, 20),
+            2 * small ** rng.randrange(1, int(math.log(5 * 10**5, small)) + 1),
+        ]
+    for modulus in moduli:
+        a = rng.randrange(1, modulus)
+        while math.gcd(a, modulus) != 1:
+            a = rng.randrange(1, modulus)
+        e = numtheory.multiplicative_order(a, modulus)
+        assert pow(a, e, modulus) == 1, (a, modulus)
+        for prime in numtheory.factorize(e):
+            assert pow(a, e // prime, modulus) != 1, (a, modulus, prime)
+
+
+def test_multiplicative_order_takes_a_few_powers(monkeypatch):
+    # 2 is a primitive root mod the prime 963901, and phi = 2^2 * 3^4 * 5^2 * 7 * 17
+    # has 180 divisors but Omega + omega = 15.
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(numtheory, "pow", counting_pow, raising=False)
+    assert numtheory.multiplicative_order(2, 963901) == 963900
+    assert 0 < len(calls) <= 15
 
 
 def test_multiplicative_order_rejects_bad_modulus():

@@ -125,9 +125,20 @@ def reference_omega(params):
     ) // params.d
 
 
+# Fields at `factors` sizes: n >= 10**5, q up to 10**12, tau(d) >= 96.
+LARGE_FIELDS = [
+    (999999999989, 821632),
+    (999983**2, 121679),
+    (5**17, 110881),  # tau(d) = 120
+    (5**17, 916245),  # p | n
+    (2, 967950),  # p | n
+]
+
+
 def test_pattern_and_omega_match_the_divisorwise_sums():
-    for q in PRIME_POWERS:
-        for n in range(1, 2001):
-            params = spectrum.derive_params(q, n)
-            assert spectrum.degree_pattern(params).entries == reference_pattern(params), (q, n)
-            assert spectrum.omega(params) == reference_omega(params), (q, n)
+    large = [spectrum.derive_params(q, n) for q, n in LARGE_FIELDS]
+    assert min(len(numtheory.divisors(params.d)) for params in large) >= 96
+    small = [spectrum.derive_params(q, n) for q in PRIME_POWERS for n in range(1, 2001)]
+    for params in small + large:
+        assert spectrum.degree_pattern(params).entries == reference_pattern(params), params
+        assert spectrum.omega(params) == reference_omega(params), params
