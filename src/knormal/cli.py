@@ -24,70 +24,79 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # command name -> that command's own parser
 
+    def add_command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.options = {}  # option string -> its Action, read by _read_pairs
+        return p
+
+    def add(p, *flags, **kwargs):  # every option stores the one value after it
+        action = p.add_argument(*flags, **kwargs)
+        p.options.update(dict.fromkeys(action.option_strings, action))
+
     def add_q(p):
-        p.add_argument("--q", type=int, required=True, help="field order (prime power)")
+        add(p, "--q", type=int, required=True, help="field order (prime power)")
 
     def add_n(p):
-        p.add_argument("--n", type=int, required=True, help="extension degree")
+        add(p, "--n", type=int, required=True, help="extension degree")
 
     def add_format(p, default, choices=("text", "csv", "json")):
-        p.add_argument(
+        add(
+            p,
             "--format",
             choices=choices,
             default=default,
             help=f"output format (default {default})",
         )
 
-    p = sub.add_parser("count", help="number of k-normal elements")
+    p = add_command("count", cmd_count, "number of k-normal elements")
     add_q(p)
     add_n(p)
-    p.add_argument("--k", type=int, required=True, help="normality defect k")
+    add(p, "--k", type=int, required=True, help="normality defect k")
     add_format(p, "text")
-    p.set_defaults(handler=cmd_count)
 
-    p = sub.add_parser("distribution", help="counts for every k = 0..n")
+    p = add_command("distribution", cmd_distribution, "counts for every k = 0..n")
     add_q(p)
     add_n(p)
     add_format(p, "text")
-    p.set_defaults(handler=cmd_distribution)
 
-    p = sub.add_parser("table", help="counts over a range of n")
+    p = add_command("table", cmd_table, "counts over a range of n")
     add_q(p)
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k-max", type=int, default=0, help="largest k column (default 0)")
+    add(p, "--n-min", type=int, required=True)
+    add(p, "--n-max", type=int, required=True)
+    add(p, "--k-max", type=int, default=0, help="largest k column (default 0)")
     add_format(p, "csv")
-    p.set_defaults(handler=cmd_table)
 
-    p = sub.add_parser("verify", help="cross-check formulas against ground truth")
+    p = add_command("verify", cmd_verify, "cross-check formulas against ground truth")
     add_q(p)
     add_n(p)
-    p.add_argument(
+    add(
+        p,
         "--oracle",
         choices=("brute", "cosets", "closed-forms", "all"),
         default="all",
         help="which independent checks to run (default all)",
     )
-    p.add_argument(
+    add(
+        p,
         "--max-brute",
         type=int,
         default=oracle.DEFAULT_MAX_ORDER,
         help="largest q**n the brute-force sweep will accept",
     )
-    p.add_argument(
+    add(
+        p,
         "--modulus-trials",
         type=int,
         default=1,
         help="how many distinct field representations to sweep",
     )
     add_format(p, "text", ("text", "json"))
-    p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("factors", help="structure of x**n - 1 over F_q")
+    p = add_command("factors", cmd_factors, "structure of x**n - 1 over F_q")
     add_q(p)
     add_n(p)
     add_format(p, "text")
-    p.set_defaults(handler=cmd_factors)
 
     return parser
 
@@ -98,9 +107,10 @@ def main(argv=None) -> int:
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:  # no command named: the top-level parser says so
         args = parser.parse_args(argv)
-    else:
-        # One pass, by the command's own parser: the top-level pass would only
-        # hand it argv[1:].  Leftovers are refused as parse_args refuses them.
+    elif (args := _read_pairs(command, argv)) is None:
+        # One argparse pass, by the command's own parser: the top-level pass
+        # would only hand it argv[1:].  Leftovers are refused as parse_args
+        # refuses them.
         args, extras = command.parse_known_args(
             argv[1:], argparse.Namespace(command=argv[0])
         )
@@ -111,6 +121,43 @@ def main(argv=None) -> int:
     except KnormalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _read_pairs(command, argv):
+    """The Namespace argparse builds from `argv`, read from `command.options`,
+    or None where argparse must read it.
+
+    Read only `command --option value ...` where each option is an exact
+    option string, no value starts with "-", each value converts by the
+    option's type and lies in its choices, and every required option is
+    given.  Every other argv, a usage error among them, goes to argparse.
+    """
+    if len(argv) % 2 == 0:  # argv[0] is the command, then whole pairs
+        return None
+    options = command.options
+    values = {}
+    for option, value in zip(argv[1::2], argv[2::2]):
+        action = options.get(option)
+        if action is None or value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value  # a repeated option keeps its last value
+    args = argparse.Namespace(command=argv[0])
+    for action in options.values():
+        if action.dest in values:
+            setattr(args, action.dest, values[action.dest])
+        elif action.required:
+            return None
+        else:
+            setattr(args, action.dest, command.get_default(action.dest))
+    args.handler = command.get_default("handler")
+    return args
 
 
 def entry() -> None:

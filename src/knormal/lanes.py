@@ -27,7 +27,8 @@ of planes takes seven AND/OR/XOR operations and a negation swaps them.
   The other b_i-copies of a new conjugate must be new too, the planes must
   return after n steps of x -> x**q, and the first lane found of every rank
   is ranked again in scalar arithmetic.  At most 2**_LANE_BLOCK_BITS lanes
-  are taken at a time, so memory stays flat.
+  are taken at a time, so memory stays flat.  A mask x & ~y is written
+  x ^ (x & y): ~y is a negative int, and & with one takes extra passes.
 * ``galois.find_irreducible`` scans for f over F_p with ``rabin``:
   Rabin's test run in this arithmetic (powers by ``mulmod``, a gcd of
   packed polynomials).
@@ -312,14 +313,14 @@ def _rank_lanes(F, planes, lanes, n, q, frobenius, scalings, counts, samples):
     for j in range(n):
         if alive:
             inserted = insert(planes, rows, pivots, ones)
-            ranked = alive & ~inserted
+            ranked = alive ^ (alive & inserted)
             if ranked:
                 counts[n - j] += (q - 1) * ranked.bit_count()
                 if j not in samples:
                     samples[j] = _lane_element(F, start, ranked)
             alive &= inserted
             for scaling in scalings:
-                if alive & ~insert(apply(scaling, planes, ones), rows, pivots, ones):
+                if alive ^ (alive & insert(apply(scaling, planes, ones), rows, pivots, ones)):
                     raise InternalInconsistency("scaled conjugate copies are dependent")
         planes = apply(frobenius, planes, ones)
     if planes != start:
@@ -476,7 +477,7 @@ class _Bits(_Packed):
             vb = v[b]
             if not vb:
                 continue
-            new = vb & ~pivots[b]
+            new = vb ^ (vb & pivots[b])
             if new:
                 pivots[b] |= new
                 inserted |= new
@@ -623,7 +624,7 @@ class _Digits(_Packed):
                 continue
             inverse = pivots[b]
             live = (d + nonzero) >> bits & ones
-            new = live & ~((inverse + nonzero) >> bits)
+            new = live ^ (live & (inverse + nonzero) >> bits)
             if new:
                 inserted |= new
                 spread = new * fill
@@ -680,9 +681,9 @@ class _Trits(_Digits):
         for c, (lo, hi) in enumerate(planes):
             d = self.digit(element, c)
             if d == 1:
-                lo, hi = ones & ~(lo | hi), lo
+                lo, hi = ones ^ (ones & (lo | hi)), lo
             elif d == 2:
-                lo, hi = hi, ones & ~(lo | hi)
+                lo, hi = hi, ones ^ (ones & (lo | hi))
             out.append((lo, hi))
         return out
 
@@ -720,9 +721,10 @@ class _Trits(_Digits):
         inserted = 0
         for b in range(len(v) - 1, -1, -1):
             dl, dh = v[b]
-            if not dl | dh:
+            nonzero = dl | dh
+            if not nonzero:
                 continue
-            new = (dl | dh) & ~pivots[b]
+            new = nonzero ^ (nonzero & pivots[b])
             if new:
                 pivots[b] |= new
                 inserted |= new

@@ -1,6 +1,8 @@
 """CLI subcommands: outputs, formats, and exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -9,6 +11,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knormal import cli, counting, oracle
 
@@ -423,17 +427,10 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
         cli.build_parser.cache_clear()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["count", "--q", "2", "--n", "3", "--k", "1"],
-        ["distribution", "--q", "3", "--n", "2", "--format", "json"],
-        ["table", "--q", "2", "--n-min", "1", "--n-max", "4", "--k-max", "1"],
-        ["verify", "--q", "2", "--n", "3", "--oracle", "closed-forms"],
-        ["factors", "--q", "4", "--n", "6", "--format", "csv"],
-    ],
-)
-def test_a_command_is_parsed_once_by_its_own_parser(monkeypatch, argv):
+def _parse_recorded(monkeypatch, argv):
+    """Run main on argv with a recording handler, check that the handler got
+    what parse_args builds, and return the progs of the parsers whose
+    parse_known_args ran."""
     seen = []
     monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(vars(args)) or 0)
     cli.build_parser.cache_clear()  # rebuilt with the recording handler
@@ -450,8 +447,86 @@ def test_a_command_is_parsed_once_by_its_own_parser(monkeypatch, argv):
         assert cli.main(argv) == 0
     finally:
         cli.build_parser.cache_clear()
-    assert parsers == [f"knormal {argv[0]}"]
     assert seen == [expected] and expected["command"] == argv[0]
+    return parsers
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--q", "2", "--n", "3", "--k", "1"],
+        ["distribution", "--q", "3", "--n", "2", "--format", "json"],
+        ["table", "--q", "2", "--n-min", "1", "--n-max", "4", "--k-max", "1"],
+        ["verify", "--q", "2", "--n", "3", "--oracle", "closed-forms"],
+        ["factors", "--q", "4", "--n", "6", "--format", "csv"],
+    ],
+)
+def test_a_command_is_parsed_once_by_its_own_parser(monkeypatch, argv):
+    # `--option value` pairs are read from the command's table: argparse never runs
+    assert _parse_recorded(monkeypatch, argv) == []
+
+
+def test_a_form_the_table_declines_is_parsed_once_by_argparse(monkeypatch):
+    argv = ["count", "--q=2", "--n", "3", "--k", "1"]
+    assert _parse_recorded(monkeypatch, argv) == ["knormal count"]
+
+
+# Tokens for argv that the table may or may not read: each option string and
+# an abbreviation of it, forms only argparse reads, and values good and bad.
+_OPTIONS = sorted({o for p in cli.build_parser().commands.values() for o in p.options})
+_TOKENS = st.sampled_from(
+    _OPTIONS
+    + [o[:-1] for o in _OPTIONS if len(o) > 3]
+    + ["--q=7", "-h", "--", ""]
+    + ["0", "1", "2", "3", "7", "25", "-1", "-3", "-1.5", "two"]
+    + ["text", "csv", "json", "brute", "cosets", "closed-forms", "all", "xml"]
+)
+_RARELY = st.integers(0, 9).map(lambda i: i == 9)
+
+
+@st.composite
+def _argvs(draw):
+    """A command and most of its options, each with a value of its type or
+    choices; rarely an option left out, a value from _TOKENS, one pair more,
+    or one token after the last pair."""
+    name = draw(st.sampled_from(sorted(cli.build_parser().commands)))
+    options = cli.build_parser().commands[name].options
+    pairs = []
+    for option, action in options.items():
+        good = st.sampled_from(action.choices or ["1", "2", "3", "7", "25"])
+        if not draw(_RARELY):
+            pairs.append((option, draw(_TOKENS if draw(_RARELY) else good)))
+    if draw(_RARELY):
+        pairs.append((draw(st.sampled_from(list(options)) | _TOKENS), draw(_TOKENS)))
+    pairs = draw(st.permutations(pairs))
+    tail = [draw(_TOKENS)] if draw(_RARELY) else []
+    return [name, *(token for pair in pairs for token in pair), *tail]
+
+
+def test_the_table_reads_argv_as_argparse_does():
+    parser = cli.build_parser()
+    read = set()
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(argv=_argvs())
+    def check(argv):
+        command = parser.commands[argv[0]]
+        table = cli._read_pairs(command, argv)
+        if table is None:
+            return
+        read.add(argv[0])
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                parsed = command.parse_known_args(
+                    argv[1:], argparse.Namespace(command=argv[0])
+                )
+            except SystemExit:
+                pytest.fail(f"argparse refused {argv}: {stderr.getvalue()}")
+        assert parsed == (table, [])
+
+    check()
+    assert read == set(parser.commands)  # the table read argv of every command
 
 
 def test_transcript_replays_byte_for_byte(capsys, monkeypatch):
