@@ -104,18 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:  # no command named: the top-level parser says so
-        args = parser.parse_args(argv)
-    elif (args := _read_pairs(command, argv)) is None:
-        # One argparse pass, by the command's own parser: the top-level pass
-        # would only hand it argv[1:].  Leftovers are refused as parse_args
-        # refuses them.
-        args, extras = command.parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0])
-        )
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = _read_pairs(parser, argv) or parser.parse_args(argv)
     try:
         return args.handler(args)
     except KnormalError as exc:
@@ -123,16 +112,17 @@ def main(argv=None) -> int:
         return 2
 
 
-def _read_pairs(command, argv):
-    """The Namespace argparse builds from `argv`, read from `command.options`,
-    or None where argparse must read it.
+def _read_pairs(parser, argv):
+    """The Namespace `parser.parse_args(argv)` builds, read from the named
+    command's `options`, or None where argparse must read it.
 
     Read only `command --option value ...` where each option is an exact
     option string, no value starts with "-", each value converts by the
     option's type and lies in its choices, and every required option is
     given.  Every other argv, a usage error among them, goes to argparse.
     """
-    if len(argv) % 2 == 0:  # argv[0] is the command, then whole pairs
+    command = parser.commands.get(argv[0]) if len(argv) % 2 else None
+    if command is None:  # argv[0] names a command, then whole pairs follow
         return None
     options = command.options
     values = {}

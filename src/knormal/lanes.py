@@ -14,7 +14,7 @@ of planes takes seven AND/OR/XOR operations and a negation swaps them.
 * Digit k of an element is its coefficient of x**k.  The
   columns of x -> x**q must be the powers of a root of f, and F_q =
   ker(x -> x**q minus 1), with an F_p-basis b_0 = 1, ..., b_{m-1} found by
-  elimination, must have dimension m.  No generator or exp table is needed.
+  elimination, must have dimension m.
 * {1, x, ..., x**(n-1)} is an F_q-basis of F, so each line has one
   representative x**j + sum_{k<j} c_k x**k, c_k in F_q: one lane each,
   L = (q**n - 1)/(q - 1) in all.  Plane c holds coordinate c of every lane,

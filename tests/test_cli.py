@@ -461,14 +461,46 @@ def _parse_recorded(monkeypatch, argv):
         ["factors", "--q", "4", "--n", "6", "--format", "csv"],
     ],
 )
-def test_a_command_is_parsed_once_by_its_own_parser(monkeypatch, argv):
-    # `--option value` pairs are read from the command's table: argparse never runs
+def test_well_formed_argv_never_reaches_argparse(monkeypatch, argv):
+    # `--option value` pairs are read from the command's table
     assert _parse_recorded(monkeypatch, argv) == []
 
 
-def test_a_form_the_table_declines_is_parsed_once_by_argparse(monkeypatch):
-    argv = ["count", "--q=2", "--n", "3", "--k", "1"]
-    assert _parse_recorded(monkeypatch, argv) == ["knormal count"]
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["count", "--q=2", "--n", "3", "--k", "1"], False),
+        (["distribution", "--q", "3", "--n", "2", "--fo", "csv"], False),
+        (["count", "--q", "2", "--n", "-3", "--k", "1"], False),
+        (["factors", "--q", "2", "--n", "5", "extra"], True),
+    ],
+)
+def test_a_form_the_table_declines_gets_what_parse_args_gives(
+    capsys, monkeypatch, argv, refused
+):
+    # main hands the handler what parse_args builds, or exits 2 with its usage error
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(vars(args)) or 0)
+    cli.build_parser.cache_clear()  # rebuilt with the recording handler
+    try:
+        parser = cli.build_parser()
+        assert cli._read_pairs(parser, argv) is None
+        outcomes = []
+        for parse in (lambda: vars(parser.parse_args(argv)), lambda: cli.main(argv)):
+            try:
+                outcomes.append(parse())
+            except SystemExit as exc:
+                outcomes.append(exc.code)
+            outcomes.append(capsys.readouterr())
+    finally:
+        cli.build_parser.cache_clear()
+    expected, usage, code, printed = outcomes
+    if refused:
+        assert expected == code == 2 and seen == []
+        assert printed == usage and "knormal: error: " in usage.err
+    else:
+        assert code == 0 and seen == [expected] and expected["command"] == argv[0]
 
 
 # Tokens for argv that the table may or may not read: each option string and
@@ -511,7 +543,7 @@ def test_the_table_reads_argv_as_argparse_does():
     @given(argv=_argvs())
     def check(argv):
         command = parser.commands[argv[0]]
-        table = cli._read_pairs(command, argv)
+        table = cli._read_pairs(parser, argv)
         if table is None:
             return
         read.add(argv[0])
