@@ -24,80 +24,56 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # command name -> that command's own parser
 
-    def add_command(name, handler, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
-        p.options = {}  # option string -> its Action, read by _read_pairs
-        return p
+    # Each option is (option string, add_argument keywords) and stores the one
+    # value after it, as _read_pairs assumes.
+    q = ("--q", dict(type=int, required=True, help="field order (prime power)"))
+    n = ("--n", dict(type=int, required=True, help="extension degree"))
 
-    def add(p, *flags, **kwargs):  # every option stores the one value after it
-        action = p.add_argument(*flags, **kwargs)
-        p.options.update(dict.fromkeys(action.option_strings, action))
-
-    def add_q(p):
-        add(p, "--q", type=int, required=True, help="field order (prime power)")
-
-    def add_n(p):
-        add(p, "--n", type=int, required=True, help="extension degree")
-
-    def add_format(p, default, choices=("text", "csv", "json")):
-        add(
-            p,
-            "--format",
-            choices=choices,
-            default=default,
-            help=f"output format (default {default})",
+    def fmt(default, choices=("text", "csv", "json")):
+        return "--format", dict(
+            choices=choices, default=default, help=f"output format (default {default})"
         )
 
-    p = add_command("count", cmd_count, "number of k-normal elements")
-    add_q(p)
-    add_n(p)
-    add(p, "--k", type=int, required=True, help="normality defect k")
-    add_format(p, "text")
-
-    p = add_command("distribution", cmd_distribution, "counts for every k = 0..n")
-    add_q(p)
-    add_n(p)
-    add_format(p, "text")
-
-    p = add_command("table", cmd_table, "counts over a range of n")
-    add_q(p)
-    add(p, "--n-min", type=int, required=True)
-    add(p, "--n-max", type=int, required=True)
-    add(p, "--k-max", type=int, default=0, help="largest k column (default 0)")
-    add_format(p, "csv")
-
-    p = add_command("verify", cmd_verify, "cross-check formulas against ground truth")
-    add_q(p)
-    add_n(p)
-    add(
-        p,
-        "--oracle",
-        choices=("brute", "cosets", "closed-forms", "all"),
-        default="all",
-        help="which independent checks to run (default all)",
-    )
-    add(
-        p,
-        "--max-brute",
-        type=int,
-        default=oracle.DEFAULT_MAX_ORDER,
-        help="largest q**n the brute-force sweep will accept",
-    )
-    add(
-        p,
-        "--modulus-trials",
-        type=int,
-        default=1,
-        help="how many distinct field representations to sweep",
-    )
-    add_format(p, "text", ("text", "json"))
-
-    p = add_command("factors", cmd_factors, "structure of x**n - 1 over F_q")
-    add_q(p)
-    add_n(p)
-    add_format(p, "text")
-
+    commands = {  # command name -> (handler, help line, options)
+        "count": (cmd_count, "number of k-normal elements", [
+            q, n,
+            ("--k", dict(type=int, required=True, help="normality defect k")),
+            fmt("text"),
+        ]),
+        "distribution": (cmd_distribution, "counts for every k = 0..n", [q, n, fmt("text")]),
+        "table": (cmd_table, "counts over a range of n", [
+            q,
+            ("--n-min", dict(type=int, required=True)),
+            ("--n-max", dict(type=int, required=True)),
+            ("--k-max", dict(type=int, default=0, help="largest k column (default 0)")),
+            fmt("csv"),
+        ]),
+        "verify": (cmd_verify, "cross-check formulas against ground truth", [
+            q, n,
+            ("--oracle", dict(
+                choices=("brute", "cosets", "closed-forms", "all"),
+                default="all",
+                help="which independent checks to run (default all)",
+            )),
+            ("--max-brute", dict(
+                type=int,
+                default=oracle.DEFAULT_MAX_ORDER,
+                help="largest q**n the brute-force sweep will accept",
+            )),
+            ("--modulus-trials", dict(
+                type=int,
+                default=1,
+                help="how many distinct field representations to sweep",
+            )),
+            fmt("text", ("text", "json")),
+        ]),
+        "factors": (cmd_factors, "structure of x**n - 1 over F_q", [q, n, fmt("text")]),
+    }
+    for name, (handler, help, options) in commands.items():
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        # option string -> its Action, read by _read_pairs
+        p.options = {flag: p.add_argument(flag, **kwargs) for flag, kwargs in options}
     return parser
 
 

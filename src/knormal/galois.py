@@ -1,13 +1,14 @@
 """Finite fields and dense polynomial arithmetic.
 
-The ground-truth classifier needs honest field arithmetic: a prime field
-F_p, an extension F_p[x]/(f), polynomials over either, and a Euclidean gcd.
-Fields stay small (the classifier refuses anything past its guard), so the
-code favors clarity over asymptotics: prime-field elements are ints in
-[0, p), elements of an `ExtensionField` are tuples of base-field elements
-(constant coefficient first), and polynomials are trimmed coefficient
-tuples.  An extension may sit over another extension; the classifier's
-F_{q^n} sits over F_p directly (`TowerField`).
+This module serves three things: the modulus scan, the `TowerField` that
+the lane sweep (`knormal.lanes`) reads, and the reference arithmetic of the
+tests: a prime field F_p, an extension F_p[x]/(f), polynomials over either,
+and a Euclidean gcd.  Fields stay small (the sweep refuses anything past
+its guard), so the code favors clarity over asymptotics: prime-field
+elements are ints in [0, p), elements of an `ExtensionField` are tuples of
+base-field elements (constant coefficient first), and polynomials are
+trimmed coefficient tuples.  An extension may sit over another extension;
+the sweep's F_{q^n} sits over F_p directly (`TowerField`).
 
 Moduli are found by a deterministic scan in ascending coefficient order, so
 every run of every process builds the identical field for given (q, n).

@@ -34,15 +34,16 @@ of planes takes seven AND/OR/XOR operations and a negation swaps them.
   packed polynomials).
 """
 
-from . import galois, numtheory
+from . import numtheory
 from .errors import InternalInconsistency
 
 # A sweep ranks at most 2**_LANE_BLOCK_BITS lines at once.
 _LANE_BLOCK_BITS = 16
 
 
-def sweep(tower: galois.TowerField) -> list[int]:
-    """Counts N_0..N_n of F = F_p[x]/(f), every F_q*-line ranked at once.
+def sweep(tower) -> list[int]:
+    """Counts N_0..N_n of F = F_p[x]/(f), a ``galois.TowerField``, every
+    F_q*-line ranked at once.
 
     x -> x**q and the products by b_1, ... map all lanes at once (``apply``
     of the digit arithmetic F), and ``_rank_lanes`` runs one elimination per
@@ -99,7 +100,7 @@ def rabin(p: int, N: int):
     if N == 1:
         return lambda coeffs: True
     checks = {N // prime for prime in numtheory.factorize(N)}
-    decided = all(any(k % d == 0 for k in checks) for d in range(2, N // 2 + 1))
+    decided = N in {2, 3, 4, 6}
     steps = max(checks) if decided else N
     F = _field(p, (0,) * N + (1,))  # set to each f in turn
     x, minus_x = F.monomial(1), F.shift(p - 1, 1)

@@ -220,6 +220,17 @@ def test_defect_end_on_factor_rich_fields(field, data):
     assert counting.low_counts(q, n, k) == list(dist[: k + 1])
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_low_counts_up_to_k_n_are_the_distribution(q):
+    # table --k-max reads the defect end up to k = n, where it must be the
+    # whole distribution: the division by q**k that ends it cannot catch a
+    # wrong series coefficient when p | n, so compare every count
+    for n in range(1, 41):
+        low = counting.low_counts(q, n, n)
+        assert sum(low) == q**n
+        assert low == list(counting.distribution(q, n))
+
+
 def test_a_corrupted_content_is_refused(monkeypatch):
     # (2, 12): p**s = 4 > k = 3, so the content is prod ((Q-1)*Q**3)**v, a
     # multiple of 2**9; one more in each factor's c0 leaves it odd, and the

@@ -361,7 +361,7 @@ def test_packed_digit_arithmetic_over_all_digits(p):
             assert F.mulmod(plane(x), plane(y)) == plane(tower.mul(x, y))
 
 
-def test_a_char2_sweep_needs_no_generator_or_exp_table(monkeypatch):
+def test_a_sweep_uses_no_generic_field_arithmetic(monkeypatch):
     # nor does a sweep of any other characteristic: every sweep ranks the
     # lanes in its packed digits, with no orbit walk and no generic field
     # arithmetic (the fields are built first: the modulus scan uses it)
@@ -379,7 +379,7 @@ def test_a_char2_sweep_needs_no_generator_or_exp_table(monkeypatch):
         assert lanes.sweep(tower) == list(counting.distribution(q, n))
 
 
-def test_char2_lanes_split_into_small_blocks(monkeypatch):
+def test_lanes_split_into_small_blocks(monkeypatch):
     # at most 2**bits lanes a block, 2**bits for p = 2 and 3 or 9 for p = 3,
     # 5 for p = 5: the first block takes the degrees with fewer lanes, each
     # larger degree fills blocks whose high digits add a constant to whole
