@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or refused
 computation.  Counts can exceed 2**63, so JSON carries them as decimal
-strings; text and CSV print plain decimal digits.
+strings; text and CSV print plain decimal digits.  `distribution` makes its
+counts as exact `decimal.Decimal`s, which print in linear time at any size;
+`count` and `table` print ints by str(), within its 4300-digit limit.
 """
 
 import argparse
@@ -143,10 +145,21 @@ def cmd_count(args) -> int:
 
 
 def cmd_distribution(args) -> int:
-    dist = counting.distribution(args.q, args.n)
+    import decimal  # loaded by the first distribution, so other commands never pay for it
+
+    # Counts made in decimal print in linear time and past str(int)'s digit
+    # limit.  Any rounding raises, so no printed digit can be wrong.
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+    )
+    with decimal.localcontext(exact):
+        dist = counting.distribution(args.q, args.n, decimal.Decimal(1))
+        total = dist.total()
+        power = decimal.Decimal(args.q) ** args.n
     counts = [str(c) for c in dist.counts]
-    total = dist.total()
-    power = args.q**args.n
 
     def text():
         for k, c in enumerate(counts):

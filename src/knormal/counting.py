@@ -15,7 +15,9 @@ the tau(d) group series, or of z**k with every series reversed, where the
 common content of the weights is kept out of the product.  A literal
 tuple enumeration, the explicit sum over multiplicity profiles (every q
 and n), and per-k closed forms are provided as independent routes for
-cross-checks.  All results are plain Python ints and therefore exact.
+cross-checks.  All results are plain Python ints and therefore exact;
+``distribution`` can also make its counts in another exact ring, given its
+unit ``one`` (ints by default).
 """
 
 import collections
@@ -29,6 +31,9 @@ from .errors import ArgumentOutOfRange, EnumerationTooLarge, InternalInconsisten
 # count_k_normal_explicit's states (unplaced, unspent), summed over levels (r, j).
 ENUMERATION_LIMIT = 10**7
 EXPLICIT_STATE_LIMIT = 10**6
+# distribution makes its counts in the ring of `one` only up to this many
+# products of two non-unit coefficients per unit of n (see _ring_products).
+RING_PRODUCTS = 48
 
 
 class Distribution:
@@ -73,7 +78,7 @@ class Distribution:
 
     def total(self) -> int:
         """Sum over all k; always q**n, since every element has one defect."""
-        return sum(self.counts)
+        return sum(reversed(self.counts))  # small end first: the running sum stays small
 
 
 def phi_q_prime_power(q: int, r: int, e: int) -> int:
@@ -103,18 +108,24 @@ def _sparse_sum(*products) -> list[tuple[int, int]]:
     return [(i, x) for i, x in sorted(out.items()) if x]
 
 
-def _group_series(num: dict, den: dict, v: int, length: int) -> list[int]:
-    """The first length coefficients of G = (N/D)**v, N and D sparse, D linear.
+def _group_series(num: dict, den: dict, v: int, length: int, one=1) -> list:
+    """The first length coefficients of G = (N/D)**v, N and D sparse, D of
+    degree <= 1, in the ring of ``one``.
 
     G satisfies N*D*G' = v*(N'*D - N*D')*G, so its w**(j-1) coefficient
     gives g_j from at most seven earlier ones and one exact division by j
-    times the constant term of N*D.
+    times the constant term of N*D.  The relation's int coefficients enter
+    the ring once per group, not once per use: converting a big int into
+    ``Decimal`` costs time quadratic in its length.
     """
     (_, lead), *lhs = _sparse_sum((num, den))
-    # v*(N'*D - N*D'), where D is linear
+    # v*(N'*D - N*D'), where D is constant or linear
     dnum = {i - 1: v * i * x for i, x in num.items() if i}
-    rhs = _sparse_sum((dnum, den), (num, {0: -v * den[1]}))
-    g = [_exact_div(num[0], den[0]) ** v] + [0] * (length - 1)
+    rhs = _sparse_sum((dnum, den), (num, {0: -v * den.get(1, 0)}))
+    lead = one * lead
+    lhs = [(i, one * x) for i, x in lhs]
+    rhs = [(i, one * x) for i, x in rhs]
+    g = [(one * _exact_div(num[0], den[0])) ** v] + [0] * (length - 1)
     for j in range(1, length):
         acc = 0
         for i, coef in rhs:
@@ -135,43 +146,43 @@ def _factor_fraction(q: int, r: int, ps: int, top: int, defect: bool) -> tuple[d
     """One degree-r factor's series up to w**top as unit * N/D, w = z**r.
 
     Forward, F(w) = sum over a <= P of phi_a w**a with Q = q**r, P = p**s,
-    phi_0 = 1 and phi_a = Q**a - Q**(a-1); in closed form N = 1 - w -
-    c*w**(P+1), c = (Q-1)*Q**P, and D = 1 - Q*w.  The defect end reverses F:
-    w**P * F(1/w) has coefficients c_j = phi_(P-j), i.e. N = c + w**P -
-    w**(P+1) and D = Q - w.  When P > 1 it is read at z = q*u, where w =
-    Q*t with t = u**r and c_j*Q**j = c0 = (Q-1)*Q**(P-1) for every j < P,
-    so below t**P the factor is c0 / (1 - t), and in full it is
-    Q**(P-1) * (Q - 1 + t**P - Q*t**(P+1)) / (1 - t).  At P = 1 (p not
-    dividing n) the rescale would only inflate the coefficients, so the
-    reversed N/D is read as it is.
+    phi_0 = 1 and phi_a = Q**a - Q**(a-1).  At P = 1 (p not dividing n) F
+    = 1 + (Q-1)*w is its own N, with D = 1, and the defect end is its
+    reverse (Q-1) + w.  For P > 1, in closed form N = 1 - w - c*w**(P+1),
+    c = (Q-1)*Q**P, and D = 1 - Q*w.  The defect end reverses F: w**P *
+    F(1/w) has coefficients c_j = phi_(P-j), read at z = q*u, where w = Q*t
+    with t = u**r and c_j*Q**j = c0 = (Q-1)*Q**(P-1) for every j < P, so
+    below t**P the factor is c0 / (1 - t), and in full it is Q**(P-1) *
+    (Q - 1 + t**P - Q*t**(P+1)) / (1 - t).
     """
     big_q = q**r
+    if ps == 1:
+        return ({0: big_q - 1, 1: 1} if defect else {0: 1, 1: big_q - 1}), {0: 1}, 1
     if not defect:
         return {0: 1, 1: -1, ps + 1: -(big_q - 1) * big_q**ps}, {0: 1, 1: -big_q}, 1
-    if ps == 1:
-        return {0: (big_q - 1) * big_q, 1: 1, 2: -1}, {0: big_q, 1: -1}, 1
     if top < ps:
         return {0: 1}, {0: 1, 1: -1}, phi_q_prime_power(q, r, ps)
     return {0: big_q - 1, ps: 1, ps + 1: -big_q}, {0: 1, 1: -1}, big_q ** (ps - 1)
 
 
 def _weight_series(
-    params: spectrum.ExtensionParams, cap: int, defect: bool
-) -> tuple[int, list[int]]:
+    params: spectrum.ExtensionParams, cap: int, defect: bool, one=1
+) -> tuple[int, list]:
     """Weight series of the divisors of x**n - 1 up to z**cap, read from one end.
 
-    Returns (content, s).  On the forward end content is 1 and s_m is the
-    total weight of the divisors of degree m, i.e. N_(n-m).  On the defect
-    end every series is reversed and N_m = q**-m * content * s_m when p | n
-    (the series is read at z = q*u), content * s_m otherwise.  There each
-    group's unit**v goes into content, so s holds small integers, and a
-    degree r > cap adds only its constant term c0**v to content.  The tau(d)
-    group series are multiplied into the dense s, skipping its zero
-    coefficients.  Largest degrees go first: their partial product is
-    nonzero only at multiples of a large stride, so it stays sparse longer.
+    Returns (content, s): content an int, s in the ring of ``one``.  On the
+    forward end content is 1 and s_m is the total weight of the divisors of
+    degree m, i.e. N_(n-m).  On the defect end every series is reversed and
+    N_m = q**-m * content * s_m when p | n (the series is read at z = q*u),
+    content * s_m otherwise.  There each group's unit**v goes into content,
+    so s holds small integers, and a degree r > cap adds only its constant
+    term c0**v to content.  The tau(d) group series are multiplied into the
+    dense s, skipping its zero coefficients.  Largest degrees go first:
+    their partial product is nonzero only at multiples of a large stride, so
+    it stays sparse longer.
     """
     q, ps = params.q, params.ps
-    content, total = 1, [1] + [0] * cap
+    content, total = 1, [one] + [0] * cap
     for r, v in reversed(spectrum.degree_pattern(params).items()):
         top = cap // r
         if defect and not top:
@@ -179,7 +190,7 @@ def _weight_series(
             continue
         num, den, unit = _factor_fraction(q, r, ps, top, defect)
         content *= unit**v
-        group = _group_series(num, den, v, min(v * ps, top) + 1)
+        group = _group_series(num, den, v, min(v * ps, top) + 1, one)
         out = [0] * (cap + 1)
         for i, t in enumerate(total):
             if not t:
@@ -230,11 +241,44 @@ def count_normal(q: int, n: int) -> int:
     return q ** (params.n - params.n0) * _factor_product(q, pattern)
 
 
-def distribution(q: int, n: int) -> Distribution:
-    """Counts of k-normal elements for every k = 0..n at once."""
+def distribution(q: int, n: int, one=1) -> Distribution:
+    """Counts of k-normal elements for every k = 0..n at once, in the ring of ``one``.
+
+    ``one`` is the unit of an exact ring the counts are made in: ints by
+    default, or e.g. ``decimal.Decimal(1)`` under a context that traps any
+    rounding, so that the counts print in linear time.  A field whose series
+    product makes more than RING_PRODUCTS * n products of two non-unit
+    coefficients (``_ring_products``) is counted in ints and each count
+    mapped into the ring once (``one * c``): libmpdec multiplies big
+    operands 2-3x slower than CPython, which outweighs the decimal printing
+    there.  Timed on 25 p | n fields (q <= 27, n <= 3066, CPython 3.11),
+    Decimal was slower than ints converted by ``Decimal(int)`` on all 10
+    with more than 50 products per n and faster on 12 of the 15 with fewer
+    than 45, hence the bound of 48.  The caller owns the context: under
+    ``decimal``'s default one (28 digits) a call may raise, or return
+    rounded counts without an error.
+    """
     params = spectrum.derive_params(q, n)
-    counts = tuple(reversed(_weight_series(params, n, defect=False)[1]))
+    heavy = _ring_products(params, n) > RING_PRODUCTS * n
+    series = _weight_series(params, n, defect=False, one=1 if heavy else one)[1]
+    counts = [one * c for c in reversed(series)] if heavy else reversed(series)
     return Distribution(q=q, n=n, counts=counts)
+
+
+def _ring_products(params: spectrum.ExtensionParams, cap: int) -> int:
+    """About how many products of two non-unit coefficients ``_weight_series``'
+    forward loop makes to z**cap: over each group after the first (which
+    multiplies the unit alone), the nonzero coefficients so far times the
+    group's length.  The nonzeros are bounded by the product of the lengths
+    and by the multiples of the degrees' gcd up to cap.
+    """
+    products, nonzeros, stride = 0, 0, 0  # nonzeros 0: only the unit so far
+    for r, v in reversed(spectrum.degree_pattern(params).items()):
+        length = min(v * params.ps, cap // r) + 1
+        products += nonzeros * length
+        stride = math.gcd(stride, r)
+        nonzeros = min(max(nonzeros, 1) * length, cap // stride + 1)
+    return products
 
 
 def count_k_normal_enum(q: int, n: int, k: int) -> int:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knormal import cli, counting, oracle
+from knormal import cli, counting, oracle, spectrum
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -128,10 +128,74 @@ def test_distribution_csv_parses_back(capsys):
 
 def test_distribution_exits_1_when_counts_miss_q_to_the_n(capsys, monkeypatch):
     wrong = counting.Distribution(q=2, n=3, counts=(4, 2, 1, 0))
-    monkeypatch.setattr(counting, "distribution", lambda q, n: wrong)
+    monkeypatch.setattr(counting, "distribution", lambda q, n, one: wrong)
     code, _, err = run(capsys, "distribution", "--q", "2", "--n", "3")
     assert code == 1
     assert err == "error: counts do not sum to q**n\n"
+
+
+def expected_distribution(q, n, fmt):
+    """What `distribution` prints, built from counting's int counts by str()."""
+    counts = [str(c) for c in counting.distribution(q, n).counts]
+    if fmt == "json":
+        payload = {"q": q, "n": n, "counts": counts, "sum_check": True}
+        return json.dumps(payload, sort_keys=True) + "\n"
+    if fmt == "csv":
+        return "k,count\n" + "".join(f"{k},{c}\n" for k, c in enumerate(counts))
+    return "".join(f"N_{k} = {c}\n" for k, c in enumerate(counts)) + f"sum = {q**n} = {q}^{n}\n"
+
+
+DECIMAL_FIELDS = [
+    *((q, n) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27) for n in range(1, 41)),
+    # factor-rich, p | n and coprime
+    (4, 60), (5, 120), (2, 252), (13, 156), (2, 315), (3, 560), (11, 600),
+]
+
+
+def test_distribution_prints_the_int_counts_bit_for_bit(capsys):
+    for q, n in DECIMAL_FIELDS:
+        for fmt in ("text", "csv", "json"):
+            argv = ("distribution", "--q", str(q), "--n", str(n), "--format", fmt)
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out == expected_distribution(q, n, fmt), (q, n, fmt)
+            assert "-" not in out and "E" not in out
+
+
+def parse_decimal(text):
+    """int(text) in pieces below CPython's 4300-digit limit, which stays as it is."""
+    if len(text) <= 4000:
+        return int(text)
+    half = len(text) // 2
+    return parse_decimal(text[:half]) * 10 ** (len(text) - half) + parse_decimal(text[half:])
+
+
+def test_distribution_prints_counts_past_the_str_digit_limit(capsys):
+    q, n = 65537, 1000
+    code, out, err = run(capsys, "distribution", "--q", str(q), "--n", str(n), "--format", "csv")
+    assert (code, err) == (0, "")
+    cells = [line.split(",")[1] for line in out.splitlines()[1:]]
+    assert len(cells) == n + 1 and len(cells[0]) == 4817  # N_0, past the 4300 of str(int)
+    counts = [parse_decimal(cell) for cell in cells]
+    assert counts[0] == counting.count_normal(q, n)
+    assert sum(counts) == q**n
+
+
+def test_a_product_heavy_distribution_runs_on_ints_and_prints_the_same(capsys, monkeypatch):
+    q, n = 2, 768  # x**3 - 1 to the 256th power: about 86 products of non-units per n
+    params = spectrum.derive_params(q, n)
+    assert counting._ring_products(params, n) > counting.RING_PRODUCTS * n
+    rings = []
+    weight_series = counting._weight_series
+    monkeypatch.setattr(
+        counting, "_weight_series",
+        lambda *args, one=1, **kw: rings.append(one) or weight_series(*args, one=one, **kw),
+    )
+    for fmt in ("text", "csv", "json"):
+        code, out, _ = run(capsys, "distribution", "--q", str(q), "--n", str(n), "--format", fmt)
+        assert code == 0
+        assert out == expected_distribution(q, n, fmt)
+    assert rings and all(type(one) is int for one in rings)
 
 
 @pytest.mark.parametrize(

@@ -362,9 +362,9 @@ def test_packed_digit_arithmetic_over_all_digits(p):
 
 
 def test_a_sweep_uses_no_generic_field_arithmetic(monkeypatch):
-    # nor does a sweep of any other characteristic: every sweep ranks the
-    # lanes in its packed digits, with no orbit walk and no generic field
-    # arithmetic (the fields are built first: the modulus scan uses it)
+    # every sweep, whatever its characteristic, ranks the lanes in its packed
+    # digits, with no orbit walk and no generic field arithmetic (the fields
+    # are built first: the modulus scan uses it)
     fields = [(2, 9), (4, 4), (8, 3), (16, 1), (3, 7), (9, 3), (27, 2), (81, 1),
               (5, 4), (7, 3), (25, 2), (125, 1), (131, 2)]
     towers = [galois.TowerField(q, n, 0) for q, n in fields]
