@@ -5,15 +5,20 @@ computation.  Counts can exceed 2**63, so JSON carries them as decimal
 strings; text and CSV print plain decimal digits.  `distribution` makes its
 counts as exact `decimal.Decimal`s, which print in linear time at any size;
 `count` and `table` print ints by str(), within its 4300-digit limit.
+
+Importing this module and building the parser compiles only what every
+command runs: argparse, this module, `spectrum`, `numtheory` and `errors`.
+Each handler imports the layers it uses when it runs: `counting` for
+count, distribution, table and verify; `galois` and `oracle` for verify
+alone (and `lanes` for its first sweep); `json` for JSON output.
 """
 
 import argparse
 import collections
 import functools
-import json
 import sys
 
-from . import counting, galois, oracle, spectrum
+from . import spectrum
 from .errors import ArgumentOutOfRange, KnormalError
 
 
@@ -57,9 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default="all",
                 help="which independent checks to run (default all)",
             )),
-            ("--max-brute", dict(
+            ("--max-brute", dict(  # None: cmd_verify applies oracle.DEFAULT_MAX_ORDER
                 type=int,
-                default=oracle.DEFAULT_MAX_ORDER,
                 help="largest q**n the brute-force sweep will accept",
             )),
             ("--modulus-trials", dict(
@@ -133,6 +137,8 @@ def entry() -> None:
 
 
 def cmd_count(args) -> int:
+    from . import counting
+
     count = str(counting.count_k_normal(args.q, args.n, args.k))
     _emit(
         args,
@@ -147,17 +153,13 @@ def cmd_count(args) -> int:
 def cmd_distribution(args) -> int:
     import decimal  # loaded by the first distribution, so other commands never pay for it
 
+    from . import counting
+
     # Counts made in decimal print in linear time and past str(int)'s digit
     # limit.  Any rounding raises, so no printed digit can be wrong.
-    exact = decimal.Context(
-        prec=decimal.MAX_PREC,
-        Emax=decimal.MAX_EMAX,
-        Emin=decimal.MIN_EMIN,
-        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
-    )
-    with decimal.localcontext(exact):
-        dist = counting.distribution(args.q, args.n, decimal.Decimal(1))
-        total = dist.total()
+    dist = counting.distribution(args.q, args.n, decimal.Decimal(1))
+    total = dist.total()
+    with counting._exact(total):
         power = decimal.Decimal(args.q) ** args.n
     counts = [str(c) for c in dist.counts]
 
@@ -180,6 +182,8 @@ def cmd_distribution(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from . import counting
+
     if not (1 <= args.n_min <= args.n_max and 0 <= args.k_max <= spectrum.MAX_DEGREE):
         raise ArgumentOutOfRange(
             f"invalid range n = {args.n_min}..{args.n_max}, k_max = {args.k_max}"
@@ -233,13 +237,16 @@ def cmd_factors(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import galois, oracle
+
+    max_brute = oracle.DEFAULT_MAX_ORDER if args.max_brute is None else args.max_brute
     if args.modulus_trials < 1:
         raise ArgumentOutOfRange(
             f"--modulus-trials must be >= 1, got {args.modulus_trials}"
         )
     if args.modulus_trials > 1 and args.oracle in ("brute", "all"):
         # Refuse before any sweep; count moduli only for a field the guard admits.
-        params = oracle.sweep_params(args.q, args.n, args.max_brute)
+        params = oracle.sweep_params(args.q, args.n, max_brute)
         degree = args.n * params.m  # the sweep's field is F_p[x]/(f), deg f = n*m
         moduli = galois.irreducible_count(params.p, degree)
         if args.modulus_trials > moduli:
@@ -248,9 +255,7 @@ def cmd_verify(args) -> int:
                 f" than exist: fewer than {moduli + 1} monic irreducibles of degree"
                 f" {degree} over F_{params.p}"
             )
-    checks = _run_checks(
-        args.q, args.n, args.oracle, args.max_brute, args.modulus_trials
-    )
+    checks = _run_checks(args.q, args.n, args.oracle, max_brute, args.modulus_trials)
     # A verify that ran no check has shown nothing, so it does not pass.
     passed = bool(checks) and all(ok for _, ok, _ in checks)
 
@@ -280,6 +285,8 @@ def cmd_verify(args) -> int:
 
 def _run_checks(q, n, which, max_brute, modulus_trials):
     """Each check is (name, passed, detail); independent routes only."""
+    from . import counting, oracle
+
     checks = []
     params = spectrum.derive_params(q, n)  # refuses a bad q or n for every oracle
     if which in ("brute", "all"):
@@ -329,6 +336,8 @@ def _emit(args, payload, lines, header=(), rows=()) -> None:
     format is chosen, so a generator passed for them does its work only then.
     """
     if args.format == "json":
+        import json  # loaded by the first JSON output, so text and CSV never pay for it
+
         print(json.dumps(payload, sort_keys=True))
         return
     if args.format == "csv":

@@ -16,11 +16,13 @@ common content of the weights is kept out of the product.  A literal
 tuple enumeration, the explicit sum over multiplicity profiles (every q
 and n), and per-k closed forms are provided as independent routes for
 cross-checks.  All results are plain Python ints and therefore exact;
-``distribution`` can also make its counts in another exact ring, given its
-unit ``one`` (ints by default).
+``distribution`` can also make its counts in exact decimal, given its unit
+``one`` (ints by default).
 """
 
+import bisect
 import collections
+import contextlib
 import itertools
 import math
 
@@ -77,8 +79,32 @@ class Distribution:
         return f"Distribution(q={self.q!r}, n={self.n!r}, counts={self.counts!r})"
 
     def total(self) -> int:
-        """Sum over all k; always q**n, since every element has one defect."""
-        return sum(reversed(self.counts))  # small end first: the running sum stays small
+        """Sum over all k; always q**n, since every element has one defect.
+
+        Counts that are not ints are summed in the exact decimal context
+        (``_exact``), whatever the caller's context.
+        """
+        with _exact(self.counts[0] if self.counts else 0):
+            return sum(reversed(self.counts))  # small end first: the running sum stays small
+
+
+def _exact(unit):
+    """The context in which arithmetic on counts like ``unit`` is exact:
+    none for an int; any other count is a ``Decimal``, computed at unbounded
+    precision and exponent, where any rounding raises.
+    """
+    if isinstance(unit, int):
+        return contextlib.nullcontext()
+    import decimal  # only counts made in decimal need it
+
+    return decimal.localcontext(
+        decimal.Context(
+            prec=decimal.MAX_PREC,
+            Emax=decimal.MAX_EMAX,
+            Emin=decimal.MIN_EMIN,
+            traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+        )
+    )
 
 
 def phi_q_prime_power(q: int, r: int, e: int) -> int:
@@ -173,21 +199,21 @@ def _weight_series(
     Returns (content, s): content an int, s in the ring of ``one``.  On the
     forward end content is 1 and s_m is the total weight of the divisors of
     degree m, i.e. N_(n-m).  On the defect end every series is reversed and
-    N_m = q**-m * content * s_m when p | n (the series is read at z = q*u),
-    content * s_m otherwise.  There each group's unit**v goes into content,
-    so s holds small integers, and a degree r > cap adds only its constant
-    term c0**v to content.  The tau(d) group series are multiplied into the
-    dense s, skipping its zero coefficients.  Largest degrees go first:
-    their partial product is nonzero only at multiples of a large stride, so
-    it stays sparse longer.
+    N_m = q**-m * content * c * s_m when p | n (the series is read at z =
+    q*u), content * c * s_m otherwise.  There each group's unit**v goes into
+    content, so s holds small integers, and c = ``_constant_terms`` is the
+    product of the constant terms c0**v of the degrees r > cap, the only
+    term they add below z**cap.  So neither end's loop visits a degree
+    r > cap (on the forward end its constant term is 1).  The tau(d) group
+    series are multiplied into the dense s, skipping its zero coefficients.
+    Largest degrees go first: their partial product is nonzero only at
+    multiples of a large stride, so it stays sparse longer.
     """
     q, ps = params.q, params.ps
+    groups = spectrum.degree_pattern(params).items()  # ascending degree
     content, total = 1, [one] + [0] * cap
-    for r, v in reversed(spectrum.degree_pattern(params).items()):
+    for r, v in reversed(groups[: bisect.bisect(groups, (cap, math.inf))]):
         top = cap // r
-        if defect and not top:
-            content *= phi_q_prime_power(q, r, ps) ** v
-            continue
         num, den, unit = _factor_fraction(q, r, ps, top, defect)
         content *= unit**v
         group = _group_series(num, den, v, min(v * ps, top) + 1, one)
@@ -201,18 +227,36 @@ def _weight_series(
     return content, total
 
 
+def _constant_terms(params: spectrum.ExtensionParams, cap: int) -> int:
+    """prod c0**v, c0 = phi_q(f**P), over the degrees r > cap: what they add
+    to the defect-end series to z**cap, kept out of ``_weight_series``.
+    """
+    q, ps = params.q, params.ps
+    groups = spectrum.degree_pattern(params).items()  # ascending degree
+    product = 1
+    for r, v in reversed(groups[bisect.bisect(groups, (cap, math.inf)) :]):
+        product *= phi_q_prime_power(q, r, ps) ** v
+    return product
+
+
 def _defect_counts(params: spectrum.ExtensionParams, cap: int, ks) -> list[int]:
     """N_k for each k in ks (all <= cap), from one defect-end series to z**cap.
 
-    The exact division by q**k refuses a wrong content, not a wrong series
-    coefficient.  When p | n the content carries q**(n - n0), and n - n0 >=
-    n/2 >= every k of ``count_k_normal``, so any s_k divides out; otherwise
-    the divisor is 1.  The tests catch a wrong coefficient by comparison
-    with ``count_k_normal_explicit``.
+    A zero s_k is N_k = 0, so the constant terms of the degrees r > cap,
+    thousands of digits on a large field, are multiplied out only when some
+    requested s_k is nonzero.  The exact division by q**k refuses a wrong
+    content, not a wrong series coefficient.  When p | n the content
+    carries q**(n - n0), and n - n0 >= n/2 >= every k of
+    ``count_k_normal``, so any s_k divides out; otherwise the divisor is 1.
+    The tests catch a wrong coefficient by comparison with
+    ``count_k_normal_explicit``.
     """
     content, series = _weight_series(params, cap, defect=True)
+    wanted = [series[k] for k in ks]
+    if any(wanted):
+        content *= _constant_terms(params, cap)
     scale = params.q if params.ps > 1 else 1
-    return [_exact_div(content * series[k], scale**k) for k in ks]
+    return [_exact_div(content * s, scale**k) if s else 0 for k, s in zip(ks, wanted)]
 
 
 def count_k_normal(q: int, n: int, k: int) -> int:
@@ -244,25 +288,25 @@ def count_normal(q: int, n: int) -> int:
 def distribution(q: int, n: int, one=1) -> Distribution:
     """Counts of k-normal elements for every k = 0..n at once, in the ring of ``one``.
 
-    ``one`` is the unit of an exact ring the counts are made in: ints by
-    default, or e.g. ``decimal.Decimal(1)`` under a context that traps any
-    rounding, so that the counts print in linear time.  A field whose series
-    product makes more than RING_PRODUCTS * n products of two non-unit
-    coefficients (``_ring_products``) is counted in ints and each count
-    mapped into the ring once (``one * c``): libmpdec multiplies big
+    ``one`` is the unit of the ring the counts are made in: ints by default,
+    or ``decimal.Decimal(1)``, so that the counts print in linear time.
+    Decimal counts are made in the exact decimal context (``_exact``),
+    whatever the caller's context, so no digit is ever rounded.  A field
+    whose series product makes more than RING_PRODUCTS * n products of two
+    non-unit coefficients (``_ring_products``) is counted in ints and each
+    count mapped into the ring once (``one * c``): libmpdec multiplies big
     operands 2-3x slower than CPython, which outweighs the decimal printing
     there.  Timed on 25 p | n fields (q <= 27, n <= 3066, CPython 3.11),
     Decimal was slower than ints converted by ``Decimal(int)`` on all 10
     with more than 50 products per n and faster on 12 of the 15 with fewer
-    than 45, hence the bound of 48.  The caller owns the context: under
-    ``decimal``'s default one (28 digits) a call may raise, or return
-    rounded counts without an error.
+    than 45, hence the bound of 48.
     """
     params = spectrum.derive_params(q, n)
     heavy = _ring_products(params, n) > RING_PRODUCTS * n
-    series = _weight_series(params, n, defect=False, one=1 if heavy else one)[1]
-    counts = [one * c for c in reversed(series)] if heavy else reversed(series)
-    return Distribution(q=q, n=n, counts=counts)
+    with _exact(one):
+        series = _weight_series(params, n, defect=False, one=1 if heavy else one)[1]
+        counts = [one * c for c in reversed(series)] if heavy else reversed(series)
+        return Distribution(q=q, n=n, counts=counts)
 
 
 def _ring_products(params: spectrum.ExtensionParams, cap: int) -> int:

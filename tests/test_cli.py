@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knormal import cli, counting, oracle, spectrum
+from knormal import cli, counting, galois, oracle, spectrum
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -337,9 +337,7 @@ def test_verify_refuses_oversized_brute_before_any_series(capsys):
 def test_verify_counts_moduli_only_for_a_field_the_guard_admits(capsys, monkeypatch):
     # the moduli count of degree 10**6 over F_p would build p**(10**6) first
     counted = []
-    monkeypatch.setattr(
-        cli.galois, "irreducible_count", lambda *args: counted.append(args) or 1
-    )
+    monkeypatch.setattr(galois, "irreducible_count", lambda *args: counted.append(args) or 1)
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--q", "1000000000039", "--n", "1000000",
                          "--modulus-trials", "2")
@@ -676,19 +674,34 @@ def test_module_entry_point_reports_a_stray_argument_with_the_top_level_usage():
     assert result.stderr.endswith("knormal: error: unrecognized arguments: --bogus\n")
 
 
-def test_the_cli_compiles_the_lane_code_only_for_a_sweep():
-    # `lanes` serves every sweep; importing it with the CLI would cost every
-    # command that sweeps nothing its compile time and memory
+@pytest.mark.parametrize(
+    "argv,loaded,not_loaded",
+    [
+        ([], (), ("knormal.counting", "knormal.galois", "knormal.oracle", "knormal.lanes", "json")),
+        (["factors", "--q", "27", "--n", "11", "--format", "text"], (),
+         ("knormal.counting", "knormal.galois", "knormal.oracle")),
+        (["count", "--q", "25", "--n", "3", "--k", "2", "--format", "text"],
+         ("knormal.counting",), ("knormal.galois", "knormal.oracle", "json")),
+        (["verify", "--q", "5", "--n", "2", "--oracle", "brute"],
+         ("knormal.galois", "knormal.oracle", "knormal.lanes"), ("json",)),
+    ],
+    ids=["parser", "factors", "count", "verify-sweep"],
+)
+def test_each_command_compiles_only_the_layers_it_runs(argv, loaded, not_loaded):
+    # a fresh interpreter compiles every module it imports, so a layer imported
+    # with the CLI costs each call that never runs it; the sweep's lanes most
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     code = (
         "import sys, knormal.cli\n"
-        "before = 'knormal.lanes' in sys.modules\n"
-        "knormal.cli.main(['verify', '--q', '5', '--n', '2', '--oracle', 'brute'])\n"
-        "print(before, 'knormal.lanes' in sys.modules)\n"
+        "knormal.cli.build_parser()\n"
+        + (f"knormal.cli.main({argv!r})\n" if argv else "")
+        + "print(*sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False True"
+    modules = set(result.stdout.splitlines()[-1].split())
+    assert set(loaded) <= modules
+    assert not modules & set(not_loaded)

@@ -1,5 +1,6 @@
 """Counting formulas: general series, enumeration, explicit profile sum, closed forms."""
 
+import decimal
 import time
 
 import pytest
@@ -241,6 +242,36 @@ def test_a_corrupted_content_is_refused(monkeypatch):
         counting.count_k_normal(2, 12, 3)
     with pytest.raises(InternalInconsistency, match="leaves a remainder"):
         counting.low_counts(2, 12, 3)
+
+
+@pytest.mark.parametrize("q,n", [(2, 7), (2, 23), (2, 31), (2, 46), (3, 13)])
+def test_zero_low_counts_match_the_explicit_formula(q, n, monkeypatch):
+    # no divisor of x**n - 1 has degree n - k at these zero cells (at (2, 46)
+    # with p | n, so the nonzero cells still divide by q**k)
+    k_max = min(n, 12)
+    low = counting.low_counts(q, n, k_max)
+    assert 0 in low
+    assert low == [counting.count_k_normal_explicit(q, n, k) for k in range(k_max + 1)]
+
+    def refuse(*args):
+        raise AssertionError("a zero count multiplied out the constant terms")
+
+    monkeypatch.setattr(counting, "_constant_terms", refuse)
+    for k in range(k_max + 1):
+        if not low[k] and k <= n - k:  # count_k_normal reads the defect end here
+            assert counting.count_k_normal(q, n, k) == 0
+
+
+def test_decimal_distribution_is_exact_under_the_default_context():
+    # 2**89 has 27 digits, so the sum rounds at decimal's default precision
+    # of 28 once N_0 carries into it, and N_0 and N_1 did
+    with decimal.localcontext(decimal.Context()):
+        dist = counting.distribution(2, 89, decimal.Decimal(1))
+        total = dist.total()
+    ints = counting.distribution(2, 89)
+    assert type(dist[0]) is decimal.Decimal
+    assert [int(c) for c in dist] == list(ints)
+    assert int(total) == ints.total() == 2**89
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 10**6, 5 * 10**5), (3, 10**6, 10**5)])
