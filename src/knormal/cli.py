@@ -6,87 +6,102 @@ strings; text and CSV print plain decimal digits.  `distribution` makes its
 counts as exact `decimal.Decimal`s, which print in linear time at any size;
 `count` and `table` print ints by str(), within its 4300-digit limit.
 
-Importing this module and building the parser compiles only what every
-command runs: argparse, this module, `spectrum`, `numtheory` and `errors`.
-Each handler imports the layers it uses when it runs: `counting` for
-count, distribution, table and verify; `galois` and `oracle` for verify
-alone (and `lanes` for its first sweep); `json` for JSON output.
+One table, `build_parser()`, declares the commands and their options.  A
+well-formed call (`command --option value ...`) is read from that table
+alone; argparse is imported, and its parser built from the same table, only
+for an argv the table declines: usage errors, `-h`, `--opt=value`,
+abbreviations, `--`, or no command.  So importing this module and building
+the table compiles only what every command runs: this module, `spectrum`,
+`numtheory` and `errors`.  Each handler imports the layers it uses when it
+runs: `counting` for count, distribution, table and verify; `galois` and
+`oracle` for verify alone (and `lanes` for its first sweep); `json` for
+JSON output.
 """
 
-import argparse
 import collections
 import functools
 import sys
+import types
 
 from . import spectrum
 from .errors import ArgumentOutOfRange, KnormalError
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> dict:
+    """The command table: command name -> (handler, help line, options),
+    options mapping each option string to its `add_argument` keywords.
+
+    Every option stores the one value after it, as _read_pairs assumes.
+    """
+    q = dict(type=int, required=True, help="field order (prime power)")
+    n = dict(type=int, required=True, help="extension degree")
+
+    def fmt(default, choices=("text", "csv", "json")):
+        return dict(choices=choices, default=default, help=f"output format (default {default})")
+
+    return {
+        "count": (cmd_count, "number of k-normal elements", {
+            "--q": q, "--n": n,
+            "--k": dict(type=int, required=True, help="normality defect k"),
+            "--format": fmt("text"),
+        }),
+        "distribution": (cmd_distribution, "counts for every k = 0..n", {
+            "--q": q, "--n": n, "--format": fmt("text"),
+        }),
+        "table": (cmd_table, "counts over a range of n", {
+            "--q": q,
+            "--n-min": dict(type=int, required=True),
+            "--n-max": dict(type=int, required=True),
+            "--k-max": dict(type=int, default=0, help="largest k column (default 0)"),
+            "--format": fmt("csv"),
+        }),
+        "verify": (cmd_verify, "cross-check formulas against ground truth", {
+            "--q": q, "--n": n,
+            "--oracle": dict(
+                choices=("brute", "cosets", "closed-forms", "all"),
+                default="all",
+                help="which independent checks to run (default all)",
+            ),
+            "--max-brute": dict(  # None: cmd_verify applies oracle.DEFAULT_MAX_ORDER
+                type=int,
+                help="largest q**n the brute-force sweep will accept",
+            ),
+            "--modulus-trials": dict(
+                type=int,
+                default=1,
+                help="how many distinct field representations to sweep",
+            ),
+            "--format": fmt("text", ("text", "json")),
+        }),
+        "factors": (cmd_factors, "structure of x**n - 1 over F_q", {
+            "--q": q, "--n": n, "--format": fmt("text"),
+        }),
+    }
+
+
+@functools.cache
+def build_argparser():
+    """The argparse parser of the command table, built on first need: only
+    for an argv that _read_pairs declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="knormal",
         description="Exact counts of k-normal elements of F_{q^n} over F_q.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # command name -> that command's own parser
-
-    # Each option is (option string, add_argument keywords) and stores the one
-    # value after it, as _read_pairs assumes.
-    q = ("--q", dict(type=int, required=True, help="field order (prime power)"))
-    n = ("--n", dict(type=int, required=True, help="extension degree"))
-
-    def fmt(default, choices=("text", "csv", "json")):
-        return "--format", dict(
-            choices=choices, default=default, help=f"output format (default {default})"
-        )
-
-    commands = {  # command name -> (handler, help line, options)
-        "count": (cmd_count, "number of k-normal elements", [
-            q, n,
-            ("--k", dict(type=int, required=True, help="normality defect k")),
-            fmt("text"),
-        ]),
-        "distribution": (cmd_distribution, "counts for every k = 0..n", [q, n, fmt("text")]),
-        "table": (cmd_table, "counts over a range of n", [
-            q,
-            ("--n-min", dict(type=int, required=True)),
-            ("--n-max", dict(type=int, required=True)),
-            ("--k-max", dict(type=int, default=0, help="largest k column (default 0)")),
-            fmt("csv"),
-        ]),
-        "verify": (cmd_verify, "cross-check formulas against ground truth", [
-            q, n,
-            ("--oracle", dict(
-                choices=("brute", "cosets", "closed-forms", "all"),
-                default="all",
-                help="which independent checks to run (default all)",
-            )),
-            ("--max-brute", dict(  # None: cmd_verify applies oracle.DEFAULT_MAX_ORDER
-                type=int,
-                help="largest q**n the brute-force sweep will accept",
-            )),
-            ("--modulus-trials", dict(
-                type=int,
-                default=1,
-                help="how many distinct field representations to sweep",
-            )),
-            fmt("text", ("text", "json")),
-        ]),
-        "factors": (cmd_factors, "structure of x**n - 1 over F_q", [q, n, fmt("text")]),
-    }
-    for name, (handler, help, options) in commands.items():
+    for name, (handler, help, options) in build_parser().items():
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        # option string -> its Action, read by _read_pairs
-        p.options = {flag: p.add_argument(flag, **kwargs) for flag, kwargs in options}
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = _read_pairs(parser, argv) or parser.parse_args(argv)
+    args = _read_pairs(build_parser(), argv) or build_argparser().parse_args(argv)
     try:
         return args.handler(args)
     except KnormalError as exc:
@@ -94,41 +109,39 @@ def main(argv=None) -> int:
         return 2
 
 
-def _read_pairs(parser, argv):
-    """The Namespace `parser.parse_args(argv)` builds, read from the named
-    command's `options`, or None where argparse must read it.
+def _read_pairs(commands, argv):
+    """The namespace `build_argparser().parse_args(argv)` builds, read from
+    the command table, or None where argparse must read it.
 
     Read only `command --option value ...` where each option is an exact
-    option string, no value starts with "-", each value converts by the
-    option's type and lies in its choices, and every required option is
-    given.  Every other argv, a usage error among them, goes to argparse.
+    option string, each value converts by the option's type and lies in its
+    choices, and every required option is given.  A value may start with
+    "-" only as a negative integer, which argparse reads as a value too.
+    Every other argv, a usage error among them, goes to argparse.
     """
-    command = parser.commands.get(argv[0]) if len(argv) % 2 else None
-    if command is None:  # argv[0] names a command, then whole pairs follow
+    row = commands.get(argv[0]) if len(argv) % 2 else None
+    if row is None:  # argv[0] names a command, then whole pairs follow
         return None
-    options = command.options
+    handler, _, options = row
     values = {}
     for option, value in zip(argv[1::2], argv[2::2]):
-        action = options.get(option)
-        if action is None or value.startswith("-"):
+        kwargs = options.get(option)
+        if kwargs is None or (value.startswith("-") and not value[1:].isdecimal()):
             return None
-        if action.type is not None:
+        if "type" in kwargs:
             try:
-                value = action.type(value)
+                value = kwargs["type"](value)
             except ValueError:
                 return None
-        if action.choices is not None and value not in action.choices:
+        if "choices" in kwargs and value not in kwargs["choices"]:
             return None
-        values[action.dest] = value  # a repeated option keeps its last value
-    args = argparse.Namespace(command=argv[0])
-    for action in options.values():
-        if action.dest in values:
-            setattr(args, action.dest, values[action.dest])
-        elif action.required:
+        values[option] = value  # a repeated option keeps its last value
+    args = types.SimpleNamespace(command=argv[0], handler=handler)
+    for option, kwargs in options.items():
+        if option not in values and kwargs.get("required"):
             return None
-        else:
-            setattr(args, action.dest, command.get_default(action.dest))
-    args.handler = command.get_default("handler")
+        # argparse's dest: the option string without its dashes, "-" as "_"
+        setattr(args, option[2:].replace("-", "_"), values.get(option, kwargs.get("default")))
     return args
 
 

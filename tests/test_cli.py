@@ -470,6 +470,13 @@ def test_factors_csv(capsys):
     assert lines["omega"] == "2"
 
 
+def _clear_parsers():
+    """Drop the cached command table and argparse parser, so that the next
+    call builds them again with the handlers the module holds now."""
+    cli.build_parser.cache_clear()
+    cli.build_argparser.cache_clear()
+
+
 def test_main_builds_the_parser_once(capsys, monkeypatch):
     built = []
     real_init = argparse.ArgumentParser.__init__
@@ -479,14 +486,19 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
-    cli.build_parser.cache_clear()
+    _clear_parsers()
     try:
         assert run(capsys, "count", "--q", "2", "--n", "3", "--k", "1")[:2] == (0, "3\n")
-        first = len(built)
         assert run(capsys, "factors", "--q", "2", "--n", "3")[0] == 0
-        assert first > 0 and len(built) == first
+        assert built == []  # well-formed calls construct no ArgumentParser
+        assert run(capsys, "count", "--q=2", "--n", "3", "--k", "1")[:2] == (0, "3\n")
+        # the parser tree: the top-level parser, then one per command
+        assert len(built) == 1 + len(cli.build_parser())
+        first = len(built)
+        assert run(capsys, "factors", "--q", "2", "--n=3")[0] == 0
+        assert len(built) == first  # the second declined call reuses it
     finally:
-        cli.build_parser.cache_clear()
+        _clear_parsers()
 
 
 def _parse_recorded(monkeypatch, argv):
@@ -495,9 +507,9 @@ def _parse_recorded(monkeypatch, argv):
     parse_known_args ran."""
     seen = []
     monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(vars(args)) or 0)
-    cli.build_parser.cache_clear()  # rebuilt with the recording handler
+    _clear_parsers()  # rebuilt with the recording handler
     try:
-        expected = vars(cli.build_parser().parse_args(argv))
+        expected = vars(cli.build_argparser().parse_args(argv))
         parsers = []
         real = argparse.ArgumentParser.parse_known_args
 
@@ -508,7 +520,7 @@ def _parse_recorded(monkeypatch, argv):
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
         assert cli.main(argv) == 0
     finally:
-        cli.build_parser.cache_clear()
+        _clear_parsers()
     assert seen == [expected] and expected["command"] == argv[0]
     return parsers
 
@@ -521,10 +533,12 @@ def _parse_recorded(monkeypatch, argv):
         ["table", "--q", "2", "--n-min", "1", "--n-max", "4", "--k-max", "1"],
         ["verify", "--q", "2", "--n", "3", "--oracle", "closed-forms"],
         ["factors", "--q", "4", "--n", "6", "--format", "csv"],
+        ["count", "--q", "2", "--n", "-3", "--k", "1"],
     ],
 )
 def test_well_formed_argv_never_reaches_argparse(monkeypatch, argv):
-    # `--option value` pairs are read from the command's table
+    # `--option value` pairs are read from the command's table, a negative
+    # integer value among them
     assert _parse_recorded(monkeypatch, argv) == []
 
 
@@ -533,7 +547,6 @@ def test_well_formed_argv_never_reaches_argparse(monkeypatch, argv):
     [
         (["count", "--q=2", "--n", "3", "--k", "1"], False),
         (["distribution", "--q", "3", "--n", "2", "--fo", "csv"], False),
-        (["count", "--q", "2", "--n", "-3", "--k", "1"], False),
         (["factors", "--q", "2", "--n", "5", "extra"], True),
     ],
 )
@@ -544,10 +557,10 @@ def test_a_form_the_table_declines_gets_what_parse_args_gives(
     monkeypatch.setenv("COLUMNS", "80")
     seen = []
     monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(vars(args)) or 0)
-    cli.build_parser.cache_clear()  # rebuilt with the recording handler
+    _clear_parsers()  # rebuilt with the recording handler
     try:
-        parser = cli.build_parser()
-        assert cli._read_pairs(parser, argv) is None
+        assert cli._read_pairs(cli.build_parser(), argv) is None
+        parser = cli.build_argparser()
         outcomes = []
         for parse in (lambda: vars(parser.parse_args(argv)), lambda: cli.main(argv)):
             try:
@@ -556,7 +569,7 @@ def test_a_form_the_table_declines_gets_what_parse_args_gives(
                 outcomes.append(exc.code)
             outcomes.append(capsys.readouterr())
     finally:
-        cli.build_parser.cache_clear()
+        _clear_parsers()
     expected, usage, code, printed = outcomes
     if refused:
         assert expected == code == 2 and seen == []
@@ -567,7 +580,7 @@ def test_a_form_the_table_declines_gets_what_parse_args_gives(
 
 # Tokens for argv that the table may or may not read: each option string and
 # an abbreviation of it, forms only argparse reads, and values good and bad.
-_OPTIONS = sorted({o for p in cli.build_parser().commands.values() for o in p.options})
+_OPTIONS = sorted({o for _, _, options in cli.build_parser().values() for o in options})
 _TOKENS = st.sampled_from(
     _OPTIONS
     + [o[:-1] for o in _OPTIONS if len(o) > 3]
@@ -583,11 +596,11 @@ def _argvs(draw):
     """A command and most of its options, each with a value of its type or
     choices; rarely an option left out, a value from _TOKENS, one pair more,
     or one token after the last pair."""
-    name = draw(st.sampled_from(sorted(cli.build_parser().commands)))
-    options = cli.build_parser().commands[name].options
+    name = draw(st.sampled_from(sorted(cli.build_parser())))
+    options = cli.build_parser()[name][2]
     pairs = []
-    for option, action in options.items():
-        good = st.sampled_from(action.choices or ["1", "2", "3", "7", "25"])
+    for option, kwargs in options.items():
+        good = st.sampled_from(kwargs.get("choices") or ["1", "2", "3", "7", "25"])
         if not draw(_RARELY):
             pairs.append((option, draw(_TOKENS if draw(_RARELY) else good)))
     if draw(_RARELY):
@@ -598,29 +611,27 @@ def _argvs(draw):
 
 
 def test_the_table_reads_argv_as_argparse_does():
-    parser = cli.build_parser()
+    commands = cli.build_parser()
+    parser = cli.build_argparser()
     read = set()
 
     @settings(max_examples=400, deadline=None, database=None)
     @given(argv=_argvs())
     def check(argv):
-        command = parser.commands[argv[0]]
-        table = cli._read_pairs(parser, argv)
+        table = cli._read_pairs(commands, argv)
         if table is None:
             return
         read.add(argv[0])
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
             try:
-                parsed = command.parse_known_args(
-                    argv[1:], argparse.Namespace(command=argv[0])
-                )
+                parsed = parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"argparse refused {argv}: {stderr.getvalue()}")
-        assert parsed == (table, [])
+        assert vars(parsed) == vars(table)
 
     check()
-    assert read == set(parser.commands)  # the table read argv of every command
+    assert read == set(commands)  # the table read argv of every command
 
 
 def test_transcript_replays_byte_for_byte(capsys, monkeypatch):
@@ -677,15 +688,17 @@ def test_module_entry_point_reports_a_stray_argument_with_the_top_level_usage():
 @pytest.mark.parametrize(
     "argv,loaded,not_loaded",
     [
-        ([], (), ("knormal.counting", "knormal.galois", "knormal.oracle", "knormal.lanes", "json")),
+        ([], (), ("knormal.counting", "knormal.galois", "knormal.oracle", "knormal.lanes", "json",
+                  "argparse", "gettext")),
         (["factors", "--q", "27", "--n", "11", "--format", "text"], (),
-         ("knormal.counting", "knormal.galois", "knormal.oracle")),
+         ("knormal.counting", "knormal.galois", "knormal.oracle", "argparse", "gettext")),
         (["count", "--q", "25", "--n", "3", "--k", "2", "--format", "text"],
-         ("knormal.counting",), ("knormal.galois", "knormal.oracle", "json")),
+         ("knormal.counting",), ("knormal.galois", "knormal.oracle", "json", "argparse", "gettext")),
         (["verify", "--q", "5", "--n", "2", "--oracle", "brute"],
-         ("knormal.galois", "knormal.oracle", "knormal.lanes"), ("json",)),
+         ("knormal.galois", "knormal.oracle", "knormal.lanes"), ("json", "argparse", "gettext")),
+        (["count", "--q=25", "--n", "3", "--k", "2"], ("argparse",), ()),
     ],
-    ids=["parser", "factors", "count", "verify-sweep"],
+    ids=["parser", "factors", "count", "verify-sweep", "declined"],
 )
 def test_each_command_compiles_only_the_layers_it_runs(argv, loaded, not_loaded):
     # a fresh interpreter compiles every module it imports, so a layer imported
