@@ -6,16 +6,10 @@ strings; text and CSV print plain decimal digits.  `distribution` makes its
 counts as exact `decimal.Decimal`s, which print in linear time at any size;
 `count` and `table` print ints by str(), within its 4300-digit limit.
 
-One table, `build_parser()`, declares the commands and their options.  A
-well-formed call (`command --option value ...`) is read from that table
-alone; argparse is imported, and its parser built from the same table, only
-for an argv the table declines: usage errors, `-h`, `--opt=value`,
-abbreviations, `--`, or no command.  So importing this module and building
-the table compiles only what every command runs: this module, `spectrum`,
-`numtheory` and `errors`.  Each handler imports the layers it uses when it
-runs: `counting` for count, distribution, table and verify; `galois` and
-`oracle` for verify alone (and `lanes` for its first sweep); `json` for
-JSON output.
+One table, `build_parser()`, declares the commands and their options, and
+every argv is read from it; argparse is built from it only to print help.
+Importing this module and building the table compiles only this module,
+`spectrum`, `numtheory` and `errors`; each handler imports the layers it runs.
 """
 
 import collections
@@ -32,7 +26,7 @@ def build_parser() -> dict:
     """The command table: command name -> (handler, help line, options),
     options mapping each option string to its `add_argument` keywords.
 
-    Every option stores the one value after it, as _read_pairs assumes.
+    Every option stores the one value given for it, as _read_argv assumes.
     """
     q = dict(type=int, required=True, help="field order (prime power)")
     n = dict(type=int, required=True, help="extension degree")
@@ -82,8 +76,8 @@ def build_parser() -> dict:
 
 @functools.cache
 def build_argparser():
-    """The argparse parser of the command table, built on first need: only
-    for an argv that _read_pairs declines."""
+    """The argparse parser of the command table, built only to print help:
+    `parse_args([command, "-h"])` or `parse_args(["-h"])`."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -101,48 +95,64 @@ def build_argparser():
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _read_pairs(build_parser(), argv) or build_argparser().parse_args(argv)
     try:
+        args = _read_argv(build_parser(), argv)
         return args.handler(args)
     except KnormalError as exc:
+        if any(t == "-h" or len(t) > 2 and "--help".startswith(t) for t in argv):
+            build_argparser().parse_args([argv[0], "-h"] if argv[0] in build_parser() else ["-h"])
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _read_pairs(commands, argv):
-    """The namespace `build_argparser().parse_args(argv)` builds, read from
-    the command table, or None where argparse must read it.
-
-    Read only `command --option value ...` where each option is an exact
-    option string, each value converts by the option's type and lies in its
-    choices, and every required option is given.  A value may start with
-    "-" only as a negative integer, which argparse reads as a value too.
-    Every other argv, a usage error among them, goes to argparse.
-    """
-    row = commands.get(argv[0]) if len(argv) % 2 else None
-    if row is None:  # argv[0] names a command, then whole pairs follow
-        return None
-    handler, _, options = row
+def _read_argv(commands, argv):
+    """The namespace `build_argparser().parse_args(argv)` builds, or a KnormalError
+    where it refuses argv: `--opt value` or `--opt=value`, `--opt` or a unique prefix
+    of it, the last of a repeated option kept.  No value is a help token (`-h`)."""
+    if not argv or argv[0] not in commands:
+        what = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise KnormalError(f"{what}: choose from {', '.join(commands)}")
+    handler, _, options = commands[argv[0]]
     values = {}
-    for option, value in zip(argv[1::2], argv[2::2]):
-        kwargs = options.get(option)
-        if kwargs is None or (value.startswith("-") and not value[1:].isdecimal()):
-            return None
-        if "type" in kwargs:
-            try:
-                value = kwargs["type"](value)
-            except ValueError:
-                return None
-        if "choices" in kwargs and value not in kwargs["choices"]:
-            return None
-        values[option] = value  # a repeated option keeps its last value
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, value = (token, None) if token in options else _option(options, token)
+        if option is None:
+            raise KnormalError(f"unexpected argument {token!r}")
+        if value is None:  # the value is the next token
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and _option(options, value)[0]:
+                raise KnormalError(f"{option} expects a value")
+        kwargs = options[option]
+        try:
+            values[option] = value = kwargs.get("type", str)(value)
+        except ValueError:
+            raise KnormalError(f"{option}: {value!r} is not an {kwargs['type'].__name__}")
+        if value not in kwargs.get("choices", (value,)):
+            raise KnormalError(f"{option}: {value!r} is not one of {', '.join(kwargs['choices'])}")
     args = types.SimpleNamespace(command=argv[0], handler=handler)
     for option, kwargs in options.items():
-        if option not in values and kwargs.get("required"):
-            return None
+        if kwargs.get("required") and option not in values:
+            raise KnormalError(f"{argv[0]} requires {option}")
         # argparse's dest: the option string without its dashes, "-" as "_"
         setattr(args, option[2:].replace("-", "_"), values.get(option, kwargs.get("default")))
     return args
+
+
+def _option(options, token):
+    """(option, the value after its "=" or None) for a token that names an option,
+    (None, token) for a value, as argparse tells them apart; else a KnormalError."""
+    if len(token) < 3 or token[0] != "-" or token[1:].removesuffix("\n").isdecimal():
+        return None, token  # "-", "--" or a negative integer (argparse's "^-\\d+$")
+    name, eq, value = token.partition("=")
+    matches = [name] if name in options else [o for o in options if o.startswith(name)]
+    if len(matches) == 1:
+        return matches[0], value if eq else None
+    if matches:
+        raise KnormalError(f"ambiguous option {name!r} could match {', '.join(matches)}")
+    if " " in token:  # argparse reads such a token as a value
+        return None, token
+    raise KnormalError(f"unknown option {token!r}")
 
 
 def entry() -> None:

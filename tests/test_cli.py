@@ -11,10 +11,11 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knormal import cli, counting, galois, oracle, spectrum
+from knormal.errors import KnormalError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -349,10 +350,9 @@ def test_verify_counts_moduli_only_for_a_field_the_guard_admits(capsys, monkeypa
 
 
 def test_verify_rejects_csv_format(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--q", "2", "--n", "3", "--format", "csv"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "3", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "error: --format: 'csv' is not one of text, json\n"
 
 
 def test_verify_closed_forms_json(capsys):
@@ -479,50 +479,23 @@ def _clear_parsers():
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
     built = []
-    real_init = argparse.ArgumentParser.__init__
-
-    def recording_init(self, *args, **kwargs):
-        built.append(self)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
     _clear_parsers()
     try:
         assert run(capsys, "count", "--q", "2", "--n", "3", "--k", "1")[:2] == (0, "3\n")
-        assert run(capsys, "factors", "--q", "2", "--n", "3")[0] == 0
-        assert built == []  # well-formed calls construct no ArgumentParser
         assert run(capsys, "count", "--q=2", "--n", "3", "--k", "1")[:2] == (0, "3\n")
-        # the parser tree: the top-level parser, then one per command
-        assert len(built) == 1 + len(cli.build_parser())
-        first = len(built)
-        assert run(capsys, "factors", "--q", "2", "--n=3")[0] == 0
-        assert len(built) == first  # the second declined call reuses it
+        assert run(capsys, "factors", "--q", "2", "--n", "3", "--bogus")[:2] == (2, "")
+        assert built == []  # neither a call nor a refusal constructs an ArgumentParser
+        for _ in range(2):  # only help builds the tree, and the second help reuses it
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["count", "--help"])
+            assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ")
+            # the parser tree: the top-level parser, then one per command
+            assert len(built) == 1 + len(cli.build_parser())
     finally:
         _clear_parsers()
-
-
-def _parse_recorded(monkeypatch, argv):
-    """Run main on argv with a recording handler, check that the handler got
-    what parse_args builds, and return the progs of the parsers whose
-    parse_known_args ran."""
-    seen = []
-    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(vars(args)) or 0)
-    _clear_parsers()  # rebuilt with the recording handler
-    try:
-        expected = vars(cli.build_argparser().parse_args(argv))
-        parsers = []
-        real = argparse.ArgumentParser.parse_known_args
-
-        def recording(self, *args, **kwargs):
-            parsers.append(self.prog)
-            return real(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
-        assert cli.main(argv) == 0
-    finally:
-        _clear_parsers()
-    assert seen == [expected] and expected["command"] == argv[0]
-    return parsers
 
 
 @pytest.mark.parametrize(
@@ -534,52 +507,30 @@ def _parse_recorded(monkeypatch, argv):
         ["verify", "--q", "2", "--n", "3", "--oracle", "closed-forms"],
         ["factors", "--q", "4", "--n", "6", "--format", "csv"],
         ["count", "--q", "2", "--n", "-3", "--k", "1"],
+        ["count", "--q=2", "--n", "3", "--k", "1"],
+        ["distribution", "--q", "3", "--n", "2", "--fo", "csv"],
     ],
 )
 def test_well_formed_argv_never_reaches_argparse(monkeypatch, argv):
-    # `--option value` pairs are read from the command's table, a negative
-    # integer value among them
-    assert _parse_recorded(monkeypatch, argv) == []
-
-
-@pytest.mark.parametrize(
-    "argv, refused",
-    [
-        (["count", "--q=2", "--n", "3", "--k", "1"], False),
-        (["distribution", "--q", "3", "--n", "2", "--fo", "csv"], False),
-        (["factors", "--q", "2", "--n", "5", "extra"], True),
-    ],
-)
-def test_a_form_the_table_declines_gets_what_parse_args_gives(
-    capsys, monkeypatch, argv, refused
-):
-    # main hands the handler what parse_args builds, or exits 2 with its usage error
-    monkeypatch.setenv("COLUMNS", "80")
+    # the handler gets what parse_args builds, a negative integer value, an
+    # `--option=value` and an option prefix among them, and argparse parses nothing
     seen = []
     monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(vars(args)) or 0)
     _clear_parsers()  # rebuilt with the recording handler
     try:
-        assert cli._read_pairs(cli.build_parser(), argv) is None
-        parser = cli.build_argparser()
-        outcomes = []
-        for parse in (lambda: vars(parser.parse_args(argv)), lambda: cli.main(argv)):
-            try:
-                outcomes.append(parse())
-            except SystemExit as exc:
-                outcomes.append(exc.code)
-            outcomes.append(capsys.readouterr())
+        expected = vars(cli.build_argparser().parse_args(argv))
+        parsed = []
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda self, *args, **kw: parsed.append(self.prog))
+        assert cli.main(argv) == 0
     finally:
         _clear_parsers()
-    expected, usage, code, printed = outcomes
-    if refused:
-        assert expected == code == 2 and seen == []
-        assert printed == usage and "knormal: error: " in usage.err
-    else:
-        assert code == 0 and seen == [expected] and expected["command"] == argv[0]
+    assert seen == [expected] and expected["command"] == argv[0]
+    assert parsed == []
 
 
-# Tokens for argv that the table may or may not read: each option string and
-# an abbreviation of it, forms only argparse reads, and values good and bad.
+# Tokens for argv that the CLI may or may not read: each option string and
+# an abbreviation of it, `=`, help and `--` forms, and values good and bad.
 _OPTIONS = sorted({o for _, _, options in cli.build_parser().values() for o in options})
 _TOKENS = st.sampled_from(
     _OPTIONS
@@ -610,50 +561,90 @@ def _argvs(draw):
     return [name, *(token for pair in pairs for token in pair), *tail]
 
 
-def test_the_table_reads_argv_as_argparse_does():
+def _outcome(call):
+    """(what call returned, or its SystemExit code; stdout; stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_the_table_reads_argv_as_argparse_does(monkeypatch):
+    # argparse, built from the same table, is the reference for every drawn argv
     commands = cli.build_parser()
     parser = cli.build_argparser()
-    read = set()
+    parse_args = argparse.ArgumentParser.parse_args
+    asked = []  # the argv of every parse_args the CLI runs
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, args: asked.append(args) or parse_args(self, args))
+    read, kinds = set(), set()
 
     @settings(max_examples=400, deadline=None, database=None)
     @given(argv=_argvs())
+    @example(argv=["table", "--q", "2", "--k", "1", "--help"])  # help is drawn rarely
+    @example(argv=["-h"])
+    @example(argv=["factors", "--q", "2", "--n", "5", "extra"])
+    @example(argv=["factors", "--q", "2", "--n", "-1_0"])  # read as an option: refused
+    @example(argv=["factors", "--q", "2", "--n", "-5 "])  # a token with a space is a value
     def check(argv):
-        table = cli._read_pairs(commands, argv)
-        if table is None:
-            return
-        read.add(argv[0])
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            try:
-                parsed = parser.parse_args(argv)
-            except SystemExit:
-                pytest.fail(f"argparse refused {argv}: {stderr.getvalue()}")
-        assert vars(parsed) == vars(table)
+        expected, usage, _ = _outcome(lambda: vars(parse_args(parser, argv)))
+        asked.clear()
+        if isinstance(expected, dict):
+            kinds.add("read")
+            read.add(argv[0])
+            assert vars(cli._read_argv(commands, argv)) == expected
+        elif expected == 0:
+            kinds.add("help")
+            assert _outcome(lambda: cli.main(argv)) == (0, usage, "")
+        elif not any(t == "-h" or len(t) > 2 and "--help".startswith(t) for t in argv):
+            kinds.add("refused")
+            with pytest.raises(KnormalError):
+                cli._read_argv(commands, argv)
+            code, out, err = _outcome(lambda: cli.main(argv))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        # parse_args runs only to print help: as `command -h`, or `-h` with no command
+        help_argv = [argv[0], "-h"] if argv[0] in commands else ["-h"]
+        assert asked == ([help_argv] if expected == 0 else [])
 
     check()
+    assert kinds == {"read", "help", "refused"}
     assert read == set(commands)  # the table read argv of every command
 
 
 def test_transcript_replays_byte_for_byte(capsys, monkeypatch):
     # Recorded calls: every command in every format, each verify oracle, and
-    # every exit-2 refusal.  argparse wraps usage lines to COLUMNS.
+    # every exit-2 refusal.  argparse wraps help lines to COLUMNS.
     monkeypatch.setenv("COLUMNS", "80")
     transcript = json.loads((GOLDEN / "cli_transcript.json").read_text())
     replayed = []
     for call in transcript:
         try:
             code = cli.main(call["argv"])
-        except SystemExit as exc:  # usage errors
+        except SystemExit as exc:  # help, printed by argparse
             code = exc.code
         out, err = capsys.readouterr()
         replayed.append({"argv": call["argv"], "stdout": out, "stderr": err, "exit": code})
     assert [r for r, call in zip(replayed, transcript) if r != call] == []
 
 
-def test_missing_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main([])
-    assert exc.value.code == 2
+def test_every_refusal_in_the_transcript_is_one_error_line():
+    transcript = json.loads((GOLDEN / "cli_transcript.json").read_text())
+    refusals = [call for call in transcript if call["exit"] == 2]
+    assert len(refusals) >= 40
+    for call in refusals:
+        assert call["stdout"] == "", call["argv"]
+        assert len(call["stderr"].splitlines()) == 1, call["argv"]
+        assert call["stderr"].startswith("error: ") and call["stderr"].endswith("\n")
+
+
+def test_missing_subcommand_exits_2(capsys):
+    code, out, err = run(capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: missing command: choose from {', '.join(cli.build_parser())}\n"
 
 
 def test_module_entry_point_subprocess():
@@ -669,7 +660,7 @@ def test_module_entry_point_subprocess():
     assert result.stdout == "72\n"
 
 
-def test_module_entry_point_reports_a_stray_argument_with_the_top_level_usage():
+def test_module_entry_point_reports_a_stray_argument_in_one_line():
     # argv=None: main reads sys.argv, as `entry()` and `python -m` call it
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), COLUMNS="80")
@@ -679,10 +670,8 @@ def test_module_entry_point_reports_a_stray_argument_with_the_top_level_usage():
         text=True,
         env=env,
     )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith("usage: knormal [-h] {count,distribution,table,verify,factors}")
-    assert result.stderr.endswith("knormal: error: unrecognized arguments: --bogus\n")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: unknown option '--bogus'\n"
 
 
 @pytest.mark.parametrize(
@@ -696,9 +685,11 @@ def test_module_entry_point_reports_a_stray_argument_with_the_top_level_usage():
          ("knormal.counting",), ("knormal.galois", "knormal.oracle", "json", "argparse", "gettext")),
         (["verify", "--q", "5", "--n", "2", "--oracle", "brute"],
          ("knormal.galois", "knormal.oracle", "knormal.lanes"), ("json", "argparse", "gettext")),
-        (["count", "--q=25", "--n", "3", "--k", "2"], ("argparse",), ()),
+        (["count", "--q=25", "--n", "3", "--k", "2"], ("knormal.counting",),
+         ("argparse", "gettext")),
+        (["count", "-h"], ("argparse",), ("knormal.counting",)),
     ],
-    ids=["parser", "factors", "count", "verify-sweep", "declined"],
+    ids=["parser", "factors", "count", "verify-sweep", "declined", "help"],
 )
 def test_each_command_compiles_only_the_layers_it_runs(argv, loaded, not_loaded):
     # a fresh interpreter compiles every module it imports, so a layer imported
@@ -708,7 +699,8 @@ def test_each_command_compiles_only_the_layers_it_runs(argv, loaded, not_loaded)
     code = (
         "import sys, knormal.cli\n"
         "knormal.cli.build_parser()\n"
-        + (f"knormal.cli.main({argv!r})\n" if argv else "")
+        + (f"try:\n    knormal.cli.main({argv!r})\nexcept SystemExit as exc:\n"
+           "    assert exc.code == 0\n" if argv else "")
         + "print(*sys.modules)\n"
     )
     result = subprocess.run(
