@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or refused
 computation.  Counts can exceed 2**63, so JSON carries them as decimal
 strings; text and CSV print plain decimal digits.  `distribution` makes its
-counts as exact `decimal.Decimal`s, which print in linear time at any size;
-`count` and `table` print ints by str(), within its 4300-digit limit.
+counts as exact `decimal.Decimal`s, which print in linear time at any size,
+and writes them one at a time in every format, so no second copy of them is
+ever held; `count` and `table` print ints by str() and refuse (exit 2) a
+count past its 4300-digit limit.
 
 One table, `build_parser()`, declares the commands and their options, and
 every argv is read from it; argparse is built from it only to print help.
@@ -18,7 +20,7 @@ import sys
 import types
 
 from . import spectrum
-from .errors import ArgumentOutOfRange, KnormalError
+from .errors import ArgumentOutOfRange, InputTooLarge, KnormalError
 
 
 @functools.cache
@@ -162,7 +164,7 @@ def entry() -> None:
 def cmd_count(args) -> int:
     from . import counting
 
-    count = str(counting.count_k_normal(args.q, args.n, args.k))
+    count = _digits(args.q, args.n, args.k, counting.count_k_normal(args.q, args.n, args.k))
     _emit(
         args,
         {"q": args.q, "n": args.n, "k": args.k, "count": count},
@@ -184,7 +186,7 @@ def cmd_distribution(args) -> int:
     total = dist.total()
     with counting._exact(total):
         power = decimal.Decimal(args.q) ** args.n
-    counts = [str(c) for c in dist.counts]
+    counts = map(str, dist.counts)  # one pass, by whichever format is written
 
     def text():
         for k, c in enumerate(counts):
@@ -215,7 +217,9 @@ def cmd_table(args) -> int:
     ns = range(args.n_min, args.n_max + 1)
     # Count every row before printing any, so a failure prints no partial table.
     counted = [counting.low_counts(args.q, n, args.k_max) for n in ns]
-    rows = [(n, [str(c) for c in row]) for n, row in zip(ns, counted)]
+    rows = [
+        (n, [_digits(args.q, n, k, c) for k, c in enumerate(row)]) for n, row in zip(ns, counted)
+    ]
     # Columns stop at n_max: a column with k > n_max would be blank in every row.
     header = ["n"] + [f"N_{k}" for k in range(min(args.k_max, args.n_max) + 1)]
 
@@ -352,20 +356,49 @@ def _run_checks(q, n, which, max_brute, modulus_trials):
     return checks
 
 
+def _digits(q, n, k, count) -> str:
+    """str(count), or an InputTooLarge for a count past the digits str() prints."""
+    try:
+        return str(count)
+    except ValueError:  # CPython's int-to-str digit limit
+        raise InputTooLarge(
+            f"the count for q = {q}, n = {n}, k = {k} has {count.bit_length()} bits,"
+            f" more than the {sys.get_int_max_str_digits()} decimal digits count and table print"
+        ) from None
+
+
 def _emit(args, payload, lines, header=(), rows=()) -> None:
     """Print one result in args.format: a JSON payload, CSV header and rows, or text lines.
 
-    CSV cells are strings.  `lines` and `rows` are read only when their
-    format is chosen, so a generator passed for them does its work only then.
+    Everything is written as it is read, one line or one item at a time, so a
+    result of n + 1 counts never exists as a second copy.  CSV cells are
+    strings.  `lines` and `rows` are read only when their format is chosen, so
+    a generator passed for them does its work only then.  A payload value that
+    JSON cannot encode is an iterator of strings that need no escaping (decimal
+    digits), such as distribution's counts: it is written as a JSON list, item
+    by item, and the bytes are those of `json.dumps(payload, sort_keys=True)`
+    with that value a list.
     """
+    write = sys.stdout.write  # one write per line, where print makes two
     if args.format == "json":
         import json  # loaded by the first JSON output, so text and CSV never pay for it
 
-        print(json.dumps(payload, sort_keys=True))
+        streams = []  # the iterators, in the order their marks stand in the text
+        text = json.dumps(payload, sort_keys=True, default=lambda it: streams.append(it) or "\0")
+        head, *tails = text.split('"\\u0000"')  # the marks, as json.dumps writes "\0"
+        write(head)
+        for items, tail in zip(streams, tails):
+            write("[")
+            sep = ""
+            for item in items:
+                write(f'{sep}"{item}"')
+                sep = ", "
+            write("]" + tail)
+        write("\n")
         return
     if args.format == "csv":
-        lines = map(",".join, [header, *rows])
-    write = sys.stdout.write  # one write per line, where print makes two
+        write(",".join(header) + "\n")
+        lines = map(",".join, rows)
     for line in lines:
         write(line + "\n")
 

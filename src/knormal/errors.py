@@ -16,9 +16,10 @@ class NotCoprime(KnormalError):
 class InputTooLarge(KnormalError):
     """An input exceeds a documented bound.
 
-    Raised for an extension degree above MAX_N, and for a candidate prime
+    Raised for an extension degree above MAX_N, for a candidate prime
     (the root p of q = p**m) at or above the bound below which primality
-    is proven.
+    is proven, and for a count past the digits the CLI's `count` and
+    `table` print by str().
     """
 
 

@@ -14,6 +14,11 @@ from .errors import ArgumentOutOfRange, InputTooLarge, InternalInconsistency
 
 MAX_DEGREE = numtheory.MAX_N
 
+# Fields that derive_params and degree_pattern keep.  Their reuse happens within
+# one call (one `verify` looks up its (q, n) 9 times), so a few recent fields
+# serve it, and a process serving many calls holds no more than these.
+CACHED_FIELDS = 128
+
 
 class ExtensionParams(namedtuple("ExtensionParams", "q p m n n0 s d")):
     """Shape of the extension F_{q^n}/F_q.
@@ -63,7 +68,7 @@ class DegreePattern(namedtuple("DegreePattern", "entries")):
         return sum(r * v for r, v in self.entries.items())
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=CACHED_FIELDS)
 def derive_params(q: int, n: int) -> ExtensionParams:
     """Validate (q, n) and decompose the extension shape."""
     p, m = numtheory.prime_power_decompose(q)
@@ -79,7 +84,7 @@ def derive_params(q: int, n: int) -> ExtensionParams:
     return ExtensionParams(q=q, p=p, m=m, n=n, n0=n0, s=s, d=d)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=CACHED_FIELDS)
 def degree_pattern(params: ExtensionParams) -> DegreePattern:
     """Factor-degree multiplicities of x**n0 - 1 via Moebius inversion.
 

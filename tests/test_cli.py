@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -171,15 +172,54 @@ def parse_decimal(text):
     return parse_decimal(text[:half]) * 10 ** (len(text) - half) + parse_decimal(text[half:])
 
 
-def test_distribution_prints_counts_past_the_str_digit_limit(capsys):
+def printed_counts(out, fmt):
+    """The decimal counts in `distribution` output of format fmt."""
+    if fmt == "json":
+        return json.loads(out)["counts"]
+    if fmt == "csv":
+        return [line.split(",")[1] for line in out.splitlines()[1:]]
+    return [line.split(" = ")[1] for line in out.splitlines()[:-1]]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_distribution_prints_counts_past_the_str_digit_limit(capsys, fmt):
     q, n = 65537, 1000
-    code, out, err = run(capsys, "distribution", "--q", str(q), "--n", str(n), "--format", "csv")
+    code, out, err = run(capsys, "distribution", "--q", str(q), "--n", str(n), "--format", fmt)
     assert (code, err) == (0, "")
-    cells = [line.split(",")[1] for line in out.splitlines()[1:]]
+    cells = printed_counts(out, fmt)
     assert len(cells) == n + 1 and len(cells[0]) == 4817  # N_0, past the 4300 of str(int)
     counts = [parse_decimal(cell) for cell in cells]
     assert counts[0] == counting.count_normal(q, n)
     assert sum(counts) == q**n
+
+
+class ByteCount:
+    """A stdout that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text.encode())
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_distribution_holds_no_second_copy_of_its_output(fmt):
+    # The counts are held while they are written, in about 0.8x the bytes
+    # they print as; a list of their strings, or one JSON text of them all,
+    # would take the peak past 1.25x.
+    sink = ByteCount()
+    with contextlib.redirect_stdout(sink):
+        cli.main(["distribution", "--q", "2", "--n", "3", "--format", fmt])  # imports, untraced
+        sink.bytes = 0
+        tracemalloc.start()
+        try:
+            code = cli.main(["distribution", "--q", "2", "--n", "4000", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and sink.bytes > 2_000_000
+    assert peak < 1.25 * sink.bytes, (peak, sink.bytes)
 
 
 def test_a_product_heavy_distribution_runs_on_ints_and_prints_the_same(capsys, monkeypatch):
@@ -247,6 +287,24 @@ def test_table_json(capsys):
     assert row["counts"] == ["9375000", "375000", "15000", "600"]
     short = payload["rows"][0]
     assert short["counts"] == ["24", "1"]  # k > n cells are absent
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["count", "--q", "2", "--n", "15000", "--k", "0"],
+         "q = 2, n = 15000, k = 0 has 14999 bits"),
+        (["count", "--q", "7", "--n", "6000", "--k", "3"],
+         "q = 7, n = 6000, k = 3 has 16842 bits"),
+        (["table", "--q", "2", "--n-min", "14990", "--n-max", "15000", "--k-max", "2",
+          "--format", "json"], "q = 2, n = 14990, k = 0 has 14989 bits"),
+    ],
+    ids=["count-N_0", "count-N_3", "table"],
+)
+def test_a_count_past_the_str_digit_limit_is_refused_in_one_line(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the count for " + field) and err.count("\n") == 1
 
 
 def test_table_rejects_bad_range(capsys):
@@ -468,6 +526,21 @@ def test_factors_csv(capsys):
     assert lines["v_1"] == "1"
     assert lines["v_4"] == "1"
     assert lines["omega"] == "2"
+
+
+def test_the_spectrum_caches_keep_a_bounded_number_of_fields(capsys):
+    # A call reuses only its own field, so many calls leave at most the bound behind...
+    for n in range(1, 301):
+        assert cli.main(["factors", "--q", "3", "--n", str(n)]) == 0
+    capsys.readouterr()
+    cached = (spectrum.derive_params, spectrum.degree_pattern)
+    for fn in cached:
+        assert fn.cache_info().currsize <= spectrum.CACHED_FIELDS < 300
+        fn.cache_clear()
+    # ...and within one call the cache still serves every lookup after the first.
+    assert run(capsys, "verify", "--q", "4", "--n", "6")[0] == 0
+    for fn in cached:
+        assert fn.cache_info().misses == 1 and fn.cache_info().hits > 0
 
 
 def _clear_parsers():
