@@ -1,12 +1,12 @@
 """Command-line interface: count, distribution, table, verify, factors.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input or refused
-computation.  Counts can exceed 2**63, so JSON carries them as decimal
-strings; text and CSV print plain decimal digits.  `distribution` makes its
-counts as exact `decimal.Decimal`s, which print in linear time at any size,
-and writes them one at a time in every format, so no second copy of them is
-ever held; `count` and `table` print ints by str() and refuse (exit 2) a
-count past its 4300-digit limit.
+Exit codes: 0 success, 1 verification mismatch or stdout closed by its
+reader, 2 invalid input or refused computation.  Counts can exceed 2**63,
+so JSON carries them as decimal strings; text and CSV print plain decimal
+digits.  `distribution` makes its counts as exact `decimal.Decimal`s, which
+print in linear time at any size, and writes them one at a time in every
+format, so no second copy of them is ever held; `count` and `table` print
+ints by str() and refuse (exit 2) a count past its 4300-digit limit.
 
 One table, `build_parser()`, declares the commands and their options, and
 every argv is read from it; argparse is built from it only to print help.
@@ -16,6 +16,7 @@ Importing this module and building the table compiles only this module,
 
 import collections
 import functools
+import os
 import sys
 import types
 
@@ -59,7 +60,7 @@ def build_parser() -> dict:
                 default="all",
                 help="which independent checks to run (default all)",
             ),
-            "--max-brute": dict(  # None: cmd_verify applies oracle.DEFAULT_MAX_ORDER
+            "--max-brute": dict(  # None: _run_checks applies oracle.DEFAULT_MAX_ORDER
                 type=int,
                 help="largest q**n the brute-force sweep will accept",
             ),
@@ -158,7 +159,15 @@ def _option(options, token):
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout (`knormal ... | head`): exit 1 with no
+        # traceback, stdout on devnull so the flush at exit writes nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 def cmd_count(args) -> int:
@@ -264,25 +273,11 @@ def cmd_factors(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import galois, oracle
-
-    max_brute = oracle.DEFAULT_MAX_ORDER if args.max_brute is None else args.max_brute
     if args.modulus_trials < 1:
         raise ArgumentOutOfRange(
             f"--modulus-trials must be >= 1, got {args.modulus_trials}"
         )
-    if args.modulus_trials > 1 and args.oracle in ("brute", "all"):
-        # Refuse before any sweep; count moduli only for a field the guard admits.
-        params = oracle.sweep_params(args.q, args.n, max_brute)
-        degree = args.n * params.m  # the sweep's field is F_p[x]/(f), deg f = n*m
-        moduli = galois.irreducible_count(params.p, degree)
-        if args.modulus_trials > moduli:
-            raise ArgumentOutOfRange(
-                f"--modulus-trials {args.modulus_trials} asks for more moduli"
-                f" than exist: fewer than {moduli + 1} monic irreducibles of degree"
-                f" {degree} over F_{params.p}"
-            )
-    checks = _run_checks(args.q, args.n, args.oracle, max_brute, args.modulus_trials)
+    checks = _run_checks(args.q, args.n, args.oracle, args.max_brute, args.modulus_trials)
     # A verify that ran no check has shown nothing, so it does not pass.
     passed = bool(checks) and all(ok for _, ok, _ in checks)
 
@@ -312,12 +307,18 @@ def cmd_verify(args) -> int:
 
 def _run_checks(q, n, which, max_brute, modulus_trials):
     """Each check is (name, passed, detail); independent routes only."""
-    from . import counting, oracle
+    from . import counting, galois, oracle
 
     checks = []
     params = spectrum.derive_params(q, n)  # refuses a bad q or n for every oracle
     if which in ("brute", "all"):
-        # Sweep first, so that an oversized sweep is refused before any series.
+        # Refuse an oversized sweep, then a trial past the moduli, before any sweep.
+        max_brute = oracle.DEFAULT_MAX_ORDER if max_brute is None else max_brute
+        oracle.sweep_params(q, n, max_brute)
+        try:  # the last trial's field; galois refuses its index before any scan
+            galois.build_tower(q, n, modulus_trials - 1)
+        except ArgumentOutOfRange as refusal:
+            raise ArgumentOutOfRange(f"--modulus-trials {modulus_trials}: {refusal}") from None
         brutes = [
             oracle.brute_force_distribution(q, n, max_order=max_brute, modulus_index=trial)
             for trial in range(modulus_trials)

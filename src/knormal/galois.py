@@ -22,7 +22,7 @@ modulus never inverts.
 
 from functools import lru_cache, reduce
 
-from . import numtheory
+from . import numtheory, spectrum
 from .errors import ArgumentOutOfRange, InternalInconsistency
 
 class PrimeField:
@@ -347,7 +347,8 @@ def find_irreducible(field, degree: int, index: int = 0):
     exists = irreducible_count(order, degree)
     if index >= exists:
         raise ArgumentOutOfRange(
-            f"fewer than {index + 1} monic irreducibles of degree {degree} exist"
+            f"fewer than {exists + 1} monic irreducibles of degree {degree} over F_{order}"
+            f" exist, so none has index {index}"
         )
     candidate = lambda digits: Poly(field, [field.element(d) for d in digits])
     if isinstance(field, PrimeField):
@@ -390,12 +391,12 @@ class TowerField(ExtensionField):
     """
 
     def __init__(self, q: int, n: int, modulus_index: int):
-        p, m = numtheory.prime_power_decompose(q)
-        prime = PrimeField(p)
-        super().__init__(prime, find_irreducible(prime, n * m, modulus_index))
+        params = spectrum.derive_params(q, n)  # refuses (q, n) as every command does
+        prime = PrimeField(params.p)
+        super().__init__(prime, find_irreducible(prime, n * params.m, modulus_index))
         self.q = q
         self.n = n
-        self.m = m
+        self.m = params.m
 
     def __repr__(self):
         return f"TowerField(q={self.q}, n={self.n})"

@@ -51,8 +51,7 @@ def sweep(tower) -> list[int]:
     """
     F = _field(tower.base.order, tower.modulus.coeffs)
     p = F.p
-    n, q, m = tower.n, tower.q, tower.m
-    N = n * m
+    n, q, m, N = tower.n, tower.q, tower.m, F.N
     images = _frobenius_images(F, q)
     _check_frobenius(F, images)
     basis = _fq_basis(F, images, m)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knormal import cli, counting, galois, oracle, spectrum
+from knormal import cli, counting, galois, lanes, oracle, spectrum
 from knormal.errors import KnormalError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -472,6 +472,19 @@ def test_verify_refuses_excess_trials_before_any_sweep(capsys, monkeypatch):
     assert len(sweeps) == 3
 
 
+def test_verify_refuses_excess_trials_without_scanning_for_moduli(capsys, monkeypatch):
+    # 52377 monic irreducibles of degree 20 exist over F_2 (Gauss's count);
+    # the refusal counts them and never scans candidates for one
+    monkeypatch.setattr(lanes, "rabin", lambda p, degree: pytest.fail("a scan ran"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "20", "--oracle", "brute",
+                         "--modulus-trials", "60000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == ("error: --modulus-trials 60000: fewer than 52378 monic irreducibles"
+                   " of degree 20 over F_2 exist, so none has index 59999\n")
+
+
 def test_verify_fails_when_no_check_ran(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_run_checks", lambda *args: [])
     code, out, _ = run(capsys, "verify", "--q", "2", "--n", "3")
@@ -731,6 +744,22 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout == "72\n"
+
+
+def test_module_entry_point_exits_quietly_when_its_reader_closes_the_pipe():
+    # as `knormal distribution --q 2 --n 3000 | head -1`: megabytes of counts,
+    # far past a pipe's buffer, so a write meets the closed pipe
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "knormal.cli", "distribution", "--q", "2", "--n", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == f"N_0 = {counting.count_normal(2, 3000)}\n".encode()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_module_entry_point_reports_a_stray_argument_in_one_line():

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from knormal import galois, lanes, numtheory, oracle
-from knormal.errors import ArgumentOutOfRange
+from knormal.errors import ArgumentOutOfRange, InputTooLarge, InternalInconsistency
 
 
 def tuple_field(q):
@@ -57,6 +57,10 @@ def test_prime_field_ops():
         f5.inv(0)
     with pytest.raises(ValueError):
         galois.PrimeField(6)
+    for i in (-1, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            f5.element(i)
+    assert repr(f5) == "PrimeField(5)"
 
 
 def test_extension_field_f4_tables():
@@ -68,6 +72,22 @@ def test_extension_field_f4_tables():
     assert w2 == f4.add(w, one)  # w^2 = w + 1 for modulus x^2 + x + 1
     assert f4.mul(w, w2) == one  # w^3 = 1
     assert f4.add(w, w) == zero
+    with pytest.raises(ZeroDivisionError):
+        f4.inv(zero)
+    for i in (-1, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            f4.element(i)
+    assert repr(f4) == "TowerField(q=2, n=2)"
+
+
+def test_extension_field_refuses_a_bad_modulus():
+    f2, f3 = galois.PrimeField(2), galois.PrimeField(3)
+    with pytest.raises(ValueError, match="over the base field"):
+        galois.ExtensionField(f2, galois.Poly(f3, (1, 0, 1)))
+    with pytest.raises(ValueError, match="degree >= 1"):
+        galois.ExtensionField(f3, galois.Poly(f3, (1,)))
+    with pytest.raises(ValueError, match="monic"):
+        galois.ExtensionField(f3, galois.Poly(f3, (1, 0, 2)))
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
@@ -81,6 +101,7 @@ def test_extension_field_axioms(q):
         if a != field.zero:
             assert field.mul(a, field.inv(a)) == field.one
         assert field.element(field.index(a)) == a
+    assert repr(field) == f"ExtensionField(order={q})"
     # spot-check associativity and distributivity on a subset
     for a, b, c in itertools.product(elems[: min(6, len(elems))], repeat=3):
         assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
@@ -95,6 +116,8 @@ def test_field_pow_matches_repeated_mul():
         for e in range(6):
             assert galois.field_pow(field, a, e) == acc
             acc = field.mul(acc, a)
+    with pytest.raises(ValueError, match="negative"):
+        galois.field_pow(field, field.one, -1)
 
 
 def test_field_pow_walks_from_the_top_bit():
@@ -139,6 +162,10 @@ def test_find_irreducible_index():
     assert galois.is_irreducible(first) and galois.is_irreducible(second)
     with pytest.raises(ValueError):
         galois.find_irreducible(field, 2, index=1)  # x^2+x+1 is the only one
+    with pytest.raises(ArgumentOutOfRange, match="index must be >= 0"):
+        galois.find_irreducible(field, 2, index=-1)
+    with pytest.raises(ArgumentOutOfRange, match="degree must be >= 1"):
+        galois.find_irreducible(field, 0)
     # over an extension base every index below the count is found
     f4 = tuple_field(4)
     found = [galois.find_irreducible(f4, 2, index=i) for i in range(galois.irreducible_count(4, 2))]
@@ -157,7 +184,8 @@ def test_excess_modulus_index_refused_before_the_scan(monkeypatch):
     t0 = time.perf_counter()
     with pytest.raises(ArgumentOutOfRange, match="fewer than 52378"):
         galois.find_irreducible(galois.PrimeField(2), 20, index=52377)
-    with pytest.raises(ArgumentOutOfRange, match="fewer than 1201"):
+    with pytest.raises(ArgumentOutOfRange, match="fewer than 1162 monic irreducibles of"
+                       " degree 14 over F_2 exist, so none has index 1200"):
         oracle.brute_force_distribution(2, 14, modulus_index=1200)
     assert time.perf_counter() - t0 < 0.5
     # over F_4 the 6 quadratics are all there are; the scan never starts
@@ -168,6 +196,16 @@ def test_excess_modulus_index_refused_before_the_scan(monkeypatch):
             galois.find_irreducible(f4, 2, index=6)
     # the last of the 9 of degree 6 is still found
     assert galois.is_irreducible(galois.find_irreducible(galois.PrimeField(2), 6, index=8))
+
+
+def test_a_scan_that_misses_an_irreducible_is_an_internal_inconsistency(monkeypatch):
+    # a count one above Gauss's: the scan runs out of candidates at the last index
+    count = galois.irreducible_count
+    monkeypatch.setattr(galois, "irreducible_count", lambda order, degree: count(order, degree) + 1)
+    with pytest.raises(InternalInconsistency, match="found 2 of the 3 monic irreducibles"):
+        galois.find_irreducible(galois.PrimeField(2), 3, index=2)
+    with pytest.raises(InternalInconsistency, match="found 6 of the 7 monic irreducibles"):
+        galois.find_irreducible(tuple_field(4), 2, index=6)
 
 
 def test_the_sweep_moduli_are_pinned():
@@ -227,6 +265,8 @@ def test_find_irreducible_deterministic():
 @pytest.mark.parametrize("p,max_degree", [(2, 5), (3, 3), (5, 2)])
 def test_is_irreducible_matches_brute(p, max_degree):
     field = galois.PrimeField(p)
+    with pytest.raises(ValueError, match="degree >= 1"):
+        galois.is_irreducible(galois.Poly(field, (1,)))
     for degree in range(1, max_degree + 1):
         for poly in all_monic(field, degree):
             assert galois.is_irreducible(poly) == brute_irreducible(poly)
@@ -267,6 +307,9 @@ def test_poly_divmod_property():
         quot, rem = divmod(f, g)
         assert quot * g + rem == f
         assert rem.degree < g.degree
+    with pytest.raises(ZeroDivisionError):
+        divmod(polys[0], galois.Poly(field, (0, 0)))
+    assert repr(polys[0]) == "Poly(degree=2, coeffs=[1, 2, 3])"
 
 
 def test_division_by_a_monic_poly_never_inverts(monkeypatch):
@@ -289,6 +332,7 @@ def test_poly_gcd_examples():
     g = galois.Poly(field, (1, 1))  # x + 1
     assert galois.poly_gcd(f, g) == g
     zero = galois.Poly(field, ())
+    assert zero.monic() == zero
     assert galois.poly_gcd(f, zero) == f.monic()
     scaled = galois.Poly(field, (2, 2))  # 2x + 2 -> monic x + 1
     assert galois.poly_gcd(zero, scaled) == g
@@ -332,6 +376,11 @@ def test_tower_prime_q_uses_prime_mid():
 def test_tower_field_refuses_degree_zero():
     with pytest.raises(ArgumentOutOfRange):
         galois.TowerField(2, 0, 0)
+    # and past spectrum's bound on n, before any moduli count or scan
+    start = time.perf_counter()
+    with pytest.raises(InputTooLarge, match="exceeds the supported bound"):
+        galois.TowerField(2, 10**6 + 1, 0)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_frobenius_iterate():

@@ -305,6 +305,9 @@ def test_gcd_qr_minus_one_examples():
     assert numtheory.gcd_qr_minus_one(2, 4, 5) == 5
     assert numtheory.gcd_qr_minus_one(25, 1, 3) == 3
     assert numtheory.gcd_qr_minus_one(27, 1, 11) == 1
+    for bad in [(1, 4, 5), (2, 0, 5), (2, 4, 0)]:
+        with pytest.raises(ValueError, match="need q >= 2"):
+            numtheory.gcd_qr_minus_one(*bad)
 
 
 def test_gcd_qr_minus_one_matches_bigint_gcd():
