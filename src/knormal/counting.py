@@ -114,7 +114,7 @@ def phi_q_prime_power(q: int, r: int, e: int) -> int:
     q**(r*e) - q**(r*(e-1)).  For e = 0 the empty product gives 1.
     """
     if r < 1 or e < 0:
-        raise ValueError(f"need r >= 1, e >= 0; got r={r}, e={e}")
+        raise ArgumentOutOfRange(f"need r >= 1, e >= 0; got r={r}, e={e}")
     if e == 0:
         return 1
     return q ** (r * e) - q ** (r * (e - 1))

@@ -27,10 +27,12 @@ class ArgumentOutOfRange(KnormalError, ValueError):
     """An argument lies outside the range it is defined on.
 
     Raised for an extension degree n < 1, for a normality defect k outside
-    0..n, for gcd(0, 0), for a modulus index that names no monic irreducible
-    (by galois, also for the last field `cli._run_checks` builds for
-    `--modulus-trials`, which names the option), and in the CLI for a `table`
-    range it cannot serve and a `--modulus-trials` count below 1.
+    0..n, for gcd(0, 0), for a totient of degree r < 1 or exponent e < 0
+    (`phi_q_prime_power`), for cosets of Z/n0 with n0 < 1, for a modulus
+    index that names no monic irreducible (by galois, also for the last
+    field `cli._run_checks` builds for `--modulus-trials`, which names the
+    option), and in the CLI for a `table` range it cannot serve and a
+    `--modulus-trials` count below 1.
     """
 
 

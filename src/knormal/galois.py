@@ -402,7 +402,11 @@ class TowerField(ExtensionField):
         return f"TowerField(q={self.q}, n={self.n})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=spectrum.CACHED_FIELDS)
 def build_tower(q: int, n: int, modulus_index: int, /) -> TowerField:
-    """The shared TowerField; positional arguments give each field one cache entry."""
+    """The shared TowerField; positional arguments give each field one cache entry.
+
+    A process keeps the ``spectrum.CACHED_FIELDS`` fields used last, as the
+    spectrum caches do.
+    """
     return TowerField(q, n, modulus_index)

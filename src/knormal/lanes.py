@@ -23,12 +23,13 @@ of planes takes seven AND/OR/XOR operations and a negation swaps them.
 * x -> x**q and the products by b_i are F_p-linear, so they act on all
   lanes as digitwise sums of planes, and the b_i * alpha**(q**j) enter an
   echelon basis per lane, one row per pivot digit.  A lane is ranked at its
-  first conjugate already in the span, which is then Frobenius-invariant.
-  The other b_i-copies of a new conjugate must be new too, the planes must
-  return after n steps of x -> x**q, and the first lane found of every rank
-  is ranked again in scalar arithmetic.  At most 2**_LANE_BLOCK_BITS lanes
-  are taken at a time, so memory stays flat.  A mask x & ~y is written
-  x ^ (x & y): ~y is a negative int, and & with one takes extra passes.
+  first conjugate already in the span, which is then Frobenius-invariant:
+  ``_rank_lanes`` returns one lane mask per rank.  The other b_i-copies of a
+  new conjugate must be new too, the planes must return after n steps of
+  x -> x**q, and ``sweep`` ranks the first lane found of every rank again
+  in scalar arithmetic.  At most 2**_LANE_BLOCK_BITS lanes are taken at a
+  time, so memory stays flat.  A mask x & ~y is written x ^ (x & y): ~y is
+  a negative int, and & with one takes extra passes.
 * ``galois.find_irreducible`` scans for f over F_p with ``rabin``:
   Rabin's test run in this arithmetic (powers by ``mulmod``, a gcd of
   packed polynomials).
@@ -47,10 +48,10 @@ def sweep(tower) -> list[int]:
 
     x -> x**q and the products by b_1, ... map all lanes at once (``apply``
     of the digit arithmetic F), and ``_rank_lanes`` runs one elimination per
-    lane in the same digitwise operations.
+    lane in the same digitwise operations.  Its masks give the counts, a
+    lane of rank r weighted q - 1 in N_{n-r}.
     """
     F = _field(tower.base.order, tower.modulus.coeffs)
-    p = F.p
     n, q, m, N = tower.n, tower.q, tower.m, F.N
     images = _frobenius_images(F, q)
     _check_frobenius(F, images)
@@ -65,14 +66,13 @@ def sweep(tower) -> list[int]:
     scalings = [F.linear_map(column) for column in columns[1:]]
     # base-p digit s of a lane's index adds a multiple of b_i * x**k, s = k*m + i
     digits = [columns[s % m][s // m] for s in range((n - 1) * m)]
-    block_digits = 0  # p**block_digits lanes a block, at most 2**_LANE_BLOCK_BITS
-    while p ** (block_digits + 1) <= 1 << _LANE_BLOCK_BITS:
-        block_digits += 1
-    counts = [0] * (n + 1)
-    counts[n] += 1  # alpha = 0 spans nothing
+    counts = [0] * n + [1]  # alpha = 0 spans nothing
     samples = {}  # rank -> the element of the first lane found with that rank
-    for planes, lanes in _lane_blocks(F, n, m, digits, block_digits):
-        _rank_lanes(F, planes, lanes, n, q, frobenius, scalings, counts, samples)
+    for planes, lanes in _lane_blocks(F, n, m, digits):
+        for rank, ranked in enumerate(_rank_lanes(F, planes, lanes, n, frobenius, scalings)):
+            counts[n - rank] += (q - 1) * ranked.bit_count()
+            if ranked and rank not in samples:
+                samples[rank] = _lane_element(F, planes, ranked)
     for rank, alpha in samples.items():
         if _span_dimension(F, alpha, n, q, basis) != rank * m:
             raise InternalInconsistency(f"a lane of rank {rank} re-ranks differently")
@@ -245,8 +245,8 @@ def _lane_element(F, planes: list, mask: int):
     return sum(F.shift(F.lane_digit(plane, lane), c) for c, plane in enumerate(planes))
 
 
-def _lane_blocks(F, n, m, digits, block_digits):
-    """(planes, lane count) of the F_q*-lines of F, at most p**block_digits lanes a block.
+def _lane_blocks(F, n, m, digits):
+    """(planes, lane count) of the F_q*-lines of F, at most 2**_LANE_BLOCK_BITS lanes a block.
 
     Lane t < q**j of degree j < n is x**j plus the sum of d * digits[s] over
     the base-p digits d of t.  Over the low digits of t the planes are one
@@ -254,6 +254,9 @@ def _lane_blocks(F, n, m, digits, block_digits):
     whole planes.  The degrees with fewer lanes than a block share the first
     block, which is empty when a block is one lane; the others fill blocks.
     """
+    block_digits = 0  # p**block_digits lanes a block, at most 2**_LANE_BLOCK_BITS
+    while F.p ** (block_digits + 1) <= 1 << _LANE_BLOCK_BITS:
+        block_digits += 1
     patterns = [[F.plane_zero] * (n * m)]  # patterns[s]: the p**s lanes of the low s digits
     lanes = 1
     for d in digits[:block_digits]:
@@ -297,27 +300,23 @@ def _repeat(F, planes, lanes, d):
     return out
 
 
-def _rank_lanes(F, planes, lanes, n, q, frobenius, scalings, counts, samples):
-    """Add (q - 1) to N_{n-r} for each lane whose conjugates have F_q-rank r.
+def _rank_lanes(F, planes, lanes, n, frobenius, scalings):
+    """n + 1 lane masks: mask r holds the lanes whose conjugates have F_q-rank r.
 
     alpha**(q**j) enters as the m vectors b_i * alpha**(q**j), which span its
     F_q-multiples over F_p.  ``alive`` marks the lanes whose conjugates so
-    far are independent.  `samples` maps each rank found to the element of
-    the first lane found with it.
+    far are independent: a lane has rank j at its first dependent conjugate j.
     """
     apply, insert = F.apply, F.insert
     start = planes
     ones = alive = _lane_mask(F, lanes)
     pivots = [0] * len(planes)  # per top digit, the lanes with a basis row there (see insert)
     rows = [[F.row_zero] * b for b in range(len(planes))]  # the rows' planes below the top digit
+    ranks = [0] * n
     for j in range(n):
         if alive:
             inserted = insert(planes, rows, pivots, ones)
-            ranked = alive ^ (alive & inserted)
-            if ranked:
-                counts[n - j] += (q - 1) * ranked.bit_count()
-                if j not in samples:
-                    samples[j] = _lane_element(F, start, ranked)
+            ranks[j] = alive ^ (alive & inserted)
             alive &= inserted
             for scaling in scalings:
                 if alive ^ (alive & insert(apply(scaling, planes, ones), rows, pivots, ones)):
@@ -325,9 +324,7 @@ def _rank_lanes(F, planes, lanes, n, q, frobenius, scalings, counts, samples):
         planes = apply(frobenius, planes, ones)
     if planes != start:
         raise InternalInconsistency("the lanes did not return after n steps of x -> x**q")
-    counts[0] += (q - 1) * alive.bit_count()
-    if alive and n not in samples:
-        samples[n] = _lane_element(F, start, alive)
+    return ranks + [alive]
 
 
 class _Packed:

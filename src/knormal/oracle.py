@@ -23,7 +23,7 @@ import math
 
 from . import galois, spectrum
 from .counting import Distribution
-from .errors import InstanceTooLarge, InternalInconsistency, NotCoprime
+from .errors import ArgumentOutOfRange, InstanceTooLarge, InternalInconsistency, NotCoprime
 
 # Refuse full-field sweeps beyond this many elements by default.
 DEFAULT_MAX_ORDER = 1 << 22
@@ -63,7 +63,7 @@ def cyclotomic_cosets(q: int, n0: int) -> list[int]:
     factors of x**n0 - 1 over F_q, one factor per orbit.
     """
     if n0 < 1:
-        raise ValueError(f"n0 must be >= 1, got {n0}")
+        raise ArgumentOutOfRange(f"n0 must be >= 1, got {n0}")
     if math.gcd(q, n0) != 1:
         raise NotCoprime(f"q = {q} and n0 = {n0} share a factor")
     seen, sizes = bytearray(n0), []

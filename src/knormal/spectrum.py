@@ -14,9 +14,9 @@ from .errors import ArgumentOutOfRange, InputTooLarge, InternalInconsistency
 
 MAX_DEGREE = numtheory.MAX_N
 
-# Fields that derive_params and degree_pattern keep.  Their reuse happens within
-# one call (one `verify` looks up its (q, n) 9 times), so a few recent fields
-# serve it, and a process serving many calls holds no more than these.
+# Fields that derive_params, degree_pattern and galois.build_tower keep.  Their
+# reuse happens within one call (one `verify` looks up its (q, n) 9 times), so a
+# few recent fields serve it, and a process serving many calls holds no more.
 CACHED_FIELDS = 128
 
 

@@ -61,9 +61,9 @@ def test_phi_q_prime_power_matches_unit_count():
 
 
 def test_phi_q_prime_power_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentOutOfRange):
         counting.phi_q_prime_power(2, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentOutOfRange):
         counting.phi_q_prime_power(2, 1, -1)
 
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from knormal import galois, lanes, numtheory, oracle
+from knormal import galois, lanes, numtheory, oracle, spectrum
 from knormal.errors import ArgumentOutOfRange, InputTooLarge, InternalInconsistency
 
 
@@ -381,6 +381,19 @@ def test_tower_field_refuses_degree_zero():
     with pytest.raises(InputTooLarge, match="exceeds the supported bound"):
         galois.TowerField(2, 10**6 + 1, 0)
     assert time.perf_counter() - start < 0.1
+
+
+def test_the_tower_cache_keeps_a_bounded_number_of_fields():
+    # one more distinct field than the bound leaves the bound behind
+    primes = [p for p in range(2, 1000) if numtheory.is_prime(p)][: spectrum.CACHED_FIELDS + 1]
+    assert len(primes) == spectrum.CACHED_FIELDS + 1
+    galois.build_tower.cache_clear()
+    try:
+        for p in primes:
+            assert galois.build_tower(p, 1, 0).order == p
+        assert galois.build_tower.cache_info().currsize == spectrum.CACHED_FIELDS
+    finally:
+        galois.build_tower.cache_clear()
 
 
 def test_frobenius_iterate():

@@ -1,6 +1,7 @@
 """Brute-force field sweeps and cyclotomic cosets against the formulas."""
 
 import collections
+import copy
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from knormal import counting, galois, lanes, numtheory, oracle, spectrum
 from knormal.errors import (
+    ArgumentOutOfRange,
     InstanceTooLarge,
     InternalInconsistency,
     NotCoprime,
@@ -391,6 +393,40 @@ def test_lanes_split_into_small_blocks(monkeypatch):
             assert oracle.brute_force_distribution(q, n) == counting.distribution(q, n)
 
 
+def test_the_ranker_returns_one_mask_per_rank_covering_its_block(monkeypatch):
+    # for every block, n + 1 masks: no lane in two, every lane of the block in
+    # one; the planes and maps it is given come back unchanged
+    lane_blocks, rank_lanes = lanes._lane_blocks, lanes._rank_lanes
+    yielded, ranked = [], []
+
+    def recording(F, n, m, digits):
+        for block in lane_blocks(F, n, m, digits):
+            yielded.append(block)
+            yield block
+
+    def checked(F, planes, count, n, frobenius, scalings):
+        given = copy.deepcopy((planes, frobenius, scalings))
+        masks = rank_lanes(F, planes, count, n, frobenius, scalings)
+        assert (planes, frobenius, scalings) == given and len(masks) == n + 1
+        union = 0
+        for mask in masks:
+            assert not union & mask
+            union |= mask
+        assert union == lanes._lane_mask(F, count)
+        ranked.append((planes, count))
+        return masks
+
+    monkeypatch.setattr(lanes, "_lane_blocks", recording)
+    monkeypatch.setattr(lanes, "_rank_lanes", checked)
+    for bits in (3, 4):
+        monkeypatch.setattr(lanes, "_LANE_BLOCK_BITS", bits)
+        for q, n in [(2, 10), (4, 5), (3, 6), (9, 3), (5, 4), (25, 2)]:
+            yielded.clear()
+            ranked.clear()
+            assert lanes.sweep(galois.build_tower(q, n, 0)) == list(counting.distribution(q, n))
+            assert ranked == yielded and len(yielded) > 1
+
+
 def test_brute_force_refuses_a_miscount(monkeypatch):
     monkeypatch.setattr(lanes, "sweep", lambda tower: [1] * (tower.n + 1))
     with pytest.raises(InternalInconsistency, match="missed or double-counted"):
@@ -559,7 +595,7 @@ def test_cyclotomic_cosets_examples():
 def test_cyclotomic_cosets_rejects_shared_factor():
     with pytest.raises(NotCoprime):
         oracle.cyclotomic_cosets(2, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentOutOfRange):
         oracle.cyclotomic_cosets(2, 0)
 
 
