@@ -319,10 +319,12 @@ def _run_checks(q, n, which, max_brute, modulus_trials):
             galois.build_tower(q, n, modulus_trials - 1)
         except ArgumentOutOfRange as refusal:
             raise ArgumentOutOfRange(f"--modulus-trials {modulus_trials}: {refusal}") from None
+        # Last trial first, while the field just built is still cached: past
+        # CACHED_FIELDS trials it would be evicted by its turn and scanned again.
         brutes = [
             oracle.brute_force_distribution(q, n, max_order=max_brute, modulus_index=trial)
-            for trial in range(modulus_trials)
-        ]
+            for trial in reversed(range(modulus_trials))
+        ][::-1]
         dist = counting.distribution(q, n)
         for trial, brute in enumerate(brutes):
             name = "formula-vs-brute"

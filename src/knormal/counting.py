@@ -20,7 +20,6 @@ cross-checks.  All results are plain Python ints and therefore exact;
 ``one`` (ints by default).
 """
 
-import bisect
 import collections
 import contextlib
 import itertools
@@ -191,16 +190,8 @@ def _factor_fraction(q: int, r: int, ps: int, top: int, defect: bool) -> tuple[d
     return {0: big_q - 1, ps: 1, ps + 1: -big_q}, {0: 1, 1: -1}, big_q ** (ps - 1)
 
 
-def _split_pattern(params: spectrum.ExtensionParams, cap: int) -> tuple[list, list]:
-    """params' (degree, count) pairs, ascending, split into the degrees
-    r <= cap and the degrees r > cap."""
-    groups = spectrum.degree_pattern(params).items()  # sorts on every call
-    cut = bisect.bisect(groups, (cap, math.inf))
-    return groups[:cut], groups[cut:]
-
-
 def _weight_series(
-    params: spectrum.ExtensionParams, low: list, cap: int, defect: bool, one=1
+    params: spectrum.ExtensionParams, cap: int, defect: bool, one=1
 ) -> tuple[int, list]:
     """Weight series of the divisors of x**n - 1 up to z**cap, read from one end.
 
@@ -211,16 +202,17 @@ def _weight_series(
     q*u), content * c * s_m otherwise.  There each group's unit**v goes into
     content, so s holds small integers, and c = ``_constant_terms`` is the
     product of the constant terms c0**v of the degrees r > cap, the only
-    term they add below z**cap.  So neither end's loop visits a degree
-    r > cap (on the forward end its constant term is 1): ``low`` holds the
-    (degree, count) pairs r <= cap (``_split_pattern``).  The tau(d) group
+    term they add below z**cap.  So neither end's loop expands a degree
+    r > cap (on the forward end its constant term is 1).  The tau(d) group
     series are multiplied into the dense s, skipping its zero coefficients.
     Largest degrees go first: their partial product is nonzero only at
     multiples of a large stride, so it stays sparse longer.
     """
     q, ps = params.q, params.ps
     content, total = 1, [one] + [0] * cap
-    for r, v in reversed(low):
+    for r, v in reversed(spectrum.degree_pattern(params).items()):
+        if r > cap:
+            continue
         top = cap // r
         num, den, unit = _factor_fraction(q, r, ps, top, defect)
         content *= unit**v
@@ -235,15 +227,15 @@ def _weight_series(
     return content, total
 
 
-def _constant_terms(params: spectrum.ExtensionParams, high: list) -> int:
-    """prod c0**v, c0 = phi_q(f**P), over the (degree, count) pairs of the
-    degrees r > cap: what they add to the defect-end series to z**cap, kept
-    out of ``_weight_series``.
+def _constant_terms(params: spectrum.ExtensionParams, cap: int) -> int:
+    """prod c0**v, c0 = phi_q(f**P), over the degrees r > cap: what they add
+    to the defect-end series to z**cap, kept out of ``_weight_series``.
     """
     q, ps = params.q, params.ps
     product = 1
-    for r, v in reversed(high):
-        product *= phi_q_prime_power(q, r, ps) ** v
+    for r, v in reversed(spectrum.degree_pattern(params).items()):
+        if r > cap:
+            product *= phi_q_prime_power(q, r, ps) ** v
     return product
 
 
@@ -259,11 +251,10 @@ def _defect_counts(params: spectrum.ExtensionParams, cap: int, ks) -> list[int]:
     The tests catch a wrong coefficient by comparison with
     ``count_k_normal_explicit``.
     """
-    low, high = _split_pattern(params, cap)
-    content, series = _weight_series(params, low, cap, defect=True)
+    content, series = _weight_series(params, cap, defect=True)
     wanted = [series[k] for k in ks]
     if any(wanted):
-        content *= _constant_terms(params, high)
+        content *= _constant_terms(params, cap)
     scale = params.q if params.ps > 1 else 1
     return [_exact_div(content * s, scale**k) if s else 0 for k, s in zip(ks, wanted)]
 
@@ -273,8 +264,7 @@ def count_k_normal(q: int, n: int, k: int) -> int:
     params = spectrum.derive_params(q, n)
     _check_k(n, k)
     if k > n - k:
-        low = _split_pattern(params, n - k)[0]
-        return _weight_series(params, low, n - k, defect=False)[1][n - k]
+        return _weight_series(params, n - k, defect=False)[1][n - k]
     return _defect_counts(params, k, [k])[0]
 
 
@@ -314,8 +304,7 @@ def distribution(q: int, n: int, one=1) -> Distribution:
     params = spectrum.derive_params(q, n)
     heavy = _ring_products(params, n) > RING_PRODUCTS * n
     with _exact(one):
-        low = _split_pattern(params, n)[0]
-        series = _weight_series(params, low, n, defect=False, one=1 if heavy else one)[1]
+        series = _weight_series(params, n, defect=False, one=1 if heavy else one)[1]
         counts = [one * c for c in reversed(series)] if heavy else reversed(series)
         return Distribution(q=q, n=n, counts=counts)
 

@@ -32,7 +32,13 @@ class ArgumentOutOfRange(KnormalError, ValueError):
     index that names no monic irreducible (by galois, also for the last
     field `cli._run_checks` builds for `--modulus-trials`, which names the
     option), and in the CLI for a `table` range it cannot serve and a
-    `--modulus-trials` count below 1.
+    `--modulus-trials` count below 1.  In numtheory it refuses to factor
+    x < 1, an order modulo a modulus < 1 and gcd(q**r - 1, n) unless q >= 2,
+    r >= 1 and n >= 1.  In galois it refuses a prime field of an order that
+    is not prime, an element index outside the field, a modulus that is not
+    monic, of degree >= 1, over the base field, a negative exponent and an
+    irreducibility test below degree 1.  As a ValueError, each is still
+    caught where a ValueError is.
     """
 
 

@@ -30,7 +30,7 @@ class PrimeField:
 
     def __init__(self, p: int):
         if not numtheory.is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise ArgumentOutOfRange(f"{p} is not prime")
         self.order = p
         self.zero = 0
         self.one = 1
@@ -60,7 +60,7 @@ class PrimeField:
 
     def element(self, i: int):
         if not 0 <= i < self.order:
-            raise ValueError(f"element index {i} out of range")
+            raise ArgumentOutOfRange(f"element index {i} out of range")
         return i
 
     def __repr__(self):
@@ -78,12 +78,12 @@ class ExtensionField:
 
     def __init__(self, base, modulus: "Poly"):
         if modulus.field is not base:
-            raise ValueError("modulus must be a polynomial over the base field")
+            raise ArgumentOutOfRange("modulus must be a polynomial over the base field")
         degree = modulus.degree
         if degree < 1:
-            raise ValueError("modulus must have degree >= 1")
+            raise ArgumentOutOfRange("modulus must have degree >= 1")
         if modulus.coeffs[-1] != base.one:
-            raise ValueError("modulus must be monic")
+            raise ArgumentOutOfRange("modulus must be monic")
         self.base = base
         self.modulus = modulus
         self.degree = degree
@@ -137,7 +137,7 @@ class ExtensionField:
 
     def element(self, i: int):
         if not 0 <= i < self.order:
-            raise ValueError(f"element index {i} out of range")
+            raise ArgumentOutOfRange(f"element index {i} out of range")
         digits = []  # base-(base order) digits of i as elements, least significant first
         for _ in range(self.degree):
             i, r = divmod(i, self.base.order)
@@ -193,7 +193,7 @@ def field_pow(field, a, e: int):
     past the last bit: a**2 costs one multiplication.
     """
     if e < 0:
-        raise ValueError("negative exponents are not supported")
+        raise ArgumentOutOfRange("negative exponents are not supported")
     if e == 0:
         return field.one
     result = a
@@ -302,7 +302,7 @@ def is_irreducible(f: Poly) -> bool:
     """
     deg = f.degree
     if deg < 1:
-        raise ValueError("irreducibility needs degree >= 1")
+        raise ArgumentOutOfRange("irreducibility needs degree >= 1")
     if deg == 1:
         return True
     field = f.field

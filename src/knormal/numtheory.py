@@ -19,7 +19,7 @@ guessed.
 import itertools
 import math
 
-from .errors import InputTooLarge, NotCoprime, NotPrimePower
+from .errors import ArgumentOutOfRange, InputTooLarge, NotCoprime, NotPrimePower
 
 # Bound on trial-division arguments (and on extension degrees downstream).
 MAX_N = 10**6
@@ -48,7 +48,7 @@ MR_PREFIXES = (
 def factorize(x: int) -> dict[int, int]:
     """Prime factorization {p: multiplicity} by trial division, x >= 1."""
     if x < 1:
-        raise ValueError(f"cannot factor {x}")
+        raise ArgumentOutOfRange(f"cannot factor {x}")
     out: dict[int, int] = {}
     for p in (2, 3):
         while x % p == 0:
@@ -194,7 +194,7 @@ def multiplicative_order(a: int, modulus: int) -> int:
     Algebraic Number Theory, section 1.4).
     """
     if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
+        raise ArgumentOutOfRange(f"modulus must be >= 1, got {modulus}")
     if modulus == 1:
         return 1
     a %= modulus
@@ -210,5 +210,5 @@ def multiplicative_order(a: int, modulus: int) -> int:
 def gcd_qr_minus_one(q: int, r: int, n: int) -> int:
     """gcd(q**r - 1, n), evaluated mod n so huge powers are never formed."""
     if r < 1 or q < 2 or n < 1:
-        raise ValueError(f"need q >= 2, r >= 1, n >= 1; got {(q, r, n)}")
+        raise ArgumentOutOfRange(f"need q >= 2, r >= 1, n >= 1; got {(q, r, n)}")
     return math.gcd((pow(q, r, n) - 1) % n, n)

@@ -485,6 +485,26 @@ def test_verify_refuses_excess_trials_without_scanning_for_moduli(capsys, monkey
                    " of degree 20 over F_2 exist, so none has index 59999\n")
 
 
+def test_verify_scans_once_per_trial_past_the_tower_cache(capsys, monkeypatch):
+    # 130 trials outnumber the cached fields, so a field built before the
+    # sweeps and swept last would be evicted by then and scanned again
+    trials = spectrum.CACHED_FIELDS + 2
+    scans = []
+    real = galois.find_irreducible
+    monkeypatch.setattr(galois, "find_irreducible",
+                        lambda *args: scans.append(args) or real(*args))
+    galois.build_tower.cache_clear()
+    try:
+        code, out, _ = run(capsys, "verify", "--q", "2", "--n", "11", "--oracle", "brute",
+                           "--modulus-trials", str(trials))
+    finally:
+        galois.build_tower.cache_clear()
+    assert code == 0
+    assert len(scans) == trials
+    checks = [f"PASS formula-vs-brute[modulus {t}]" for t in range(trials)]
+    assert out.splitlines()[:-1] == checks
+
+
 def test_verify_fails_when_no_check_ran(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_run_checks", lambda *args: [])
     code, out, _ = run(capsys, "verify", "--q", "2", "--n", "3")

@@ -262,6 +262,32 @@ def test_zero_low_counts_match_the_explicit_formula(q, n, monkeypatch):
             assert counting.count_k_normal(q, n, k) == 0
 
 
+@pytest.mark.parametrize("q,n", [(2, 23), (2, 46), (3, 13), (4, 21), (5, 12)])
+def test_no_degree_above_the_cap_is_expanded(q, n, monkeypatch):
+    # each field has degree 1 and higher factor degrees, so the caps from 1
+    # up to the largest degree split them
+    assert len(spectrum.degree_pattern(spectrum.derive_params(q, n)).entries) > 1
+    expanded = []
+    fraction = counting._factor_fraction
+    monkeypatch.setattr(
+        counting, "_factor_fraction",
+        lambda q, r, *args: expanded.append(r) or fraction(q, r, *args),
+    )
+    explicit = [counting.count_k_normal_explicit(q, n, k) for k in range(n + 1)]
+
+    def counted(cap, call, *args):
+        expanded.clear()
+        counts = call(q, n, *args)
+        assert all(r <= cap for r in expanded), (call.__name__, args, expanded)
+        return counts
+
+    for k in range(n + 1):
+        cap = min(k, n - k)
+        assert counted(cap, counting.count_k_normal, k) == explicit[k]
+    assert counted(5, counting.low_counts, 5) == explicit[:6]
+    assert list(counted(n, counting.distribution)) == explicit
+
+
 def test_decimal_distribution_is_exact_under_the_default_context():
     # 2**89 has 27 digits, so the sum rounds at decimal's default precision
     # of 28 once N_0 carries into it, and N_0 and N_1 did

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from knormal import numtheory
-from knormal.errors import InputTooLarge, NotCoprime, NotPrimePower
+from knormal.errors import ArgumentOutOfRange, InputTooLarge, NotCoprime, NotPrimePower
 
 
 def naive_is_prime(x):
@@ -44,7 +44,7 @@ def test_factorize_roundtrip():
 
 
 def test_factorize_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentOutOfRange):
         numtheory.factorize(0)
 
 
@@ -297,7 +297,7 @@ def test_multiplicative_order_takes_a_few_powers(monkeypatch):
 
 
 def test_multiplicative_order_rejects_bad_modulus():
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentOutOfRange):
         numtheory.multiplicative_order(2, 0)
 
 
@@ -306,7 +306,7 @@ def test_gcd_qr_minus_one_examples():
     assert numtheory.gcd_qr_minus_one(25, 1, 3) == 3
     assert numtheory.gcd_qr_minus_one(27, 1, 11) == 1
     for bad in [(1, 4, 5), (2, 0, 5), (2, 4, 0)]:
-        with pytest.raises(ValueError, match="need q >= 2"):
+        with pytest.raises(ArgumentOutOfRange, match="need q >= 2"):
             numtheory.gcd_qr_minus_one(*bad)
 
 
