@@ -16,10 +16,10 @@ class NotCoprime(KnormalError):
 class InputTooLarge(KnormalError):
     """An input exceeds a documented bound.
 
-    Raised for an extension degree above MAX_N, for a candidate prime
-    (the root p of q = p**m) at or above the bound below which primality
-    is proven, and for a count past the digits the CLI's `count` and
-    `table` print by str().
+    Raised for an extension degree above `spectrum.MAX_DEGREE`, for a
+    candidate prime (the root p of q = p**m) at or above the bound below
+    which primality is proven, and for a count past the digits the CLI's
+    `count` and `table` print by str().
     """
 
 

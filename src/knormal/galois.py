@@ -20,6 +20,7 @@ division takes a leading coefficient of 1 as it is, so reduction by a
 modulus never inverts.
 """
 
+import itertools
 from functools import lru_cache, reduce
 
 from . import numtheory, spectrum
@@ -331,9 +332,9 @@ def irreducible_count(order: int, degree: int) -> int:
 def find_irreducible(field, degree: int, index: int = 0):
     """(index+1)-th monic irreducible of the given degree in scan order.
 
-    Candidates x**degree + c are enumerated with the lower coefficients c
-    in ascending mixed-radix order (constant coefficient least
-    significant), so the result is reproducible bit for bit across runs.
+    Candidates x**degree + c run through the lower coefficients c in
+    ascending mixed-radix order, the constant coefficient counting fastest,
+    so the result is reproducible bit for bit across runs.
     An index beyond the irreducibles that exist is refused before the scan.
     Over F_p each candidate takes Rabin's test on the packed ints of
     ``lanes`` (imported on the first such scan); over an extension it takes
@@ -357,22 +358,13 @@ def find_irreducible(field, degree: int, index: int = 0):
         irreducible = lanes.rabin(order, degree)
     else:
         irreducible = lambda digits: is_irreducible(candidate(digits))
-    # Coefficients as element indices, constant first (index 1 is field.one;
-    # over F_p the indices are the coefficients), counted up in place.
-    digits = [0] * degree + [1]
+    # Element indices, constant first (index 1 is field.one; over F_p the
+    # indices are the coefficients); product's fastest place is its last.
+    candidates = ((*reversed(c), 1) for c in itertools.product(range(order), repeat=degree))
     seen = 0
-    while True:
-        if irreducible(digits):
-            if seen == index:
-                return candidate(digits)
-            seen += 1
-        k = 0
-        while k < degree and digits[k] == order - 1:
-            digits[k] = 0
-            k += 1
-        if k == degree:
-            break
-        digits[k] += 1
+    for seen, digits in enumerate(filter(irreducible, candidates), 1):
+        if seen > index:
+            return candidate(digits)
     raise InternalInconsistency(
         f"the scan found {seen} of the {exists} monic irreducibles of degree {degree}"
     )

@@ -1,28 +1,26 @@
 """Elementary number-theoretic helpers shared by the counting formulas.
 
 Everything works on plain Python ints, so quantities like q**r - 1 are exact
-at any size.  Structural inputs (n, moduli, orders) are expected to stay
-below MAX_N; `factorize` uses trial division, which is fine in that range,
-and only `factorize` does.  A prime power q = p**m of any size is split
-without factoring: a factor below 43 settles q by one comparison, a prime q
-below MR_BOUND by one primality test, and any other q is reduced to p by
-exact integer roots of prime degree.  p is tested by Miller-Rabin to the
-first t prime bases, the fewest that decide primality exactly at the size
-of p: t runs from 1 below 2047 to 13 below MR_BOUND (about 3.3e24), by the
-least strong pseudoprimes psi_t to the first t prime bases (Pomerance,
-Selfridge and Wagstaff 1980; Jaeschke 1993; Jiang and Deng 2014; Sorenson
-and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp.
-2017).  A candidate prime at or above the bound is refused rather than
-guessed.
+at any size.  `factorize` uses trial division, and only `factorize` does.
+It is given n0 and phi(n0) (by `multiplicative_order`), d, and the modulus
+degree N = n*m and its divisors (by galois and lanes).  n is bounded by
+`spectrum.MAX_DEGREE`, which N passes when m > 1.  A prime power q = p**m
+of any size is split without factoring: a factor below 43 settles q by one
+comparison, a prime q below MR_BOUND by one primality test, and any other q
+is reduced to p by exact integer roots of prime degree.  p is tested by
+Miller-Rabin to the first t prime bases, the fewest that decide primality
+exactly at the size of p: t runs from 1 below 2047 to 13 below MR_BOUND
+(about 3.3e24), by the least strong pseudoprimes psi_t to the first t
+prime bases (Pomerance, Selfridge and Wagstaff 1980; Jaeschke 1993; Jiang
+and Deng 2014; Sorenson and Webster, "Strong pseudoprimes to twelve prime
+bases", Math. Comp. 2017).  A candidate prime at or above the bound is
+refused rather than guessed.
 """
 
 import itertools
 import math
 
 from .errors import ArgumentOutOfRange, InputTooLarge, NotCoprime, NotPrimePower
-
-# Bound on trial-division arguments (and on extension degrees downstream).
-MAX_N = 10**6
 
 # Strong probable primes to all of these bases are prime below MR_BOUND.
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -12,7 +12,8 @@ from functools import lru_cache
 from . import numtheory
 from .errors import ArgumentOutOfRange, InputTooLarge, InternalInconsistency
 
-MAX_DEGREE = numtheory.MAX_N
+# The largest extension degree n served; numtheory factors n0, phi(n0), d and n*m.
+MAX_DEGREE = 10**6
 
 # Fields that derive_params, degree_pattern and galois.build_tower keep.  Their
 # reuse happens within one call (one `verify` looks up its (q, n) 9 times), so a
@@ -118,9 +119,13 @@ def degree_pattern(params: ExtensionParams) -> DegreePattern:
 def omega(params: ExtensionParams) -> int:
     """Number of distinct irreducible factors of x**n - 1 over F_q.
 
-    Computed directly as (1/d) * sum over r | d of gcd(q**r - 1, n) * phi(d/r),
-    independently of degree_pattern; d is factored once, and each phi(d/r)
-    is read from that factorization.
+    Computed directly as (1/d) * sum over r | d of t_r * phi(d/r), with
+    t_r = gcd(q**r - 1, n); d is factored once, and each phi(d/r) is read
+    from that factorization.  For any values t_r this sum equals the sum of
+    degree_pattern's v_r = (1/r) * sum over u | r of moebius(r/u) * t_u,
+    and both read the same t_r and the same factors of d.  So omega
+    re-checks only the arithmetic of the pattern's Moebius inversion: a
+    wrong t_r moves both alike, and only `oracle.cyclotomic_cosets` sees it.
     """
     factors = numtheory.factorize(params.d)
     total = 0

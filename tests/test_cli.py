@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knormal import cli, counting, galois, lanes, oracle, spectrum
+from knormal import cli, counting, galois, lanes, numtheory, oracle, spectrum
 from knormal.errors import KnormalError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -382,6 +382,24 @@ def test_verify_cosets_skips_the_distribution(capsys, monkeypatch):
         code, out, _ = run(capsys, "verify", "--q", "2", "--n", "40000", "--oracle", which)
         assert code == 0
         assert out == f"PASS {check}\n1 checks, all passed\n"
+
+
+def test_the_coset_check_catches_a_pattern_that_omega_accepts(capsys, monkeypatch):
+    # a gcd 3 too large at u = 1 on (2, 7), d = 3: the pattern stays integral
+    # with degree sum n0 = 7 and omega agrees with it, so only the cosets see it
+    gcd = numtheory.gcd_qr_minus_one
+    monkeypatch.setattr(numtheory, "gcd_qr_minus_one", lambda q, u, n: gcd(q, u, n) + 3 * (u == 1))
+    spectrum.degree_pattern.cache_clear()
+    try:
+        params = spectrum.derive_params(2, 7)
+        pattern = spectrum.degree_pattern(params)
+        assert pattern.entries == {1: 4, 3: 1}
+        assert spectrum.omega(params) == pattern.factor_count() == 5
+        code, out, _ = run(capsys, "verify", "--q", "2", "--n", "7", "--oracle", "cosets")
+    finally:
+        spectrum.degree_pattern.cache_clear()
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL pattern-vs-cosets ({1: 1, 3: 2} vs {1: 4, 3: 1})"
 
 
 def test_verify_refuses_oversized_brute_before_any_series(capsys):

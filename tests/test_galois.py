@@ -228,6 +228,49 @@ def test_the_sweep_moduli_are_pinned():
         assert [galois.build_tower(q, n, i).modulus.coeffs for i in (0, 1)] == moduli
 
 
+def test_the_scan_tests_each_candidate_once_in_scan_order(monkeypatch):
+    # the candidates tested are the scan order up to the (index+1)-th hit, each
+    # once and each its own tuple: over F_p through lanes.rabin, over F_4
+    # through the generic is_irreducible
+    generic = galois.is_irreducible
+    f4 = tuple_field(4)
+    tested = []
+
+    def expected(field, degree, index):
+        prefix, hits = [], 0
+        for cand in scan_order(field, degree):
+            prefix.append(cand.coeffs)
+            hits += generic(cand)
+            if hits > index:
+                return prefix
+
+    rabin = lanes.rabin
+
+    def recording_rabin(p, N):
+        irreducible = rabin(p, N)
+
+        def record(coeffs):
+            tested.append(coeffs)
+            return irreducible(coeffs)
+
+        return record
+
+    def recording_generic(f):
+        tested.append(f.coeffs)
+        return generic(f)
+
+    monkeypatch.setattr(lanes, "rabin", recording_rabin)
+    monkeypatch.setattr(galois, "is_irreducible", recording_generic)
+    for field, degree, index in [(galois.PrimeField(2), 8, 2), (galois.PrimeField(3), 5, 1),
+                                 (galois.PrimeField(7), 2, 3), (f4, 3, 2), (f4, 2, 5)]:
+        tested.clear()
+        found = galois.find_irreducible(field, degree, index)
+        prefix = expected(field, degree, index)
+        assert tested == prefix, (field, degree, index)
+        assert len(set(tested)) == len(tested)
+        assert found.coeffs == prefix[-1]
+
+
 def test_the_packed_irreducibility_test_matches_the_generic_one():
     # Rabin's test on packed ints is the test the tower scans with
     for p, max_degree in [(2, 10), (3, 6), (5, 4), (7, 3)]:
