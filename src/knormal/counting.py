@@ -137,38 +137,40 @@ def _group_series(num: dict, den: dict, v: int, length: int, one=1) -> list:
     """The first length coefficients of G = (N/D)**v, N and D sparse, D of
     degree <= 1, in the ring of ``one``.
 
-    G satisfies N*D*G' = v*(N'*D - N*D')*G, so its w**(j-1) coefficient
-    gives g_j from at most seven earlier ones and one exact division by j
-    times the constant term of N*D.  The relation's int coefficients enter
-    the ring once per group, not once per use: converting a big int into
-    ``Decimal`` costs time quadratic in its length.
+    G satisfies L*G' = R*G with L = N*D and R = v*(N'*D - N*D'), so its
+    w**(j-1) coefficient gives lead*j*g_j = sum over i of (a_i - b_i*j) *
+    g_(j-1-i), with lead = L_0, a_i = R_i + (i+1)*L_(i+1) and b_i = L_(i+1):
+    one product per earlier term, at most four of them (i in {0, 1, P, P+1}
+    forward, {0, P-1, P, P+1} at the defect end), and one exact division.
+    a_i and b_i enter the ring once per group, not once per use.
     """
     (_, lead), *lhs = _sparse_sum((num, den))
     # v*(N'*D - N*D'), where D is constant or linear
     dnum = {i - 1: v * i * x for i, x in num.items() if i}
     rhs = _sparse_sum((dnum, den), (num, {0: -v * den.get(1, 0)}))
+    terms = {i: (x, 0) for i, x in rhs}
+    for i, x in lhs:
+        a, _ = terms.get(i - 1, (0, 0))
+        terms[i - 1] = (a + i * x, x)
+    terms = [(i, one * a, one * b) for i, (a, b) in sorted(terms.items())]
     lead = one * lead
-    lhs = [(i, one * x) for i, x in lhs]
-    rhs = [(i, one * x) for i, x in rhs]
     g = [(one * _exact_div(num[0], den[0])) ** v] + [0] * (length - 1)
     for j in range(1, length):
         acc = 0
-        for i, coef in rhs:
+        for i, a, b in terms:
             if i >= j:
                 break
-            acc += coef * g[j - 1 - i]
-        for i, coef in lhs:
-            if i > j:
-                break
-            acc -= coef * (j - i) * g[j - i]
+            acc += (a - b * j) * g[j - 1 - i]
         g[j], rem = divmod(acc, j * lead)
         if rem:
             raise InternalInconsistency(f"group series coefficient {j} is not integral")
     return g
 
 
-def _factor_fraction(q: int, r: int, ps: int, top: int, defect: bool) -> tuple[dict, dict, int]:
-    """One degree-r factor's series up to w**top as unit * N/D, w = z**r.
+def _factor_fraction(q, r: int, ps: int, top: int, defect: bool) -> tuple[dict, dict, int]:
+    """One degree-r factor's series up to w**top as unit * N/D, w = z**r,
+    with N and D made from q: an int, or forward ``one * q`` in the ring of
+    the series (a ``Decimal`` in the exact context).
 
     Forward, F(w) = sum over a <= P of phi_a w**a with Q = q**r, P = p**s,
     phi_0 = 1 and phi_a = Q**a - Q**(a-1).  At P = 1 (p not dividing n) F
@@ -203,27 +205,35 @@ def _weight_series(
     content, so s holds small integers, and c = ``_constant_terms`` is the
     product of the constant terms c0**v of the degrees r > cap, the only
     term they add below z**cap.  So neither end's loop expands a degree
-    r > cap (on the forward end its constant term is 1).  The tau(d) group
-    series are multiplied into the dense s, skipping its zero coefficients.
-    Largest degrees go first: their partial product is nonzero only at
-    multiples of a large stride, so it stays sparse longer.
+    r > cap (on the forward end its constant term is 1).  The first group
+    kept is placed in s at stride r; each later one is multiplied into s,
+    visiting only the multiples of the gcd of the degrees so far (nothing
+    else is nonzero) and skipping zeros among them.  Largest degrees go
+    first: their partial product is nonzero only at multiples of a large
+    stride, so it stays sparse longer.  Forward, each factor's coefficients
+    are made from ``one * q``, so no big int is converted into the ring.
     """
     q, ps = params.q, params.ps
-    content, total = 1, [one] + [0] * cap
+    content, total, stride = 1, [one] + [0] * cap, 0  # stride 0: only the unit so far
     for r, v in reversed(spectrum.degree_pattern(params).items()):
         if r > cap:
             continue
         top = cap // r
-        num, den, unit = _factor_fraction(q, r, ps, top, defect)
+        num, den, unit = _factor_fraction(one * q, r, ps, top, defect)
         content *= unit**v
         group = _group_series(num, den, v, min(v * ps, top) + 1, one)
-        out = [0] * (cap + 1)
-        for i, t in enumerate(total):
-            if not t:
-                continue
-            stop = i + r * min(len(group), (cap - i) // r + 1)
-            out[i:stop:r] = [o + t * g for o, g in zip(out[i:stop:r], group)]
-        total = out
+        if not stride:
+            total[: r * len(group) : r] = group
+        else:
+            out = [0] * (cap + 1)
+            for i in range(0, cap + 1, stride):
+                t = total[i]
+                if not t:
+                    continue
+                stop = i + r * min(len(group), (cap - i) // r + 1)
+                out[i:stop:r] = [o + t * g for o, g in zip(out[i:stop:r], group)]
+            total = out
+        stride = math.gcd(stride, r)
     return content, total
 
 
@@ -296,10 +306,11 @@ def distribution(q: int, n: int, one=1) -> Distribution:
     non-unit coefficients (``_ring_products``) is counted in ints and each
     count mapped into the ring once (``one * c``): libmpdec multiplies big
     operands 2-3x slower than CPython, which outweighs the decimal printing
-    there.  Timed on 25 p | n fields (q <= 27, n <= 3066, CPython 3.11),
-    Decimal was slower than ints converted by ``Decimal(int)`` on all 10
-    with more than 50 products per n and faster on 12 of the 15 with fewer
-    than 45, hence the bound of 48.
+    there.  Timed on 61 fields (q <= 27, n <= 3066, CPython 3.11), Decimal
+    was slower than ints converted by ``Decimal(int)`` on all 17 with more
+    than 48 products per n; at n >= 1995 it was faster on 8 of the 14 with
+    20 to 48 and on 14 of the 15 with fewer, hence the bound of 48.  Below
+    n = 1000 Decimal was 1.1-1.8x slower at any count, by at most 0.06 s.
     """
     params = spectrum.derive_params(q, n)
     heavy = _ring_products(params, n) > RING_PRODUCTS * n
@@ -311,8 +322,8 @@ def distribution(q: int, n: int, one=1) -> Distribution:
 
 def _ring_products(params: spectrum.ExtensionParams, cap: int) -> int:
     """About how many products of two non-unit coefficients ``_weight_series``'
-    forward loop makes to z**cap: over each group after the first (which
-    multiplies the unit alone), the nonzero coefficients so far times the
+    forward loop makes to z**cap: over each group after the first (which is
+    placed, not multiplied), the nonzero coefficients so far times the
     group's length.  The nonzeros are bounded by the product of the lengths
     and by the multiples of the degrees' gcd up to cap.
     """
@@ -390,14 +401,22 @@ def count_k_normal_explicit(q: int, n: int, k: int) -> int:
     return reach[0]
 
 
-def _exact_div(a: int, b: int) -> int:
+def _exact_div(a, b):
+    """a / b, ints or ``Decimal`` integers (in the exact context); a
+    remainder is refused, naming each operand's length in bits for an int
+    and in digits for a ``Decimal``."""
     q, rem = divmod(a, b)
     if rem:
         raise InternalInconsistency(
-            f"a {b.bit_length()}-bit divisor leaves a remainder on a"
-            f" {a.bit_length()}-bit dividend"
+            f"a {_length(b)} divisor leaves a remainder on a {_length(a)} dividend"
         )
     return q
+
+
+def _length(x) -> str:
+    if isinstance(x, int):
+        return f"{x.bit_length()}-bit"
+    return f"{x.adjusted() + 1}-digit"
 
 
 def _times_q_power(value: int, q: int, e: int) -> int:

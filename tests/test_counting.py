@@ -169,6 +169,24 @@ def test_group_series_refuses_a_fractional_coefficient(monkeypatch):
         counting.count_k_normal(3, 6, 3)
 
 
+def test_inexact_decimal_division_names_digit_lengths():
+    one = decimal.Decimal(1)
+    with pytest.raises(InternalInconsistency, match="a 1-digit divisor .* a 1-digit dividend"):
+        counting._exact_div(decimal.Decimal(7), decimal.Decimal(2))
+    with counting._exact(one), pytest.raises(InternalInconsistency, match="41-digit dividend"):
+        counting._exact_div(decimal.Decimal(10) ** 40 + 1, one * 2)
+
+
+def test_decimal_group_series_refuses_a_fractional_coefficient(monkeypatch):
+    sparse_sum = counting._sparse_sum
+    monkeypatch.setattr(
+        counting, "_sparse_sum",
+        lambda *products: [(i, x + 1) for i, x in sparse_sum(*products)],
+    )
+    with pytest.raises(InternalInconsistency, match="group series coefficient"):
+        counting.distribution(3, 6, decimal.Decimal(1))
+
+
 def test_explicit_matches_series():
     for q, n in SMALL_SWEEP:
         for k in range(n + 1):
@@ -288,6 +306,27 @@ def test_no_degree_above_the_cap_is_expanded(q, n, monkeypatch):
     assert list(counted(n, counting.distribution)) == explicit
 
 
+# Single-group fields (n | q - 1), {1: 1, d: v} fields (n prime) and fields
+# whose later degrees do not divide the earlier ones, so the running gcd of
+# the degrees falls below the last degree.
+ONE_GROUP_FIELDS = [(101, 100), (31, 15), (4001, 1000)]
+TWO_DEGREE_FIELDS = [(151856329, 593), (2, 127), (3, 101)]
+MIXED_DEGREE_FIELDS = [(2, 21), (4, 35), (2, 42), (2, 105), (3, 28)]
+
+
+@pytest.mark.parametrize(
+    "fields", [SMALL_SWEEP, ONE_GROUP_FIELDS, TWO_DEGREE_FIELDS, MIXED_DEGREE_FIELDS],
+    ids=["small-sweep", "one-group", "two-degrees", "mixed-degrees"],
+)
+def test_decimal_distribution_is_the_int_distribution(fields):
+    for q, n in fields:
+        ints = counting.distribution(q, n)
+        decimals = counting.distribution(q, n, decimal.Decimal(1))
+        assert [str(c) for c in decimals] == [str(decimal.Decimal(c)) for c in ints], (q, n)
+        assert ints.total() == q**n, (q, n)
+        assert ints[0] == counting.count_normal(q, n), (q, n)
+
+
 def test_decimal_distribution_is_exact_under_the_default_context():
     # 2**89 has 27 digits, so the sum rounds at decimal's default precision
     # of 28 once N_0 carries into it, and N_0 and N_1 did
@@ -392,6 +431,28 @@ def test_group_series_matches_literal_power(q, r, v, ps, cap, defect):
                     for j, x in enumerate(expected)]
     else:
         expected = naive_group_series(q, r, v, ps, cap)
+    assert group == expected[: len(group)]
+    assert not any(expected[len(group):])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27]),
+    r=st.integers(1, 4),
+    v=st.integers(1, 7),
+    ps=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 25]),
+    cap=st.integers(0, 60),
+)
+def test_decimal_group_series_matches_literal_power(q, r, v, ps, cap):
+    # the forward end as distribution makes it: the factor's coefficients
+    # built from one * q, the whole series in the exact decimal context
+    one = decimal.Decimal(1)
+    with counting._exact(one):
+        num, den, unit = counting._factor_fraction(one * q, r, ps, cap, False)
+        group = counting._group_series(num, den, v, min(v * ps, cap) + 1, one)
+    expected = naive_group_series(q, r, v, ps, cap)
+    assert unit == 1
+    assert all(type(g) is decimal.Decimal for g in group)
     assert group == expected[: len(group)]
     assert not any(expected[len(group):])
 
