@@ -12,7 +12,8 @@ z**r is the v_r-th power of a single factor's series.  That series is a
 rational function, so each group's coefficients follow from a short
 integer recurrence; N_k is the coefficient of z**(n-k) in the product of
 the tau(d) group series, or of z**k with every series reversed, where the
-common content of the weights is kept out of the product.  A literal
+common content of the weights, q**(n-n0) * prod (q**r - 1)**v_r over some
+degrees, is kept out of the product and put back in closed form.  A literal
 tuple enumeration, the explicit sum over multiplicity profiles (every q
 and n), and per-k closed forms are provided as independent routes for
 cross-checks.  All results are plain Python ints and therefore exact;
@@ -124,108 +125,99 @@ def _check_k(n: int, k: int) -> None:
         raise ArgumentOutOfRange(f"k must lie in 0..{n}, got {k}")
 
 
-def _sparse_sum(*products) -> list[tuple[int, int]]:
-    """Nonzero terms, ascending, of a sum of products of {exponent: coefficient} dicts."""
-    out: dict[int, int] = {}
-    for a, b in products:
-        for (i, x), (j, y) in itertools.product(a.items(), b.items()):
-            out[i + j] = out.get(i + j, 0) + x * y
-    return [(i, x) for i, x in sorted(out.items()) if x]
-
-
-def _group_series(num: dict, den: dict, v: int, length: int, one=1) -> list:
-    """The first length coefficients of G = (N/D)**v, N and D sparse, D of
-    degree <= 1, in the ring of ``one``.
-
-    G satisfies L*G' = R*G with L = N*D and R = v*(N'*D - N*D'), so its
-    w**(j-1) coefficient gives lead*j*g_j = sum over i of (a_i - b_i*j) *
-    g_(j-1-i), with lead = L_0, a_i = R_i + (i+1)*L_(i+1) and b_i = L_(i+1):
-    one product per earlier term, at most four of them (i in {0, 1, P, P+1}
-    forward, {0, P-1, P, P+1} at the defect end), and one exact division.
-    a_i and b_i enter the ring once per group, not once per use.
+def _recurrence_terms(num: dict, d, v: int):
+    """(m, a_m, b_m) of the recurrence for (N/(1 - d*w))**v, where either is
+    nonzero: a_m = (v+1)(m+1)*N_(m+1) + d*N_m*(v-1-m(v+1)), b_m = N_(m+1) - d*N_m.
     """
-    (_, lead), *lhs = _sparse_sum((num, den))
-    # v*(N'*D - N*D'), where D is constant or linear
-    dnum = {i - 1: v * i * x for i, x in num.items() if i}
-    rhs = _sparse_sum((dnum, den), (num, {0: -v * den.get(1, 0)}))
-    terms = {i: (x, 0) for i, x in rhs}
-    for i, x in lhs:
-        a, _ = terms.get(i - 1, (0, 0))
-        terms[i - 1] = (a + i * x, x)
-    terms = [(i, one * a, one * b) for i, (a, b) in sorted(terms.items())]
-    lead = one * lead
-    g = [(one * _exact_div(num[0], den[0])) ** v] + [0] * (length - 1)
+    for m in sorted({i - j for i in num for j in (0, 1)} - {-1}):
+        here, up = num.get(m, 0), num.get(m + 1, 0)
+        a, b = (v + 1) * (m + 1) * up + d * here * (v - 1 - m * (v + 1)), up - d * here
+        if a or b:
+            yield m, a, b
+
+
+def _group_series(num: dict, d, v: int, length: int, one=1) -> list:
+    """The first length coefficients of G = (N/(1 - d*w))**v, N sparse, in
+    the ring of ``one``.
+
+    G satisfies L*G' = R*G with L = N*(1 - d*w) and R = v*(N'*(1 - d*w) +
+    d*N), so its w**(j-1) coefficient gives N_0*j*g_j = sum over m of (a_m -
+    b_m*j) * g_(j-1-m), with a_m and b_m read off N and d
+    (``_recurrence_terms``): one product per earlier term, at most four of
+    them (m in {0, 1, P, P+1} forward, {0, P-1, P, P+1} at the defect end),
+    and one exact division; g_0 = N_0**v.  a_m and b_m enter the ring once
+    per group, not once per use.
+    """
+    terms = [(m, one * a, one * b) for m, a, b in _recurrence_terms(num, d, v)]
+    lead = one * num[0]
+    g = [lead**v] + [0] * (length - 1)
     for j in range(1, length):
         acc = 0
-        for i, a, b in terms:
-            if i >= j:
+        for m, a, b in terms:
+            if m >= j:
                 break
-            acc += (a - b * j) * g[j - 1 - i]
+            acc += (a - b * j) * g[j - 1 - m]
         g[j], rem = divmod(acc, j * lead)
         if rem:
             raise InternalInconsistency(f"group series coefficient {j} is not integral")
     return g
 
 
-def _factor_fraction(q, r: int, ps: int, top: int, defect: bool) -> tuple[dict, dict, int]:
-    """One degree-r factor's series up to w**top as unit * N/D, w = z**r,
-    with N and D made from q: an int, or forward ``one * q`` in the ring of
-    the series (a ``Decimal`` in the exact context).
+def _factor_fraction(q, r: int, ps: int, top: int, defect: bool) -> tuple[dict, int]:
+    """One degree-r factor's series up to w**top as (N, d): N/(1 - d*w),
+    w = z**r, with N and d made from q: an int, or forward ``one * q`` in
+    the ring of the series (a ``Decimal`` in the exact context).
 
     Forward, F(w) = sum over a <= P of phi_a w**a with Q = q**r, P = p**s,
     phi_0 = 1 and phi_a = Q**a - Q**(a-1).  At P = 1 (p not dividing n) F
-    = 1 + (Q-1)*w is its own N, with D = 1, and the defect end is its
+    = 1 + (Q-1)*w is its own N, with d = 0, and the defect end is its
     reverse (Q-1) + w.  For P > 1, in closed form N = 1 - w - c*w**(P+1),
-    c = (Q-1)*Q**P, and D = 1 - Q*w.  The defect end reverses F: w**P *
-    F(1/w) has coefficients c_j = phi_(P-j), read at z = q*u, where w = Q*t
-    with t = u**r and c_j*Q**j = c0 = (Q-1)*Q**(P-1) for every j < P, so
-    below t**P the factor is c0 / (1 - t), and in full it is Q**(P-1) *
-    (Q - 1 + t**P - Q*t**(P+1)) / (1 - t).
+    c = (Q-1)*Q**P, and d = Q.  The defect end reverses F: w**P * F(1/w)
+    has coefficients c_j = phi_(P-j), read at z = q*u, where w = Q*t with t
+    = u**r and c_j*Q**j = c0 = (Q-1)*Q**(P-1) for every j < P, so below
+    t**P the factor is c0 / (1 - t), and in full it is Q**(P-1) * (Q - 1 +
+    t**P - Q*t**(P+1)) / (1 - t).  Its constant factor, c0 or Q**(P-1), is
+    left out: ``_defect_counts`` puts the content back in closed form.
     """
     big_q = q**r
     if ps == 1:
-        return ({0: big_q - 1, 1: 1} if defect else {0: 1, 1: big_q - 1}), {0: 1}, 1
+        return ({0: big_q - 1, 1: 1} if defect else {0: 1, 1: big_q - 1}), 0
     if not defect:
-        return {0: 1, 1: -1, ps + 1: -(big_q - 1) * big_q**ps}, {0: 1, 1: -big_q}, 1
+        return {0: 1, 1: -1, ps + 1: -(big_q - 1) * big_q**ps}, big_q
     if top < ps:
-        return {0: 1}, {0: 1, 1: -1}, phi_q_prime_power(q, r, ps)
-    return {0: big_q - 1, ps: 1, ps + 1: -big_q}, {0: 1, 1: -1}, big_q ** (ps - 1)
+        return {0: 1}, 1
+    return {0: big_q - 1, ps: 1, ps + 1: -big_q}, 1
 
 
-def _weight_series(
-    params: spectrum.ExtensionParams, cap: int, defect: bool, one=1
-) -> tuple[int, list]:
-    """Weight series of the divisors of x**n - 1 up to z**cap, read from one end.
+def _weight_series(params: spectrum.ExtensionParams, cap: int, defect: bool, one=1) -> list:
+    """Weight series s of the divisors of x**n - 1 up to z**cap, read from
+    one end, in the ring of ``one``.
 
-    Returns (content, s): content an int, s in the ring of ``one``.  On the
-    forward end content is 1 and s_m is the total weight of the divisors of
-    degree m, i.e. N_(n-m).  On the defect end every series is reversed and
-    N_m = q**-m * content * c * s_m when p | n (the series is read at z =
-    q*u), content * c * s_m otherwise.  There each group's unit**v goes into
-    content, so s holds small integers, and c = ``_constant_terms`` is the
-    product of the constant terms c0**v of the degrees r > cap, the only
-    term they add below z**cap.  So neither end's loop expands a degree
-    r > cap (on the forward end its constant term is 1).  The first group
-    kept is placed in s at stride r; each later one is multiplied into s,
-    visiting only the multiples of the gcd of the degrees so far (nothing
-    else is nonzero) and skipping zeros among them.  Largest degrees go
-    first: their partial product is nonzero only at multiples of a large
-    stride, so it stays sparse longer.  Forward, each factor's coefficients
-    are made from ``one * q``, so no big int is converted into the ring.
+    On the forward end s_m is the total weight of the divisors of degree m,
+    i.e. N_(n-m).  On the defect end every series is reversed, read at z =
+    q*u when p | n, and without its constant factor, so s holds small
+    integers (``_defect_counts`` makes N_k from them).  A degree r > cap
+    adds only its constant term below z**cap, so neither end's loop expands
+    it.  The first group kept is placed in s at stride r; each later one is
+    multiplied into s, visiting only the multiples of the gcd of the
+    degrees so far (nothing else is nonzero) and skipping zeros among them.
+    Largest degrees go first: their partial product is nonzero only at
+    multiples of a large stride, so it stays sparse longer.  Forward, each
+    factor's coefficients are made from ``one * q``, so no big int is
+    converted into the ring; every entry, zeros too, is in the ring.
     """
-    q, ps = params.q, params.ps
-    content, total, stride = 1, [one] + [0] * cap, 0  # stride 0: only the unit so far
+    q, ps, zero = params.q, params.ps, one * 0
+    total, stride = [one] + [zero] * cap, 0  # stride 0: only the unit so far
     for r, v in reversed(spectrum.degree_pattern(params).items()):
         if r > cap:
             continue
         top = cap // r
-        num, den, unit = _factor_fraction(one * q, r, ps, top, defect)
-        content *= unit**v
-        group = _group_series(num, den, v, min(v * ps, top) + 1, one)
+        num, d = _factor_fraction(one * q, r, ps, top, defect)
+        group = _group_series(num, d, v, min(v * ps, top) + 1, one)
         if not stride:
             total[: r * len(group) : r] = group
         else:
-            out = [0] * (cap + 1)
+            out = [zero] * (cap + 1)
             for i in range(0, cap + 1, stride):
                 t = total[i]
                 if not t:
@@ -234,39 +226,43 @@ def _weight_series(
                 out[i:stop:r] = [o + t * g for o, g in zip(out[i:stop:r], group)]
             total = out
         stride = math.gcd(stride, r)
-    return content, total
+    return total
 
 
 def _constant_terms(params: spectrum.ExtensionParams, cap: int) -> int:
-    """prod c0**v, c0 = phi_q(f**P), over the degrees r > cap: what they add
-    to the defect-end series to z**cap, kept out of ``_weight_series``.
+    """R = prod (q**r - 1)**v over the degrees r with cap // r < P: the part
+    of the defect end's content that is not a power of q.
     """
     q, ps = params.q, params.ps
     product = 1
-    for r, v in reversed(spectrum.degree_pattern(params).items()):
-        if r > cap:
-            product *= phi_q_prime_power(q, r, ps) ** v
+    for r, v in spectrum.degree_pattern(params).items():
+        if cap // r < ps:
+            product *= (q**r - 1) ** v
     return product
 
 
 def _defect_counts(params: spectrum.ExtensionParams, cap: int, ks) -> list[int]:
     """N_k for each k in ks (all <= cap), from one defect-end series to z**cap.
 
-    A zero s_k is N_k = 0, so the constant terms of the degrees r > cap,
-    thousands of digits on a large field, are multiplied out only when some
-    requested s_k is nonzero.  The exact division by q**k refuses a wrong
-    content, not a wrong series coefficient.  When p | n the content
-    carries q**(n - n0), and n - n0 >= n/2 >= every k of
-    ``count_k_normal``, so any s_k divides out; otherwise the divisor is 1.
-    The tests catch a wrong coefficient by comparison with
+    Each group's constant factor, c0 = (Q-1)*Q**(P-1) below t**P and
+    Q**(P-1) above, and the constant terms c0**v of the degrees r > cap,
+    multiply to the content q**(n - n0) * R (sum of r*v_r is n0, n = P*n0),
+    R from ``_constant_terms``; at P = 1 it is R alone.  So N_k =
+    q**(n - n0 - k) * R * s_k when p | n and R * s_k otherwise.  A zero s_k
+    is N_k = 0, so R, thousands of digits on a large field, is multiplied
+    out only when some requested s_k is nonzero.  For k > n - n0 the power
+    of q is an exact division, which refuses an s_k with too few factors of
+    q; every other wrong coefficient the tests catch by comparison with
     ``count_k_normal_explicit``.
     """
-    content, series = _weight_series(params, cap, defect=True)
+    series = _weight_series(params, cap, defect=True)
     wanted = [series[k] for k in ks]
-    if any(wanted):
-        content *= _constant_terms(params, cap)
-    scale = params.q if params.ps > 1 else 1
-    return [_exact_div(content * s, scale**k) if s else 0 for k, s in zip(ks, wanted)]
+    rest = _constant_terms(params, cap) if any(wanted) else 0  # R
+    q, shift = params.q, params.n - params.n0  # shift 0 at P = 1: no rescale
+    return [
+        _times_q_power(rest * s, q, shift - k) if shift and s else rest * s
+        for k, s in zip(ks, wanted)
+    ]
 
 
 def count_k_normal(q: int, n: int, k: int) -> int:
@@ -274,7 +270,7 @@ def count_k_normal(q: int, n: int, k: int) -> int:
     params = spectrum.derive_params(q, n)
     _check_k(n, k)
     if k > n - k:
-        return _weight_series(params, n - k, defect=False)[1][n - k]
+        return _weight_series(params, n - k, defect=False)[n - k]
     return _defect_counts(params, k, [k])[0]
 
 
@@ -315,7 +311,7 @@ def distribution(q: int, n: int, one=1) -> Distribution:
     params = spectrum.derive_params(q, n)
     heavy = _ring_products(params, n) > RING_PRODUCTS * n
     with _exact(one):
-        series = _weight_series(params, n, defect=False, one=1 if heavy else one)[1]
+        series = _weight_series(params, n, defect=False, one=1 if heavy else one)
         counts = [one * c for c in reversed(series)] if heavy else reversed(series)
         return Distribution(q=q, n=n, counts=counts)
 
@@ -401,22 +397,14 @@ def count_k_normal_explicit(q: int, n: int, k: int) -> int:
     return reach[0]
 
 
-def _exact_div(a, b):
-    """a / b, ints or ``Decimal`` integers (in the exact context); a
-    remainder is refused, naming each operand's length in bits for an int
-    and in digits for a ``Decimal``."""
+def _exact_div(a: int, b: int) -> int:
+    """a / b in ints; a remainder is refused, naming each operand's length in bits."""
     q, rem = divmod(a, b)
     if rem:
         raise InternalInconsistency(
-            f"a {_length(b)} divisor leaves a remainder on a {_length(a)} dividend"
+            f"a {b.bit_length()}-bit divisor leaves a remainder on a {a.bit_length()}-bit dividend"
         )
     return q
-
-
-def _length(x) -> str:
-    if isinstance(x, int):
-        return f"{x.bit_length()}-bit"
-    return f"{x.adjusted() + 1}-digit"
 
 
 def _times_q_power(value: int, q: int, e: int) -> int:

@@ -159,30 +159,22 @@ def test_inexact_division_names_bit_lengths():
         counting._exact_div(2**20000 + 1, 2)
 
 
-def test_group_series_refuses_a_fractional_coefficient(monkeypatch):
-    sparse_sum = counting._sparse_sum
+def _plant_fractional_terms(monkeypatch):
+    terms = counting._recurrence_terms
     monkeypatch.setattr(
-        counting, "_sparse_sum",
-        lambda *products: [(i, x + 1) for i, x in sparse_sum(*products)],
+        counting, "_recurrence_terms",
+        lambda *args: ((m, a + 1, b) for m, a, b in terms(*args)),
     )
+
+
+def test_group_series_refuses_a_fractional_coefficient(monkeypatch):
+    _plant_fractional_terms(monkeypatch)
     with pytest.raises(InternalInconsistency, match="group series coefficient"):
         counting.count_k_normal(3, 6, 3)
 
 
-def test_inexact_decimal_division_names_digit_lengths():
-    one = decimal.Decimal(1)
-    with pytest.raises(InternalInconsistency, match="a 1-digit divisor .* a 1-digit dividend"):
-        counting._exact_div(decimal.Decimal(7), decimal.Decimal(2))
-    with counting._exact(one), pytest.raises(InternalInconsistency, match="41-digit dividend"):
-        counting._exact_div(decimal.Decimal(10) ** 40 + 1, one * 2)
-
-
 def test_decimal_group_series_refuses_a_fractional_coefficient(monkeypatch):
-    sparse_sum = counting._sparse_sum
-    monkeypatch.setattr(
-        counting, "_sparse_sum",
-        lambda *products: [(i, x + 1) for i, x in sparse_sum(*products)],
-    )
+    _plant_fractional_terms(monkeypatch)
     with pytest.raises(InternalInconsistency, match="group series coefficient"):
         counting.distribution(3, 6, decimal.Decimal(1))
 
@@ -250,16 +242,43 @@ def test_low_counts_up_to_k_n_are_the_distribution(q):
         assert low == list(counting.distribution(q, n))
 
 
-def test_a_corrupted_content_is_refused(monkeypatch):
-    # (2, 12): p**s = 4 > k = 3, so the content is prod ((Q-1)*Q**3)**v, a
-    # multiple of 2**9; one more in each factor's c0 leaves it odd, and the
-    # division by q**k that ends the defect end must fail
-    phi = counting.phi_q_prime_power
-    monkeypatch.setattr(counting, "phi_q_prime_power", lambda q, r, e: phi(q, r, e) + 1)
+@st.composite
+def _p_dividing_n_fields(draw):
+    """(q, n) with p | n <= 300: n = p**s * n0, s >= 1, any n0."""
+    q = draw(st.sampled_from(RICH_QS), label="q")
+    p = spectrum.derive_params(q, 1).p
+    return q, p * draw(st.integers(1, 300 // p), label="n / p")
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(field=_p_dividing_n_fields())
+def test_the_content_is_the_product_of_the_constant_factors(field):
+    # the defect end leaves out each group's constant factor, c0**v below
+    # t**P and (Q**(P-1))**v above, and the degrees r > cap add c0**v; their
+    # product is the closed form q**(n - n0) * R at every cap
+    q, n = field
+    params = spectrum.derive_params(q, n)
+    pattern = spectrum.degree_pattern(params).items()
+    ps = params.ps
+    for cap in range(n + 1):
+        units = 1
+        for r, v in pattern:
+            full = cap // r >= ps
+            units *= (q ** (r * (ps - 1)) if full else counting.phi_q_prime_power(q, r, ps)) ** v
+        assert q ** (n - params.n0) * counting._constant_terms(params, cap) == units, (q, n, cap)
+
+
+def test_a_planted_coefficient_past_n_minus_n0_is_refused(monkeypatch):
+    # (2, 12): n0 = 3, P = 4, so N_k = q**(9 - k) * R * s_k, with R = 1 at
+    # cap 12; s_12 = N_12 * 2**3, and one more leaves it odd, so the division
+    # that makes N_12 must fail
+    weight_series = counting._weight_series
+    monkeypatch.setattr(
+        counting, "_weight_series",
+        lambda *args, **kw: (s := weight_series(*args, **kw))[:-1] + [s[-1] + 1],
+    )
     with pytest.raises(InternalInconsistency, match="leaves a remainder"):
-        counting.count_k_normal(2, 12, 3)
-    with pytest.raises(InternalInconsistency, match="leaves a remainder"):
-        counting.low_counts(2, 12, 3)
+        counting.low_counts(2, 12, 12)
 
 
 @pytest.mark.parametrize("q,n", [(2, 7), (2, 23), (2, 31), (2, 46), (3, 13)])
@@ -322,6 +341,7 @@ def test_decimal_distribution_is_the_int_distribution(fields):
     for q, n in fields:
         ints = counting.distribution(q, n)
         decimals = counting.distribution(q, n, decimal.Decimal(1))
+        assert all(type(c) is decimal.Decimal for c in decimals), (q, n)
         assert [str(c) for c in decimals] == [str(decimal.Decimal(c)) for c in ints], (q, n)
         assert ints.total() == q**n, (q, n)
         assert ints[0] == counting.count_normal(q, n), (q, n)
@@ -422,10 +442,14 @@ def naive_group_series(q, r, v, ps, cap):
 def test_group_series_matches_literal_power(q, r, v, ps, cap, defect):
     # covers P = 1 (binomial) and v = 1 (one factor) through the same recurrence;
     # the defect end is the same polynomial read from its top coefficient down,
-    # when P > 1 at z = q*u (coefficient j times Q**j) and without unit**v
-    num, den, unit = counting._factor_fraction(q, r, ps, cap, defect)
-    group = counting._group_series(num, den, v, min(v * ps, cap) + 1)
+    # when P > 1 at z = q*u (coefficient j times Q**j) and without unit**v,
+    # the constant factor left out
+    num, d = counting._factor_fraction(q, r, ps, cap, defect)
+    group = counting._group_series(num, d, v, min(v * ps, cap) + 1)
     if defect:
+        unit = q ** (r * (ps - 1))  # Q**(P-1), 1 at P = 1
+        if ps > 1 and cap < ps:
+            unit = counting.phi_q_prime_power(q, r, ps)  # c0 below t**P
         expected = naive_group_series(q, r, v, ps, v * ps)[::-1][: cap + 1]
         expected = [counting._exact_div(x * q ** (r * j * (ps > 1)), unit**v)
                     for j, x in enumerate(expected)]
@@ -448,10 +472,9 @@ def test_decimal_group_series_matches_literal_power(q, r, v, ps, cap):
     # built from one * q, the whole series in the exact decimal context
     one = decimal.Decimal(1)
     with counting._exact(one):
-        num, den, unit = counting._factor_fraction(one * q, r, ps, cap, False)
-        group = counting._group_series(num, den, v, min(v * ps, cap) + 1, one)
+        num, d = counting._factor_fraction(one * q, r, ps, cap, False)
+        group = counting._group_series(num, d, v, min(v * ps, cap) + 1, one)
     expected = naive_group_series(q, r, v, ps, cap)
-    assert unit == 1
     assert all(type(g) is decimal.Decimal for g in group)
     assert group == expected[: len(group)]
     assert not any(expected[len(group):])
