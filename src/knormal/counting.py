@@ -33,8 +33,9 @@ from .errors import ArgumentOutOfRange, EnumerationTooLarge, InternalInconsisten
 # count_k_normal_explicit's states (unplaced, unspent), summed over levels (r, j).
 ENUMERATION_LIMIT = 10**7
 EXPLICIT_STATE_LIMIT = 10**6
-# distribution makes its counts in the ring of `one` only up to this many
-# products of two non-unit coefficients per unit of n (see _ring_products).
+# distribution reads the forward end in the ring of `one` only up to this many
+# products of two non-unit coefficients per unit of n (see _ring_products);
+# past it, the defect end in ints.
 RING_PRODUCTS = 48
 
 
@@ -298,21 +299,27 @@ def distribution(q: int, n: int, one=1) -> Distribution:
     or ``decimal.Decimal(1)``, so that the counts print in linear time.
     Decimal counts are made in the exact decimal context (``_exact``),
     whatever the caller's context, so no digit is ever rounded.  A field
-    whose series product makes more than RING_PRODUCTS * n products of two
-    non-unit coefficients (``_ring_products``) is counted in ints and each
-    count mapped into the ring once (``one * c``): libmpdec multiplies big
-    operands 2-3x slower than CPython, which outweighs the decimal printing
-    there.  Timed on 61 fields (q <= 27, n <= 3066, CPython 3.11), Decimal
-    was slower than ints converted by ``Decimal(int)`` on all 17 with more
-    than 48 products per n; at n >= 1995 it was faster on 8 of the 14 with
-    20 to 48 and on 14 of the 15 with fewer, hence the bound of 48.  Below
-    n = 1000 Decimal was 1.1-1.8x slower at any count, by at most 0.06 s.
+    reads the forward end in the ring, unless its product there makes more
+    than RING_PRODUCTS * n products of two non-unit coefficients
+    (``_ring_products``): libmpdec multiplies big operands 2-3x slower than
+    CPython.  Such a heavy field reads the defect end to k = n in ints and
+    maps each count into the ring once (``one * c``).  At cap n every
+    degree r has n // r >= P, so R = 1 and N_k = q**(n - n0 - k) * s_k
+    (``_defect_counts``).  Min of 3 in process with Decimal(1) (CPython
+    3.11, 2-core VM), the forward end in ints -> the defect end: (9, 2592)
+    2.82 -> 0.20 s; (25, 2340) 1.79 -> 0.57 s; (2, 10080) 2.16 -> 0.82 s;
+    (7, 8400) 4.95 -> 3.68 s; (4, 10920) 4.29 -> 3.48 s; (3, 9240) 2.22 ->
+    2.16 s.  At P = 1 the defect end is the forward series reversed, and
+    (5, 2728), (8, 2457) and (7, 2880) took the same time either way,
+    within 10%.  RING_PRODUCTS was set against the forward end in ints; it
+    is not re-set here.
     """
     params = spectrum.derive_params(q, n)
-    heavy = _ring_products(params, n) > RING_PRODUCTS * n
     with _exact(one):
-        series = _weight_series(params, n, defect=False, one=1 if heavy else one)
-        counts = [one * c for c in reversed(series)] if heavy else reversed(series)
+        if _ring_products(params, n) > RING_PRODUCTS * n:
+            counts = [one * c for c in _defect_counts(params, n, range(n + 1))]
+        else:
+            counts = reversed(_weight_series(params, n, defect=False, one=one))
         return Distribution(q=q, n=n, counts=counts)
 
 

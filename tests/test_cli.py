@@ -136,9 +136,11 @@ def test_distribution_exits_1_when_counts_miss_q_to_the_n(capsys, monkeypatch):
     assert err == "error: counts do not sum to q**n\n"
 
 
-def expected_distribution(q, n, fmt):
-    """What `distribution` prints, built from counting's int counts by str()."""
-    counts = [str(c) for c in counting.distribution(q, n).counts]
+def expected_distribution(q, n, fmt, counts=None):
+    """What `distribution` prints, built by str() from int counts: counting's
+    int distribution unless counts are given.
+    """
+    counts = [str(c) for c in (counting.distribution(q, n) if counts is None else counts)]
     if fmt == "json":
         payload = {"q": q, "n": n, "counts": counts, "sum_check": True}
         return json.dumps(payload, sort_keys=True) + "\n"
@@ -223,20 +225,27 @@ def test_distribution_holds_no_second_copy_of_its_output(fmt):
 
 
 def test_a_product_heavy_distribution_runs_on_ints_and_prints_the_same(capsys, monkeypatch):
-    q, n = 2, 768  # x**3 - 1 to the 256th power: about 86 products of non-units per n
-    params = spectrum.derive_params(q, n)
-    assert counting._ring_products(params, n) > counting.RING_PRODUCTS * n
-    rings = []
-    weight_series = counting._weight_series
+    # a heavy field's counts come from the defect end; the expectation reads
+    # the forward end in ints, so the two ends cross-check each other
+    made = []
+    defect_counts = counting._defect_counts
     monkeypatch.setattr(
-        counting, "_weight_series",
-        lambda *args, one=1, **kw: rings.append(one) or weight_series(*args, one=one, **kw),
+        counting, "_defect_counts",
+        lambda params, cap, ks: made.append((params.q, params.n, cap))
+        or defect_counts(params, cap, ks),
     )
-    for fmt in ("text", "csv", "json"):
-        code, out, _ = run(capsys, "distribution", "--q", str(q), "--n", str(n), "--format", fmt)
-        assert code == 0
-        assert out == expected_distribution(q, n, fmt)
-    assert rings and all(type(one) is int for one in rings)
+    # (2, 768): x**3 - 1 to the 256th power; (11, 700): 81 distinct factors
+    # of 8 degrees (P = 1); about 86 and 50 products of non-units per n
+    for q, n in [(2, 768), (11, 700)]:
+        params = spectrum.derive_params(q, n)
+        assert counting._ring_products(params, n) > counting.RING_PRODUCTS * n
+        forward = list(reversed(counting._weight_series(params, n, defect=False)))
+        for fmt in ("text", "csv", "json"):
+            code, out, _ = run(capsys, "distribution", "--q", str(q), "--n", str(n), "--format", fmt)
+            assert code == 0
+            assert out == expected_distribution(q, n, fmt, forward), (q, n, fmt)
+        assert made == [(q, n, n)] * 3, made
+        made.clear()
 
 
 @pytest.mark.parametrize(

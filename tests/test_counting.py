@@ -347,6 +347,29 @@ def test_decimal_distribution_is_the_int_distribution(fields):
         assert ints[0] == counting.count_normal(q, n), (q, n)
 
 
+@pytest.mark.parametrize("q,n", [(2, 768), (2, 2880), (11, 700)])
+def test_a_heavy_distribution_is_the_forward_end_in_ints(q, n):
+    # heavy fields (P = 256, 64 and 1) read the defect end; the forward end
+    # in ints is a second route to every count
+    params = spectrum.derive_params(q, n)
+    assert counting._ring_products(params, n) > counting.RING_PRODUCTS * n
+    forward = list(reversed(counting._weight_series(params, n, defect=False)))
+    decimals = counting.distribution(q, n, decimal.Decimal(1))
+    assert list(counting.distribution(q, n)) == forward
+    assert all(type(c) is decimal.Decimal for c in decimals)
+    assert [int(c) for c in decimals] == forward
+    assert forward[0] == counting.count_normal(q, n)
+
+
+def test_a_heavy_distribution_makes_its_zeros_in_the_ring(monkeypatch):
+    # no heavy field with q <= 64 and n <= 1500 has a zero count, so force
+    # (2, 7), whose divisor degrees skip 2 and 5, onto the heavy branch
+    monkeypatch.setattr(counting, "RING_PRODUCTS", 0)
+    decimals = counting.distribution(2, 7, decimal.Decimal(1))
+    assert [str(c) for c in decimals] == ["49", "49", "0", "14", "14", "0", "1", "1"]
+    assert all(type(c) is decimal.Decimal for c in decimals)
+
+
 def test_decimal_distribution_is_exact_under_the_default_context():
     # 2**89 has 27 digits, so the sum rounds at decimal's default precision
     # of 28 once N_0 carries into it, and N_0 and N_1 did
