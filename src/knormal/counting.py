@@ -301,18 +301,13 @@ def distribution(q: int, n: int, one=1) -> Distribution:
     whatever the caller's context, so no digit is ever rounded.  A field
     reads the forward end in the ring, unless its product there makes more
     than RING_PRODUCTS * n products of two non-unit coefficients
-    (``_ring_products``): libmpdec multiplies big operands 2-3x slower than
-    CPython.  Such a heavy field reads the defect end to k = n in ints and
-    maps each count into the ring once (``one * c``).  At cap n every
-    degree r has n // r >= P, so R = 1 and N_k = q**(n - n0 - k) * s_k
-    (``_defect_counts``).  Min of 3 in process with Decimal(1) (CPython
-    3.11, 2-core VM), the forward end in ints -> the defect end: (9, 2592)
-    2.82 -> 0.20 s; (25, 2340) 1.79 -> 0.57 s; (2, 10080) 2.16 -> 0.82 s;
-    (7, 8400) 4.95 -> 3.68 s; (4, 10920) 4.29 -> 3.48 s; (3, 9240) 2.22 ->
-    2.16 s.  At P = 1 the defect end is the forward series reversed, and
-    (5, 2728), (8, 2457) and (7, 2880) took the same time either way,
-    within 10%.  RING_PRODUCTS was set against the forward end in ints; it
-    is not re-set here.
+    (``_ring_products``), because libmpdec multiplies big operands 2-3x
+    slower than CPython.  Such a heavy field reads the defect end to k = n
+    in ints and maps each count into the ring once (``one * c``).  At cap n
+    every degree r has n // r >= P, so R = 1 and N_k = q**(n - n0 - k) * s_k
+    (``_defect_counts``).  RING_PRODUCTS is older than this heavy route: it
+    was set when heavy fields read the forward end in ints, so it does not
+    mark where the defect end overtakes the ring.
     """
     params = spectrum.derive_params(q, n)
     with _exact(one):

@@ -89,31 +89,24 @@ def rabin(p: int, N: int):
     polynomials of degree N >= 1 over F_p: a function of their coefficients.
 
     f is irreducible iff x**(p**N) = x mod f and gcd(x**(p**(N/l)) - x, f)
-    = 1 for every prime l dividing N.  The powers are one walk of p-th
-    powers by ``mulmod`` in F_p[x]/(f), each gcd (``_poly_gcd``, on packed
-    polynomials) taken as its k = N/l passes.  A reducible f has a factor
-    of a degree d <= N/2, which the gcd at k finds when d divides k; where
-    every such d divides a k (N = 2, 3, 4, 6) the gcds decide, and the walk
-    stops at the last of them.  A root 0, 1 or -1 refuses f before the walk.
+    = 1 for every prime l dividing N.  The powers x**(p**k), k = 1..N, are
+    one walk of p-th powers by ``mulmod`` in F_p[x]/(f), each gcd
+    (``_poly_gcd``, on packed polynomials) taken as its k = N/l passes.
     """
     if N == 1:
         return lambda coeffs: True
     checks = {N // prime for prime in numtheory.factorize(N)}
-    decided = N in {2, 3, 4, 6}
-    steps = max(checks) if decided else N
     F = _field(p, (0,) * N + (1,))  # set to each f in turn
     x, minus_x = F.monomial(1), F.shift(p - 1, 1)
 
     def irreducible(coeffs):
-        if not coeffs[0] or not sum(coeffs) % p or not (sum(coeffs[::2]) - sum(coeffs[1::2])) % p:
-            return False
         F.set_modulus(coeffs)
         power = x
-        for k in range(1, steps + 1):
+        for k in range(1, N + 1):
             power = _power(F, power, p)
             if k in checks and F.top(_poly_gcd(F, F.add(power, minus_x), F.f)) != 1:
                 return False
-        return decided or power == x
+        return power == x
 
     return irreducible
 
@@ -138,8 +131,6 @@ def _poly_gcd(F, a, b):
 
 def _power(F, a, e: int):
     """a**e in F for e >= 1, squaring from the top bit of e."""
-    if a == F.one:  # every sweep re-ranks the lane of alpha = 1
-        return a
     result = a
     for bit in bin(e)[3:]:
         result = F.mulmod(result, result)
@@ -358,29 +349,6 @@ class _Packed:
 
     lane_digit = digit
 
-    def _moves(self, wide):
-        """The moves of ``spread`` to fields of `wide` bits, for up to N + 1 digits.
-
-        Digit k moves by (wide - width) * k, one bit i of k at a time, high i
-        first: before the move of bit i the digits lie in blocks of 2**(i+1)
-        fields, a block every 2**(i+1) wide fields, and the upper half of
-        each block moves.
-        """
-        moves = []  # (the bits that move, by how much)
-        for i in reversed(range(self.N.bit_length())):
-            half, block = self.width << i, wide << i + 1
-            upper = ((1 << half) - 1) << half
-            blocks = ((1 << block * ((self.N >> i + 1) + 1)) - 1) // ((1 << block) - 1)
-            moves.append((upper * blocks, (wide - self.width) << i))
-        return moves
-
-    def spread(self, v):
-        """v with digit k moved to bit k * wide, by the moves of ``_moves``."""
-        for bits, move in self.moves:
-            t = v & bits
-            v = v ^ t | t << move
-        return v
-
     def concat(self, blocks):
         """The planes of the lanes of `blocks`, (planes, lane count) pairs, in turn."""
         out, offset = blocks[0]
@@ -415,7 +383,6 @@ class _Bits(_Packed):
 
     def __init__(self, coeffs):
         self.N = len(coeffs) - 1
-        self.moves = self._moves(2)
         self.set_modulus(coeffs)
 
     def set_modulus(self, coeffs):
@@ -431,17 +398,14 @@ class _Bits(_Packed):
 
     def mulmod(self, a, b):
         """a*b mod f for a and b reduced mod f (b = x too when N = 1): a shifted
-        copy of a for each set bit of b, or a square as the digits of a spread
-        to the even bits, then f shifted under each top bit from x**N up."""
+        copy of a for each set bit of b, then f shifted under each top bit
+        from x**N up."""
         f, N = self.f, self.N
-        if a == b:
-            product = self.spread(a)
-        else:
-            product = 0
-            while b:
-                low = b & -b
-                product ^= a * low
-                b ^= low
+        product = 0
+        while b:
+            low = b & -b
+            product ^= a * low
+            b ^= low
         while (top := product.bit_length() - 1) >= N:
             product ^= f << top - N
         return product
@@ -505,7 +469,7 @@ class _Digits(_Packed):
         self.bias = self.low * self.excess
         # ``mulmod``: a product's digit, before mod p, is below 2N (p - 1)**2
         self.wide = wide = (2 * N * (p - 1) ** 2).bit_length()
-        self.moves = self._moves(wide)
+        self.moves = self._moves()
         self.tops = [(i * wide, (i - N) * wide) for i in range(2 * N - 1, N - 1, -1)]  # x**i, i >= N
         self.lows = [k * wide for k in reversed(range(N))]
         self.set_modulus(coeffs)
@@ -515,6 +479,29 @@ class _Digits(_Packed):
         self.coeffs = coeffs
         self.f = sum(c << k * self.width for k, c in enumerate(coeffs))  # packed
         self.tail = sum(c << k * self.wide for k, c in enumerate(coeffs[:-1]))  # f - x**N, spread
+
+    def _moves(self):
+        """The moves of ``spread`` to fields of ``wide`` bits, for up to N + 1 digits.
+
+        Digit k moves by (wide - width) * k, one bit i of k at a time, high i
+        first: before the move of bit i the digits lie in blocks of 2**(i+1)
+        fields, a block every 2**(i+1) wide fields, and the upper half of
+        each block moves.
+        """
+        moves = []  # (the bits that move, by how much)
+        for i in reversed(range(self.N.bit_length())):
+            half, block = self.width << i, self.wide << i + 1
+            upper = ((1 << half) - 1) << half
+            blocks = ((1 << block * ((self.N >> i + 1) + 1)) - 1) // ((1 << block) - 1)
+            moves.append((upper * blocks, (self.wide - self.width) << i))
+        return moves
+
+    def spread(self, v):
+        """v with digit k moved to bit k * wide, by the moves of ``_moves``."""
+        for bits, move in self.moves:
+            t = v & bits
+            v = v ^ t | t << move
+        return v
 
     @property
     def row_zero(self):
@@ -539,8 +526,7 @@ class _Digits(_Packed):
         fields, mod p, are the result.
         """
         p, width, tail = self.p, self.width, self.tail
-        spread = self.spread(a)
-        product, field = spread * (spread if a == b else self.spread(b)), (1 << self.wide) - 1
+        product, field = self.spread(a) * self.spread(b), (1 << self.wide) - 1
         for at, down in self.tops:
             c = (product >> at & field) % p
             if c:
@@ -630,11 +616,7 @@ class _Digits(_Packed):
                 rows[b] = [row if not x & spread else tuple(
                     r | y for r, y in zip(row, self.doublings(x & spread, ones)))
                     for row, x in zip(rows[b], v)]
-            old = live ^ new
-            if inverse & old * fill != old:  # unless every older digit b of the rows is 1
-                d = self.mul(d, inverse, ones)  # 0 where the row is new
-            else:
-                d &= old * fill
+            d = self.mul(d, inverse, ones)  # 0 where the row is new
             factor = live * p - d - new  # -d/(digit b of the row); -1 where it is new
             masks = [(factor >> j & ones) * fill for j in range(bits)]
             reduced = []
@@ -646,8 +628,7 @@ class _Digits(_Packed):
                         x = s - ((s + bias) >> bits & ones) * p
                 reduced.append(x)
             v[:b] = reduced
-        if leads != inserted:  # unless every new row's digit is 1, which is its own inverse
-            leads = self.inverse(leads, ones)
+        leads = self.inverse(leads, ones)
         for b, new in fresh:
             pivots[b] |= leads & new * fill
         return inserted

@@ -7,8 +7,9 @@ N = n*m for q = p**m (``galois.TowerField``), with no F_q coordinates.
 Each F_q*-line is ranked once and weighted by q - 1, and alpha = 0 spans
 nothing.  One route serves every characteristic: ``lanes`` ranks all lines
 at once, with F_p-vectors packed by digit, so that full sweeps up to 2**22
-elements stay feasible and borrow nothing from the counting side.  It is
-imported on the first sweep, so commands that sweep nothing never compile it.
+elements stay feasible.  A sweep shares only the ``Distribution`` record
+with the counting side.  ``lanes`` is imported on the first sweep, so
+commands that sweep nothing never compile it.
 
 The equivalent gcd form, k = deg gcd(x**n - 1, g_alpha), is not computed
 here.  The tests take it element by element on F_p[x]/(f') for a second

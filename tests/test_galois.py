@@ -281,6 +281,23 @@ def test_the_packed_irreducibility_test_matches_the_generic_one():
                 assert irreducible(poly.coeffs) == galois.is_irreducible(poly), poly
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("degree", [2, 3, 4, 6])
+def test_the_packed_irreducibility_test_walks_every_p_th_power(monkeypatch, p, degree):
+    # Rabin's test as written, as in is_irreducible: an irreducible f is
+    # accepted only after all deg f p-th powers of x, whatever the degree
+    f = galois.find_irreducible(galois.PrimeField(p), degree)
+    power, exponents = lanes._power, []
+
+    def counted_power(F, a, e):
+        exponents.append(e)
+        return power(F, a, e)
+
+    monkeypatch.setattr(lanes, "_power", counted_power)
+    assert lanes.rabin(p, degree)(f.coeffs)
+    assert exponents == [p] * degree
+
+
 def test_the_tower_scan_finds_the_generic_scan_moduli():
     # every field up to 2**18 elements of the acceptance q, first and second
     # modulus, against a scan by the generic is_irreducible in candidate order
