@@ -353,9 +353,8 @@ def _run_checks(q, n, which, max_brute, modulus_trials):
             ("closed-forms", not bad, f"mismatch at k in {bad}" if bad else "")
         )
     if which == "all":
-        checks.append(
-            ("sum-rule", dist.total() == q**n, f"{dist.total()} vs {q}^{n}")
-        )
+        total = dist.total()
+        checks.append(("sum-rule", total == q**n, f"{total} vs {q}^{n}"))
     return checks
 
 

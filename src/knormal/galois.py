@@ -12,16 +12,16 @@ the sweep's F_{q^n} sits over F_p directly (`TowerField`).
 
 Moduli are found by a deterministic scan in ascending coefficient order, so
 every run of every process builds the identical field for given (q, n).
-``find_irreducible`` is that scan: over F_p it runs Rabin's test on the
+``find_irreducible`` is that scan: over F_p it runs Ben-Or's test on the
 packed ints of ``knormal.lanes``, imported with the first such scan, and
-over an extension base it runs the generic ``is_irreducible``, which is the
-tests' reference for the packed test.  Every modulus is monic, and
-division takes a leading coefficient of 1 as it is, so reduction by a
-modulus never inverts.
+over an extension base it runs the generic ``is_irreducible``, Rabin's
+test, which is the tests' reference for the packed test.  Every modulus is
+monic, and division takes a leading coefficient of 1 as it is, so
+reduction by a modulus never inverts.
 """
 
 import itertools
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from . import numtheory, spectrum
 from .errors import ArgumentOutOfRange, InternalInconsistency
@@ -298,8 +298,6 @@ def is_irreducible(f: Poly) -> bool:
     dividing deg, gcd(x**(Q**(deg/l)) - x, f) = 1, where Q is the field
     order.  The powers x**(Q**k), k = 1..deg, are one walk of Q-th powers
     in the quotient ring F[x]/(f), each gcd taken as its k = deg/l passes.
-    A root 0 or 1 is a linear factor, so f(0) = 0 or f(1) = 0 refuses f
-    before the walk.
     """
     deg = f.degree
     if deg < 1:
@@ -307,8 +305,6 @@ def is_irreducible(f: Poly) -> bool:
     if deg == 1:
         return True
     field = f.field
-    if f.coeffs[0] == field.zero or reduce(field.add, f.coeffs) == field.zero:
-        return False
     ring = ExtensionField(field, f.monic())
     x = (field.zero, field.one) + (field.zero,) * (deg - 2)
     checks = {deg // prime for prime in numtheory.factorize(deg)}
@@ -336,9 +332,9 @@ def find_irreducible(field, degree: int, index: int = 0):
     ascending mixed-radix order, the constant coefficient counting fastest,
     so the result is reproducible bit for bit across runs.
     An index beyond the irreducibles that exist is refused before the scan.
-    Over F_p each candidate takes Rabin's test on the packed ints of
+    Over F_p each candidate takes Ben-Or's test on the packed ints of
     ``lanes`` (imported on the first such scan); over an extension it takes
-    ``is_irreducible``.
+    Rabin's test, ``is_irreducible``.
     """
     if degree < 1:
         raise ArgumentOutOfRange("degree must be >= 1")
@@ -355,7 +351,7 @@ def find_irreducible(field, degree: int, index: int = 0):
     if isinstance(field, PrimeField):
         from . import lanes  # the sweep's packed arithmetic, compiled with the first scan
 
-        irreducible = lanes.rabin(order, degree)
+        irreducible = lanes.ben_or(order, degree)
     else:
         irreducible = lambda digits: is_irreducible(candidate(digits))
     # Element indices, constant first (index 1 is field.one; over F_p the

@@ -30,12 +30,11 @@ of planes takes seven AND/OR/XOR operations and a negation swaps them.
   in scalar arithmetic.  At most 2**_LANE_BLOCK_BITS lanes are taken at a
   time, so memory stays flat.  A mask x & ~y is written x ^ (x & y): ~y is
   a negative int, and & with one takes extra passes.
-* ``galois.find_irreducible`` scans for f over F_p with ``rabin``:
-  Rabin's test run in this arithmetic (powers by ``mulmod``, a gcd of
+* ``galois.find_irreducible`` scans for f over F_p with ``ben_or``:
+  Ben-Or's test run in this arithmetic (powers by ``mulmod``, a gcd of
   packed polynomials).
 """
 
-from . import numtheory
 from .errors import InternalInconsistency
 
 # A sweep ranks at most 2**_LANE_BLOCK_BITS lines at once.
@@ -84,29 +83,26 @@ def _field(p: int, coeffs):
     return _Bits(coeffs) if p == 2 else _Trits(coeffs) if p == 3 else _Digits(coeffs, p)
 
 
-def rabin(p: int, N: int):
-    """Rabin's irreducibility test (``galois.is_irreducible``) for monic
-    polynomials of degree N >= 1 over F_p: a function of their coefficients.
+def ben_or(p: int, N: int):
+    """Ben-Or's irreducibility test for monic polynomials of degree N >= 1
+    over F_p: a function of their coefficients.
 
-    f is irreducible iff x**(p**N) = x mod f and gcd(x**(p**(N/l)) - x, f)
-    = 1 for every prime l dividing N.  The powers x**(p**k), k = 1..N, are
-    one walk of p-th powers by ``mulmod`` in F_p[x]/(f), each gcd
-    (``_poly_gcd``, on packed polynomials) taken as its k = N/l passes.
+    f is irreducible iff gcd(x**(p**i) - x, f) = 1 for i = 1..N // 2, since a
+    factor of degree i divides x**(p**i) - x.  The powers are one walk of
+    p-th powers by ``mulmod`` in F_p[x]/(f), stopped at the first gcd
+    (``_poly_gcd``, on packed polynomials) that is not a constant.
     """
-    if N == 1:
-        return lambda coeffs: True
-    checks = {N // prime for prime in numtheory.factorize(N)}
     F = _field(p, (0,) * N + (1,))  # set to each f in turn
     x, minus_x = F.monomial(1), F.shift(p - 1, 1)
 
     def irreducible(coeffs):
         F.set_modulus(coeffs)
         power = x
-        for k in range(1, N + 1):
+        for _ in range(N // 2):
             power = _power(F, power, p)
-            if k in checks and F.top(_poly_gcd(F, F.add(power, minus_x), F.f)) != 1:
+            if F.top(_poly_gcd(F, F.add(power, minus_x), F.f)) != 1:
                 return False
-        return power == x
+        return True
 
     return irreducible
 

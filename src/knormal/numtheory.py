@@ -3,7 +3,7 @@
 Everything works on plain Python ints, so quantities like q**r - 1 are exact
 at any size.  `factorize` uses trial division, and only `factorize` does.
 It is given n0 and phi(n0) (by `multiplicative_order`), d, and the modulus
-degree N = n*m and its divisors (by galois and lanes).  n is bounded by
+degree N = n*m and its divisors (by galois).  n is bounded by
 `spectrum.MAX_DEGREE`, which N passes when m > 1.  A prime power q = p**m
 of any size is split without factoring: a factor below 43 settles q by one
 comparison, a prime q below MR_BOUND by one primality test, and any other q

@@ -502,7 +502,7 @@ def test_verify_refuses_excess_trials_before_any_sweep(capsys, monkeypatch):
 def test_verify_refuses_excess_trials_without_scanning_for_moduli(capsys, monkeypatch):
     # 52377 monic irreducibles of degree 20 exist over F_2 (Gauss's count);
     # the refusal counts them and never scans candidates for one
-    monkeypatch.setattr(lanes, "rabin", lambda p, degree: pytest.fail("a scan ran"))
+    monkeypatch.setattr(lanes, "ben_or", lambda p, degree: pytest.fail("a scan ran"))
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--q", "2", "--n", "20", "--oracle", "brute",
                          "--modulus-trials", "60000")
@@ -557,6 +557,33 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--q", "2", "--n", "3", "--oracle", "brute")
     assert code == 1
     assert "FAIL formula-vs-brute" in out
+
+
+def test_verify_reports_a_closed_form_mismatch(capsys, monkeypatch):
+    # a count off by one at k = 2 fails only the closed forms, naming k
+    real = counting.count_k_normal
+    monkeypatch.setattr(counting, "count_k_normal", lambda q, n, k: real(q, n, k) + (k == 2))
+    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "5", "--oracle", "closed-forms")
+    assert code == 1
+    assert out == "FAIL closed-forms (mismatch at k in [2])\n1 checks, FAILED\n"
+
+
+def test_verify_reports_a_sum_rule_mismatch(capsys, monkeypatch):
+    # an N_0 one too large fails both the sweep comparison and the sum rule
+    real = counting.distribution
+
+    def wrong(q, n, one=1):
+        counts = real(q, n, one).counts
+        return counting.Distribution(q, n, (counts[0] + 1, *counts[1:]))
+
+    monkeypatch.setattr(counting, "distribution", wrong)
+    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "5", "--oracle", "all")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL formula-vs-brute (")
+    assert "PASS pattern-vs-cosets" in lines and "PASS closed-forms" in lines
+    assert "FAIL sum-rule (33 vs 2^5)" in lines
+    assert lines[-1] == "4 checks, FAILED"
 
 
 def test_factors_text(capsys):

@@ -416,6 +416,38 @@ def test_closed_forms_reject_small_n():
         counting.closed_form_n3(3, 2)
 
 
+def test_the_counting_references_share_no_engine_code(monkeypatch):
+    # with the engine's series, recurrence, factor fractions, defect counts
+    # and content raising, the explicit and enumerated counts, the closed
+    # forms and count_normal still run, and each agrees with count_k_normal
+    # once the engine is restored
+    fields = [(2, 12), (3, 9), (4, 6), (5, 7), (7, 5)]
+
+    def references(q, n):
+        every_k = range(n + 1)
+        return (
+            [counting.count_k_normal_explicit(q, n, k) for k in every_k],
+            [counting.count_k_normal_enum(q, n, k) for k in every_k],
+            [counting.count_normal(q, n)]
+            + [form(q, n) for form in (counting.closed_form_n1, counting.closed_form_n2,
+                                       counting.closed_form_n3)],
+        )
+
+    def engine(*args, **kwargs):
+        raise AssertionError("a reference reached the counting engine")
+
+    with monkeypatch.context() as patch:
+        for name in ("_weight_series", "_group_series", "_recurrence_terms",
+                     "_factor_fraction", "_defect_counts", "_constant_terms"):
+            patch.setattr(counting, name, engine)
+        computed = [references(q, n) for q, n in fields]
+    for (q, n), (explicit, enum, low) in zip(fields, computed):
+        counts = [counting.count_k_normal(q, n, k) for k in range(n + 1)]
+        assert explicit == counts, (q, n)
+        assert enum == counts, (q, n)
+        assert low == counts[:4], (q, n)
+
+
 def test_lower_bound_examples():
     assert counting.lower_bound_holds(25, 3, 2)
     assert counting.lower_bound_holds(2, 4, 1)

@@ -210,8 +210,7 @@ def test_a_scan_that_misses_an_irreducible_is_an_internal_inconsistency(monkeypa
 
 def test_the_sweep_moduli_are_pinned():
     # the first two moduli of degree n*m over F_p for a few sweep fields
-    # (q, n): refusing a root 0 or 1 before Rabin's walk changes none of them,
-    # and the tower's scan on packed ints finds the same
+    # (q, n), and the tower's scan on packed ints finds the same
     pinned = {
         (2, 12): [(1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), (1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1)],
         (3, 8): [(2, 0, 1, 0, 0, 0, 0, 0, 1), (2, 0, 2, 0, 0, 0, 0, 0, 1)],
@@ -230,7 +229,7 @@ def test_the_sweep_moduli_are_pinned():
 
 def test_the_scan_tests_each_candidate_once_in_scan_order(monkeypatch):
     # the candidates tested are the scan order up to the (index+1)-th hit, each
-    # once and each its own tuple: over F_p through lanes.rabin, over F_4
+    # once and each its own tuple: over F_p through lanes.ben_or, over F_4
     # through the generic is_irreducible
     generic = galois.is_irreducible
     f4 = tuple_field(4)
@@ -244,10 +243,10 @@ def test_the_scan_tests_each_candidate_once_in_scan_order(monkeypatch):
             if hits > index:
                 return prefix
 
-    rabin = lanes.rabin
+    ben_or = lanes.ben_or
 
-    def recording_rabin(p, N):
-        irreducible = rabin(p, N)
+    def recording_ben_or(p, N):
+        irreducible = ben_or(p, N)
 
         def record(coeffs):
             tested.append(coeffs)
@@ -259,7 +258,7 @@ def test_the_scan_tests_each_candidate_once_in_scan_order(monkeypatch):
         tested.append(f.coeffs)
         return generic(f)
 
-    monkeypatch.setattr(lanes, "rabin", recording_rabin)
+    monkeypatch.setattr(lanes, "ben_or", recording_ben_or)
     monkeypatch.setattr(galois, "is_irreducible", recording_generic)
     for field, degree, index in [(galois.PrimeField(2), 8, 2), (galois.PrimeField(3), 5, 1),
                                  (galois.PrimeField(7), 2, 3), (f4, 3, 2), (f4, 2, 5)]:
@@ -272,11 +271,12 @@ def test_the_scan_tests_each_candidate_once_in_scan_order(monkeypatch):
 
 
 def test_the_packed_irreducibility_test_matches_the_generic_one():
-    # Rabin's test on packed ints is the test the tower scans with
+    # Ben-Or's test on packed ints, which the tower scans with, against
+    # Rabin's generic test on every monic candidate
     for p, max_degree in [(2, 10), (3, 6), (5, 4), (7, 3)]:
         field = galois.PrimeField(p)
         for degree in range(1, max_degree + 1):
-            irreducible = lanes.rabin(p, degree)
+            irreducible = lanes.ben_or(p, degree)
             for poly in all_monic(field, degree):
                 assert irreducible(poly.coeffs) == galois.is_irreducible(poly), poly
 
@@ -284,9 +284,11 @@ def test_the_packed_irreducibility_test_matches_the_generic_one():
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("degree", [2, 3, 4, 6])
 def test_the_packed_irreducibility_test_walks_every_p_th_power(monkeypatch, p, degree):
-    # Rabin's test as written, as in is_irreducible: an irreducible f is
-    # accepted only after all deg f p-th powers of x, whatever the degree
-    f = galois.find_irreducible(galois.PrimeField(p), degree)
+    # Ben-Or's walk: an irreducible f is accepted after deg f // 2 p-th
+    # powers of x, and a reducible f refused at the degree i of its
+    # smallest factor, the first i with gcd(x**(p**i) - x, f) != 1: over F_2
+    # (x**2 + x + 1)(x**4 + x + 1) after two squarings, where Rabin's walk takes six
+    first = {d: galois.find_irreducible(galois.PrimeField(p), d) for d in range(1, degree + 1)}
     power, exponents = lanes._power, []
 
     def counted_power(F, a, e):
@@ -294,8 +296,14 @@ def test_the_packed_irreducibility_test_walks_every_p_th_power(monkeypatch, p, d
         return power(F, a, e)
 
     monkeypatch.setattr(lanes, "_power", counted_power)
-    assert lanes.rabin(p, degree)(f.coeffs)
-    assert exponents == [p] * degree
+    irreducible = lanes.ben_or(p, degree)
+    assert irreducible(first[degree].coeffs)
+    assert exponents == [p] * (degree // 2)
+    for i in range(1, degree // 2 + 1):
+        f = first[i] * first[degree - i]
+        exponents.clear()
+        assert not irreducible(f.coeffs)
+        assert exponents == [p] * i, f
 
 
 def test_the_tower_scan_finds_the_generic_scan_moduli():
