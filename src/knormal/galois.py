@@ -20,7 +20,6 @@ monic, and division takes a leading coefficient of 1 as it is, so
 reduction by a modulus never inverts.
 """
 
-import itertools
 from functools import lru_cache
 
 from . import numtheory, spectrum
@@ -355,8 +354,10 @@ def find_irreducible(field, degree: int, index: int = 0):
     else:
         irreducible = lambda digits: is_irreducible(candidate(digits))
     # Element indices, constant first (index 1 is field.one; over F_p the
-    # indices are the coefficients); product's fastest place is its last.
-    candidates = ((*reversed(c), 1) for c in itertools.product(range(order), repeat=degree))
+    # indices are the coefficients): the digits of one running index, so
+    # memory stays flat at any order.
+    places = [order**k for k in range(degree)]
+    candidates = ((*[t // place % order for place in places], 1) for t in range(order**degree))
     seen = 0
     for seen, digits in enumerate(filter(irreducible, candidates), 1):
         if seen > index:

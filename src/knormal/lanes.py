@@ -33,6 +33,10 @@ of planes takes seven AND/OR/XOR operations and a negation swaps them.
 * ``galois.find_irreducible`` scans for f over F_p with ``ben_or``:
   Ben-Or's test run in this arithmetic (powers by ``mulmod``, a gcd of
   packed polynomials).
+* One ``_power``, doubling from the top bit, repeats every operation that is
+  repeated: ``mulmod`` for powers, the lane product for the lane inverse
+  d**(p-2), ``add`` for a multiple c*a, and the join of ``_repeat`` for a
+  lane pattern.
 """
 
 from .errors import InternalInconsistency
@@ -99,7 +103,7 @@ def ben_or(p: int, N: int):
         F.set_modulus(coeffs)
         power = x
         for _ in range(N // 2):
-            power = _power(F, power, p)
+            power = _power(F.mulmod, power, p)
             if F.top(_poly_gcd(F, F.add(power, minus_x), F.f)) != 1:
                 return False
         return True
@@ -120,24 +124,25 @@ def _poly_gcd(F, a, b):
         while (shift := -(-a.bit_length() // width) - top) >= 0:
             c = a >> (top + shift - 1) * width  # the top digit of a
             m = (p - c) * inverse % p
-            a = F.add(a, (b if m == 1 else F.scale(b, m)) << shift * width)
+            a = F.add(a, F.scale(b, m) << shift * width)
         a, b = b, a
     return a
 
 
-def _power(F, a, e: int):
-    """a**e in F for e >= 1, squaring from the top bit of e."""
+def _power(op, a, e: int):
+    """a op a op ... op a, e >= 1 times a, for an associative op: doubling
+    from the top bit of e, so O(log e) ops."""
     result = a
     for bit in bin(e)[3:]:
-        result = F.mulmod(result, result)
+        result = op(result, result)
         if bit == "1":
-            result = F.mulmod(result, a)
+            result = op(result, a)
     return result
 
 
 def _frobenius_images(F, q: int) -> list:
     """(x**k)**q mod f packed, k < deg f: the columns of x -> x**q over F_p."""
-    xq = _power(F, F.mulmod(F.one, F.monomial(1)), q)
+    xq = _power(F.mulmod, F.mulmod(F.one, F.monomial(1)), q)
     images = [F.one]
     for _ in range(F.N - 1):
         images.append(F.mulmod(images[-1], xq))
@@ -179,9 +184,9 @@ def _eliminate(F, rows: dict, v):
         d = v >> (top - 1) * width  # the top digit
         row = rows.get(top)
         if row is None:
-            row = rows[top] = v if d == 1 else F.scale(v, pow(d, -1, p))
+            row = rows[top] = F.scale(v, pow(d, -1, p))
             return row
-        v = F.add(v, row if d == p - 1 else F.scale(row, p - d))
+        v = F.add(v, F.scale(row, p - d))
     return None
 
 
@@ -213,7 +218,7 @@ def _span_dimension(F, alpha, n: int, q: int, basis: list) -> int:
     rows, conjugate = {}, alpha
     for j in range(n):
         if j:
-            conjugate = _power(F, conjugate, q)
+            conjugate = _power(F.mulmod, conjugate, q)
         if _eliminate(F, rows, conjugate) is None:  # b_0 = 1
             break
         for b in basis[1:]:
@@ -271,20 +276,18 @@ def _lane_blocks(F, n, m, digits):
 
 
 def _repeat(F, planes, lanes, d):
-    """p copies of the `lanes` lanes of `planes`, copy t with t * d added,
-    doubled from the top bit of p down: O(log p) concatenations, not p."""
-    out, copies, multiple = planes, 1, d  # multiple = copies * d
-    for bit in bin(F.p)[3:]:
-        width = copies * lanes
-        parts = [(out, width), (F.plus(out, multiple, _lane_mask(F, width)), width)]
-        copies *= 2
-        multiple = F.add(multiple, multiple)
-        if bit == "1":
-            parts.append((F.plus(planes, multiple, _lane_mask(F, lanes)), lanes))
-            copies += 1
-            multiple = F.add(multiple, d)
-        out = F.concat(parts)
-    return out
+    """p copies of the `lanes` lanes of `planes`, copy t with t * d added.
+
+    A run of c copies is (planes, lane count, c * d), and two runs join as
+    the first's lanes, then the second's with the first's multiple added:
+    the p copies are the p-th ``_power`` of one copy under that join, so
+    O(log p) concatenations, not p.
+    """
+    def join(a, b):
+        shifted = F.plus(b[0], a[2], _lane_mask(F, b[1]))
+        return F.concat([a[:2], (shifted, b[1])]), a[1] + b[1], F.add(a[2], b[2])
+
+    return _power(join, (planes, lanes, d), F.p)[0]
 
 
 def _rank_lanes(F, planes, lanes, n, frobenius, scalings):
@@ -451,7 +454,8 @@ class _Digits(_Packed):
     A sum s = a + b subtracts p from each field whose top bit is set in
     s + (2**(w-1) - p), so no field carries into the next.  A product by
     per-lane digits d adds the j-th doubling of the vector where bit j of d
-    is set, and 1/d = d**(p-2), taken once per ``insert``.
+    is set, and 1/d = d**(p-2), a ``_power`` of that product taken once per
+    ``insert``.
     """
 
     def __init__(self, coeffs, p):
@@ -508,8 +512,8 @@ class _Digits(_Packed):
         return s - ((s + self.bias) >> self.bits & self.low) * self.p
 
     def scale(self, a, c):
-        """c*a for a digit c: the lane product by c in every digit."""
-        return self.mul(a, c * self.low, self.low)
+        """c*a for a digit c: a added to itself c times, by double-and-add."""
+        return _power(self.add, a, c) if c else 0
 
     def mulmod(self, a, b):
         """a*b mod f for a and b reduced mod f (b = x too when N = 1).
@@ -570,15 +574,6 @@ class _Digits(_Packed):
             out = s - ((s + bias) >> bits & ones) * p
         return out
 
-    def inverse(self, d, ones):
-        """1/d per lane as d**(p-2), so 0 where d is 0."""
-        out = d
-        for bit in bin(self.p - 2)[3:]:
-            out = self.mul(out, out, ones)
-            if bit == "1":
-                out = self.mul(out, d, ones)
-        return out
-
     def insert(self, vector, rows, pivots, ones):
         """Reduce one vector per lane into that lane's echelon basis; the lanes where it was new.
 
@@ -624,7 +619,7 @@ class _Digits(_Packed):
                         x = s - ((s + bias) >> bits & ones) * p
                 reduced.append(x)
             v[:b] = reduced
-        leads = self.inverse(leads, ones)
+        leads = _power(lambda a, b: self.mul(a, b, ones), leads, p - 2)  # 1/d, 0 where d is 0
         for b, new in fresh:
             pivots[b] |= leads & new * fill
         return inserted

@@ -193,8 +193,6 @@ def multiplicative_order(a: int, modulus: int) -> int:
     """
     if modulus < 1:
         raise ArgumentOutOfRange(f"modulus must be >= 1, got {modulus}")
-    if modulus == 1:
-        return 1
     a %= modulus
     if math.gcd(a, modulus) != 1:
         raise NotCoprime(f"{a} and {modulus} are not coprime")

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 
 import pytest
 
@@ -270,6 +271,21 @@ def test_the_scan_tests_each_candidate_once_in_scan_order(monkeypatch):
         assert found.coeffs == prefix[-1]
 
 
+def test_the_scan_holds_one_candidate_at_a_time():
+    # a scan over a large prime draws its candidates one by one: no pool of
+    # all p coefficients is built before the first (x + 1 is the second)
+    field = galois.PrimeField(4194301)
+    lanes.ben_or(field.order, 1)  # lanes is imported, and its code compiled, outside the trace
+    tracemalloc.start()
+    try:
+        found = galois.find_irreducible(field, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.coeffs == (1, 1)
+    assert peak < 1 << 20, peak
+
+
 def test_the_packed_irreducibility_test_matches_the_generic_one():
     # Ben-Or's test on packed ints, which the tower scans with, against
     # Rabin's generic test on every monic candidate
@@ -291,9 +307,10 @@ def test_the_packed_irreducibility_test_walks_every_p_th_power(monkeypatch, p, d
     first = {d: galois.find_irreducible(galois.PrimeField(p), d) for d in range(1, degree + 1)}
     power, exponents = lanes._power, []
 
-    def counted_power(F, a, e):
-        exponents.append(e)
-        return power(F, a, e)
+    def counted_power(op, a, e):
+        if op.__name__ == "mulmod":  # scalar multiples take _power over add
+            exponents.append(e)
+        return power(op, a, e)
 
     monkeypatch.setattr(lanes, "_power", counted_power)
     irreducible = lanes.ben_or(p, degree)

@@ -352,7 +352,8 @@ def test_packed_digit_arithmetic_over_all_digits(p):
     assert digits(total, p * p) == [(x + y) % p for x, y in zip(a, b)]
     assert digits(negated, p * p) == [-x % p for x in a]
     assert digits(F.mul(plane(a), plane(b), ones), p * p) == [x * y % p for x, y in zip(a, b)]
-    assert digits(F.inverse(plane(a), ones), p * p) == [pow(x, -1, p) if x else 0 for x in a]
+    inverse = lanes._power(lambda x, y: F.mul(x, y, ones), plane(a), p - 2)
+    assert digits(inverse, p * p) == [pow(x, -1, p) if x else 0 for x in a]
     # insert: (d, r) enters as the row (d, r) with 1/d kept as its pivot
     # inverse; then (e, s) reduces to (0, s - e*r/d), new exactly where that
     # digit is nonzero
@@ -378,6 +379,24 @@ def test_packed_digit_arithmetic_over_all_digits(p):
             y = tower.element(j)
             assert F.add(plane(x), plane(y)) == plane(tower.add(x, y))
             assert F.mulmod(plane(x), plane(y)) == plane(tower.mul(x, y))
+
+
+@pytest.mark.parametrize("p", [3, 5, 131])
+def test_a_digit_multiple_takes_no_lane_product(monkeypatch, p):
+    # c*v is double-and-add over F.add, every digit of 2N, and never the
+    # per-lane product that insert uses
+    F = lanes._field(p, galois.build_tower(p, 2, 0).modulus.coeffs)
+
+    def refuse(*args):
+        raise AssertionError("a lane product")
+
+    def packed(digits):
+        return sum(d << k * F.width for k, d in enumerate(digits))
+
+    monkeypatch.setattr(F, "mul", refuse)
+    v = [1, p - 1, 0, p // 2]  # 2N digits, N = 2
+    for c in range(p):
+        assert F.scale(packed(v), c) == packed([c * d % p for d in v])
 
 
 def test_a_sweep_uses_no_generic_field_arithmetic(monkeypatch):
