@@ -16,9 +16,9 @@ common content of the weights, q**(n-n0) * prod (q**r - 1)**v_r over some
 degrees, is kept out of the product and put back in closed form.  A literal
 tuple enumeration, the explicit sum over multiplicity profiles (every q
 and n), and per-k closed forms are provided as independent routes for
-cross-checks.  All results are plain Python ints and therefore exact;
-``distribution`` can also make its counts in exact decimal, given its unit
-``one`` (ints by default).
+cross-checks.  ``_counts`` alone picks the end a request reads.  Results
+are plain Python ints and therefore exact; ``distribution`` can also make
+its counts in exact decimal, given its unit ``one`` (ints by default).
 """
 
 import collections
@@ -33,9 +33,8 @@ from .errors import ArgumentOutOfRange, EnumerationTooLarge, InternalInconsisten
 # count_k_normal_explicit's states (unplaced, unspent), summed over levels (r, j).
 ENUMERATION_LIMIT = 10**7
 EXPLICIT_STATE_LIMIT = 10**6
-# distribution reads the forward end in the ring of `one` only up to this many
-# products of two non-unit coefficients per unit of n (see _ring_products);
-# past it, the defect end in ints.
+# _counts reads all of z**n in the ring up to this many products per unit of n (_ring_products).
+# Set when heavy fields read forward in ints, it does not mark where the defect end overtakes it.
 RING_PRODUCTS = 48
 
 
@@ -266,64 +265,34 @@ def _defect_counts(params: spectrum.ExtensionParams, cap: int, ks) -> list[int]:
     ]
 
 
-def count_k_normal(q: int, n: int, k: int) -> int:
-    """Number of k-normal elements of F_{q^n} over F_q, from the nearer end."""
-    params = spectrum.derive_params(q, n)
-    _check_k(n, k)
-    if k > n - k:
-        return _weight_series(params, n - k, defect=False)[n - k]
-    return _defect_counts(params, k, [k])[0]
-
-
-def low_counts(q: int, n: int, k_max: int) -> list[int]:
-    """N_0..N_min(k_max, n), the low end of one defect-end weight series."""
-    cap = min(k_max, n)
-    return _defect_counts(spectrum.derive_params(q, n), cap, range(cap + 1))
-
-
-def count_normal(q: int, n: int) -> int:
-    """Number of normal (0-normal) elements: q**(n-n0) * prod (q**r - 1)**v_r.
-
-    Independent of the group series recurrence; the last coefficient of
-    its forward end, distribution's N_0, must agree with it.
+def _counts(params: spectrum.ExtensionParams, ks, one=1) -> list:
+    """N_k for k in ks (consecutive, ascending) in the ring of ``one``; the one
+    place a route is chosen.  It reads the shorter end, forward to z**(n - low)
+    or defect to z**high, the defect end on a tie, except for all of z**n (ks =
+    0..n): the forward end in the ring, unless that makes over RING_PRODUCTS *
+    n products of two non-unit coefficients (``_ring_products``), as libmpdec
+    multiplies big operands 2-3x slower than CPython; a heavy field reads the
+    defect end in ints (R = 1: each n // r >= P), mapped into the ring once.
     """
-    params = spectrum.derive_params(q, n)
-    pattern = spectrum.degree_pattern(params)
-    return q ** (params.n - params.n0) * _factor_product(q, pattern)
-
-
-def distribution(q: int, n: int, one=1) -> Distribution:
-    """Counts of k-normal elements for every k = 0..n at once, in the ring of ``one``.
-
-    ``one`` is the unit of the ring the counts are made in: ints by default,
-    or ``decimal.Decimal(1)``, so that the counts print in linear time.
-    Decimal counts are made in the exact decimal context (``_exact``),
-    whatever the caller's context, so no digit is ever rounded.  A field
-    reads the forward end in the ring, unless its product there makes more
-    than RING_PRODUCTS * n products of two non-unit coefficients
-    (``_ring_products``), because libmpdec multiplies big operands 2-3x
-    slower than CPython.  Such a heavy field reads the defect end to k = n
-    in ints and maps each count into the ring once (``one * c``).  At cap n
-    every degree r has n // r >= P, so R = 1 and N_k = q**(n - n0 - k) * s_k
-    (``_defect_counts``).  RING_PRODUCTS is older than this heavy route: it
-    was set when heavy fields read the forward end in ints, so it does not
-    mark where the defect end overtakes the ring.
-    """
-    params = spectrum.derive_params(q, n)
+    if not ks:
+        return []
+    n, low, high = params.n, ks[0], ks[-1]
+    if n - low < high or not low and high == n and _ring_products(params, n) <= RING_PRODUCTS * n:
+        with _exact(one):
+            series = _weight_series(params, n - low, defect=False, one=one)
+        return series[n - high :][::-1]
+    counts = _defect_counts(params, high, ks)
+    if isinstance(one, int):
+        return counts
     with _exact(one):
-        if _ring_products(params, n) > RING_PRODUCTS * n:
-            counts = [one * c for c in _defect_counts(params, n, range(n + 1))]
-        else:
-            counts = reversed(_weight_series(params, n, defect=False, one=one))
-        return Distribution(q=q, n=n, counts=counts)
+        return [one * c for c in counts]
 
 
 def _ring_products(params: spectrum.ExtensionParams, cap: int) -> int:
     """About how many products of two non-unit coefficients ``_weight_series``'
-    forward loop makes to z**cap: over each group after the first (which is
-    placed, not multiplied), the nonzero coefficients so far times the
-    group's length.  The nonzeros are bounded by the product of the lengths
-    and by the multiples of the degrees' gcd up to cap.
+    forward loop makes to z**cap: the nonzeros so far times the length of each
+    group after the first (placed, not multiplied), the nonzeros bounded by the
+    product of the lengths and by the multiples of the degrees' gcd up to cap.
     """
     products, nonzeros, stride = 0, 0, 0  # nonzeros 0: only the unit so far
     for r, v in reversed(spectrum.degree_pattern(params).items()):
@@ -332,6 +301,37 @@ def _ring_products(params: spectrum.ExtensionParams, cap: int) -> int:
         stride = math.gcd(stride, r)
         nonzeros = min(max(nonzeros, 1) * length, cap // stride + 1)
     return products
+
+
+def count_k_normal(q: int, n: int, k: int) -> int:
+    """Number of k-normal elements of F_{q^n} over F_q, read by ``_counts``."""
+    params = spectrum.derive_params(q, n)
+    _check_k(n, k)
+    return _counts(params, [k])[0]
+
+
+def low_counts(q: int, n: int, k_max: int) -> list[int]:
+    """N_0..N_min(k_max, n) by ``_counts``: for k_max >= n, distribution's route."""
+    return _counts(spectrum.derive_params(q, n), range(min(k_max, n) + 1))
+
+
+def count_normal(q: int, n: int) -> int:
+    """Number of normal (0-normal) elements: q**(n-n0) * prod (q**r - 1)**v_r.
+
+    Independent of the group series recurrence; distribution's N_0 must agree.
+    """
+    params = spectrum.derive_params(q, n)
+    pattern = spectrum.degree_pattern(params)
+    return q ** (params.n - params.n0) * _factor_product(q, pattern)
+
+
+def distribution(q: int, n: int, one=1) -> Distribution:
+    """Counts of k-normal elements for every k = 0..n at once, in the ring of
+    ``one``: ints by default, or ``decimal.Decimal(1)``, so that the counts
+    print in linear time, made in the exact decimal context (``_exact``)
+    whatever the caller's context, so no digit is ever rounded.
+    """
+    return Distribution(q, n, _counts(spectrum.derive_params(q, n), range(n + 1), one))
 
 
 def count_k_normal_enum(q: int, n: int, k: int) -> int:

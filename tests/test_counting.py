@@ -233,13 +233,16 @@ def test_defect_end_on_factor_rich_fields(field, data):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_low_counts_up_to_k_n_are_the_distribution(q):
-    # table --k-max reads the defect end up to k = n, where it must be the
-    # whole distribution: the division by q**k that ends it cannot catch a
-    # wrong series coefficient when p | n, so compare every count
+    # table --k-max n reads the distribution's route, the forward end on a
+    # light field, so the defect end up to k = n is also compared with the
+    # distribution directly: the division by q**k that ends it cannot catch
+    # a wrong series coefficient when p | n, so compare every count
     for n in range(1, 41):
         low = counting.low_counts(q, n, n)
+        dist = list(counting.distribution(q, n))
         assert sum(low) == q**n
-        assert low == list(counting.distribution(q, n))
+        assert low == dist
+        assert counting._defect_counts(spectrum.derive_params(q, n), n, range(n + 1)) == dist
 
 
 @st.composite
@@ -278,7 +281,7 @@ def test_a_planted_coefficient_past_n_minus_n0_is_refused(monkeypatch):
         lambda *args, **kw: (s := weight_series(*args, **kw))[:-1] + [s[-1] + 1],
     )
     with pytest.raises(InternalInconsistency, match="leaves a remainder"):
-        counting.low_counts(2, 12, 12)
+        counting._defect_counts(spectrum.derive_params(2, 12), 12, range(13))
 
 
 @pytest.mark.parametrize("q,n", [(2, 7), (2, 23), (2, 31), (2, 46), (3, 13)])
@@ -322,6 +325,7 @@ def test_no_degree_above_the_cap_is_expanded(q, n, monkeypatch):
         cap = min(k, n - k)
         assert counted(cap, counting.count_k_normal, k) == explicit[k]
     assert counted(5, counting.low_counts, 5) == explicit[:6]
+    assert counted(0, counting.low_counts, -1) == []
     assert list(counted(n, counting.distribution)) == explicit
 
 
@@ -368,6 +372,98 @@ def test_a_heavy_distribution_makes_its_zeros_in_the_ring(monkeypatch):
     decimals = counting.distribution(2, 7, decimal.Decimal(1))
     assert [str(c) for c in decimals] == ["49", "49", "0", "14", "14", "0", "1", "1"]
     assert all(type(c) is decimal.Decimal for c in decimals)
+
+
+# Each request's route from _counts: the end it reads, the power of z it
+# reads to, and the ring its series runs in (the defect end's is always int).
+# A change of route changes this table in the same diff.
+ROUTE_REQUESTS = {
+    "k=0": lambda q, n: [counting.count_k_normal(q, n, 0)],
+    "k=1": lambda q, n: [counting.count_k_normal(q, n, 1)],
+    "k=n/2": lambda q, n: [counting.count_k_normal(q, n, n // 2)],
+    "k=n-1": lambda q, n: [counting.count_k_normal(q, n, n - 1)],
+    "k=n": lambda q, n: [counting.count_k_normal(q, n, n)],
+    "k_max=3": lambda q, n: counting.low_counts(q, n, 3),
+    "k_max=n-1": lambda q, n: counting.low_counts(q, n, n - 1),
+    "k_max=n": lambda q, n: counting.low_counts(q, n, n),
+    "ints": lambda q, n: list(counting.distribution(q, n)),
+    "Decimal": lambda q, n: list(counting.distribution(q, n, decimal.Decimal(1))),
+}
+LIGHT_ROUTES = ["defect 0 int", "defect 1 int", "defect 6 int", "forward 1 int", "forward 0 int",
+                "defect 3 int", "defect 11 int", "forward 12 int", "forward 12 int",
+                "forward 12 Decimal"]
+ROUTE_TABLE = {
+    (2, 12): LIGHT_ROUTES,  # p | n
+    (3, 12): LIGHT_ROUTES,  # p | n
+    (5, 12): LIGHT_ROUTES,  # coprime
+    (2, 768): ["defect 0 int", "defect 1 int", "defect 384 int", "forward 1 int",  # p | n
+               "forward 0 int", "defect 3 int", "defect 767 int", "defect 768 int",
+               "defect 768 int", "defect 768 int"],
+    (11, 700): ["defect 0 int", "defect 1 int", "defect 350 int", "forward 1 int",  # coprime
+                "forward 0 int", "defect 3 int", "defect 699 int", "defect 700 int",
+                "defect 700 int", "defect 700 int"],
+}
+
+
+@pytest.mark.parametrize("q,n", list(ROUTE_TABLE))
+def test_the_planner_picks_each_route(q, n, monkeypatch):
+    # light fields read the shorter end, and all of z**n forward in the ring;
+    # heavy fields (past RING_PRODUCTS) read all of z**n from the defect end
+    # in ints and map the counts into the ring
+    heavy = counting._ring_products(spectrum.derive_params(q, n), n) > counting.RING_PRODUCTS * n
+    assert heavy == (n > 12)
+    routes = []
+    weight_series, defect_counts = counting._weight_series, counting._defect_counts
+
+    def series(params, cap, defect, one=1):
+        routes.append(f"{'defect' if defect else 'forward'} {cap} {type(one).__name__}")
+        return weight_series(params, cap, defect, one)
+
+    def defect_end(params, cap, ks):
+        routes.append(f"_defect_counts {cap}")
+        return defect_counts(params, cap, ks)
+
+    monkeypatch.setattr(counting, "_weight_series", series)
+    monkeypatch.setattr(counting, "_defect_counts", defect_end)
+    for (request, call), route in zip(ROUTE_REQUESTS.items(), ROUTE_TABLE[q, n], strict=True):
+        routes.clear()
+        counts = call(q, n)
+        end, cap, _ = route.split()
+        assert routes == ([f"_defect_counts {cap}"] if end == "defect" else []) + [route], request
+        ring = decimal.Decimal if request == "Decimal" else int
+        assert all(type(c) is ring for c in counts), request
+
+
+def test_each_count_function_is_one_call_to_the_planner(monkeypatch):
+    # count_k_normal, low_counts and distribution each make one _counts call,
+    # and nothing but _counts calls the series, the cost estimate or the ring
+    planned, outside, depth = [], [], [0]
+    counts = counting._counts
+
+    def planner(*args):
+        planned.append(args)
+        depth[0] += 1
+        try:
+            return counts(*args)
+        finally:
+            depth[0] -= 1
+
+    def watched(name, call):
+        def spy(*args, **kwargs):
+            if not depth[0]:
+                outside.append(name)
+            return call(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(counting, "_counts", planner)
+    for name in ("_weight_series", "_group_series", "_defect_counts", "_ring_products", "_exact"):
+        monkeypatch.setattr(counting, name, watched(name, getattr(counting, name)))
+    for q, n in [(2, 12), (5, 12), (2, 768)]:
+        for request, call in ROUTE_REQUESTS.items():
+            planned.clear()
+            call(q, n)
+            assert len(planned) == 1, (q, n, request)
+    assert outside == []
 
 
 def test_decimal_distribution_is_exact_under_the_default_context():
@@ -417,10 +513,10 @@ def test_closed_forms_reject_small_n():
 
 
 def test_the_counting_references_share_no_engine_code(monkeypatch):
-    # with the engine's series, recurrence, factor fractions, defect counts
-    # and content raising, the explicit and enumerated counts, the closed
-    # forms and count_normal still run, and each agrees with count_k_normal
-    # once the engine is restored
+    # with the engine's planner, cost estimate, series, recurrence, factor
+    # fractions, defect counts and content raising, the explicit and
+    # enumerated counts, the closed forms and count_normal still run, and
+    # each agrees with count_k_normal once the engine is restored
     fields = [(2, 12), (3, 9), (4, 6), (5, 7), (7, 5)]
 
     def references(q, n):
@@ -437,8 +533,8 @@ def test_the_counting_references_share_no_engine_code(monkeypatch):
         raise AssertionError("a reference reached the counting engine")
 
     with monkeypatch.context() as patch:
-        for name in ("_weight_series", "_group_series", "_recurrence_terms",
-                     "_factor_fraction", "_defect_counts", "_constant_terms"):
+        for name in ("_weight_series", "_group_series", "_recurrence_terms", "_factor_fraction",
+                     "_defect_counts", "_constant_terms", "_counts", "_ring_products"):
             patch.setattr(counting, name, engine)
         computed = [references(q, n) for q, n in fields]
     for (q, n), (explicit, enum, low) in zip(fields, computed):

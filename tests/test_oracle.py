@@ -34,16 +34,17 @@ def test_matches_formulas_small():
 
 
 def test_a_sweep_shares_only_the_record_with_the_counting_side(monkeypatch):
-    # with the engine's series and defect counts raising, a sweep in each
-    # lane kernel (_Bits, _Trits, _Digits) still runs, and it agrees with
-    # the engine once that is restored
+    # with the engine's planner, cost estimate, series and defect counts
+    # raising, a sweep in each lane kernel (_Bits, _Trits, _Digits) still
+    # runs, and it agrees with the engine once that is restored
     fields = [(2, 6), (3, 4), (5, 3)]
 
     def engine(*args, **kwargs):
         raise AssertionError("a sweep reached the counting engine")
 
     with monkeypatch.context() as patch:
-        for name in ("_weight_series", "_group_series", "_defect_counts"):
+        for name in ("_weight_series", "_group_series", "_defect_counts", "_counts",
+                     "_ring_products"):
             patch.setattr(counting, name, engine)
         swept = [oracle.brute_force_distribution(q, n) for q, n in fields]
     for (q, n), distribution in zip(fields, swept):
