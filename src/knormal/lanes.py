@@ -3,13 +3,16 @@
 ``sweep(tower)`` gives the counts N_0..N_n of F = F_p[x]/(f) for ``oracle``:
 the F_q-span of the conjugates depends only on their F_q*-lines, so each
 line is ranked once and weighted by q - 1.  A vector over F_p is one int
-with a w-bit field per digit, each kept in [0, p): w = 1 for ``_Bits``
-(p = 2), w = bitlen(p - 1) + 1 for ``_Digits`` (p >= 3), where a sum is one
-int addition and a subtraction of p where a field reached p (SIMD within a
-register, after Fisher and Dietz).  Every element of F is such a vector,
-whatever p, so only the plane kernels differ by p: ``_Trits`` (p = 3) keeps
-a plane as two bit planes, lo and hi, after Boothby and Bradshaw, so a sum
-of planes takes seven AND/OR/XOR operations and a negation swaps them.
+with a field per digit, each kept in [0, p), where a sum is one int
+addition and a subtraction of p where a field reached p (SIMD within a
+register, after Fisher and Dietz).  For ``_Bits`` (p = 2) a field is one
+bit.  For ``_Digits`` (p >= 3) a plane has bitlen(p - 1) + 1 bits a lane,
+and an element bitlen(2N(p - 1)**2) bits a digit, as many as a digit of a
+product of two elements takes before mod p, so ``mulmod`` is one int
+product.  Every element of F is such a vector, whatever p, so only the
+plane kernels differ by p: ``_Trits`` (p = 3) keeps a plane as two bit
+planes, lo and hi, after Boothby and Bradshaw, so a sum of planes takes
+seven AND/OR/XOR operations and a negation swaps them.
 
 * Digit k of an element is its coefficient of x**k.  The
   columns of x -> x**q must be the powers of a root of f, and F_q =
@@ -318,19 +321,15 @@ def _rank_lanes(F, planes, lanes, n, frobenius, scalings):
 
 
 class _Packed:
-    """A vector packed in one int, `width` bits a digit, digit k at bit k*width.
-
-    Elements of F are such vectors, and so are planes but in ``_Trits``:
-    the plane code reads a lane by ``lane_digit``, `lane_width` bits a lane.
+    """An element of F packed in one int, `width` bits a digit, digit k at
+    bit k*width.  Planes but in ``_Trits`` are packed ints too, `lane_width`
+    bits a lane, and the plane code reads a lane by ``lane_digit``.
     """
 
-    width = fill = bits = 1  # bits of a digit, the mask of one, and its doublings taken
+    # bits of an element's digit and of a lane, the mask of a lane, and the doublings taken
+    width = lane_width = fill = bits = 1
     zero = plane_zero = 0
     one = 1
-
-    @property
-    def lane_width(self):
-        return self.width
 
     def monomial(self, k):
         return 1 << k * self.width
@@ -343,10 +342,12 @@ class _Packed:
         return -(-a.bit_length() // self.width)
 
     def digit(self, a, k):
-        shift = k * self.width
-        return (a & self.fill << shift) >> shift  # masked first: a may be a plane of many lanes
+        """Digit k of an element."""
+        return a >> k * self.width & (1 << self.width) - 1
 
-    lane_digit = digit
+    def lane_digit(self, plane, l):
+        shift = l * self.lane_width
+        return (plane & self.fill << shift) >> shift  # masked first: a plane has many lanes
 
     def concat(self, blocks):
         """The planes of the lanes of `blocks`, (planes, lane count) pairs, in turn."""
@@ -447,12 +448,14 @@ class _Bits(_Packed):
 
 
 class _Digits(_Packed):
-    """Digits of F_p, p >= 3: a vector is an int whose w-bit field k holds
-    digit k in [0, p), w = bitlen(p - 1) + 1, so a field's top bit is free.
-    At p = 3 only elements are such vectors (``_Trits``).
+    """Digits of F_p, p >= 3.  A plane is an int whose lane l, w =
+    bitlen(p - 1) + 1 bits at bit l*w, holds a digit in [0, p), so a lane's
+    top bit is free; at p = 3 planes are kept as ``_Trits``.  An element is an
+    int whose field k holds digit k in [0, p), each field as wide as a digit
+    of a product of two elements before mod p, which is below 2N (p - 1)**2.
 
-    A sum s = a + b subtracts p from each field whose top bit is set in
-    s + (2**(w-1) - p), so no field carries into the next.  A product by
+    A sum s = a + b subtracts p from each field or lane whose bit w - 1 is
+    set in s + (2**(w-1) - p), so none carries into the next.  A product by
     per-lane digits d adds the j-th doubling of the vector where bit j of d
     is set, and 1/d = d**(p-2), a ``_power`` of that product taken once per
     ``insert``.
@@ -462,46 +465,23 @@ class _Digits(_Packed):
         self.p = p
         self.N = N = len(coeffs) - 1
         self.bits = (p - 1).bit_length()  # of a digit, and its doublings taken
-        self.width = self.bits + 1
-        self.fill = (1 << self.width) - 1
-        self.excess = (1 << self.bits) - p  # per field: s + excess has the top bit iff s >= p
-        self.low = ((1 << 2 * N * self.width) - 1) // self.fill  # ``_fq_basis`` has 2N digits
+        self.fill = (1 << self.bits + 1) - 1  # a lane's mask
+        self.width = width = (2 * N * (p - 1) ** 2).bit_length()  # of an element's field
+        self.excess = (1 << self.bits) - p  # per field or lane: s + excess has bit `bits` iff s >= p
+        self.low = ((1 << 2 * N * width) - 1) // ((1 << width) - 1)  # ``_fq_basis`` has 2N digits
         self.bias = self.low * self.excess
-        # ``mulmod``: a product's digit, before mod p, is below 2N (p - 1)**2
-        self.wide = wide = (2 * N * (p - 1) ** 2).bit_length()
-        self.moves = self._moves()
-        self.tops = [(i * wide, (i - N) * wide) for i in range(2 * N - 1, N - 1, -1)]  # x**i, i >= N
-        self.lows = [k * wide for k in reversed(range(N))]
+        self.tops = [(i * width, (i - N) * width) for i in range(2 * N - 1, N - 1, -1)]  # x**i, i >= N
+        self.lows = [k * width for k in reversed(range(N))]
         self.set_modulus(coeffs)
 
     def set_modulus(self, coeffs):
         """Reduce by the monic f of degree N with `coeffs`, constant first."""
         self.coeffs = coeffs
         self.f = sum(c << k * self.width for k, c in enumerate(coeffs))  # packed
-        self.tail = sum(c << k * self.wide for k, c in enumerate(coeffs[:-1]))  # f - x**N, spread
 
-    def _moves(self):
-        """The moves of ``spread`` to fields of ``wide`` bits, for up to N + 1 digits.
-
-        Digit k moves by (wide - width) * k, one bit i of k at a time, high i
-        first: before the move of bit i the digits lie in blocks of 2**(i+1)
-        fields, a block every 2**(i+1) wide fields, and the upper half of
-        each block moves.
-        """
-        moves = []  # (the bits that move, by how much)
-        for i in reversed(range(self.N.bit_length())):
-            half, block = self.width << i, self.wide << i + 1
-            upper = ((1 << half) - 1) << half
-            blocks = ((1 << block * ((self.N >> i + 1) + 1)) - 1) // ((1 << block) - 1)
-            moves.append((upper * blocks, (self.wide - self.width) << i))
-        return moves
-
-    def spread(self, v):
-        """v with digit k moved to bit k * wide, by the moves of ``_moves``."""
-        for bits, move in self.moves:
-            t = v & bits
-            v = v ^ t | t << move
-        return v
+    @property
+    def lane_width(self):
+        return self.bits + 1
 
     @property
     def row_zero(self):
@@ -518,19 +498,20 @@ class _Digits(_Packed):
     def mulmod(self, a, b):
         """a*b mod f for a and b reduced mod f (b = x too when N = 1).
 
-        The digits of both move to fields wide enough for the sums of the
-        product, one move per bit of the digit index, so one int product
-        gives a*b.  From the top, a digit c at x**i, i >= N, is reduced by
-        adding (p - c) * (f - x**N) * x**(i-N) to the whole product: the
-        fields keep growing, but no field reaches the next.  The low N
-        fields, mod p, are the result.
+        The fields are wide enough for the sums of the product, so one int
+        product of a and b as given gives a*b.  From the top, a digit c at x**i, i >= N, is reduced by adding
+        (p - c) * f * x**(i-N) to the whole product: each field below i gets
+        what (p - c) * (f - x**N) * x**(i-N) adds, so it stays below
+        2N (p - 1)**2 and never reaches the next.  Field i, now a multiple of
+        p, may carry into field i + 1, but that field lies above every field
+        still to be read.  The low N fields, mod p, are the result.
         """
-        p, width, tail = self.p, self.width, self.tail
-        product, field = self.spread(a) * self.spread(b), (1 << self.wide) - 1
+        p, width, f = self.p, self.width, self.f
+        product, field = a * b, (1 << width) - 1
         for at, down in self.tops:
             c = (product >> at & field) % p
             if c:
-                product += (p - c) * tail << down
+                product += (p - c) * f << down
         out = 0
         for at in self.lows:
             out = out << width | (product >> at & field) % p
@@ -626,7 +607,7 @@ class _Digits(_Packed):
 
 
 class _Trits(_Digits):
-    """Digits of F_3: elements as in ``_Digits`` (w = 3), but a plane is a
+    """Digits of F_3: elements as in ``_Digits``, but a plane is a
     pair (lo, hi) of ints, bit l of lo set where lane l's digit is 1 and bit
     l of hi where it is 2.  The doublings of a plane are the plane and its
     negation, which swaps lo and hi.  As 1/1 = 1 and 1/2 = 2, a row is made
@@ -640,7 +621,7 @@ class _Trits(_Digits):
         super().__init__(coeffs, 3)
 
     def lane_digit(self, plane, l):
-        bit = 1 << l  # masked first, as in _Packed.digit
+        bit = 1 << l  # masked first, as in _Packed.lane_digit
         return (plane[0] & bit) >> l | (plane[1] & bit) >> l << 1
 
     def plus(self, planes, element, ones):

@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import random
 import time
 
 import pytest
@@ -340,10 +341,13 @@ def test_packed_digit_arithmetic_over_all_digits(p):
     F = lanes._Digits(tower.modulus.coeffs, p)
 
     def plane(digits):
-        return sum(d << l * F.width for l, d in enumerate(digits))
+        return sum(d << l * F.lane_width for l, d in enumerate(digits))
+
+    def element(digits):
+        return sum(d << k * F.width for k, d in enumerate(digits))
 
     def digits(v, count):
-        return [F.digit(v, l) for l in range(count)]
+        return [F.lane_digit(v, l) for l in range(count)]
 
     a, b = [d // p for d in range(p * p)], [d % p for d in range(p * p)]
     ones = lanes._lane_mask(F, p * p)
@@ -375,11 +379,35 @@ def test_packed_digit_arithmetic_over_all_digits(p):
     elements = range(tower.order) if p < 12 else range(0, tower.order, 97)
     for i in elements:
         x = tower.element(i)
-        assert F.scale(plane(x), i % p) == plane([i % p * d % p for d in x])
+        assert F.scale(element(x), i % p) == element([i % p * d % p for d in x])
         for j in elements:
             y = tower.element(j)
-            assert F.add(plane(x), plane(y)) == plane(tower.add(x, y))
-            assert F.mulmod(plane(x), plane(y)) == plane(tower.mul(x, y))
+            assert F.add(element(x), element(y)) == element(tower.add(x, y))
+            assert F.mulmod(element(x), element(y)) == element(tower.mul(x, y))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 131, 2039, 4194301])
+def test_a_product_fits_the_element_fields(p):
+    # mulmod multiplies packed elements as given, so every digit of a product
+    # before mod p must fit its field: the worst case has every digit of both
+    # operands and of f below x**N at p - 1, at every N of a sweepable field;
+    # then a few random pairs
+    prime, rng = galois.PrimeField(p), random.Random(p)
+    N = 1
+    while p**N <= oracle.DEFAULT_MAX_ORDER:
+        coeffs = (p - 1,) * N + (1,)
+        F = lanes._field(p, coeffs)
+        ring = galois.ExtensionField(prime, galois.Poly(prime, coeffs))
+
+        def element(digits):
+            return sum(d << k * F.width for k, d in enumerate(digits))
+
+        top = (p - 1,) * N
+        pairs = [(top, top)] + [tuple(tuple(rng.randrange(p) for _ in range(N)) for _ in "ab")
+                                for _ in range(3)]
+        for a, b in pairs:
+            assert F.mulmod(element(a), element(b)) == element(ring.mul(a, b)), (N, a, b)
+        N += 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 131])
@@ -581,6 +609,19 @@ def test_large_prime_field_sweeps_only_the_lines():
     elapsed = time.perf_counter() - t0
     assert dist == counting.distribution(2039, 2)
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("q, n, bound", [(3, 13, 1.0), (5, 9, 4.0), (11, 6, 1.0), (131, 3, 0.5)])
+def test_each_odd_p_sweeps_its_largest_field_at_the_guard(q, n, bound):
+    # the largest n with q**n inside DEFAULT_MAX_ORDER, modulus scan included;
+    # each bound is three to four times the time taken on a 2-core VM (CPython 3.11)
+    assert q ** (n + 1) > oracle.DEFAULT_MAX_ORDER >= q**n
+    galois.build_tower.cache_clear()
+    t0 = time.perf_counter()
+    dist = oracle.brute_force_distribution(q, n)
+    elapsed = time.perf_counter() - t0
+    assert dist == counting.distribution(q, n)
+    assert elapsed < bound
 
 
 def test_instance_guard_decides_by_bit_lengths():
