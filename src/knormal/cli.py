@@ -307,24 +307,19 @@ def cmd_verify(args) -> int:
 
 def _run_checks(q, n, which, max_brute, modulus_trials):
     """Each check is (name, passed, detail); independent routes only."""
-    from . import counting, galois, oracle
+    from . import counting, oracle
 
     checks = []
     params = spectrum.derive_params(q, n)  # refuses a bad q or n for every oracle
     if which in ("brute", "all"):
-        # Refuse an oversized sweep, then a trial past the moduli, before any sweep.
         max_brute = oracle.DEFAULT_MAX_ORDER if max_brute is None else max_brute
-        oracle.sweep_params(q, n, max_brute)
-        try:  # the last trial's field; galois refuses its index before any scan
-            galois.build_tower(q, n, modulus_trials - 1)
+        try:  # last trial first: the guard, then galois's index refusal, before any sweep
+            brutes = [
+                oracle.brute_force_distribution(q, n, max_order=max_brute, modulus_index=trial)
+                for trial in reversed(range(modulus_trials))
+            ][::-1]
         except ArgumentOutOfRange as refusal:
             raise ArgumentOutOfRange(f"--modulus-trials {modulus_trials}: {refusal}") from None
-        # Last trial first, while the field just built is still cached: past
-        # CACHED_FIELDS trials it would be evicted by its turn and scanned again.
-        brutes = [
-            oracle.brute_force_distribution(q, n, max_order=max_brute, modulus_index=trial)
-            for trial in reversed(range(modulus_trials))
-        ][::-1]
         dist = counting.distribution(q, n)
         for trial, brute in enumerate(brutes):
             name = "formula-vs-brute"

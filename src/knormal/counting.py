@@ -329,9 +329,19 @@ def distribution(q: int, n: int, one=1) -> Distribution:
     """Counts of k-normal elements for every k = 0..n at once, in the ring of
     ``one``: ints by default, or ``decimal.Decimal(1)``, so that the counts
     print in linear time, made in the exact decimal context (``_exact``)
-    whatever the caller's context, so no digit is ever rounded.
+    whatever the caller's context, so no digit is ever rounded.  Any other
+    ``one`` (2, 1.0, ``Decimal('1.0')``) is refused before any series.
     """
-    return Distribution(q, n, _counts(spectrum.derive_params(q, n), range(n + 1), one))
+    params = spectrum.derive_params(q, n)
+    if type(one) is int:
+        unit = one == 1
+    else:
+        import decimal  # only a caller's Decimal needs it
+
+        unit = isinstance(one, decimal.Decimal) and one.as_tuple() == (0, (1,), 0)
+    if not unit:
+        raise ArgumentOutOfRange(f"one must be the int 1 or Decimal(1), got {one!r}")
+    return Distribution(q, n, _counts(params, range(n + 1), one))
 
 
 def count_k_normal_enum(q: int, n: int, k: int) -> int:

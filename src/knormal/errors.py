@@ -30,8 +30,9 @@ class ArgumentOutOfRange(KnormalError, ValueError):
     0..n, for gcd(0, 0), for a totient of degree r < 1 or exponent e < 0
     (`phi_q_prime_power`), for cosets of Z/n0 with n0 < 1, for a modulus
     index that names no monic irreducible (by galois, also for the last
-    field `cli._run_checks` builds for `--modulus-trials`, which names the
-    option), and in the CLI for a `table` range it cannot serve and a
+    trial `cli._run_checks` sweeps for `--modulus-trials`, which names the
+    option), for a `counting.distribution` unit other than the int 1 or
+    ``Decimal(1)``, and in the CLI for a `table` range it cannot serve and a
     `--modulus-trials` count below 1.  In numtheory it refuses to factor
     x < 1, an order modulo a modulus < 1 and gcd(q**r - 1, n) unless q >= 2,
     r >= 1 and n >= 1.  In galois it refuses a prime field of an order that

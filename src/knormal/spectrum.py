@@ -15,9 +15,10 @@ from .errors import ArgumentOutOfRange, InputTooLarge, InternalInconsistency
 # The largest extension degree n served; numtheory factors n0, phi(n0), d and n*m.
 MAX_DEGREE = 10**6
 
-# Fields that derive_params, degree_pattern and galois.build_tower keep.  Their
-# reuse happens within one call (one `verify` looks up its (q, n) 9 times), so a
-# few recent fields serve it, and a process serving many calls holds no more.
+# Fields that derive_params, degree_pattern and galois.build_tower keep.  One
+# `verify` looks up its (q, n) params 10 times but each trial's tower once, so
+# the tower cache pays off only across calls in one process; a process serving
+# many calls holds no more than these.
 CACHED_FIELDS = 128
 
 

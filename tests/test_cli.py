@@ -480,11 +480,8 @@ def test_verify_refuses_excess_trials_before_any_sweep(capsys, monkeypatch):
     # F_{4^2} is swept as F_2[x]/(f) with deg f = 4, and only 3 such f exist:
     # x^4+x+1, x^4+x^3+1 and x^4+x^3+x^2+x+1 (not the 6 quadratics over F_4)
     sweeps = []
-    real = oracle.brute_force_distribution
-    monkeypatch.setattr(
-        oracle, "brute_force_distribution",
-        lambda *args, **kw: sweeps.append(args) or real(*args, **kw),
-    )
+    real = lanes.sweep
+    monkeypatch.setattr(lanes, "sweep", lambda *args: sweeps.append(args) or real(*args))
     for trials in ("7", "4"):
         code, out, err = run(capsys, "verify", "--q", "4", "--n", "2",
                              "--modulus-trials", trials)
@@ -512,9 +509,21 @@ def test_verify_refuses_excess_trials_without_scanning_for_moduli(capsys, monkey
                    " of degree 20 over F_2 exist, so none has index 59999\n")
 
 
+def test_verify_looks_up_one_tower_per_trial(capsys):
+    galois.build_tower.cache_clear()
+    try:
+        code, _, _ = run(capsys, "verify", "--q", "2", "--n", "11", "--oracle", "brute",
+                         "--modulus-trials", "3")
+        info = galois.build_tower.cache_info()
+    finally:
+        galois.build_tower.cache_clear()
+    assert code == 0
+    assert info.hits + info.misses == 3
+
+
 def test_verify_scans_once_per_trial_past_the_tower_cache(capsys, monkeypatch):
-    # 130 trials outnumber the cached fields, so a field built before the
-    # sweeps and swept last would be evicted by then and scanned again
+    # 130 trials outnumber the cached fields, so a field looked up twice in
+    # one verify would be evicted by its second lookup and scanned again
     trials = spectrum.CACHED_FIELDS + 2
     scans = []
     real = galois.find_irreducible

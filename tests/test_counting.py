@@ -374,6 +374,20 @@ def test_a_heavy_distribution_makes_its_zeros_in_the_ring(monkeypatch):
     assert all(type(c) is decimal.Decimal for c in decimals)
 
 
+@pytest.mark.parametrize("q, n, one", [
+    (2, 3, 2),  # once read (180, 60, 12, 4) for (3, 3, 1, 1)
+    (2, 768, 2),  # heavy: the defect end would return the counts unscaled
+    (3, 1000, 1.0),  # a float ring: once an InternalInconsistency
+    (2, 5, decimal.Decimal("1.0")),  # would carry its exponent: Decimal('15.0')
+    (2, 5, True),
+    (2, 5, decimal.Decimal(-1)),
+], ids=["2", "2-heavy", "float", "Decimal-1.0", "True", "Decimal-minus-1"])
+def test_distribution_refuses_any_other_unit_before_any_series(monkeypatch, q, n, one):
+    monkeypatch.setattr(counting, "_counts", lambda *args: pytest.fail("a series ran"))
+    with pytest.raises(ArgumentOutOfRange, match="one must be the int 1 or Decimal"):
+        counting.distribution(q, n, one)
+
+
 # Each request's route from _counts: the end it reads, the power of z it
 # reads to, and the ring its series runs in (the defect end's is always int).
 # A change of route changes this table in the same diff.
