@@ -1,18 +1,21 @@
 """Sweeps of F_{q^n} that rank every F_q*-line at once, in packed lanes.
 
-``sweep(tower)`` gives the counts N_0..N_n of F = F_p[x]/(f) for ``oracle``:
-the F_q-span of the conjugates depends only on their F_q*-lines, so each
-line is ranked once and weighted by q - 1.  A vector over F_p is one int
-with a field per digit, each kept in [0, p), where a sum is one int
-addition and a subtraction of p where a field reached p (SIMD within a
-register, after Fisher and Dietz).  For ``_Bits`` (p = 2) a field is one
-bit.  For ``_Digits`` (p >= 3) a plane has bitlen(p - 1) + 1 bits a lane,
-and an element bitlen(2N(p - 1)**2) bits a digit, as many as a digit of a
-product of two elements takes before mod p, so ``mulmod`` is one int
-product.  Every element of F is such a vector, whatever p, so only the
-plane kernels differ by p: ``_Trits`` (p = 3) keeps a plane as two bit
-planes, lo and hi, after Boothby and Bradshaw, so a sum of planes takes
-seven AND/OR/XOR operations and a negation swaps them.
+``sweep(tower)`` gives the counts N_0..N_n of F = F_p[x]/(f) for ``oracle``.
+The F_q-span of the conjugates of alpha is the F_q[Phi]-module that alpha
+generates, Phi: y -> y**q, so its dimension, the rank of alpha, is the
+degree of its F_q-order: the monic g of least degree with g(Phi) alpha = 0,
+a divisor of x**n - 1 as Phi**n = 1.  The rank depends only on the
+F_q*-line of alpha, so each line is ranked once and weighted by q - 1.  A
+vector over F_p is one int with a field per digit, each kept in [0, p),
+where a sum is one int addition and a subtraction of p where a field
+reached p (SIMD within a register, after Fisher and Dietz).  For ``_Bits``
+(p = 2) a field is one bit.  For ``_Digits`` (p >= 3) a plane has
+bitlen(p - 1) + 1 bits a lane, and an element bitlen(2N(p - 1)**2) bits a
+digit, as many as a digit of a product of two elements takes before mod p,
+so ``mulmod`` is one int product.  Every element of F is such a vector,
+whatever p, so only the plane kernels differ by p: ``_Trits`` (p = 3) keeps
+a plane as two bit planes, lo and hi, after Boothby and Bradshaw, so a sum
+of planes takes seven AND/OR/XOR operations and a negation swaps them.
 
 * Digit k of an element is its coefficient of x**k.  The
   columns of x -> x**q must be the powers of a root of f, and F_q =
@@ -23,24 +26,33 @@ seven AND/OR/XOR operations and a negation swaps them.
   L = (q**n - 1)/(q - 1) in all.  Plane c holds coordinate c of every lane,
   lane l at bit l * lane_width, and a lane mask has the low bit of each
   lane set.
-* x -> x**q and the products by b_i are F_p-linear, so they act on all
-  lanes as digitwise sums of planes, and the b_i * alpha**(q**j) enter an
-  echelon basis per lane, one row per pivot digit.  A lane is ranked at its
-  first conjugate already in the span, which is then Frobenius-invariant:
-  ``_rank_lanes`` returns one lane mask per rank.  The other b_i-copies of a
-  new conjugate must be new too, the planes must return after n steps of
-  x -> x**q, and ``sweep`` ranks the first lane found of every rank again
-  in scalar arithmetic.  At most 2**_LANE_BLOCK_BITS lanes are taken at a
-  time, so memory stays flat.  A mask x & ~y is written x ^ (x & y): ~y is
-  a negative int, and & with one takes extra passes.
+* With n = P * n0, P = p**s and p not dividing n0, x**n - 1 = (x**n0 - 1)**P
+  and x**n0 - 1 is the product of distinct F_q-irreducible f.  So the
+  order of alpha is the product of the f**e_f, 0 <= e_f <= P, and its rank
+  the sum of deg f * e_f: ((x**n0 - 1)/f)**P (Phi) alpha has order f**e_f,
+  so it is nonzero for exactly e_f steps of f(Phi).  Both maps are sums of
+  powers of Phi, taken on the columns of x -> x**q, so they act on all
+  lanes as digitwise sums of planes, and ``_rank_lanes`` adds deg f to a
+  bit-sliced per-lane counter at each step where a lane is nonzero: one
+  lane mask per rank.  Phi**n must be 1 on the columns, no lane may
+  survive P steps of f(Phi), and ``sweep`` ranks the first lane found of
+  every rank again by elimination in scalar arithmetic.  At most
+  2**_LANE_BLOCK_BITS lanes are taken at a time, so memory stays flat.  A
+  mask x & ~y is written x ^ (x & y): ~y is a negative int, and & with one
+  takes extra passes.
+* The factors f come from the sweep's own arithmetic: ``_factors`` splits
+  x**n0 - 1 over F_p with packed polynomials, then over F_q, whose elements
+  are those of F fixed by x -> x**q, with lists of them as coefficients.
 * ``galois.find_irreducible`` scans for f over F_p with ``ben_or``:
   Ben-Or's test run in this arithmetic (powers by ``mulmod``, a gcd of
   packed polynomials).
 * One ``_power``, doubling from the top bit, repeats every operation that is
-  repeated: ``mulmod`` for powers, the lane product for the lane inverse
-  d**(p-2), ``add`` for a multiple c*a, and the join of ``_repeat`` for a
-  lane pattern.
+  repeated: ``mulmod`` for powers, ``add`` for a multiple c*a, the join of
+  ``_repeat`` for a lane pattern, and the products mod f of ``_roots``.
 """
+
+import math
+import random
 
 from .errors import InternalInconsistency
 
@@ -52,30 +64,25 @@ def sweep(tower) -> list[int]:
     """Counts N_0..N_n of F = F_p[x]/(f), a ``galois.TowerField``, every
     F_q*-line ranked at once.
 
-    x -> x**q and the products by b_1, ... map all lanes at once (``apply``
-    of the digit arithmetic F), and ``_rank_lanes`` runs one elimination per
-    lane in the same digitwise operations.  Its masks give the counts, a
-    lane of rank r weighted q - 1 in N_{n-r}.
+    ``_rank_lanes`` ranks all lanes of a block at once by the maps of
+    ``_order_maps`` (``apply`` of the digit arithmetic F).  Its masks give
+    the counts, a lane of rank r weighted q - 1 in N_{n-r}.
     """
     F = _field(tower.base.order, tower.modulus.coeffs)
-    n, q, m, N = tower.n, tower.q, tower.m, F.N
+    n, q, m = tower.n, tower.q, tower.m
     images = _frobenius_images(F, q)
     _check_frobenius(F, images)
     basis = _fq_basis(F, images, m)
-    frobenius = F.linear_map(images)
-    x = F.mulmod(F.one, F.monomial(1))  # x, which deg f = 1 reduces
-    columns = [[F.monomial(k) for k in range(N)]]  # columns[i][k] = b_i * x**k
-    for b in basis[1:]:
-        columns.append([b])
-        for _ in range(N - 1):
-            columns[-1].append(F.mulmod(columns[-1][-1], x))
-    scalings = [F.linear_map(column) for column in columns[1:]]
+    rows = {}
+    if any(_eliminate(F, rows, b) is None for b in basis):
+        raise InternalInconsistency("the basis of F_q is dependent over F_p")
+    P, maps = _order_maps(F, images, basis, q, n)
     # base-p digit s of a lane's index adds a multiple of b_i * x**k, s = k*m + i
-    digits = [columns[s % m][s // m] for s in range((n - 1) * m)]
+    digits = [F.mulmod(b, F.monomial(k)) for k in range(n - 1) for b in basis]
     counts = [0] * n + [1]  # alpha = 0 spans nothing
     samples = {}  # rank -> the element of the first lane found with that rank
     for planes, lanes in _lane_blocks(F, n, m, digits):
-        for rank, ranked in enumerate(_rank_lanes(F, planes, lanes, n, frobenius, scalings)):
+        for rank, ranked in enumerate(_rank_lanes(F, planes, lanes, n, P, maps)):
             counts[n - rank] += (q - 1) * ranked.bit_count()
             if ranked and rank not in samples:
                 samples[rank] = _lane_element(F, planes, ranked)
@@ -157,8 +164,8 @@ def _check_frobenius(F, images: list) -> None:
 
     Column 0 must be 1, column k the k-th power of column 1 and column 1 a
     root of f.  Then the map is x -> x**(p**i) for some i; the F_q dimension
-    and the return after n steps pin it down to a generator of the Galois
-    group of F over F_q.
+    and Phi**n = 1 on the columns (``_order_maps``) pin it down to a
+    generator of the Galois group of F over F_q.
     """
     if images[0] != F.one:
         raise InternalInconsistency("Frobenius column 0 is not 1")
@@ -214,8 +221,8 @@ def _fq_basis(F, images: list, m: int) -> list:
 def _span_dimension(F, alpha, n: int, q: int, basis: list) -> int:
     """F_p-dimension of the span of the b_i * alpha**(q**j), m times the F_q-rank.
 
-    Scalar arithmetic, sharing neither the lanes' map x -> x**q nor their
-    elimination: powers by ``mulmod`` and one ``_eliminate``, up to the first
+    Scalar arithmetic, sharing neither the lanes' maps nor their ranking by
+    order: powers by ``mulmod`` and one ``_eliminate``, up to the first
     conjugate already in the span.
     """
     rows, conjugate = {}, alpha
@@ -227,6 +234,233 @@ def _span_dimension(F, alpha, n: int, q: int, basis: list) -> int:
         for b in basis[1:]:
             _eliminate(F, rows, F.mulmod(conjugate, b))
     return len(rows)
+
+
+def _order_maps(F, images, basis, q: int, n: int):
+    """(P, maps) for ``_rank_lanes``: n = P * n0 with p not dividing n0, and
+    per F_q-irreducible factor f of x**n0 - 1 the triple (deg f, the map of
+    ((x**n0 - 1)/f)**P at Phi, the map of f at Phi).
+
+    The powers of Phi: x -> x**q come from its columns `images`, applied
+    to lanes: lane k of the planes of Phi**i holds Phi**i(x**k), and Phi**n
+    must be 1 on the columns.  The map of g is then one sum of those
+    planes, a coefficient of g in F_p taken by doublings, one of F_q by the
+    columns of its product (``mulmod``) with each x**k.  The factors are
+    drawn by a ``random.Random`` seeded from (q, n), so a sweep repeats.
+    """
+    p, N = F.p, F.N
+    P = 1
+    while n % (P * p) == 0:
+        P *= p
+    n0 = n // P
+    ones, frobenius = _lane_mask(F, N), F.linear_map(images)
+    monomials = [F.monomial(k) for k in range(N)]
+    powers = [F.concat([(F.plus([F.plane_zero] * N, x_k, 1), 1) for x_k in monomials])]
+    for _ in range(n):  # powers[i]: the planes of Phi**i, lane k holding Phi**i(x**k)
+        powers.append(F.apply(frobenius, powers[-1], ones))
+    if powers[n] != powers[0]:
+        raise InternalInconsistency("x -> x**q taken n times is not 1 on its columns")
+    flat = [v for planes in powers for v in planes]
+
+    def at_frobenius(g):  # the terms of g(Phi) per digit: planes of flat, g constant first
+        sums = [[] for _ in range(N)]
+        for i, c in enumerate(g):
+            if c < p:  # c * Phi**i, digit by digit
+                for j in _set_bits(c):
+                    for k, terms in enumerate(sums):
+                        terms.append((i * N + k, j))
+            else:  # the columns c * x**k mix the digits of Phi**i
+                for terms, row in zip(sums, F.linear_map([F.mulmod(c, x_k) for x_k in monomials])):
+                    terms += [(i * N + k, j) for k, j in row]
+        return sums
+
+    degrees, sums = [], []
+    for f in _factors(F, basis, q, n0, random.Random(f"{q} {n}")):
+        cofactor = _divide(F, [p - 1] + [0] * (n0 - 1) + [1], f)[0]
+        spread = [0] * ((len(cofactor) - 1) * P + 1)  # cofactor**P: c**P at x**(i*P)
+        for i, c in enumerate(cofactor):
+            spread[i * P] = c if c < p else _power(F.mulmod, c, P)
+        degrees.append(len(f) - 1)
+        sums += at_frobenius(spread) + at_frobenius(f)
+    planes = F.apply(sums, flat, ones)  # the planes of every map at once
+    maps = [F.row_map(planes[i:i + N]) for i in range(0, len(planes), N)]
+    return P, [(d, maps[2 * i], maps[2 * i + 1]) for i, d in enumerate(degrees)]
+
+
+def _factors(F, basis: list, q: int, n0: int, rng) -> list:
+    """The monic F_q-irreducible factors of x**n0 - 1, p not dividing n0, as
+    lists of coefficients, constant first, that are elements of F_q in F.
+
+    x**n0 - 1 is squarefree.  Its factors of degree D over F_p divide
+    x**(p**D) - x, so the walk of p-th powers of x mod x**n0 - 1, as in
+    ``ben_or``, takes their product out degree by degree, by ``_poly_gcd``
+    and an exact ``_divide``.  Cantor and Zassenhaus split each such
+    product (``_halves``): in the field F_{p**D} of each factor, a random a
+    has a trace to F_2 (p = 2) or a power a**((p**D - 1)/2) that is 0 or 1
+    (1 or -1) at random, so its gcd with the product takes some factors.
+    Over F_q = F_{p**m} a factor g of degree D splits into t = gcd(D, m),
+    one per value in F_{p**t} of a norm rho at its roots (``_norm_split``),
+    or into the x - theta for its roots theta in F_q when t = D.
+    """
+    p, m = F.p, len(basis)
+    R = _field(p, (p - 1,) + (0,) * (n0 - 1) + (1,))  # F_p[x]/(x**n0 - 1)
+    minus_x = R.shift(p - 1, 1)
+    power, rest, D, pieces = R.monomial(1), [p - 1] + [0] * (n0 - 1) + [1], 0, []
+    while 2 * (D + 1) < len(rest):  # rest may still have two factors of degree > D
+        D += 1
+        power = _power(R.mulmod, power, p)
+        part = _poly_gcd(R, R.add(power, minus_x), sum(c << k * R.width for k, c in enumerate(rest)))
+        if R.top(part) > 1:
+            part = _monic(F, q, [R.digit(part, k) for k in range(R.top(part))])
+            pieces.append((D, part))  # (D, the monic product of the factors of degree D)
+            rest = _divide(F, rest, part)[0]
+    if len(rest) > 1:
+        pieces.append((len(rest) - 1, rest))
+    factors = []
+    while pieces:
+        D, g = pieces.pop()
+        t = math.gcd(D, m)
+        if len(g) - 1 > D:  # several factors of degree D over F_p
+            pieces += [(D, h) for h in _halves(F, q, g, D, rng)]
+        elif t == 1:
+            factors.append(g)
+        elif t == D:  # g splits into the x - theta for its roots theta in F_q
+            factors += [[_times(F, p - 1, theta), F.one] for theta in _roots(F, basis, q, g, rng)]
+        else:
+            factors += _norm_split(F, basis, q, g, t, rng)
+    return factors
+
+
+def _halves(F, q: int, g: list, D: int, rng) -> list:
+    """Two monic factors, over F_p, of a monic g whose irreducible factors,
+    two or more, all have degree D: by Cantor and Zassenhaus, as in
+    ``_factors``, in the packed F_p[x]/(g)."""
+    p = F.p
+    G = _field(p, g)
+    while True:
+        a = sum(rng.randrange(p) << k * G.width for k in range(G.N))
+        if p == 2:
+            s = a
+            for _ in range(D - 1):
+                s = G.mulmod(s, s)
+                a ^= s
+        else:
+            a = G.add(_power(G.mulmod, a, (p**D - 1) // 2), p - 1)
+        s = _poly_gcd(G, a, G.f)
+        if 1 < G.top(s) <= G.N:
+            s = _monic(F, q, [G.digit(s, k) for k in range(G.top(s))])
+            return [s, _divide(F, g, s)[0]]
+
+
+def _norm_split(F, basis: list, q: int, g: list, t: int, rng) -> list:
+    """The t factors over F_q of a monic g, irreducible of degree D over
+    F_p, t = gcd(D, m) < D: gcd(g, rho - theta) for the roots theta in F_q
+    of the product of the z - rho**(p**i), i < t, where rho is the norm
+    a**((p**D - 1)/(p**t - 1)) to F_{p**t} of a random a mod g, drawn
+    until rho has degree t."""
+    p = F.p
+    G = _field(p, g)  # F_p[x]/(g)
+    D = G.N
+    conjugates = [0]
+    while len(set(conjugates)) < t:  # until rho has degree t over F_p
+        a = sum(rng.randrange(p) << k * G.width for k in range(D))
+        conjugates = [_power(G.mulmod, a, (p**D - 1) // (p**t - 1))]
+        for _ in range(t - 1):
+            conjugates.append(_power(G.mulmod, conjugates[-1], p))
+    mu = [G.one]  # the product of the z - rho**(p**i)
+    for c in conjugates:
+        minus_c = G.scale(c, p - 1)
+        mu = [G.add(u, G.mulmod(minus_c, v)) for u, v in zip([0] + mu, mu + [0])]
+    if any(G.top(c) > 1 for c in mu):
+        raise InternalInconsistency("a norm has conjugates outside F_p")
+    rho = [G.digit(conjugates[0], k) for k in range(D)]
+    factors = []
+    for theta in _roots(F, basis, q, mu, rng):
+        rho[0] = F.add(rho[0], _times(F, p - 1, theta))
+        factors.append(_gcd(F, q, rho, g))
+        rho[0] = F.add(rho[0], theta)
+    return factors
+
+
+def _roots(F, basis: list, q: int, f: list, rng) -> list:
+    """The roots in F_q of a monic f over F_q with deg f distinct roots
+    there, by Cantor and Zassenhaus as in ``_factors``: the trace of a
+    random a to F_2 has m terms, its power is a**((q - 1)/2)."""
+    p = F.p
+    if len(f) == 2:
+        return [_times(F, p - 1, f[0])]
+
+    def mulmod(a, b):
+        return _divide(F, _product(F, a, b), f)[1]
+
+    while True:
+        a = []
+        for _ in range(len(f) - 1):
+            c = F.zero
+            for b in basis:
+                c = F.add(c, F.scale(b, rng.randrange(p)))
+            a.append(c)
+        if p == 2:
+            t = s = a
+            for _ in range(len(basis) - 1):
+                s = mulmod(s, s)
+                t = [F.add(u, v) for u, v in zip(t, s)]
+        else:
+            t = _power(mulmod, a, (q - 1) // 2)
+            t[0] = F.add(t[0], p - 1)
+        g = _gcd(F, q, t, f)
+        if 0 < len(g) - 1 < len(f) - 1:
+            return _roots(F, basis, q, g, rng) + _roots(F, basis, q, _divide(F, f, g)[0], rng)
+
+
+def _gcd(F, q: int, a: list, f: list) -> list:
+    """The monic gcd over F_q of a and a monic f, as in ``_product``."""
+    while any(a):
+        a = _monic(F, q, a)
+        f, a = a, _divide(F, f, a)[1]
+    return f
+
+
+def _times(F, a, b):
+    """a*b for elements a and b of F: by ``scale`` where one is in F_p."""
+    if a < F.p:
+        return a * b % F.p if b < F.p else F.scale(b, a)
+    return F.scale(a, b) if b < F.p else F.mulmod(a, b)
+
+
+def _product(F, a: list, b: list) -> list:
+    """The product of two polynomials whose coefficients, constant first, are elements of F."""
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, e in enumerate(b):
+                if e:
+                    out[i + j] = F.add(out[i + j], _times(F, c, e))
+    return out
+
+
+def _divide(F, a: list, g: list):
+    """(quotient, rest) of the polynomial a by a monic g, as in ``_product``."""
+    d = len(g) - 1
+    minus = [_times(F, F.p - 1, c) for c in g[:d]]
+    a = list(a)
+    quotient = [F.zero] * max(len(a) - d, 0)
+    for i in range(len(a) - 1, d - 1, -1):
+        c = a[i]
+        if c:
+            quotient[i - d] = c
+            for k, e in enumerate(minus):
+                a[i - d + k] = F.add(a[i - d + k], _times(F, c, e))
+    return quotient, a[:d]
+
+
+def _monic(F, q: int, a: list) -> list:
+    """The nonzero polynomial a over F_q, as in ``_product``, made monic."""
+    while not a[-1]:
+        a = a[:-1]
+    lead = a[-1]
+    inverse = pow(lead, -1, F.p) if lead < F.p else _power(F.mulmod, lead, q - 2)
+    return [_times(F, inverse, c) for c in a]
 
 
 def _lane_mask(F, lanes: int) -> int:
@@ -293,31 +527,39 @@ def _repeat(F, planes, lanes, d):
     return _power(join, (planes, lanes, d), F.p)[0]
 
 
-def _rank_lanes(F, planes, lanes, n, frobenius, scalings):
-    """n + 1 lane masks: mask r holds the lanes whose conjugates have F_q-rank r.
+def _rank_lanes(F, planes, lanes, n, P, maps):
+    """n + 1 lane masks: mask r holds the lanes whose F_q-order has degree r.
 
-    alpha**(q**j) enters as the m vectors b_i * alpha**(q**j), which span its
-    F_q-multiples over F_p.  ``alive`` marks the lanes whose conjugates so
-    far are independent: a lane has rank j at its first dependent conjugate j.
+    Per factor f of x**n0 - 1 in `maps` (``_order_maps``), the lanes go
+    through the cofactor map, then through f(Phi) up to P times.  Each step
+    where a lane is nonzero adds deg f to its count, kept bit-sliced:
+    counter[b] holds bit b of every lane's count.
     """
-    apply, insert = F.apply, F.insert
-    start = planes
-    ones = alive = _lane_mask(F, lanes)
-    pivots = [0] * len(planes)  # per top digit, the lanes with a basis row there (see insert)
-    rows = [[F.row_zero] * b for b in range(len(planes))]  # the rows' planes below the top digit
-    ranks = [0] * n
-    for j in range(n):
-        if alive:
-            inserted = insert(planes, rows, pivots, ones)
-            ranks[j] = alive ^ (alive & inserted)
-            alive &= inserted
-            for scaling in scalings:
-                if alive ^ (alive & insert(apply(scaling, planes, ones), rows, pivots, ones)):
-                    raise InternalInconsistency("scaled conjugate copies are dependent")
-        planes = apply(frobenius, planes, ones)
-    if planes != start:
-        raise InternalInconsistency("the lanes did not return after n steps of x -> x**q")
-    return ranks + [alive]
+    apply, nonzero = F.apply, F.nonzero
+    ones = _lane_mask(F, lanes)
+    counter = [0] * n.bit_length()
+    for degree, cofactor, factor in maps:
+        image = apply(cofactor, planes, ones)
+        for _ in range(P):
+            live = nonzero(image, ones)
+            if not live:
+                break
+            for b in range(degree.bit_length()):  # add degree on the lanes of live
+                if degree >> b & 1:
+                    carry = live
+                    for c in range(b, len(counter)):
+                        counter[c], carry = counter[c] ^ carry, counter[c] & carry
+            image = apply(factor, image, ones)
+        else:
+            if nonzero(image, ones):
+                raise InternalInconsistency("a lane survives P steps of f(x -> x**q)")
+    masks = []
+    for rank in range(n + 1):
+        mask = ones
+        for b, bit in enumerate(counter):
+            mask &= bit if rank >> b & 1 else ones ^ bit
+        masks.append(mask)
+    return masks
 
 
 class _Packed:
@@ -363,11 +605,23 @@ class _Packed:
         digit c of the image of input coordinate k: its j-th doubling enters."""
         out = [[] for _ in range(self.N)]
         for k, image in enumerate(images):
-            while image:  # bit s is bit s % width of digit s // width
-                s = (image & -image).bit_length() - 1
+            for s in _set_bits(image):  # bit s is bit s % width of digit s // width
                 out[s // self.width].append((k, s % self.width))
-                image &= image - 1
         return out
+
+    def row_map(self, planes):
+        """The ``linear_map`` whose output coordinate c takes input
+        coordinate k times the digit of lane k of planes[c]."""
+        return [[divmod(s, self.lane_width) for s in _set_bits(v)] for v in planes]
+
+
+def _set_bits(v: int) -> list:
+    """The positions of the set bits of v >= 0, lowest first."""
+    out = []
+    while v:
+        out.append((v & -v).bit_length() - 1)
+        v &= v - 1
+    return out
 
 
 class _Bits(_Packed):
@@ -375,11 +629,10 @@ class _Bits(_Packed):
 
     A vector is an element of F = F_2[x]/(f), digit k its coefficient of
     x**k, or a plane, digit l the coordinate of lane l.  The lane mask
-    `ones` of ``apply`` and ``insert`` is read only by ``_Digits``.
+    `ones` of ``apply`` and ``nonzero`` is read only by ``_Digits``.
     """
 
     p = 2
-    row_zero = 0
 
     def __init__(self, coeffs):
         self.N = len(coeffs) - 1
@@ -424,27 +677,12 @@ class _Bits(_Packed):
             out.append(v)
         return out
 
-    def insert(self, vector, rows, pivots, ones):
-        """Reduce one vector per lane into that lane's XOR basis; the lanes where it was new.
-
-        rows[b] holds, plane by plane below b, the row with top bit b of every
-        lane in pivots[b] (0 elsewhere).  A lane whose vector has bit b set and
-        no such row takes the vector as that row, and in every lane with bit b
-        set the row is then XORed out of the vector.
-        """
-        v = list(vector)
-        inserted = 0
-        for b in range(len(v) - 1, -1, -1):
-            vb = v[b]
-            if not vb:
-                continue
-            new = vb ^ (vb & pivots[b])
-            if new:
-                pivots[b] |= new
-                inserted |= new
-                rows[b] = [r | x & new for r, x in zip(rows[b], v)]
-            v[:b] = [x ^ r & vb for x, r in zip(v, rows[b])]
-        return inserted
+    def nonzero(self, planes, ones):
+        """The lane mask of the lanes whose vector in `planes` is not 0."""
+        out = 0
+        for v in planes:
+            out |= v
+        return out
 
 
 class _Digits(_Packed):
@@ -455,10 +693,7 @@ class _Digits(_Packed):
     of a product of two elements before mod p, which is below 2N (p - 1)**2.
 
     A sum s = a + b subtracts p from each field or lane whose bit w - 1 is
-    set in s + (2**(w-1) - p), so none carries into the next.  A product by
-    per-lane digits d adds the j-th doubling of the vector where bit j of d
-    is set, and 1/d = d**(p-2), a ``_power`` of that product taken once per
-    ``insert``.
+    set in s + (2**(w-1) - p), so none carries into the next.
     """
 
     def __init__(self, coeffs, p):
@@ -482,10 +717,6 @@ class _Digits(_Packed):
     @property
     def lane_width(self):
         return self.bits + 1
-
-    @property
-    def row_zero(self):
-        return (0,) * self.bits  # a row is kept as its doublings
 
     def add(self, a, b):
         s = a + b
@@ -546,76 +777,25 @@ class _Digits(_Packed):
             out.append(v)
         return out
 
-    def mul(self, a, d, ones):
-        """a times the per-lane digits d."""
-        bias, bits, p, fill = ones * self.excess, self.bits, self.p, self.fill
+    def nonzero(self, planes, ones):
+        """The lane mask of the lanes whose vector in `planes` is not 0: a
+        lane's digits ORed, plus 2**(w-1) - 1, reach its free top bit iff
+        one is not 0."""
         out = 0
-        for j, doubling in enumerate(self.doublings(a, ones)):
-            s = out + (doubling & (d >> j & ones) * fill)
-            out = s - ((s + bias) >> bits & ones) * p
-        return out
-
-    def insert(self, vector, rows, pivots, ones):
-        """Reduce one vector per lane into that lane's echelon basis; the lanes where it was new.
-
-        rows[b] holds, plane by plane below b, the doublings of the row with
-        top digit b of every lane that has one, and pivots[b] the inverse of
-        that digit (0 elsewhere).  A lane with a digit d != 0 at b and no row
-        there takes the vector as its row; then -d/(digit b of the row) times
-        the row is added to the vector, a doubling for each bit of it.  That
-        factor is -1 in a lane whose row is new, which leaves the rest of its
-        vector 0.  So a lane takes at most one row per insert, and the
-        inverses of the new rows' digits b are taken once, as one d**(p-2)
-        over all lanes, and written to pivots at the end.
-        """
-        bias, bits, p, fill = ones * self.excess, self.bits, self.p, self.fill
-        nonzero = ones * (fill >> 1)  # per field: d + nonzero has the top bit iff d != 0
-        v = list(vector)
-        inserted = leads = 0  # the lanes with a new row, and its digit at its top
-        fresh = []  # (b, the lanes with a new row at b)
-        for b in range(len(v) - 1, -1, -1):
-            d = v[b]
-            if not d:
-                continue
-            inverse = pivots[b]
-            live = (d + nonzero) >> bits & ones
-            new = live ^ (live & (inverse + nonzero) >> bits)
-            if new:
-                inserted |= new
-                spread = new * fill
-                leads |= d & spread
-                fresh.append((b, new))
-                rows[b] = [row if not x & spread else tuple(
-                    r | y for r, y in zip(row, self.doublings(x & spread, ones)))
-                    for row, x in zip(rows[b], v)]
-            d = self.mul(d, inverse, ones)  # 0 where the row is new
-            factor = live * p - d - new  # -d/(digit b of the row); -1 where it is new
-            masks = [(factor >> j & ones) * fill for j in range(bits)]
-            reduced = []
-            for x, row in zip(v, rows[b]):
-                for mask, r in zip(masks, row):
-                    t = r & mask
-                    if t:
-                        s = x + t
-                        x = s - ((s + bias) >> bits & ones) * p
-                reduced.append(x)
-            v[:b] = reduced
-        leads = _power(lambda a, b: self.mul(a, b, ones), leads, p - 2)  # 1/d, 0 where d is 0
-        for b, new in fresh:
-            pivots[b] |= leads & new * fill
-        return inserted
+        for v in planes:
+            out |= v
+        return (out + ones * (self.fill >> 1)) >> self.bits & ones
 
 
 class _Trits(_Digits):
     """Digits of F_3: elements as in ``_Digits``, but a plane is a
     pair (lo, hi) of ints, bit l of lo set where lane l's digit is 1 and bit
     l of hi where it is 2.  The doublings of a plane are the plane and its
-    negation, which swaps lo and hi.  As 1/1 = 1 and 1/2 = 2, a row is made
-    monic by its own leading digit.
+    negation, which swaps lo and hi.
     """
 
     lane_width = 1
-    plane_zero = row_zero = (0, 0)
+    plane_zero = (0, 0)
 
     def __init__(self, coeffs):
         super().__init__(coeffs, 3)
@@ -658,33 +838,14 @@ class _Trits(_Digits):
             out.append((lo, hi))
         return out
 
-    def insert(self, vector, rows, pivots, ones):
-        """Reduce one vector per lane into that lane's echelon basis; the lanes where it was new.
+    def row_map(self, planes):
+        """As ``_Packed.row_map``: digit 1 is doubling 0 of a plane, digit 2 doubling 1."""
+        return [[(l, 0) for l in _set_bits(lo)] + [(l, 1) for l in _set_bits(hi)]
+                for lo, hi in planes]
 
-        rows[b] holds, plane by plane below b, the row with top digit b of
-        every lane in pivots[b] (0 elsewhere), made monic: its digit b is 1
-        and implied.  A lane whose vector has a digit d != 0 at b and no such
-        row takes d times the vector as that row, and in every lane with
-        digit d at b, -d times the row is then added to the vector.
-        """
-        v = list(vector)
-        inserted = 0
-        for b in range(len(v) - 1, -1, -1):
-            dl, dh = v[b]
-            nonzero = dl | dh
-            if not nonzero:
-                continue
-            new = nonzero ^ (nonzero & pivots[b])
-            if new:
-                pivots[b] |= new
-                inserted |= new
-                sl, sh = dl & new, dh & new
-                rows[b] = [(rl | xl & sl | xh & sh, rh | xh & sl | xl & sh)
-                           for (rl, rh), (xl, xh) in zip(rows[b], v)]
-            reduced = []
-            for (xl, xh), (rl, rh) in zip(v, rows[b]):
-                yl, yh = rl & dh | rh & dl, rh & dh | rl & dl  # -d times the row
-                t = (xl | yh) ^ (xh | yl)
-                reduced.append(((xh | yh) ^ t, (xl | yl) ^ t))
-            v[:b] = reduced
-        return inserted
+    def nonzero(self, planes, ones):
+        """The lane mask of the lanes whose vector in `planes` is not 0."""
+        out = 0
+        for lo, hi in planes:
+            out |= lo | hi
+        return out

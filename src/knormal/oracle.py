@@ -2,12 +2,19 @@
 
 ``brute_force_distribution`` walks all of F_{q^n} and buckets every element
 alpha by k = n - dim span_{F_q}(alpha, alpha**q, ..., alpha**(q**(n-1))),
-the definition of k-normality.  The field is F_p[x]/(f), f of degree
-N = n*m for q = p**m (``galois.TowerField``), with no F_q coordinates.
-Each F_q*-line is ranked once and weighted by q - 1, and alpha = 0 spans
-nothing.  One route serves every characteristic: ``lanes`` ranks all lines
-at once, with F_p-vectors packed by digit, so that full sweeps up to 2**22
-elements stay feasible.  A sweep shares only the ``Distribution`` record
+the definition of k-normality.  That span is the F_q[Phi]-module alpha
+generates, Phi: y -> y**q, so its dimension is the degree of the F_q-order
+of alpha: the monic g of least degree with g(Phi) alpha = 0, a divisor of
+x**n - 1 as Phi**n = 1.  This is linear algebra on the field itself, with
+neither the normal basis theorem nor the counts behind the formulas.  The
+field is F_p[x]/(f), f of degree N = n*m for q = p**m
+(``galois.TowerField``), with no F_q coordinates.  Each F_q*-line is
+ranked once and weighted by q - 1, and alpha = 0 spans nothing.  One route
+serves every characteristic: ``lanes`` ranks all lines at once by their
+orders, through the factors of x**n - 1 that it finds in its own
+arithmetic, with F_p-vectors packed by digit, so that full sweeps up to
+2**22 elements stay feasible; it ranks the first line found of each rank
+again by elimination.  A sweep shares only the ``Distribution`` record
 with the counting side.  ``lanes`` is imported on the first sweep, so
 commands that sweep nothing never compile it.
 
@@ -17,7 +24,8 @@ modulus f' of the same degree wherever one exists, so that it shares no
 representation with the sweep's field, and assert that the sweep matches it.
 
 ``cyclotomic_cosets`` gives the orbit sizes of Z/n0 under multiplication by
-q, an independent route to the factor-degree pattern of x**n0 - 1.
+q, an independent route to the factor-degree pattern of x**n0 - 1.  The
+sweep never reads it; the tests compare it with the sweep's factors.
 """
 
 import math

@@ -227,18 +227,17 @@ def test_a_cached_field_scans_for_its_modulus_once(monkeypatch):
 
 @pytest.mark.parametrize("q,n", [(25, 2)])
 def test_dependent_scaled_copies_are_refused(monkeypatch, q, n):
-    # b_1 = 2 * b_0: the scaled copy 2 * alpha of every conjugate is an
-    # F_p-multiple of it
+    # b_1 = 2 * b_0: every multiple b_1 * alpha is an F_p-multiple of alpha
     monkeypatch.setattr(lanes, "_fq_basis", lambda F, images, m: [F.one, F.scale(F.one, 2)])
-    with pytest.raises(InternalInconsistency, match="scaled conjugate copies are dependent"):
+    with pytest.raises(InternalInconsistency, match="the basis of F_q is dependent"):
         lanes.sweep(galois.build_tower(q, n, 0))
 
 
 def test_a_dependent_f_q_basis_is_refused(monkeypatch):
-    # b_1 = b_0 = 1: the scaled copy of every conjugate is the conjugate itself
+    # b_1 = b_0 = 1: every multiple b_1 * alpha is alpha itself
     monkeypatch.setattr(lanes, "_fq_basis", lambda F, images, m: [F.one] * m)
     for q, n in [(4, 3), (9, 3), (25, 3)]:
-        with pytest.raises(InternalInconsistency, match="scaled conjugate copies are dependent"):
+        with pytest.raises(InternalInconsistency, match="the basis of F_q is dependent"):
             lanes.sweep(galois.build_tower(q, n, 0))
 
 
@@ -264,11 +263,11 @@ def _changed(k, c, t):
                                      (5, 3, 0, 1), (25, 2, 1, 1)])
 def test_a_perturbed_frobenius_is_refused(monkeypatch, q, n, k, c):
     # x**c added to the image of x**k under x -> x**q, with the check tied to f
-    # taken out: F_q keeps its dimension for these moduli, but the lanes no
-    # longer return after n steps
+    # taken out: F_q keeps its dimension for these moduli, but the columns no
+    # longer return to x**k after n steps
     monkeypatch.setattr(lanes, "_check_frobenius", lambda F, images: None)
     _replace_frobenius(monkeypatch, _changed(k, c, 1))
-    with pytest.raises(InternalInconsistency, match="did not return"):
+    with pytest.raises(InternalInconsistency, match="taken n times is not 1 on its columns"):
         lanes.sweep(galois.build_tower(q, n, 0))
 
 
@@ -316,22 +315,12 @@ def test_f3_digit_arithmetic_over_all_digits():
         return [F.lane_digit(v, l) for l in range(count)]
 
     a, b = [d // 3 for d in range(9)], [d % 3 for d in range(9)]
+    ones = lanes._lane_mask(F, 9)
     # apply: output 0 is input 0 plus 2 times input 1 (its doubling 1, the negation)
-    out = F.apply([[(0, 0), (1, 1)]], [plane(a), plane(b)], lanes._lane_mask(F, 9))
+    out = F.apply([[(0, 0), (1, 1)]], [plane(a), plane(b)], ones)
     assert digits(out[0], 9) == [(x + 2 * y) % 3 for x, y in zip(a, b)]
-    # insert: (d, r) enters as the row d * (d, r) = (1, d*r); then (e, s) reduces
-    # to (0, s - e*d*r), new exactly where that digit is nonzero
-    cases = [(d, r, e, s) for d in (1, 2) for r in range(3) for e in range(3) for s in range(3)]
-    first = [plane([r for d, r, e, s in cases]), plane([d for d, r, e, s in cases])]
-    second = [plane([s for d, r, e, s in cases]), plane([e for d, r, e, s in cases])]
-    rows, pivots = [[F.row_zero] * b for b in range(2)], [0, 0]
-    ones = lanes._lane_mask(F, len(cases))
-    assert F.insert(first, rows, pivots, ones) == ones
-    assert digits(rows[1][0], len(cases)) == [d * r % 3 for d, r, e, s in cases]
-    new = F.insert(second, rows, pivots, ones)
-    assert [new >> l & 1 for l in range(len(cases))] == [
-        int((s - e * d * r) % 3 != 0) for d, r, e, s in cases
-    ]
+    # nonzero: the lanes whose vector (a[l], b[l]) is not 0
+    assert F.nonzero([plane(a), plane(b)], ones) == sum(1 << l for l in range(9) if a[l] or b[l])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 131])
@@ -356,25 +345,9 @@ def test_packed_digit_arithmetic_over_all_digits(p):
     total, negated = F.apply([[(0, 0), (1, 0)], minus], [plane(a), plane(b)], ones)
     assert digits(total, p * p) == [(x + y) % p for x, y in zip(a, b)]
     assert digits(negated, p * p) == [-x % p for x in a]
-    assert digits(F.mul(plane(a), plane(b), ones), p * p) == [x * y % p for x, y in zip(a, b)]
-    inverse = lanes._power(lambda x, y: F.mul(x, y, ones), plane(a), p - 2)
-    assert digits(inverse, p * p) == [pow(x, -1, p) if x else 0 for x in a]
-    # insert: (d, r) enters as the row (d, r) with 1/d kept as its pivot
-    # inverse; then (e, s) reduces to (0, s - e*r/d), new exactly where that
-    # digit is nonzero
-    values = range(p) if p < 12 else (0, 1, 2, p // 2, p - 2, p - 1)
-    cases = [(d, r, e, s) for d in values if d for r in values for e in values for s in values]
-    first = [plane([r for d, r, e, s in cases]), plane([d for d, r, e, s in cases])]
-    second = [plane([s for d, r, e, s in cases]), plane([e for d, r, e, s in cases])]
-    rows, pivots = [[F.row_zero] * b for b in range(2)], [0, 0]
-    ones = lanes._lane_mask(F, len(cases))
-    assert F.insert(first, rows, pivots, ones) == ones
-    assert digits(rows[1][0][0], len(cases)) == [r for d, r, e, s in cases]
-    assert digits(pivots[1], len(cases)) == [pow(d, -1, p) for d, r, e, s in cases]
-    new = F.insert(second, rows, pivots, ones)
-    assert digits(new, len(cases)) == [
-        int((s - e * r * pow(d, -1, p)) % p != 0) for d, r, e, s in cases
-    ]
+    # nonzero: the lanes whose vector (a[l], b[l]) is not 0, at the low bit of each lane
+    live = [int(x != 0 or y != 0) for x, y in zip(a, b)]
+    assert F.nonzero([plane(a), plane(b)], ones) == plane(live)
     # element sums, digit multiples and products match the generic field F_p[x]/(f)
     elements = range(tower.order) if p < 12 else range(0, tower.order, 97)
     for i in elements:
@@ -412,17 +385,18 @@ def test_a_product_fits_the_element_fields(p):
 
 @pytest.mark.parametrize("p", [3, 5, 131])
 def test_a_digit_multiple_takes_no_lane_product(monkeypatch, p):
-    # c*v is double-and-add over F.add, every digit of 2N, and never the
-    # per-lane product that insert uses
+    # c*v is double-and-add over F.add, every digit of 2N, and never a field
+    # product or a map of lanes
     F = lanes._field(p, galois.build_tower(p, 2, 0).modulus.coeffs)
 
     def refuse(*args):
-        raise AssertionError("a lane product")
+        raise AssertionError("a product")
 
     def packed(digits):
         return sum(d << k * F.width for k, d in enumerate(digits))
 
-    monkeypatch.setattr(F, "mul", refuse)
+    monkeypatch.setattr(F, "mulmod", refuse)
+    monkeypatch.setattr(F, "apply", refuse)
     v = [1, p - 1, 0, p // 2]  # 2N digits, N = 2
     for c in range(p):
         assert F.scale(packed(v), c) == packed([c * d % p for d in v])
@@ -469,10 +443,10 @@ def test_the_ranker_returns_one_mask_per_rank_covering_its_block(monkeypatch):
             yielded.append(block)
             yield block
 
-    def checked(F, planes, count, n, frobenius, scalings):
-        given = copy.deepcopy((planes, frobenius, scalings))
-        masks = rank_lanes(F, planes, count, n, frobenius, scalings)
-        assert (planes, frobenius, scalings) == given and len(masks) == n + 1
+    def checked(F, planes, count, n, P, maps):
+        given = copy.deepcopy((planes, maps))
+        masks = rank_lanes(F, planes, count, n, P, maps)
+        assert (planes, maps) == given and len(masks) == n + 1
         union = 0
         for mask in masks:
             assert not union & mask
@@ -492,6 +466,70 @@ def test_the_ranker_returns_one_mask_per_rank_covering_its_block(monkeypatch):
             assert ranked == yielded and len(yielded) > 1
 
 
+def _fq_arithmetic(q):
+    """(F, basis, tower): the sweep's digit arithmetic on F_q = F_p[x]/(f)
+    itself, deg f = m, the basis of F_q in it, and the generic field."""
+    tower = galois.build_tower(q, 1, 0)
+    F = lanes._field(tower.base.order, tower.modulus.coeffs)
+    return F, lanes._fq_basis(F, lanes._frobenius_images(F, q), tower.m), tower
+
+
+def test_the_factors_of_x_to_the_n0_minus_1():
+    # every q <= 64 and n0 <= 60 prime to q: monic factors whose product, in
+    # the generic arithmetic, is x**n0 - 1, one per cyclotomic coset; over F_p
+    # each passes Rabin's test (once: x**n0 - 1 shares factors across n0)
+    irreducible = set()
+    for q in [q for q in PRIME_POWERS_4096 if q <= 64]:
+        F, basis, tower = _fq_arithmetic(q)
+        p, m = tower.base.order, tower.m
+        field = tower.base if m == 1 else tower  # F_p itself or F_p[x]/(f), deg f = m
+        for n0 in [n0 for n0 in range(1, 61) if n0 % p]:
+            factors = lanes._factors(F, basis, q, n0, random.Random(n0))
+            product = galois.Poly(field, [field.one])
+            for f in factors:
+                assert f[-1] == F.one, (q, n0, f)
+                coeffs = f if m == 1 else [tuple(F.digit(c, k) for k in range(m)) for c in f]
+                product = product * galois.Poly(field, coeffs)
+                if m == 1 and (p, *f) not in irreducible:
+                    assert galois.is_irreducible(galois.Poly(field, f)), (q, n0, f)
+                    irreducible.add((p, *f))
+            assert product == _xn_minus_one(field, n0), (q, n0)
+            assert sorted(len(f) - 1 for f in factors) == oracle.cyclotomic_cosets(q, n0)
+
+
+@pytest.mark.parametrize("q,n", [(2, 9), (3, 8), (4, 6)])
+def test_two_factors_taken_as_one_are_refused_or_miscount(monkeypatch, q, n):
+    # the product of two factors of x**n0 - 1, treated as one factor, ranks
+    # alpha by the larger of its two exponents
+    factors = lanes._factors
+
+    def merged(F, basis, q, n0, rng):
+        first, second, *rest = factors(F, basis, q, n0, rng)
+        return [lanes._product(F, first, second)] + rest
+
+    monkeypatch.setattr(lanes, "_factors", merged)
+    try:
+        counts = lanes.sweep(galois.build_tower(q, n, 0))
+    except InternalInconsistency:
+        return
+    assert counts != list(counting.distribution(q, n))
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (25, 2)])
+def test_a_lane_that_survives_p_steps_is_refused(monkeypatch, q, n):
+    # a factor f taken as x**deg f: its cofactor and f(x -> x**q) are then
+    # powers of x -> x**q, which kill no lane
+    factors = lanes._factors
+
+    def monomial_first(F, basis, q, n0, rng):
+        first, *rest = factors(F, basis, q, n0, rng)
+        return [[F.zero] * (len(first) - 1) + [F.one]] + rest
+
+    monkeypatch.setattr(lanes, "_factors", monomial_first)
+    with pytest.raises(InternalInconsistency, match="a lane survives P steps"):
+        lanes.sweep(galois.build_tower(q, n, 0))
+
+
 def test_brute_force_refuses_a_miscount(monkeypatch):
     monkeypatch.setattr(lanes, "sweep", lambda tower: [1] * (tower.n + 1))
     with pytest.raises(InternalInconsistency, match="missed or double-counted"):
@@ -506,22 +544,38 @@ class _Unchecked:
 
 
 def _misrank(monkeypatch, tower, rank):
-    """Patch the digit arithmetic so that, in the first block, the lowest lane
-    still independent at step `rank` drops out of that step's insert, as if its
-    pivot were lost: the lane reads rank `rank`, its q - 1 elements move to
-    N_(n-rank), and the counts still sum to q**n.
+    """Patch the nonzero-lane kernel of the sweep's digit arithmetic so that
+    one lane drops out of the mask of one step of one factor, as if that
+    step had lost it: the lowest lane, at its first such step, that then
+    reads rank `rank`, its rank less the degree of the step's factor.  Its
+    q - 1 elements move to N_(n-rank), and the counts still sum to q**n.
     """
-    digits = {2: lanes._Bits, 3: lanes._Trits}.get(tower.base.order, lanes._Digits)
-    insert = digits.insert
-    calls = []
+    q, n = tower.q, tower.n
+    F = lanes._field(tower.base.order, tower.modulus.coeffs)
+    nonzero = type(F).nonzero
+    masks = []  # the masks returned so far
 
-    def dropping(self, vector, rows, pivots, ones):
-        inserted = insert(self, vector, rows, pivots, ones)
-        calls.append(inserted)
-        # one insert of the conjugate and m - 1 of its scaled copies per step
-        return inserted & ~(inserted & -inserted) if len(calls) == rank * tower.m + 1 else inserted
+    def dropping(lane, call):
+        def kernel(self, planes, ones):
+            live = nonzero(self, planes, ones)
+            masks.append(live)
+            return live & ~(1 << lane * self.lane_width) if len(masks) == call + 1 else live
 
-    monkeypatch.setattr(digits, "insert", dropping)
+        return kernel
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lanes, "_span_dimension", lambda *args: _Unchecked())
+        patch.setattr(type(F), "nonzero", dropping(0, -1))
+        true = lanes.sweep(tower)
+        steps = sorted((s // F.lane_width, call) for call, live in enumerate(list(masks))
+                       for s in range(live.bit_length()) if live >> s & 1)
+        for lane, call in steps:
+            masks.clear()
+            patch.setattr(type(F), "nonzero", dropping(lane, call))
+            if lanes.sweep(tower)[n - rank] == true[n - rank] + q - 1:
+                break
+    masks.clear()
+    monkeypatch.setattr(type(F), "nonzero", dropping(lane, call))
 
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (5, 3), (25, 2), (2039, 2), (7, 4)])
@@ -619,6 +673,21 @@ def test_each_odd_p_sweeps_its_largest_field_at_the_guard(q, n, bound):
     galois.build_tower.cache_clear()
     t0 = time.perf_counter()
     dist = oracle.brute_force_distribution(q, n)
+    elapsed = time.perf_counter() - t0
+    assert dist == counting.distribution(q, n)
+    assert elapsed < bound
+
+
+@pytest.mark.parametrize("q, n, bound", [(2, 22, 0.15), (4, 11, 0.06), (25, 5, 0.6)])
+def test_p_two_and_a_square_q_sweep_their_largest_field(q, n, bound):
+    # as for odd p above: F_{2^22} and F_{4^11}, the largest fields over F_2
+    # inside the guard, and F_{25^5}, past it, where x**5 - 1 = (x - 1)**5;
+    # F_{4^11} ranks by the factors of x**11 - 1 over F_4; each bound is
+    # three to four times the time taken on a 2-core VM (CPython 3.11)
+    assert q ** (n + 1) > oracle.DEFAULT_MAX_ORDER
+    galois.build_tower.cache_clear()
+    t0 = time.perf_counter()
+    dist = oracle.brute_force_distribution(q, n, max_order=q**n)
     elapsed = time.perf_counter() - t0
     assert dist == counting.distribution(q, n)
     assert elapsed < bound
