@@ -42,13 +42,14 @@ of planes takes seven AND/OR/XOR operations and a negation swaps them.
   takes extra passes.
 * The factors f come from the sweep's own arithmetic: ``_factors`` splits
   x**n0 - 1 over F_p with packed polynomials, then over F_q, whose elements
-  are those of F fixed by x -> x**q, with lists of them as coefficients.
+  are those of F fixed by x -> x**q, with lists of them as coefficients,
+  on the sums of x**k over the orbits of k -> k*q mod n0 (Berlekamp).
 * ``galois.find_irreducible`` scans for f over F_p with ``ben_or``:
   Ben-Or's test run in this arithmetic (powers by ``mulmod``, a gcd of
   packed polynomials).
 * One ``_power``, doubling from the top bit, repeats every operation that is
   repeated: ``mulmod`` for powers, ``add`` for a multiple c*a, the join of
-  ``_repeat`` for a lane pattern, and the products mod f of ``_roots``.
+  ``_repeat`` for a lane pattern, and the products mod g of ``_split``.
 """
 
 import math
@@ -292,52 +293,57 @@ def _factors(F, basis: list, q: int, n0: int, rng) -> list:
     lists of coefficients, constant first, that are elements of F_q in F.
 
     x**n0 - 1 is squarefree.  Its factors of degree D over F_p divide
-    x**(p**D) - x, so the walk of p-th powers of x mod x**n0 - 1, as in
-    ``ben_or``, takes their product out degree by degree, by ``_poly_gcd``
-    and an exact ``_divide``.  Cantor and Zassenhaus split each such
-    product (``_halves``): in the field F_{p**D} of each factor, a random a
-    has a trace to F_2 (p = 2) or a power a**((p**D - 1)/2) that is 0 or 1
-    (1 or -1) at random, so its gcd with the product takes some factors.
-    Over F_q = F_{p**m} a factor g of degree D splits into t = gcd(D, m),
-    one per value in F_{p**t} of a norm rho at its roots (``_norm_split``),
-    or into the x - theta for its roots theta in F_q when t = D.
+    x**(p**D) - x, which is x**(p**D mod n0) - x mod x**n0 - 1, so a gcd
+    (``_poly_gcd``) and an exact ``_divide`` take their product out degree
+    by degree; ``_halves`` splits it over F_p, and ``_split`` each of its
+    factors over F_q = F_{p**m}, into factors of degree D/gcd(D, m).
     """
     p, m = F.p, len(basis)
-    R = _field(p, (p - 1,) + (0,) * (n0 - 1) + (1,))  # F_p[x]/(x**n0 - 1)
-    minus_x = R.shift(p - 1, 1)
-    power, rest, D, pieces = R.monomial(1), [p - 1] + [0] * (n0 - 1) + [1], 0, []
+    R = _field(p, (p - 1,) + (0,) * (n0 - 1) + (1,))  # packs the polynomials for _poly_gcd
+    minus_x, orbits = R.shift(p - 1, 1), _orbits(q, n0)
+    rest, D, factors = [p - 1] + [0] * (n0 - 1) + [1], 0, []
     while 2 * (D + 1) < len(rest):  # rest may still have two factors of degree > D
         D += 1
-        power = _power(R.mulmod, power, p)
+        power = R.monomial(pow(p, D, n0))
         part = _poly_gcd(R, R.add(power, minus_x), sum(c << k * R.width for k, c in enumerate(rest)))
         if R.top(part) > 1:
             part = _monic(F, q, [R.digit(part, k) for k in range(R.top(part))])
-            pieces.append((D, part))  # (D, the monic product of the factors of degree D)
             rest = _divide(F, rest, part)[0]
-    if len(rest) > 1:
-        pieces.append((len(rest) - 1, rest))
-    factors = []
-    while pieces:
-        D, g = pieces.pop()
-        t = math.gcd(D, m)
-        if len(g) - 1 > D:  # several factors of degree D over F_p
-            pieces += [(D, h) for h in _halves(F, q, g, D, rng)]
-        elif t == 1:
-            factors.append(g)
-        elif t == D:  # g splits into the x - theta for its roots theta in F_q
-            factors += [[_times(F, p - 1, theta), F.one] for theta in _roots(F, basis, q, g, rng)]
-        else:
-            factors += _norm_split(F, basis, q, g, t, rng)
+            for g in _halves(F, q, part, D, rng):
+                factors += _split(F, basis, q, g, D // math.gcd(D, m), orbits, rng)
+    if len(rest) > 1:  # one factor over F_p
+        D = len(rest) - 1
+        factors += _split(F, basis, q, rest, D // math.gcd(D, m), orbits, rng)
     return factors
 
 
+def _orbits(r: int, n0: int) -> list:
+    """The orbits of k -> k*r mod n0, r prime to n0: for each k < n0 the
+    number of its orbit, 0, 1, ... in order of their least k."""
+    labels, count = [None] * n0, 0
+    for k in range(n0):
+        if labels[k] is None:
+            j = k
+            while labels[j] is None:
+                labels[j] = count
+                j = j * r % n0
+            count += 1
+    return labels
+
+
 def _halves(F, q: int, g: list, D: int, rng) -> list:
-    """Two monic factors, over F_p, of a monic g whose irreducible factors,
-    two or more, all have degree D: by Cantor and Zassenhaus, as in
-    ``_factors``, in the packed F_p[x]/(g)."""
+    """The monic factors over F_p of a monic g whose irreducible factors all
+    have degree D, by Cantor and Zassenhaus in the packed F_p[x]/(g): in the
+    field F_{p**D} of each factor a random a has a trace to F_2 (p = 2) or a
+    power a**((p**D - 1)/2) that is 0 or 1 (1 or -1) at random, so its gcd
+    with g takes some factors, and each part is split again until it has
+    degree D.  A draw splits with probability at least 4/9, so 64 draws
+    that do not are refused."""
+    if len(g) - 1 == D:
+        return [g]
     p = F.p
     G = _field(p, g)
-    while True:
+    for _ in range(64):
         a = sum(rng.randrange(p) << k * G.width for k in range(G.N))
         if p == 2:
             s = a
@@ -349,68 +355,49 @@ def _halves(F, q: int, g: list, D: int, rng) -> list:
         s = _poly_gcd(G, a, G.f)
         if 1 < G.top(s) <= G.N:
             s = _monic(F, q, [G.digit(s, k) for k in range(G.top(s))])
-            return [s, _divide(F, g, s)[0]]
+            return _halves(F, q, s, D, rng) + _halves(F, q, _divide(F, g, s)[0], D, rng)
+    raise InternalInconsistency("x**n0 - 1 did not split")
 
 
-def _norm_split(F, basis: list, q: int, g: list, t: int, rng) -> list:
-    """The t factors over F_q of a monic g, irreducible of degree D over
-    F_p, t = gcd(D, m) < D: gcd(g, rho - theta) for the roots theta in F_q
-    of the product of the z - rho**(p**i), i < t, where rho is the norm
-    a**((p**D - 1)/(p**t - 1)) to F_{p**t} of a random a mod g, drawn
-    until rho has degree t."""
+def _split(F, basis: list, q: int, g: list, e: int, orbits: list, rng) -> list:
+    """The monic factors over F_q of a monic divisor g of x**n0 - 1 whose
+    irreducible factors over F_q all have degree e.
+
+    By Berlekamp, the y with y**q = y mod x**n0 - 1 are the F_q-combinations
+    of the sums e_C of x**k over the `orbits` C of k -> k*q mod n0, so each
+    e_C is a constant of F_q modulo every factor, and a random combination h
+    takes independent random values in F_q there.  Its trace to F_2 (p = 2)
+    or h**((q - 1)/2) - 1 is then 0 at random at each factor, and the rest
+    is as in ``_halves``, in lists over F_q, until the parts have degree e.
+    """
+    if len(g) - 1 == e:
+        return [g]
     p = F.p
-    G = _field(p, g)  # F_p[x]/(g)
-    D = G.N
-    conjugates = [0]
-    while len(set(conjugates)) < t:  # until rho has degree t over F_p
-        a = sum(rng.randrange(p) << k * G.width for k in range(D))
-        conjugates = [_power(G.mulmod, a, (p**D - 1) // (p**t - 1))]
-        for _ in range(t - 1):
-            conjugates.append(_power(G.mulmod, conjugates[-1], p))
-    mu = [G.one]  # the product of the z - rho**(p**i)
-    for c in conjugates:
-        minus_c = G.scale(c, p - 1)
-        mu = [G.add(u, G.mulmod(minus_c, v)) for u, v in zip([0] + mu, mu + [0])]
-    if any(G.top(c) > 1 for c in mu):
-        raise InternalInconsistency("a norm has conjugates outside F_p")
-    rho = [G.digit(conjugates[0], k) for k in range(D)]
-    factors = []
-    for theta in _roots(F, basis, q, mu, rng):
-        rho[0] = F.add(rho[0], _times(F, p - 1, theta))
-        factors.append(_gcd(F, q, rho, g))
-        rho[0] = F.add(rho[0], theta)
-    return factors
-
-
-def _roots(F, basis: list, q: int, f: list, rng) -> list:
-    """The roots in F_q of a monic f over F_q with deg f distinct roots
-    there, by Cantor and Zassenhaus as in ``_factors``: the trace of a
-    random a to F_2 has m terms, its power is a**((q - 1)/2)."""
-    p = F.p
-    if len(f) == 2:
-        return [_times(F, p - 1, f[0])]
 
     def mulmod(a, b):
-        return _divide(F, _product(F, a, b), f)[1]
+        return _divide(F, _product(F, a, b), g)[1]
 
-    while True:
-        a = []
-        for _ in range(len(f) - 1):
+    for _ in range(64):
+        values = []
+        for _ in range(max(orbits) + 1):
             c = F.zero
             for b in basis:
                 c = F.add(c, F.scale(b, rng.randrange(p)))
-            a.append(c)
+            values.append(c)
+        h = _divide(F, [values[C] for C in orbits], g)[1]
         if p == 2:
-            t = s = a
+            t = s = h
             for _ in range(len(basis) - 1):
                 s = mulmod(s, s)
                 t = [F.add(u, v) for u, v in zip(t, s)]
         else:
-            t = _power(mulmod, a, (q - 1) // 2)
+            t = _power(mulmod, h, (q - 1) // 2)
             t[0] = F.add(t[0], p - 1)
-        g = _gcd(F, q, t, f)
-        if 0 < len(g) - 1 < len(f) - 1:
-            return _roots(F, basis, q, g, rng) + _roots(F, basis, q, _divide(F, f, g)[0], rng)
+        s = _gcd(F, q, t, g)
+        if 0 < len(s) - 1 < len(g) - 1:
+            return (_split(F, basis, q, s, e, orbits, rng)
+                    + _split(F, basis, q, _divide(F, g, s)[0], e, orbits, rng))
+    raise InternalInconsistency("x**n0 - 1 did not split")
 
 
 def _gcd(F, q: int, a: list, f: list) -> list:
@@ -442,14 +429,14 @@ def _product(F, a: list, b: list) -> list:
 def _divide(F, a: list, g: list):
     """(quotient, rest) of the polynomial a by a monic g, as in ``_product``."""
     d = len(g) - 1
-    minus = [_times(F, F.p - 1, c) for c in g[:d]]
+    minus = [(k, _times(F, F.p - 1, c)) for k, c in enumerate(g[:d]) if c]
     a = list(a)
     quotient = [F.zero] * max(len(a) - d, 0)
     for i in range(len(a) - 1, d - 1, -1):
         c = a[i]
         if c:
             quotient[i - d] = c
-            for k, e in enumerate(minus):
+            for k, e in minus:
                 a[i - d + k] = F.add(a[i - d + k], _times(F, c, e))
     return quotient, a[:d]
 

@@ -37,8 +37,9 @@ def test_matches_formulas_small():
 def test_a_sweep_shares_only_the_record_with_the_counting_side(monkeypatch):
     # with the engine's planner, cost estimate, series and defect counts
     # raising, a sweep in each lane kernel (_Bits, _Trits, _Digits) still
-    # runs, and it agrees with the engine once that is restored
-    fields = [(2, 6), (3, 4), (5, 3)]
+    # runs, and it agrees with the engine once that is restored; (4, 5),
+    # (16, 3) and (9, 5) split factors over F_p into factors over F_q
+    fields = [(2, 6), (3, 4), (5, 3), (4, 5), (16, 3), (9, 5)]
 
     def engine(*args, **kwargs):
         raise AssertionError("a sweep reached the counting engine")
@@ -404,10 +405,11 @@ def test_a_digit_multiple_takes_no_lane_product(monkeypatch, p):
 
 def test_a_sweep_uses_no_generic_field_arithmetic(monkeypatch):
     # every sweep, whatever its characteristic, ranks the lanes in its packed
-    # digits, with no orbit walk and no generic field arithmetic (the fields
-    # are built first: the modulus scan uses it)
+    # digits, with no coset count and no generic field arithmetic (the fields
+    # are built first: the modulus scan uses it); (4, 5), (16, 3) and (9, 5)
+    # split factors over F_p into factors over F_q on orbits of their own
     fields = [(2, 9), (4, 4), (8, 3), (16, 1), (3, 7), (9, 3), (27, 2), (81, 1),
-              (5, 4), (7, 3), (25, 2), (125, 1), (131, 2)]
+              (5, 4), (7, 3), (25, 2), (125, 1), (131, 2), (4, 5), (16, 3), (9, 5)]
     towers = [galois.TowerField(q, n, 0) for q, n in fields]
 
     def refuse(*args):
@@ -528,6 +530,16 @@ def test_a_lane_that_survives_p_steps_is_refused(monkeypatch, q, n):
     monkeypatch.setattr(lanes, "_factors", monomial_first)
     with pytest.raises(InternalInconsistency, match="a lane survives P steps"):
         lanes.sweep(galois.build_tower(q, n, 0))
+
+
+def test_a_factor_that_does_not_split_is_refused(monkeypatch):
+    # the orbits of k -> 2k mod 9, not k -> 4k, make every sum of x**k over
+    # an orbit take one value at all roots of a factor over F_2, so no draw
+    # splits x**2 + x + 1 over F_4, and the sweep stops after its draws
+    orbits = lanes._orbits
+    monkeypatch.setattr(lanes, "_orbits", lambda r, n0: orbits(2, n0))
+    with pytest.raises(InternalInconsistency, match="did not split"):
+        lanes.sweep(galois.build_tower(4, 9, 0))
 
 
 def test_brute_force_refuses_a_miscount(monkeypatch):
