@@ -17,10 +17,9 @@ whatever p, so only the plane kernels differ by p: ``_Trits`` (p = 3) keeps
 a plane as two bit planes, lo and hi, after Boothby and Bradshaw, so a sum
 of planes takes seven AND/OR/XOR operations and a negation swaps them.
 
-* Digit k of an element is its coefficient of x**k.  The
-  columns of x -> x**q must be the powers of a root of f, and F_q =
-  ker(x -> x**q minus 1), with an F_p-basis b_0 = 1, ..., b_{m-1} found by
-  elimination, must have dimension m.
+* Digit k of an element is its coefficient of x**k.  x**q must be a root
+  of f, and F_q = ker(x -> x**q minus 1), with an F_p-basis b_0 = 1, ...,
+  b_{m-1} found by elimination, must have dimension m.
 * {1, x, ..., x**(n-1)} is an F_q-basis of F, so each line has one
   representative x**j + sum_{k<j} c_k x**k, c_k in F_q: one lane each,
   L = (q**n - 1)/(q - 1) in all.  Plane c holds coordinate c of every lane,
@@ -30,11 +29,12 @@ of planes takes seven AND/OR/XOR operations and a negation swaps them.
   and x**n0 - 1 is the product of distinct F_q-irreducible f.  So the
   order of alpha is the product of the f**e_f, 0 <= e_f <= P, and its rank
   the sum of deg f * e_f: ((x**n0 - 1)/f)**P (Phi) alpha has order f**e_f,
-  so it is nonzero for exactly e_f steps of f(Phi).  Both maps are sums of
-  powers of Phi, taken on the columns of x -> x**q, so they act on all
-  lanes as digitwise sums of planes, and ``_rank_lanes`` adds deg f to a
-  bit-sliced per-lane counter at each step where a lane is nonzero: one
-  lane mask per rank.  Phi**n must be 1 on the columns, no lane may
+  so it is nonzero for exactly e_f steps of f(Phi).  Phi is a ring map, so
+  column k of g(Phi) is the sum of c_i * (x**(q**i))**k over the
+  coefficients c_i of g, summed from a table of the powers of x**q; each
+  map acts on all lanes as digitwise sums of planes, and ``_rank_lanes``
+  adds deg f to a bit-sliced per-lane counter at each step where a lane is
+  nonzero: one lane mask per rank.  x**(q**n) must be x, no lane may
   survive P steps of f(Phi), and ``sweep`` ranks the first lane found of
   every rank again by elimination in scalar arithmetic.  At most
   2**_LANE_BLOCK_BITS lanes are taken at a time, so memory stays flat.  A
@@ -65,19 +65,26 @@ def sweep(tower) -> list[int]:
     """Counts N_0..N_n of F = F_p[x]/(f), a ``galois.TowerField``, every
     F_q*-line ranked at once.
 
-    ``_rank_lanes`` ranks all lanes of a block at once by the maps of
-    ``_order_maps`` (``apply`` of the digit arithmetic F).  Its masks give
-    the counts, a lane of rank r weighted q - 1 in N_{n-r}.
+    ``_order_maps`` sums the columns of one map per factor of x**n0 - 1
+    from the powers of x**q in ``_frobenius_table``, and ``_rank_lanes``
+    ranks all lanes of a block at once by them (``apply`` of the digit
+    arithmetic F).  Its masks give the counts, a lane of rank r weighted
+    q - 1 in N_{n-r}.
     """
     F = _field(tower.base.order, tower.modulus.coeffs)
     n, q, m = tower.n, tower.q, tower.m
-    images = _frobenius_images(F, q)
-    _check_frobenius(F, images)
-    basis = _fq_basis(F, images, m)
+    P = 1  # n = P * n0, p not dividing n0
+    while n % (P * F.p) == 0:
+        P *= F.p
+    xq = _power(F.mulmod, F.mulmod(F.one, F.monomial(1)), q)
+    # rows i <= max(n - P, 1): cofactor**P has degree <= (n0 - 1) * P = n - P,
+    # f at most n0 - 1 unless it is x - 1, and _fq_basis reads row 1
+    table = _frobenius_table(F, xq, q, n, max(n - P, 1))
+    basis = _fq_basis(F, table[1], m)
     rows = {}
     if any(_eliminate(F, rows, b) is None for b in basis):
         raise InternalInconsistency("the basis of F_q is dependent over F_p")
-    P, maps = _order_maps(F, images, basis, q, n)
+    maps = _order_maps(F, table, basis, q, n, P)
     # base-p digit s of a lane's index adds a multiple of b_i * x**k, s = k*m + i
     digits = [F.mulmod(b, F.monomial(k)) for k in range(n - 1) for b in basis]
     counts = [0] * n + [1]  # alpha = 0 spans nothing
@@ -151,35 +158,41 @@ def _power(op, a, e: int):
     return result
 
 
-def _frobenius_images(F, q: int) -> list:
-    """(x**k)**q mod f packed, k < deg f: the columns of x -> x**q over F_p."""
-    xq = _power(F.mulmod, F.mulmod(F.one, F.monomial(1)), q)
-    images = [F.one]
-    for _ in range(F.N - 1):
-        images.append(F.mulmod(images[-1], xq))
-    return images
+def _frobenius_table(F, xq, q: int, n: int, top: int) -> list:
+    """table[i][k] = (x**(q**i))**k mod f packed, k < deg f, for i <= top:
+    column k of Phi**i, Phi: y -> y**q, as Phi is a ring map.
 
-
-def _check_frobenius(F, images: list) -> None:
-    """Refuse columns that are not those of a field automorphism of F_p[x]/(f).
-
-    Column 0 must be 1, column k the k-th power of column 1 and column 1 a
-    root of f.  Then the map is x -> x**(p**i) for some i; the F_q dimension
-    and Phi**n = 1 on the columns (``_order_maps``) pin it down to a
-    generator of the Galois group of F over F_q.
+    x**q = `xq` is the only input: x**(q**i) is its (q**(i-1))-th power by
+    ``_power``.  xq must be a root of f (``_check_frobenius``), and
+    x**(q**n) = x, so Phi**n = 1 on every column as Phi is multiplicative.
     """
-    if images[0] != F.one:
-        raise InternalInconsistency("Frobenius column 0 is not 1")
-    if F.N == 1:
-        return
-    power, root = F.one, F.zero  # column 1 to the power k, and f(column 1) so far
-    for k, c in enumerate(F.coeffs):
-        if k:
-            power = F.mulmod(images[1], power)
-        if k < F.N and images[k] != power:
-            raise InternalInconsistency(f"Frobenius column {k} is not column 1 to the power {k}")
-        if c:
-            root = F.add(root, F.scale(power, c))
+    _check_frobenius(F, xq)
+    x = F.mulmod(F.one, F.monomial(1))
+    powers = [x, xq]  # powers[i] = x**(q**i)
+    for _ in range(n - 1):
+        powers.append(_power(F.mulmod, powers[-1], q))
+    if powers[n] != x:
+        raise InternalInconsistency("x -> x**q taken n times is not 1 on its columns")
+    table = []
+    for y in powers[:top + 1]:
+        row = [F.one]
+        for _ in range(F.N - 1):
+            row.append(F.mulmod(row[-1], y))
+        table.append(row)
+    return table
+
+
+def _check_frobenius(F, xq) -> None:
+    """Refuse an x**q that is not a root of f.
+
+    Then y -> y(xq) is a field automorphism x -> x**(p**i) of F_p[x]/(f) for
+    some i; the F_q dimension (``_fq_basis``) and x**(q**n) = x
+    (``_frobenius_table``) pin it down to a generator of the Galois group of
+    F over F_q.
+    """
+    root = F.zero  # f(xq) by Horner's rule
+    for c in reversed(F.coeffs):
+        root = F.add(F.mulmod(root, xq), c)
     if root != F.zero:
         raise InternalInconsistency("Frobenius column 1 is not a root of f")
 
@@ -237,55 +250,35 @@ def _span_dimension(F, alpha, n: int, q: int, basis: list) -> int:
     return len(rows)
 
 
-def _order_maps(F, images, basis, q: int, n: int):
-    """(P, maps) for ``_rank_lanes``: n = P * n0 with p not dividing n0, and
-    per F_q-irreducible factor f of x**n0 - 1 the triple (deg f, the map of
-    ((x**n0 - 1)/f)**P at Phi, the map of f at Phi).
+def _order_maps(F, table, basis, q: int, n: int, P: int) -> list:
+    """Per F_q-irreducible factor f of x**n0 - 1, n0 = n / P, the triple
+    (deg f, the map of ((x**n0 - 1)/f)**P at Phi, the map of f at Phi) for
+    ``_rank_lanes``.
 
-    The powers of Phi: x -> x**q come from its columns `images`, applied
-    to lanes: lane k of the planes of Phi**i holds Phi**i(x**k), and Phi**n
-    must be 1 on the columns.  The map of g is then one sum of those
-    planes, a coefficient of g in F_p taken by doublings, one of F_q by the
-    columns of its product (``mulmod``) with each x**k.  The factors are
-    drawn by a ``random.Random`` seeded from (q, n), so a sweep repeats.
+    Column k of the map of g at Phi is the sum of c_i * (x**(q**i))**k over
+    the coefficients c_i of g, read from the `table` of
+    ``_frobenius_table``: packed elements, made a ``linear_map``.  The
+    factors are drawn by a ``random.Random`` seeded from (q, n), so a sweep
+    repeats.
     """
-    p, N = F.p, F.N
-    P = 1
-    while n % (P * p) == 0:
-        P *= p
-    n0 = n // P
-    ones, frobenius = _lane_mask(F, N), F.linear_map(images)
-    monomials = [F.monomial(k) for k in range(N)]
-    powers = [F.concat([(F.plus([F.plane_zero] * N, x_k, 1), 1) for x_k in monomials])]
-    for _ in range(n):  # powers[i]: the planes of Phi**i, lane k holding Phi**i(x**k)
-        powers.append(F.apply(frobenius, powers[-1], ones))
-    if powers[n] != powers[0]:
-        raise InternalInconsistency("x -> x**q taken n times is not 1 on its columns")
-    flat = [v for planes in powers for v in planes]
+    p, n0 = F.p, n // P
 
-    def at_frobenius(g):  # the terms of g(Phi) per digit: planes of flat, g constant first
-        sums = [[] for _ in range(N)]
+    def at_frobenius(g):  # g constant first
+        columns = [F.zero] * F.N
         for i, c in enumerate(g):
-            if c < p:  # c * Phi**i, digit by digit
-                for j in _set_bits(c):
-                    for k, terms in enumerate(sums):
-                        terms.append((i * N + k, j))
-            else:  # the columns c * x**k mix the digits of Phi**i
-                for terms, row in zip(sums, F.linear_map([F.mulmod(c, x_k) for x_k in monomials])):
-                    terms += [(i * N + k, j) for k, j in row]
-        return sums
+            if c:
+                times = F.scale if c < p else F.mulmod  # c * e for a digit c, or an element
+                columns = [F.add(s, times(e, c)) for s, e in zip(columns, table[i])]
+        return F.linear_map(columns)
 
-    degrees, sums = [], []
+    maps = []
     for f in _factors(F, basis, q, n0, random.Random(f"{q} {n}")):
         cofactor = _divide(F, [p - 1] + [0] * (n0 - 1) + [1], f)[0]
         spread = [0] * ((len(cofactor) - 1) * P + 1)  # cofactor**P: c**P at x**(i*P)
         for i, c in enumerate(cofactor):
             spread[i * P] = c if c < p else _power(F.mulmod, c, P)
-        degrees.append(len(f) - 1)
-        sums += at_frobenius(spread) + at_frobenius(f)
-    planes = F.apply(sums, flat, ones)  # the planes of every map at once
-    maps = [F.row_map(planes[i:i + N]) for i in range(0, len(planes), N)]
-    return P, [(d, maps[2 * i], maps[2 * i + 1]) for i, d in enumerate(degrees)]
+        maps.append((len(f) - 1, at_frobenius(spread), at_frobenius(f)))
+    return maps
 
 
 def _factors(F, basis: list, q: int, n0: int, rng) -> list:
@@ -596,11 +589,6 @@ class _Packed:
                 out[s // self.width].append((k, s % self.width))
         return out
 
-    def row_map(self, planes):
-        """The ``linear_map`` whose output coordinate c takes input
-        coordinate k times the digit of lane k of planes[c]."""
-        return [[divmod(s, self.lane_width) for s in _set_bits(v)] for v in planes]
-
 
 def _set_bits(v: int) -> list:
     """The positions of the set bits of v >= 0, lowest first."""
@@ -824,11 +812,6 @@ class _Trits(_Digits):
                 lo, hi = (hi | bh) ^ t, (lo | bl) ^ t
             out.append((lo, hi))
         return out
-
-    def row_map(self, planes):
-        """As ``_Packed.row_map``: digit 1 is doubling 0 of a plane, digit 2 doubling 1."""
-        return [[(l, 0) for l in _set_bits(lo)] + [(l, 1) for l in _set_bits(hi)]
-                for lo, hi in planes]
 
     def nonzero(self, planes, ones):
         """The lane mask of the lanes whose vector in `planes` is not 0."""

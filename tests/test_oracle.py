@@ -243,63 +243,60 @@ def test_a_dependent_f_q_basis_is_refused(monkeypatch):
 
 
 def _replace_frobenius(monkeypatch, make):
-    """Sweep with make(the true images function, F, q) as the images of x -> x**q."""
-    frobenius_images = lanes._frobenius_images
-    monkeypatch.setattr(lanes, "_frobenius_images", lambda F, q: make(frobenius_images, F, q))
+    """Sweep with make(F, the true x**q) as x**q, the one input of the powers of x -> x**q."""
+    frobenius_table = lanes._frobenius_table
+    monkeypatch.setattr(lanes, "_frobenius_table",
+                        lambda F, xq, *rest: frobenius_table(F, make(F, xq), *rest))
 
 
-def _changed(k, c, t):
-    """Column k of x -> x**q with t times x**c added."""
+def _changed(c, t):
+    """x**q with t times x**c added."""
 
-    def make(images_of, F, q):
-        images = images_of(F, q)
+    def make(F, xq):
         for _ in range(t):
-            images[k] = F.add(images[k], F.monomial(c))
-        return images
+            xq = F.add(xq, F.monomial(c))
+        return xq
 
     return make
 
 
-@pytest.mark.parametrize("q,n,k,c", [(2, 5, 0, 1), (4, 4, 1, 1), (3, 4, 1, 2), (9, 3, 5, 1),
+@pytest.mark.parametrize("q,n,c,t", [(2, 5, 0, 1), (4, 4, 1, 1), (3, 4, 1, 2), (9, 3, 5, 1),
                                      (5, 3, 0, 1), (25, 2, 1, 1)])
-def test_a_perturbed_frobenius_is_refused(monkeypatch, q, n, k, c):
-    # x**c added to the image of x**k under x -> x**q, with the check tied to f
-    # taken out: F_q keeps its dimension for these moduli, but the columns no
-    # longer return to x**k after n steps
-    monkeypatch.setattr(lanes, "_check_frobenius", lambda F, images: None)
-    _replace_frobenius(monkeypatch, _changed(k, c, 1))
-    with pytest.raises(InternalInconsistency, match="taken n times is not 1 on its columns"):
-        lanes.sweep(galois.build_tower(q, n, 0))
+def test_a_perturbed_frobenius_is_refused(monkeypatch, q, n, c, t):
+    # t * x**c, and x**c' for every c' < N, added to x**q, with the check tied
+    # to f taken out: (x**q + t * x**c)**(q**(n-1)) is x plus
+    # (t * x**c)**(q**(n-1)) != 0, so x**q no longer returns to x after n steps
+    tower = galois.build_tower(q, n, 0)
+    for change in sorted({(c, t)} | {(c2, 1) for c2 in range(tower.n * tower.m)}):
+        monkeypatch.setattr(lanes, "_check_frobenius", lambda F, xq: None)
+        _replace_frobenius(monkeypatch, _changed(*change))
+        with pytest.raises(InternalInconsistency, match="taken n times is not 1 on its columns"):
+            lanes.sweep(tower)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 3)])
 def test_every_single_digit_change_of_the_frobenius_is_refused(monkeypatch, q, n):
-    # without the check tied to f, 4 of the 25 bit flips at (2, 5) and 12 of
-    # the 32 digit changes at (3, 4) pass every other check
+    # every t * x**c added to x**q, 1 <= t < p, is not a root of f, and the
+    # root check refuses it first; c = 0, t = 1 gives the non-root x**q + 1
     tower = galois.build_tower(q, n, 0)
     N, p = tower.n * tower.m, tower.base.order
-    for k, c, t in [(k, c, t) for k in range(N) for c in range(N) for t in range(1, p)]:
-        _replace_frobenius(monkeypatch, _changed(k, c, t))
-        with pytest.raises(InternalInconsistency, match="Frobenius column"):
+    for c, t in [(c, t) for c in range(N) for t in range(1, p)]:
+        _replace_frobenius(monkeypatch, _changed(c, t))
+        with pytest.raises(InternalInconsistency, match="Frobenius column 1 is not a root of f"):
             lanes.sweep(tower)
-        monkeypatch.undo()  # the next change starts from the true columns
-
-    def powers_of_a_non_root(images_of, F, q):  # the powers of x**q + 1
-        y = F.add(images_of(F, q)[1], F.one)
-        images = [F.one]
-        for _ in range(F.N - 1):
-            images.append(F.mulmod(images[-1], y))
-        return images
-
-    _replace_frobenius(monkeypatch, powers_of_a_non_root)
-    with pytest.raises(InternalInconsistency, match="not a root of f"):
-        lanes.sweep(tower)
+        monkeypatch.undo()  # the next change starts from the true x**q
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (4, 4), (3, 4), (9, 4), (5, 4)])
 def test_a_wrong_f_q_dimension_is_refused(monkeypatch, q, n):
-    # x -> x**(q*q) fixes F_{q^2}, of dimension 2m, inside F_{q^n} for even n
-    _replace_frobenius(monkeypatch, lambda images_of, F, q: images_of(F, q * q))
+    # x -> x**(q*q) fixes F_{q^2}, of dimension 2m, inside F_{q^n} for even n;
+    # its x**(q*q) is a root of f, and its powers return to x after n steps
+    frobenius_table = lanes._frobenius_table
+    monkeypatch.setattr(
+        lanes, "_frobenius_table",
+        lambda F, xq, q, *rest: frobenius_table(F, lanes._power(F.mulmod, xq, q), q * q, *rest),
+    )
     with pytest.raises(InternalInconsistency, match="F_q has dimension"):
         lanes.sweep(galois.build_tower(q, n, 0))
 
@@ -364,11 +361,14 @@ def test_packed_digit_arithmetic_over_all_digits(p):
 def test_a_product_fits_the_element_fields(p):
     # mulmod multiplies packed elements as given, so every digit of a product
     # before mod p must fit its field: the worst case has every digit of both
-    # operands and of f below x**N at p - 1, at every N of a sweepable field;
-    # then a few random pairs
+    # operands and of f below x**N at p - 1, at every N of a sweepable field
+    # and one N past them; then a few random pairs.  At N = 1 a digit of a
+    # product is at most (p - 1)**2, a bit under the 2N(p - 1)**2 the fields
+    # are sized for, so for p = 4194301, sweepable only at N = 1, N = 2 is
+    # the first N that a field one bit short fails
     prime, rng = galois.PrimeField(p), random.Random(p)
     N = 1
-    while p**N <= oracle.DEFAULT_MAX_ORDER:
+    while p ** (N - 1) <= oracle.DEFAULT_MAX_ORDER:
         coeffs = (p - 1,) * N + (1,)
         F = lanes._field(p, coeffs)
         ring = galois.ExtensionField(prime, galois.Poly(prime, coeffs))
@@ -473,7 +473,8 @@ def _fq_arithmetic(q):
     itself, deg f = m, the basis of F_q in it, and the generic field."""
     tower = galois.build_tower(q, 1, 0)
     F = lanes._field(tower.base.order, tower.modulus.coeffs)
-    return F, lanes._fq_basis(F, lanes._frobenius_images(F, q), tower.m), tower
+    xq = lanes._power(F.mulmod, F.mulmod(F.one, F.monomial(1)), q)
+    return F, lanes._fq_basis(F, lanes._frobenius_table(F, xq, q, 1, 1)[1], tower.m), tower
 
 
 def test_the_factors_of_x_to_the_n0_minus_1():
