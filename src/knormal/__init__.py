@@ -24,8 +24,7 @@ _SOURCES = {  # public name -> the submodule that defines it
             distribution lower_bound_holds phi_q_prime_power""",
         "errors": """ArgumentOutOfRange EnumerationTooLarge InputTooLarge InstanceTooLarge
             InternalInconsistency KnormalError NotCoprime NotPrimePower""",
-        "galois": """ExtensionField Poly PrimeField TowerField build_tower find_irreducible
-            is_irreducible poly_gcd""",
+        "galois": "TowerField build_tower find_irreducible",
         "oracle": "brute_force_distribution cyclotomic_cosets",
         "spectrum": "DegreePattern ExtensionParams degree_pattern derive_params omega",
     }.items()

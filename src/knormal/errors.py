@@ -27,7 +27,7 @@ class ArgumentOutOfRange(KnormalError, ValueError):
     """An argument lies outside the range it is defined on.
 
     Raised for an extension degree n < 1, for a normality defect k outside
-    0..n, for gcd(0, 0), for a totient of degree r < 1 or exponent e < 0
+    0..n, for a totient of degree r < 1 or exponent e < 0
     (`phi_q_prime_power`), for cosets of Z/n0 with n0 < 1, for a modulus
     index that names no monic irreducible (by galois, also for the last
     trial `cli._run_checks` sweeps for `--modulus-trials`, which names the
@@ -35,11 +35,9 @@ class ArgumentOutOfRange(KnormalError, ValueError):
     ``Decimal(1)``, and in the CLI for a `table` range it cannot serve and a
     `--modulus-trials` count below 1.  In numtheory it refuses to factor
     x < 1, an order modulo a modulus < 1 and gcd(q**r - 1, n) unless q >= 2,
-    r >= 1 and n >= 1.  In galois it refuses a prime field of an order that
-    is not prime, an element index outside the field, a modulus that is not
-    monic, of degree >= 1, over the base field, a negative exponent and an
-    irreducibility test below degree 1.  As a ValueError, each is still
-    caught where a ValueError is.
+    r >= 1 and n >= 1.  In galois it refuses a modulus scan over an order
+    that is not prime, of a degree below 1 or at a negative index.  As a
+    ValueError, each is still caught where a ValueError is.
     """
 
 

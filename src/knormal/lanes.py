@@ -62,8 +62,8 @@ _LANE_BLOCK_BITS = 16
 
 
 def sweep(tower) -> list[int]:
-    """Counts N_0..N_n of F = F_p[x]/(f), a ``galois.TowerField``, every
-    F_q*-line ranked at once.
+    """Counts N_0..N_n of F = F_p[x]/(f), recorded in a ``galois.TowerField``,
+    every F_q*-line ranked at once.
 
     ``_order_maps`` sums the columns of one map per factor of x**n0 - 1
     from the powers of x**q in ``_frobenius_table``, and ``_rank_lanes``
@@ -71,7 +71,7 @@ def sweep(tower) -> list[int]:
     arithmetic F).  Its masks give the counts, a lane of rank r weighted
     q - 1 in N_{n-r}.
     """
-    F = _field(tower.base.order, tower.modulus.coeffs)
+    F = _field(tower.p, tower.modulus)
     n, q, m = tower.n, tower.q, tower.m
     P = 1  # n = P * n0, p not dividing n0
     while n % (P * F.p) == 0:

@@ -7,9 +7,9 @@ generates, Phi: y -> y**q, so its dimension is the degree of the F_q-order
 of alpha: the monic g of least degree with g(Phi) alpha = 0, a divisor of
 x**n - 1 as Phi**n = 1.  This is linear algebra on the field itself, with
 neither the normal basis theorem nor the counts behind the formulas.  The
-field is F_p[x]/(f), f of degree N = n*m for q = p**m
-(``galois.TowerField``), with no F_q coordinates.  Each F_q*-line is
-ranked once and weighted by q - 1, and alpha = 0 spans nothing.  One route
+field is F_p[x]/(f), f of degree N = n*m for q = p**m (recorded in a
+``galois.TowerField``), with no F_q coordinates.  Each F_q*-line is ranked
+once and weighted by q - 1, and alpha = 0 spans nothing.  One route
 serves every characteristic: ``lanes`` ranks all lines at once by their
 orders, through the factors of x**n - 1 that it finds in its own
 arithmetic, with F_p-vectors packed by digit, so that full sweeps up to
@@ -19,9 +19,10 @@ with the counting side.  ``lanes`` is imported on the first sweep, so
 commands that sweep nothing never compile it.
 
 The equivalent gcd form, k = deg gcd(x**n - 1, g_alpha), is not computed
-here.  The tests take it element by element on F_p[x]/(f') for a second
-modulus f' of the same degree wherever one exists, so that it shares no
-representation with the sweep's field, and assert that the sweep matches it.
+here.  The tests take it element by element, in the generic arithmetic of
+``tests/reference_fields.py``, on F_p[x]/(f') for a second modulus f' of
+the same degree wherever one exists, so that it shares no representation
+with the sweep's field, and assert that the sweep matches it.
 
 ``cyclotomic_cosets`` gives the orbit sizes of Z/n0 under multiplication by
 q, an independent route to the factor-degree pattern of x**n0 - 1.  The

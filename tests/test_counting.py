@@ -1,13 +1,15 @@
 """Counting formulas: general series, enumeration, explicit profile sum, closed forms."""
 
 import decimal
+import itertools
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knormal import counting, galois, numtheory, spectrum
+import reference_fields as ref
+from knormal import counting, numtheory, spectrum
 from knormal.errors import ArgumentOutOfRange, EnumerationTooLarge, InternalInconsistency
 
 PRIME_POWERS = [q for q in range(2, 28) if len(numtheory.factorize(q)) == 1]
@@ -25,25 +27,18 @@ RICH_QS = [q for q in PROPERTY_QS if spectrum.derive_params(q, 1).p <= 300]
 
 def brute_phi_q(q, r, e):
     """Count residues coprime to f**e by trial gcd over F_q[x], f irreducible."""
-    field = galois.PrimeField(q) if numtheory.is_prime(q) else None
-    if field is None:
-        field = galois.build_tower(q, 1, 0)
-    f = galois.find_irreducible(field, r)
+    field = ref.field_of_order(q)
+    f = ref.first_irreducible(field, r)
     modulus = f
     for _ in range(e - 1):
         modulus = modulus * f
     units = 0
     deg = modulus.degree
-    for idx in range(field.order**deg):
-        coeffs = []
-        t = idx
-        for _ in range(deg):
-            t, rem = divmod(t, field.order)
-            coeffs.append(field.element(rem))
-        candidate = galois.Poly(field, coeffs)
+    for digits in itertools.product(range(field.order), repeat=deg):
+        candidate = ref.Poly(field, [field.element(d) for d in digits])
         if candidate.is_zero:
             continue
-        if galois.poly_gcd(candidate, modulus).degree == 0:
+        if ref.poly_gcd(candidate, modulus).degree == 0:
             units += 1
     return units
 

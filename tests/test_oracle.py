@@ -1,7 +1,9 @@
 """Brute-force field sweeps and cyclotomic cosets against the formulas."""
 
+import ast
 import collections
 import copy
+import pathlib
 import random
 import time
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_fields as ref
 from knormal import counting, galois, lanes, numtheory, oracle, spectrum
 from knormal.errors import (
     ArgumentOutOfRange,
@@ -79,25 +82,19 @@ def _conjugates(top, q, n, alpha):
     """alpha, alpha**q, ..., alpha**(q**(n-1)) by chained q-th powers."""
     conjugates = [alpha]
     for _ in range(n - 1):
-        conjugates.append(galois.field_pow(top, conjugates[-1], q))
+        conjugates.append(ref.field_pow(top, conjugates[-1], q))
     return conjugates
 
 
-def _two_level_field(q, n):
-    """(F_q, F_{q^n}) as F_q = F_p[u]/(g) and F_{q^n} = F_q[v]/(h), in tuples.
-
-    An element of F_{q^n} is its n coordinates over F_q, so a rank over F_q
-    is an elimination on them; the sweep's field has no such coordinates.
-    """
-    p, m = numtheory.prime_power_decompose(q)
-    prime = galois.PrimeField(p)
-    mid = prime if m == 1 else galois.ExtensionField(prime, galois.find_irreducible(prime, m))
-    return mid, galois.ExtensionField(mid, galois.find_irreducible(mid, n))
-
-
 def _literal_rank_distribution(q, n):
-    """n - rank over F_q of the conjugates, element by element, in generic arithmetic."""
-    mid, top = _two_level_field(q, n)
+    """n - rank over F_q of the conjugates, element by element, in generic arithmetic.
+
+    F_{q^n} is F_q[v]/(h) over F_q = F_p[u]/(g), in tuples: an element of
+    F_{q^n} is its n coordinates over F_q, so a rank over F_q is an
+    elimination on them; the sweep's field has no such coordinates.
+    """
+    mid = ref.field_of_order(q)
+    top = ref.ExtensionField(mid, ref.first_irreducible(mid, n))
     counts = [0] * (n + 1)
     for i in range(top.order):
         conjugates = _conjugates(top, q, n, top.element(i))
@@ -107,39 +104,34 @@ def _literal_rank_distribution(q, n):
 
 def _g_alpha(top, q, n, alpha):
     """Conjugate polynomial sum of alpha**(q**i) * x**(n-1-i) over i < n."""
-    return galois.Poly(top, _conjugates(top, q, n, alpha)[::-1])
+    return ref.Poly(top, _conjugates(top, q, n, alpha)[::-1])
 
 
 def _xn_minus_one(top, n):
     """x**n - 1 over top."""
-    return galois.Poly(top, (top.neg(top.one),) + (top.zero,) * (n - 1) + (top.one,))
-
-
-def _second_flat_field(q, n):
-    """F_{q^n} as F_p[x]/(f), f the second monic irreducible of degree n*m in
-    scan order wherever one exists; the sweep's field takes the first."""
-    p, m = numtheory.prime_power_decompose(q)
-    prime = galois.PrimeField(p)
-    index = 1 if galois.irreducible_count(p, n * m) > 1 else 0
-    return galois.ExtensionField(prime, galois.find_irreducible(prime, n * m, index))
+    return ref.Poly(top, (top.neg(top.one),) + (top.zero,) * (n - 1) + (top.one,))
 
 
 def _gcd_distribution(q, n):
     """deg gcd(x**n - 1, g_alpha) for every alpha, once per F_q*-line, in generic arithmetic.
 
-    The field is ``_second_flat_field(q, n)``; F_q enters only through
-    alpha -> alpha**q, whose fixed points are F_q.  As g_(c*alpha) =
-    c*g_alpha, the degree holds on the whole line of alpha: its q - 1
-    elements c*alpha are marked one by one, and none may be marked twice.
+    The field is F_p[x]/(f), f the second monic irreducible of degree n*m
+    in scan order wherever one exists (the sweep's field takes the first);
+    F_q enters only through alpha -> alpha**q, whose fixed points are F_q.
+    As g_(c*alpha) = c*g_alpha, the degree holds on the whole line of alpha:
+    its q - 1 elements c*alpha are marked one by one, and none may be marked
+    twice.
     """
-    top = _second_flat_field(q, n)
+    p, m = numtheory.prime_power_decompose(q)
+    index = 1 if galois.irreducible_count(p, n * m) > 1 else 0
+    top = ref.flat_field(p, galois.find_irreducible(p, n * m, index))
     target = _xn_minus_one(top, n)
     scalars = []  # F_q*, the nonzero fixed points
     for i in range(1, top.order):
         if len(scalars) == q - 1:
             break
         beta = top.element(i)
-        if galois.field_pow(top, beta, q) == beta:
+        if ref.field_pow(top, beta, q) == beta:
             scalars.append(beta)
     assert len(scalars) == q - 1
     counts = [0] * (n + 1)
@@ -149,7 +141,7 @@ def _gcd_distribution(q, n):
         if marked[i]:
             continue
         alpha = top.element(i)
-        k = galois.poly_gcd(target, _g_alpha(top, q, n, alpha)).degree
+        k = ref.poly_gcd(target, _g_alpha(top, q, n, alpha)).degree
         for c in scalars:
             j = top.index(top.mul(c, alpha))
             assert not marked[j], "two F_q*-lines share an element"
@@ -159,7 +151,8 @@ def _gcd_distribution(q, n):
 
 
 def test_g_alpha_f4_example():
-    top = galois.build_tower(2, 2, 0)
+    tower = galois.build_tower(2, 2, 0)
+    top = ref.flat_field(tower.p, tower.modulus)
     w = top.element(2)
     g = _g_alpha(top, 2, 2, w)
     # g_w = w*x + w^2 over F_4
@@ -168,13 +161,14 @@ def test_g_alpha_f4_example():
 
 
 def test_g_alpha_respects_scaling_and_frobenius():
-    top = galois.build_tower(3, 3, 0)
+    tower = galois.build_tower(3, 3, 0)
+    top = ref.flat_field(tower.p, tower.modulus)
     target = _xn_minus_one(top, 3)
-    x = galois.Poly(top, (top.zero, top.one))
+    x = ref.Poly(top, (top.zero, top.one))
     for i in range(1, top.order, 7):
         a = top.element(i)
         # g_{a^q} = x * g_a mod x^n - 1
-        lhs = _g_alpha(top, 3, 3, galois.field_pow(top, a, 3))
+        lhs = _g_alpha(top, 3, 3, ref.field_pow(top, a, 3))
         rhs = (x * _g_alpha(top, 3, 3, a)) % target
         assert lhs == rhs
     # scalar from F_3: g_{c*a} = c * g_a
@@ -182,7 +176,7 @@ def test_g_alpha_respects_scaling_and_frobenius():
     for i in range(1, top.order, 11):
         a = top.element(i)
         lhs = _g_alpha(top, 3, 3, top.mul(c, a))
-        rhs = galois.Poly(top, tuple(top.mul(c, co) for co in _g_alpha(top, 3, 3, a).coeffs))
+        rhs = ref.Poly(top, tuple(top.mul(c, co) for co in _g_alpha(top, 3, 3, a).coeffs))
         assert lhs == rhs
 
 
@@ -210,7 +204,7 @@ def test_a_cached_field_scans_for_its_modulus_once(monkeypatch):
     find_irreducible = galois.find_irreducible
     monkeypatch.setattr(
         galois, "find_irreducible",
-        lambda field, *args: calls.append((field.order, *args)) or find_irreducible(field, *args),
+        lambda p, *args: calls.append((p, *args)) or find_irreducible(p, *args),
     )
     galois.build_tower.cache_clear()
     try:
@@ -219,7 +213,7 @@ def test_a_cached_field_scans_for_its_modulus_once(monkeypatch):
         hits = galois.build_tower.cache_info().hits
         tower = galois.build_tower(25, 3, 0)  # the sweep's field: a hit, no new scan
         assert galois.build_tower.cache_info().hits == hits + 1
-        assert calls == [(5, 6, 0)] and tower.base.order == 5
+        assert calls == [(5, 6, 0)] and tower.p == 5
         with pytest.raises(TypeError):
             galois.build_tower(25, 3)  # the index has no default, so no second key
     finally:
@@ -280,7 +274,7 @@ def test_every_single_digit_change_of_the_frobenius_is_refused(monkeypatch, q, n
     # every t * x**c added to x**q, 1 <= t < p, is not a root of f, and the
     # root check refuses it first; c = 0, t = 1 gives the non-root x**q + 1
     tower = galois.build_tower(q, n, 0)
-    N, p = tower.n * tower.m, tower.base.order
+    N, p = tower.n * tower.m, tower.p
     for c, t in [(c, t) for c in range(N) for t in range(1, p)]:
         _replace_frobenius(monkeypatch, _changed(c, t))
         with pytest.raises(InternalInconsistency, match="Frobenius column 1 is not a root of f"):
@@ -303,7 +297,7 @@ def test_a_wrong_f_q_dimension_is_refused(monkeypatch, q, n):
 
 def test_f3_digit_arithmetic_over_all_digits():
     # lane l of a plane holds digit a[l] of a vector; every pair of digits
-    F = lanes._Trits(galois.build_tower(3, 2, 0).modulus.coeffs)
+    F = lanes._Trits(galois.build_tower(3, 2, 0).modulus)
 
     def plane(digits):
         return (sum(1 << l for l, d in enumerate(digits) if d == 1),
@@ -325,7 +319,8 @@ def test_f3_digit_arithmetic_over_all_digits():
 def test_packed_digit_arithmetic_over_all_digits(p):
     # lane l of a plane holds digit a[l] of a vector; every pair of digits
     tower = galois.build_tower(p, 2, 0)
-    F = lanes._Digits(tower.modulus.coeffs, p)
+    F = lanes._Digits(tower.modulus, p)
+    field = ref.flat_field(p, tower.modulus)
 
     def plane(digits):
         return sum(d << l * F.lane_width for l, d in enumerate(digits))
@@ -347,14 +342,14 @@ def test_packed_digit_arithmetic_over_all_digits(p):
     live = [int(x != 0 or y != 0) for x, y in zip(a, b)]
     assert F.nonzero([plane(a), plane(b)], ones) == plane(live)
     # element sums, digit multiples and products match the generic field F_p[x]/(f)
-    elements = range(tower.order) if p < 12 else range(0, tower.order, 97)
+    elements = range(field.order) if p < 12 else range(0, field.order, 97)
     for i in elements:
-        x = tower.element(i)
+        x = field.element(i)
         assert F.scale(element(x), i % p) == element([i % p * d % p for d in x])
         for j in elements:
-            y = tower.element(j)
-            assert F.add(element(x), element(y)) == element(tower.add(x, y))
-            assert F.mulmod(element(x), element(y)) == element(tower.mul(x, y))
+            y = field.element(j)
+            assert F.add(element(x), element(y)) == element(field.add(x, y))
+            assert F.mulmod(element(x), element(y)) == element(field.mul(x, y))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 131, 2039, 4194301])
@@ -366,12 +361,12 @@ def test_a_product_fits_the_element_fields(p):
     # product is at most (p - 1)**2, a bit under the 2N(p - 1)**2 the fields
     # are sized for, so for p = 4194301, sweepable only at N = 1, N = 2 is
     # the first N that a field one bit short fails
-    prime, rng = galois.PrimeField(p), random.Random(p)
+    rng = random.Random(p)
     N = 1
     while p ** (N - 1) <= oracle.DEFAULT_MAX_ORDER:
         coeffs = (p - 1,) * N + (1,)
         F = lanes._field(p, coeffs)
-        ring = galois.ExtensionField(prime, galois.Poly(prime, coeffs))
+        ring = ref.flat_field(p, coeffs)
 
         def element(digits):
             return sum(d << k * F.width for k, d in enumerate(digits))
@@ -388,7 +383,7 @@ def test_a_product_fits_the_element_fields(p):
 def test_a_digit_multiple_takes_no_lane_product(monkeypatch, p):
     # c*v is double-and-add over F.add, every digit of 2N, and never a field
     # product or a map of lanes
-    F = lanes._field(p, galois.build_tower(p, 2, 0).modulus.coeffs)
+    F = lanes._field(p, galois.build_tower(p, 2, 0).modulus)
 
     def refuse(*args):
         raise AssertionError("a product")
@@ -404,22 +399,31 @@ def test_a_digit_multiple_takes_no_lane_product(monkeypatch, p):
 
 
 def test_a_sweep_uses_no_generic_field_arithmetic(monkeypatch):
-    # every sweep, whatever its characteristic, ranks the lanes in its packed
-    # digits, with no coset count and no generic field arithmetic (the fields
-    # are built first: the modulus scan uses it); (4, 5), (16, 3) and (9, 5)
-    # split factors over F_p into factors over F_q on orbits of their own
+    # every sweep and modulus scan, whatever its characteristic, works in
+    # packed digits, with no coset count and no generic field arithmetic,
+    # which no module of the package defines or imports; (4, 5), (16, 3) and
+    # (9, 5) split factors over F_p into factors over F_q on orbits of their own
+    generic = {"reference_fields", "PrimeField", "ExtensionField", "Poly", "field_pow",
+               "poly_gcd", "is_irreducible", "first_irreducible"}
+    sources = sorted(pathlib.Path(galois.__file__).parent.glob("*.py"))
+    assert {"galois.py", "lanes.py", "oracle.py"} <= {path.name for path in sources}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a class or function defined, a module imported from, a name imported or bound
+            for name in (getattr(node, attr, None) for attr in ("name", "module", "asname")):
+                assert not {*str(name).split(".")} & generic, (path.name, name)
     fields = [(2, 9), (4, 4), (8, 3), (16, 1), (3, 7), (9, 3), (27, 2), (81, 1),
               (5, 4), (7, 3), (25, 2), (125, 1), (131, 2), (4, 5), (16, 3), (9, 5)]
-    towers = [galois.TowerField(q, n, 0) for q, n in fields]
 
     def refuse(*args):
         raise AssertionError("not part of a lane sweep")
 
-    for owner, name in [(oracle, "cyclotomic_cosets"), (galois, "field_pow"),
-                        (galois.ExtensionField, "mul"), (galois.ExtensionField, "inv")]:
+    for owner, name in [(oracle, "cyclotomic_cosets"), (ref, "field_pow"),
+                        (ref.PrimeField, "mul"), (ref.PrimeField, "inv"),
+                        (ref.ExtensionField, "mul"), (ref.ExtensionField, "inv")]:
         monkeypatch.setattr(owner, name, refuse)
-    for (q, n), tower in zip(fields, towers):
-        assert lanes.sweep(tower) == list(counting.distribution(q, n))
+    for q, n in fields:
+        assert lanes.sweep(galois.TowerField(q, n, 0)) == list(counting.distribution(q, n))
 
 
 def test_lanes_split_into_small_blocks(monkeypatch):
@@ -470,9 +474,9 @@ def test_the_ranker_returns_one_mask_per_rank_covering_its_block(monkeypatch):
 
 def _fq_arithmetic(q):
     """(F, basis, tower): the sweep's digit arithmetic on F_q = F_p[x]/(f)
-    itself, deg f = m, the basis of F_q in it, and the generic field."""
+    itself, deg f = m, the basis of F_q in it, and the field's record."""
     tower = galois.build_tower(q, 1, 0)
-    F = lanes._field(tower.base.order, tower.modulus.coeffs)
+    F = lanes._field(tower.p, tower.modulus)
     xq = lanes._power(F.mulmod, F.mulmod(F.one, F.monomial(1)), q)
     return F, lanes._fq_basis(F, lanes._frobenius_table(F, xq, q, 1, 1)[1], tower.m), tower
 
@@ -484,17 +488,18 @@ def test_the_factors_of_x_to_the_n0_minus_1():
     irreducible = set()
     for q in [q for q in PRIME_POWERS_4096 if q <= 64]:
         F, basis, tower = _fq_arithmetic(q)
-        p, m = tower.base.order, tower.m
-        field = tower.base if m == 1 else tower  # F_p itself or F_p[x]/(f), deg f = m
+        p, m = tower.p, tower.m
+        # F_p itself or F_p[x]/(f), deg f = m
+        field = ref.PrimeField(p) if m == 1 else ref.flat_field(p, tower.modulus)
         for n0 in [n0 for n0 in range(1, 61) if n0 % p]:
             factors = lanes._factors(F, basis, q, n0, random.Random(n0))
-            product = galois.Poly(field, [field.one])
+            product = ref.Poly(field, [field.one])
             for f in factors:
                 assert f[-1] == F.one, (q, n0, f)
                 coeffs = f if m == 1 else [tuple(F.digit(c, k) for k in range(m)) for c in f]
-                product = product * galois.Poly(field, coeffs)
+                product = product * ref.Poly(field, coeffs)
                 if m == 1 and (p, *f) not in irreducible:
-                    assert galois.is_irreducible(galois.Poly(field, f)), (q, n0, f)
+                    assert ref.is_irreducible(ref.Poly(field, f)), (q, n0, f)
                     irreducible.add((p, *f))
             assert product == _xn_minus_one(field, n0), (q, n0)
             assert sorted(len(f) - 1 for f in factors) == oracle.cyclotomic_cosets(q, n0)
@@ -564,7 +569,7 @@ def _misrank(monkeypatch, tower, rank):
     q - 1 elements move to N_(n-rank), and the counts still sum to q**n.
     """
     q, n = tower.q, tower.n
-    F = lanes._field(tower.base.order, tower.modulus.coeffs)
+    F = lanes._field(tower.p, tower.modulus)
     nonzero = type(F).nonzero
     masks = []  # the masks returned so far
 
