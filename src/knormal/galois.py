@@ -52,16 +52,29 @@ def find_irreducible(p: int, degree: int, index: int = 0) -> tuple:
     from . import lanes  # the sweep's packed arithmetic, compiled with the first scan
 
     irreducible = lanes.ben_or(p, degree)
-    # the digits of one running index, so memory stays flat at any p
-    places = [p**k for k in range(degree)]
-    candidates = ((*[t // place % p for place in places], 1) for t in range(p**degree))
     seen = 0
-    for seen, coeffs in enumerate(filter(irreducible, candidates), 1):
+    for seen, coeffs in enumerate(filter(irreducible, _candidates(p, degree)), 1):
         if seen > index:
             return coeffs
     raise InternalInconsistency(
         f"the scan found {seen} of the {exists} monic irreducibles of degree {degree}"
     )
+
+
+def _candidates(p: int, degree: int):
+    """The monic polynomials of a degree over F_p, coefficient tuples in scan
+    order: an odometer over one digit list, the constant turning fastest,
+    so most steps change one digit and memory stays flat at any p."""
+    digits = [0] * degree + [1]
+    while True:
+        yield tuple(digits)
+        k = 0
+        while k < degree and digits[k] == p - 1:
+            digits[k] = 0
+            k += 1
+        if k == degree:
+            return
+        digits[k] += 1
 
 
 class TowerField:

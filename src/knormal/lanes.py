@@ -28,18 +28,20 @@ of planes takes seven AND/OR/XOR operations and a negation swaps them.
 * With n = P * n0, P = p**s and p not dividing n0, x**n - 1 = (x**n0 - 1)**P
   and x**n0 - 1 is the product of distinct F_q-irreducible f.  So the
   order of alpha is the product of the f**e_f, 0 <= e_f <= P, and its rank
-  the sum of deg f * e_f: ((x**n0 - 1)/f)**P (Phi) alpha has order f**e_f,
-  so it is nonzero for exactly e_f steps of f(Phi).  Phi is a ring map, so
-  column k of g(Phi) is the sum of c_i * (x**(q**i))**k over the
-  coefficients c_i of g, summed from a table of the powers of x**q; each
-  map acts on all lanes as digitwise sums of planes, and ``_rank_lanes``
-  adds deg f to a bit-sliced per-lane counter at each step where a lane is
-  nonzero: one lane mask per rank.  x**(q**n) must be x, no lane may
-  survive P steps of f(Phi), and ``sweep`` ranks the first lane found of
-  every rank again by elimination in scalar arithmetic.  At most
-  2**_LANE_BLOCK_BITS lanes are taken at a time, so memory stays flat.  A
-  mask x & ~y is written x ^ (x & y): ~y is a negative int, and & with one
-  takes extra passes.
+  the sum of deg f * e_f.  ``_flag_basis`` builds a basis of F whose
+  columns for f are P layers, layer j spanning f**j times f's component
+  modulo f**(j+1), from the conjugates of one generator x**k; Phi is a ring
+  map and Phi**n = 1, so each column is a shift over the powers
+  (x**(q**i))**k.  One map, the inverse of that basis (``_inverse``), acts
+  on all lanes as digitwise sums of planes, and e_f = P - j0 for the lowest
+  layer j0 of f where a lane's coordinates are nonzero: ``_rank_lanes``
+  adds deg f to a bit-sliced per-lane counter at each layer from there up,
+  one lane mask per rank.  x**(q**n) must be x, layer P - 1 must be an
+  orbit of Phi that f(Phi) kills, the basis must be invertible, and
+  ``sweep`` ranks the first lane found of every rank again by elimination
+  in scalar arithmetic.  At most 2**_LANE_BLOCK_BITS lanes are taken at a
+  time, so memory stays flat.  A mask x & ~y is written x ^ (x & y): ~y is
+  a negative int, and & with one takes extra passes.
 * The factors f come from the sweep's own arithmetic: ``_factors`` splits
   x**n0 - 1 over F_p with packed polynomials, then over F_q, whose elements
   are those of F fixed by x -> x**q, with lists of them as coefficients,
@@ -49,7 +51,8 @@ of planes takes seven AND/OR/XOR operations and a negation swaps them.
   packed polynomials).
 * One ``_power``, doubling from the top bit, repeats every operation that is
   repeated: ``mulmod`` for powers, ``add`` for a multiple c*a, the join of
-  ``_repeat`` for a lane pattern, and the products mod g of ``_split``.
+  ``_repeat`` for a lane pattern, the products mod g of ``_split``, and the
+  cofactor**P of ``_flag_basis``.
 """
 
 import math
@@ -65,11 +68,12 @@ def sweep(tower) -> list[int]:
     """Counts N_0..N_n of F = F_p[x]/(f), recorded in a ``galois.TowerField``,
     every F_q*-line ranked at once.
 
-    ``_order_maps`` sums the columns of one map per factor of x**n0 - 1
-    from the powers of x**q in ``_frobenius_table``, and ``_rank_lanes``
-    ranks all lanes of a block at once by them (``apply`` of the digit
-    arithmetic F).  Its masks give the counts, a lane of rank r weighted
-    q - 1 in N_{n-r}.
+    ``_flag_basis`` builds a basis of F adapted to the f-adic flag of each
+    factor f of x**n0 - 1 from the conjugates of one generator a factor,
+    ``_inverse`` makes the change to its coordinates one map, and
+    ``_rank_lanes`` ranks all lanes of a block at once by their nonzero
+    layers (``apply`` and ``nonzero`` of the digit arithmetic F).  Its masks
+    give the counts, a lane of rank r weighted q - 1 in N_{n-r}.
     """
     F = _field(tower.p, tower.modulus)
     n, q, m = tower.n, tower.q, tower.m
@@ -77,20 +81,19 @@ def sweep(tower) -> list[int]:
     while n % (P * F.p) == 0:
         P *= F.p
     xq = _power(F.mulmod, F.mulmod(F.one, F.monomial(1)), q)
-    # rows i <= max(n - P, 1): cofactor**P has degree <= (n0 - 1) * P = n - P,
-    # f at most n0 - 1 unless it is x - 1, and _fq_basis reads row 1
-    table = _frobenius_table(F, xq, q, n, max(n - P, 1))
-    basis = _fq_basis(F, table[1], m)
+    powers, row = _frobenius_table(F, xq, q, n)
+    basis = _fq_basis(F, row, m)
     rows = {}
     if any(_eliminate(F, rows, b) is None for b in basis):
         raise InternalInconsistency("the basis of F_q is dependent over F_p")
-    maps = _order_maps(F, table, basis, q, n, P)
+    columns, layers = _flag_basis(F, powers, basis, q, n, P)
+    inverse = _inverse(F, columns)
     # base-p digit s of a lane's index adds a multiple of b_i * x**k, s = k*m + i
     digits = [F.mulmod(b, F.monomial(k)) for k in range(n - 1) for b in basis]
     counts = [0] * n + [1]  # alpha = 0 spans nothing
     samples = {}  # rank -> the element of the first lane found with that rank
     for planes, lanes in _lane_blocks(F, n, m, digits):
-        for rank, ranked in enumerate(_rank_lanes(F, planes, lanes, n, P, maps)):
+        for rank, ranked in enumerate(_rank_lanes(F, planes, lanes, n, P, inverse, layers)):
             counts[n - rank] += (q - 1) * ranked.bit_count()
             if ranked and rank not in samples:
                 samples[rank] = _lane_element(F, planes, ranked)
@@ -158,9 +161,10 @@ def _power(op, a, e: int):
     return result
 
 
-def _frobenius_table(F, xq, q: int, n: int, top: int) -> list:
-    """table[i][k] = (x**(q**i))**k mod f packed, k < deg f, for i <= top:
-    column k of Phi**i, Phi: y -> y**q, as Phi is a ring map.
+def _frobenius_table(F, xq, q: int, n: int):
+    """(powers, row): powers[i] = x**(q**i) mod f packed, i < n, and
+    row[k] = (x**q)**k, k < deg f: column k of Phi: y -> y**q, as Phi is a
+    ring map.
 
     x**q = `xq` is the only input: x**(q**i) is its (q**(i-1))-th power by
     ``_power``.  xq must be a root of f (``_check_frobenius``), and
@@ -168,18 +172,15 @@ def _frobenius_table(F, xq, q: int, n: int, top: int) -> list:
     """
     _check_frobenius(F, xq)
     x = F.mulmod(F.one, F.monomial(1))
-    powers = [x, xq]  # powers[i] = x**(q**i)
+    powers = [x, xq]
     for _ in range(n - 1):
         powers.append(_power(F.mulmod, powers[-1], q))
-    if powers[n] != x:
+    if powers.pop() != x:
         raise InternalInconsistency("x -> x**q taken n times is not 1 on its columns")
-    table = []
-    for y in powers[:top + 1]:
-        row = [F.one]
-        for _ in range(F.N - 1):
-            row.append(F.mulmod(row[-1], y))
-        table.append(row)
-    return table
+    row = [F.one]
+    for _ in range(F.N - 1):
+        row.append(F.mulmod(row[-1], xq))
+    return powers, row
 
 
 def _check_frobenius(F, xq) -> None:
@@ -235,9 +236,9 @@ def _fq_basis(F, images: list, m: int) -> list:
 def _span_dimension(F, alpha, n: int, q: int, basis: list) -> int:
     """F_p-dimension of the span of the b_i * alpha**(q**j), m times the F_q-rank.
 
-    Scalar arithmetic, sharing neither the lanes' maps nor their ranking by
-    order: powers by ``mulmod`` and one ``_eliminate``, up to the first
-    conjugate already in the span.
+    Scalar arithmetic, sharing neither the lanes' change of basis nor their
+    ranking by layers: powers by ``mulmod`` and one ``_eliminate``, up to
+    the first conjugate already in the span.
     """
     rows, conjugate = {}, alpha
     for j in range(n):
@@ -250,35 +251,109 @@ def _span_dimension(F, alpha, n: int, q: int, basis: list) -> int:
     return len(rows)
 
 
-def _order_maps(F, table, basis, q: int, n: int, P: int) -> list:
-    """Per F_q-irreducible factor f of x**n0 - 1, n0 = n / P, the triple
-    (deg f, the map of ((x**n0 - 1)/f)**P at Phi, the map of f at Phi) for
-    ``_rank_lanes``.
+def _flag_basis(F, powers: list, basis: list, q: int, n: int, P: int):
+    """(columns, layers): the columns of a basis B of F over F_p adapted to
+    the primary decomposition and to the f-adic flag of each F_q-irreducible
+    factor f of x**n0 - 1, n0 = n / P, and per factor the pair (deg f, its
+    columns a layer) for ``_rank_lanes``.
 
-    Column k of the map of g at Phi is the sum of c_i * (x**(q**i))**k over
-    the coefficients c_i of g, read from the `table` of
-    ``_frobenius_table``: packed elements, made a ``linear_map``.  The
-    factors are drawn by a ``random.Random`` seeded from (q, n), so a sweep
-    repeats.
+    With h_j = ((x**n0 - 1)/f)**P * f**j, f's columns are b_l * Phi**i
+    h_j(Phi) gamma for j < P, i < deg f and the basis b_l of F_q, layer j
+    after layer j - 1, and gamma = x**k from ``_generator``.  As Phi**n = 1,
+    Phi**i h_j(Phi) gamma sums c_s * gamma**(q**((s + i) mod n)) over the
+    coefficients c_s of h_j (``_column``): a shift of the conjugates of
+    gamma taken from `powers`.  h_P must be x**n - 1, and layer P - 1 the
+    orbit of its first column under Phi, taken by q-th powers, which f(Phi)
+    kills: so f(Phi) kills each column of layer P - 1.  Then, B invertible
+    (``_inverse``), an element whose lowest nonzero layer of f is j0 has
+    f-order f**(P - j0): its f-part times f(Phi)**(P - j0 - 1) is a nonzero
+    sum of the columns of layer P - 1, which f(Phi) kills, and f is
+    irreducible.  The factors are drawn by a ``random.Random`` seeded from
+    (q, n), so a sweep repeats.
     """
     p, n0 = F.p, n // P
-
-    def at_frobenius(g):  # g constant first
-        columns = [F.zero] * F.N
-        for i, c in enumerate(g):
-            if c:
-                times = F.scale if c < p else F.mulmod  # c * e for a digit c, or an element
-                columns = [F.add(s, times(e, c)) for s, e in zip(columns, table[i])]
-        return F.linear_map(columns)
-
-    maps = []
+    x_n0, x_n = ([p - 1] + [0] * (k - 1) + [1] for k in (n0, n))  # x**n0 - 1, x**n - 1
+    conjugates = [[F.one] * n, powers]  # conjugates[k][i] = (x**k)**(q**i)
+    columns, layers = [], []
     for f in _factors(F, basis, q, n0, random.Random(f"{q} {n}")):
-        cofactor = _divide(F, [p - 1] + [0] * (n0 - 1) + [1], f)[0]
-        spread = [0] * ((len(cofactor) - 1) * P + 1)  # cofactor**P: c**P at x**(i*P)
-        for i, c in enumerate(cofactor):
-            spread[i * P] = c if c < p else _power(F.mulmod, c, P)
-        maps.append((len(f) - 1, at_frobenius(spread), at_frobenius(f)))
-    return maps
+        degree = len(f) - 1
+        cofactor = _divide(F, x_n0, f)[0]
+        h = [_power(lambda a, b: _product(F, a, b), cofactor, P)]
+        for _ in range(P):
+            h.append(_product(F, h[-1], f))
+        if h.pop() != x_n:
+            raise InternalInconsistency("cofactor**P * f**P is not x**n - 1")
+        gamma = _generator(F, conjugates, h[-1])
+        layer = [_column(F, c, gamma, i) for c in h for i in range(degree)]
+        orbit = [layer[-degree]]  # Phi**s of the first column of layer P - 1, s <= deg f
+        for _ in range(degree):
+            orbit.append(_power(F.mulmod, orbit[-1], q))
+        if orbit[:degree] != layer[-degree:] or _column(F, f, orbit, 0) != F.zero:
+            raise InternalInconsistency(
+                "layer P - 1 is no orbit of x -> x**q killed by f(x -> x**q)")
+        for column in layer:
+            columns += [column] + [F.mulmod(column, b) for b in basis[1:]]  # b_0 = 1
+        layers.append((degree, degree * len(basis)))
+    return columns, layers
+
+
+def _column(F, c: list, gamma: list, i: int):
+    """Phi**i g(Phi) gamma for g with coefficients `c`, constant first, and
+    the conjugates gamma**(q**s), s < n, of gamma: the sum of
+    c_s * gamma**(q**((s + i) mod n)).  With the list Phi**s y, s <= deg g,
+    in place of the conjugates and i = 0, it is g(Phi) y."""
+    n, out = len(gamma), F.zero
+    for s, e in enumerate(c):
+        if e:
+            y = gamma[(s + i) % n]
+            out = F.add(out, y if e == 1 else _times(F, e, y))
+    return out
+
+
+def _generator(F, conjugates: list, h: list) -> list:
+    """The conjugates of the first gamma = x**k, k < N, with h(Phi) gamma != 0.
+
+    conjugates[k] holds those of x**k, each taken from the last by one
+    ``mulmod`` a conjugate with conjugates[1], the powers x**(q**i), and kept
+    for the next factor.  The f-parts of the x**k span f's component, so
+    for h = h_(P-1) some k < N has h(Phi) x**k != 0.
+    """
+    for k in range(F.N):
+        if k == len(conjugates):
+            conjugates.append([F.mulmod(a, b) for a, b in zip(conjugates[-1], conjugates[1])])
+        if _column(F, h, conjugates[k], 0) != F.zero:
+            return conjugates[k]
+    raise InternalInconsistency("h(x -> x**q) kills every x**k, k < N")
+
+
+def _inverse(F, columns: list):
+    """The ``linear_map`` of B**-1 for the matrix B of `columns`: output c is
+    the coordinate of column c.
+
+    Column c is eliminated as B_c * x**N + x**c, as in ``_fq_basis``.  B is
+    invertible iff the rows' top digits are x**N, ..., x**(2N - 1).  Then,
+    lowest top first, the high digits of each row below its top are cleared
+    by the rows below, so row k is x**(N + k) + sum w_c * x**c with
+    sum w_c * B_c = x**k: its low digits are column k of B**-1.
+    """
+    N, p, width = F.N, F.p, F.width
+    rows = {}
+    if len(columns) == N:  # else no row, and B is refused below
+        for c, column in enumerate(columns):
+            _eliminate(F, rows, F.shift(column, N) | F.monomial(c))
+    if sorted(rows) != list(range(N + 1, 2 * N + 1)):
+        raise InternalInconsistency("the basis adapted to the flags is not invertible")
+    low, images = (1 << N * width) - 1, []
+    for k in range(N):
+        row = rows[N + k + 1]
+        high = row >> N * width & (1 << k * width) - 1  # the high digits below the top
+        while high:  # clear the top one, u, by row u, whose high digits are x**(N + u) alone
+            u = F.top(high) - 1
+            row = F.add(row, F.scale(rows[N + u + 1], p - F.digit(high, u)))
+            high &= (1 << u * width) - 1
+        rows[N + k + 1] = row
+        images.append(row & low)
+    return F.linear_map(images)
 
 
 def _factors(F, basis: list, q: int, n0: int, rng) -> list:
@@ -507,32 +582,32 @@ def _repeat(F, planes, lanes, d):
     return _power(join, (planes, lanes, d), F.p)[0]
 
 
-def _rank_lanes(F, planes, lanes, n, P, maps):
+def _rank_lanes(F, planes, lanes, n, P, inverse, layers):
     """n + 1 lane masks: mask r holds the lanes whose F_q-order has degree r.
 
-    Per factor f of x**n0 - 1 in `maps` (``_order_maps``), the lanes go
-    through the cofactor map, then through f(Phi) up to P times.  Each step
-    where a lane is nonzero adds deg f to its count, kept bit-sliced:
-    counter[b] holds bit b of every lane's count.
+    One ``apply`` of `inverse` (``_inverse``) takes every lane to its
+    coordinates in the basis of ``_flag_basis``.  Per factor f in `layers`,
+    (deg f, its coordinates a layer), layers j = 0..P-1 in turn OR their
+    nonzero lanes into `live`, and deg f is added on the lanes of `live`,
+    so a lane whose lowest nonzero layer is j0 gains deg f * (P - j0).  The
+    counts are kept bit-sliced: counter[b] holds bit b of every lane's count.
     """
-    apply, nonzero = F.apply, F.nonzero
+    nonzero = F.nonzero
     ones = _lane_mask(F, lanes)
     counter = [0] * n.bit_length()
-    for degree, cofactor, factor in maps:
-        image = apply(cofactor, planes, ones)
+    image, start = F.apply(inverse, planes, ones), 0
+    for degree, width in layers:
+        live = 0
         for _ in range(P):
-            live = nonzero(image, ones)
+            live |= nonzero(image[start:start + width], ones)
+            start += width
             if not live:
-                break
+                continue
             for b in range(degree.bit_length()):  # add degree on the lanes of live
                 if degree >> b & 1:
                     carry = live
                     for c in range(b, len(counter)):
                         counter[c], carry = counter[c] ^ carry, counter[c] & carry
-            image = apply(factor, image, ones)
-        else:
-            if nonzero(image, ones):
-                raise InternalInconsistency("a lane survives P steps of f(x -> x**q)")
     masks = []
     for rank in range(n + 1):
         mask = ones

@@ -11,7 +11,8 @@ field is F_p[x]/(f), f of degree N = n*m for q = p**m (recorded in a
 ``galois.TowerField``), with no F_q coordinates.  Each F_q*-line is ranked
 once and weighted by q - 1, and alpha = 0 spans nothing.  One route
 serves every characteristic: ``lanes`` ranks all lines at once by their
-orders, through the factors of x**n - 1 that it finds in its own
+orders, read off their coordinates in one basis of the field adapted to
+the flag of powers of each factor of x**n - 1 that it finds in its own
 arithmetic, with F_p-vectors packed by digit, so that full sweeps up to
 2**22 elements stay feasible; it ranks the first line found of each rank
 again by elimination.  A sweep shares only the ``Distribution`` record

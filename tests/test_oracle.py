@@ -440,7 +440,8 @@ def test_lanes_split_into_small_blocks(monkeypatch):
 
 def test_the_ranker_returns_one_mask_per_rank_covering_its_block(monkeypatch):
     # for every block, n + 1 masks: no lane in two, every lane of the block in
-    # one; the planes and maps it is given come back unchanged
+    # one; the planes, the change of basis and the layers it is given come
+    # back unchanged
     lane_blocks, rank_lanes = lanes._lane_blocks, lanes._rank_lanes
     yielded, ranked = [], []
 
@@ -449,10 +450,10 @@ def test_the_ranker_returns_one_mask_per_rank_covering_its_block(monkeypatch):
             yielded.append(block)
             yield block
 
-    def checked(F, planes, count, n, P, maps):
-        given = copy.deepcopy((planes, maps))
-        masks = rank_lanes(F, planes, count, n, P, maps)
-        assert (planes, maps) == given and len(masks) == n + 1
+    def checked(F, planes, count, n, P, inverse, layers):
+        given = copy.deepcopy((planes, inverse, layers))
+        masks = rank_lanes(F, planes, count, n, P, inverse, layers)
+        assert (planes, inverse, layers) == given and len(masks) == n + 1
         union = 0
         for mask in masks:
             assert not union & mask
@@ -478,7 +479,7 @@ def _fq_arithmetic(q):
     tower = galois.build_tower(q, 1, 0)
     F = lanes._field(tower.p, tower.modulus)
     xq = lanes._power(F.mulmod, F.mulmod(F.one, F.monomial(1)), q)
-    return F, lanes._fq_basis(F, lanes._frobenius_table(F, xq, q, 1, 1)[1], tower.m), tower
+    return F, lanes._fq_basis(F, lanes._frobenius_table(F, xq, q, 1)[1], tower.m), tower
 
 
 def test_the_factors_of_x_to_the_n0_minus_1():
@@ -525,8 +526,9 @@ def test_two_factors_taken_as_one_are_refused_or_miscount(monkeypatch, q, n):
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (25, 2)])
 def test_a_lane_that_survives_p_steps_is_refused(monkeypatch, q, n):
-    # a factor f taken as x**deg f: its cofactor and f(x -> x**q) are then
-    # powers of x -> x**q, which kill no lane
+    # a factor f taken as x**deg f: its cofactor (x**n0 - 1) // f is then a
+    # power of x, so cofactor**P * f**P is x**n, which is 1, not 0, mod
+    # x**n - 1, and f(x -> x**q)**P would kill no column of f
     factors = lanes._factors
 
     def monomial_first(F, basis, q, n0, rng):
@@ -534,8 +536,122 @@ def test_a_lane_that_survives_p_steps_is_refused(monkeypatch, q, n):
         return [[F.zero] * (len(first) - 1) + [F.one]] + rest
 
     monkeypatch.setattr(lanes, "_factors", monomial_first)
-    with pytest.raises(InternalInconsistency, match="a lane survives P steps"):
+    with pytest.raises(InternalInconsistency, match=r"cofactor\*\*P \* f\*\*P is not x\*\*n - 1"):
         lanes.sweep(galois.build_tower(q, n, 0))
+
+
+MISRANKED_FIELDS = [(2, 6), (3, 4), (5, 3), (25, 2), (2039, 2), (7, 4)]
+
+
+@pytest.mark.parametrize("q,n", MISRANKED_FIELDS)
+def test_a_flag_basis_short_of_a_layer_or_with_a_repeated_column_is_refused(monkeypatch, q, n):
+    # the basis of _flag_basis with one layer of one factor dropped, or with
+    # one column replaced by another, spans too little to give every lane
+    # its coordinates: the sweep raises or miscounts
+    tower = galois.build_tower(q, n, 0)
+    flag_basis, built = lanes._flag_basis, []
+    monkeypatch.setattr(lanes, "_flag_basis",
+                        lambda *args: built.append((flag_basis(*args), args[-1])) or built[-1][0])
+    lanes.sweep(tower)
+    (columns, layers), P = built[0]
+    mutants, start = [], 0
+    for _, width in layers:
+        for _ in range(P):
+            mutants.append(columns[:start] + columns[start + width:])
+            start += width
+    assert start == len(columns) == tower.n * tower.m
+    for c in range(len(columns)):
+        mutants.append(columns[:c] + [columns[(c + 1) % len(columns)]] + columns[c + 1:])
+    expected = list(counting.distribution(q, n))
+    for mutant in mutants:
+        monkeypatch.setattr(lanes, "_flag_basis", lambda *args: (mutant, layers))
+        try:
+            counts = lanes.sweep(tower)
+        except InternalInconsistency:
+            continue
+        assert counts != expected
+
+
+@pytest.mark.parametrize("q,n", MISRANKED_FIELDS)
+def test_a_generator_whose_top_layer_is_0_is_refused(monkeypatch, q, n):
+    # gamma = 1 has h(x -> x**q) gamma = h(1), 0 for h = h_(P-1) of every
+    # factor f but x - 1 (and of x - 1 too when P > 1): taken as the
+    # generator there, it gives f fewer independent columns than it has
+    generator, taken = lanes._generator, []
+
+    def one(F, conjugates, h):
+        if lanes._column(F, h, conjugates[0], 0) == F.zero:
+            taken.append(h)
+            return conjugates[0]
+        return generator(F, conjugates, h)
+
+    monkeypatch.setattr(lanes, "_generator", one)
+    with pytest.raises(InternalInconsistency, match="adapted to the flags is not invertible"):
+        lanes.sweep(galois.build_tower(q, n, 0))
+    assert taken
+
+
+@pytest.mark.parametrize("q,n", MISRANKED_FIELDS)
+def test_a_generator_list_that_is_not_conjugates_is_refused(monkeypatch, q, n):
+    # the columns are shifts of the generator's conjugates; with x added to
+    # gamma**q the list is no orbit of x -> x**q, and on these fields layer
+    # P - 1 of some factor is then no orbit of x -> x**q, taken by q-th
+    # powers in the field, that f(x -> x**q) kills
+    generator = lanes._generator
+
+    def changed(F, conjugates, h):
+        first, second, *rest = generator(F, conjugates, h)
+        return [first, F.add(second, conjugates[1][0]), *rest]
+
+    monkeypatch.setattr(lanes, "_generator", changed)
+    with pytest.raises(InternalInconsistency, match="layer P - 1 is no orbit of x -> x"):
+        lanes.sweep(galois.build_tower(q, n, 0))
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (5, 3), (7, 4)])
+def test_a_top_layer_that_is_no_orbit_is_refused(monkeypatch, q, n):
+    # each field has a factor of degree 2; with x added to column i = 1 of
+    # every layer, column 1 of layer P - 1 is no longer x -> x**q of column
+    # 0, and f(x -> x**q) need not kill it though it kills column 0
+    column = lanes._column
+
+    def shifted(F, c, gamma, i):
+        out = column(F, c, gamma, i)
+        return F.add(out, F.mulmod(F.one, F.monomial(1))) if i == 1 else out
+
+    monkeypatch.setattr(lanes, "_column", shifted)
+    with pytest.raises(InternalInconsistency, match="layer P - 1 is no orbit of x -> x"):
+        lanes.sweep(galois.build_tower(q, n, 0))
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (25, 2)])
+def test_a_generator_search_that_finds_none_is_refused(q, n):
+    # h = x**n - 1 at x -> x**q is 0 on the whole field, so no x**k, k < N,
+    # has h(x -> x**q) x**k != 0
+    tower = galois.build_tower(q, n, 0)
+    F = lanes._field(tower.p, tower.modulus)
+    xq = lanes._power(F.mulmod, F.mulmod(F.one, F.monomial(1)), q)
+    powers, _ = lanes._frobenius_table(F, xq, q, n)
+    h = [F.p - 1] + [F.zero] * (n - 1) + [F.one]
+    with pytest.raises(InternalInconsistency, match="kills every x\\*\\*k, k < N"):
+        lanes._generator(F, [[F.one] * n, powers], h)
+
+
+def test_the_generator_search_reaches_x_squared_where_1_and_x_fail(monkeypatch):
+    # F_{3^3} at both moduli: x**3 - 1 = (x - 1)**3, and h_2 = (x - 1)**2
+    # at x -> x**q kills both 1 and x, so the generator is x**2 or later
+    generator, reached = lanes._generator, []
+
+    def recording(F, conjugates, h):
+        gamma = generator(F, conjugates, h)
+        reached.append(next(k for k, c in enumerate(conjugates) if c is gamma))
+        return gamma
+
+    monkeypatch.setattr(lanes, "_generator", recording)
+    for index in (0, 1):
+        reached.clear()
+        assert lanes.sweep(galois.build_tower(3, 3, index)) == list(counting.distribution(3, 3))
+        assert reached and min(reached) >= 2, (index, reached)
 
 
 def test_a_factor_that_does_not_split_is_refused(monkeypatch):
@@ -563,10 +679,11 @@ class _Unchecked:
 
 def _misrank(monkeypatch, tower, rank):
     """Patch the nonzero-lane kernel of the sweep's digit arithmetic so that
-    one lane drops out of the mask of one step of one factor, as if that
-    step had lost it: the lowest lane, at its first such step, that then
-    reads rank `rank`, its rank less the degree of the step's factor.  Its
-    q - 1 elements move to N_(n-rank), and the counts still sum to q**n.
+    one lane drops out of the mask of one layer of one factor, as if its
+    coordinates there were 0: the lowest lane, at its first such layer, that
+    then reads rank `rank`, its rank less a multiple of the degree of the
+    layer's factor.  Its q - 1 elements move to N_(n-rank), and the counts
+    still sum to q**n.
     """
     q, n = tower.q, tower.n
     F = lanes._field(tower.p, tower.modulus)
@@ -596,7 +713,7 @@ def _misrank(monkeypatch, tower, rank):
     monkeypatch.setattr(type(F), "nonzero", dropping(lane, call))
 
 
-@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (5, 3), (25, 2), (2039, 2), (7, 4)])
+@pytest.mark.parametrize("q,n", MISRANKED_FIELDS)
 def test_a_misranked_lane_is_refused(monkeypatch, q, n):
     # rank 0 is below every true rank; at rank 2 (for n >= 4 here) the lane
     # is the first one found with that rank, but neither the lowest rank
