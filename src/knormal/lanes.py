@@ -14,17 +14,17 @@ bitlen(p - 1) + 1 bits a lane, and an element bitlen(2N(p - 1)**2) bits a
 digit, as many as a digit of a product of two elements takes before mod p,
 so ``mulmod`` is one int product.  Every element of F is such a vector,
 whatever p, so only the plane kernels differ by p: ``_Trits`` (p = 3) keeps
-a plane as two bit planes, lo and hi, after Boothby and Bradshaw, so a sum
-of planes takes seven AND/OR/XOR operations and a negation swaps them.
+a plane as two bit planes, lo and hi, after Boothby and Bradshaw, so a digit
+added to a plane permutes its zero, lo and hi masks.
 
 * Digit k of an element is its coefficient of x**k.  x**q must be a root
   of f, and F_q = ker(x -> x**q minus 1), with an F_p-basis b_0 = 1, ...,
   b_{m-1} found by elimination, must have dimension m.
 * {1, x, ..., x**(n-1)} is an F_q-basis of F, so each line has one
   representative x**j + sum_{k<j} c_k x**k, c_k in F_q: one lane each,
-  L = (q**n - 1)/(q - 1) in all.  Plane c holds coordinate c of every lane,
-  lane l at bit l * lane_width, and a lane mask has the low bit of each
-  lane set.
+  L = (q**n - 1)/(q - 1) in all.  Plane c holds coordinate c of every lane
+  in the basis of ``_flag_basis``, lane l at bit l * lane_width, and a lane
+  mask has the low bit of each lane set.
 * With n = P * n0, P = p**s and p not dividing n0, x**n - 1 = (x**n0 - 1)**P
   and x**n0 - 1 is the product of distinct F_q-irreducible f.  So the
   order of alpha is the product of the f**e_f, 0 <= e_f <= P, and its rank
@@ -32,16 +32,18 @@ of planes takes seven AND/OR/XOR operations and a negation swaps them.
   columns for f are P layers, layer j spanning f**j times f's component
   modulo f**(j+1), from the conjugates of one generator x**k; Phi is a ring
   map and Phi**n = 1, so each column is a shift over the powers
-  (x**(q**i))**k.  One map, the inverse of that basis (``_inverse``), acts
-  on all lanes as digitwise sums of planes, and e_f = P - j0 for the lowest
+  (x**(q**i))**k.  The inverse of that basis (``_inverse``) is linear, so
+  it takes x**j and the digit vectors to coordinates once a sweep, and
+  the lanes are enumerated in coordinates.  e_f = P - j0 for the lowest
   layer j0 of f where a lane's coordinates are nonzero: ``_rank_lanes``
   adds deg f to a bit-sliced per-lane counter at each layer from there up,
   one lane mask per rank.  x**(q**n) must be x, layer P - 1 must be an
-  orbit of Phi that f(Phi) kills, the basis must be invertible, and
-  ``sweep`` ranks the first lane found of every rank again by elimination
-  in scalar arithmetic.  At most 2**_LANE_BLOCK_BITS lanes are taken at a
-  time, so memory stays flat.  A mask x & ~y is written x ^ (x & y): ~y is
-  a negative int, and & with one takes extra passes.
+  orbit of Phi that f(Phi) kills, the basis must be invertible, its
+  inverse times it must be 1, and ``sweep`` ranks the element of the first
+  lane found of every rank again by elimination in scalar arithmetic.  At
+  most 2**_LANE_BLOCK_BITS lanes are taken at a time, so memory stays
+  flat.  A mask x & ~y is written x ^ (x & y): ~y is a negative int, and &
+  with one takes extra passes.
 * The factors f come from the sweep's own arithmetic: ``_factors`` splits
   x**n0 - 1 over F_p with packed polynomials, then over F_q, whose elements
   are those of F fixed by x -> x**q, with lists of them as coefficients,
@@ -68,12 +70,14 @@ def sweep(tower) -> list[int]:
     """Counts N_0..N_n of F = F_p[x]/(f), recorded in a ``galois.TowerField``,
     every F_q*-line ranked at once.
 
-    ``_flag_basis`` builds a basis of F adapted to the f-adic flag of each
-    factor f of x**n0 - 1 from the conjugates of one generator a factor,
-    ``_inverse`` makes the change to its coordinates one map, and
+    ``_flag_basis`` builds a basis B of F adapted to the f-adic flag of each
+    factor f of x**n0 - 1 from the conjugates of one generator a factor.
+    B**-1 (``_inverse``) is linear, and so are the lanes in their digits, so
+    the monomials x**j and the digit vectors are taken to coordinates once
+    (``_combine``), and the lanes are enumerated in coordinates.
     ``_rank_lanes`` ranks all lanes of a block at once by their nonzero
-    layers (``apply`` and ``nonzero`` of the digit arithmetic F).  Its masks
-    give the counts, a lane of rank r weighted q - 1 in N_{n-r}.
+    layers (``nonzero`` of the digit arithmetic F).  Its masks give the
+    counts, a lane of rank r weighted q - 1 in N_{n-r}.
     """
     F = _field(tower.p, tower.modulus)
     n, q, m = tower.n, tower.q, tower.m
@@ -87,20 +91,36 @@ def sweep(tower) -> list[int]:
     if any(_eliminate(F, rows, b) is None for b in basis):
         raise InternalInconsistency("the basis of F_q is dependent over F_p")
     columns, layers = _flag_basis(F, powers, basis, q, n, P)
-    inverse = _inverse(F, columns)
+    images = _inverse(F, columns)
+    # no lane's rank re-checks B**-1, as B c below has coordinates c in any case
+    if any(_combine(F, column, images) != F.monomial(c) for c, column in enumerate(columns)):
+        raise InternalInconsistency("the inverse of the basis adapted to the flags is not B**-1")
     # base-p digit s of a lane's index adds a multiple of b_i * x**k, s = k*m + i
-    digits = [F.mulmod(b, F.monomial(k)) for k in range(n - 1) for b in basis]
+    digits = [_combine(F, F.mulmod(b, F.monomial(k)), images) for k in range(n - 1) for b in basis]
     counts = [0] * n + [1]  # alpha = 0 spans nothing
-    samples = {}  # rank -> the element of the first lane found with that rank
-    for planes, lanes in _lane_blocks(F, n, m, digits):
-        for rank, ranked in enumerate(_rank_lanes(F, planes, lanes, n, P, inverse, layers)):
+    samples = {}  # rank -> the coordinates of the first lane found with that rank
+    for planes, lanes in _lane_blocks(F, n, m, images[:n], digits):
+        for rank, ranked in enumerate(_rank_lanes(F, planes, lanes, n, P, layers)):
             counts[n - rank] += (q - 1) * ranked.bit_count()
             if ranked and rank not in samples:
-                samples[rank] = _lane_element(F, planes, ranked)
-    for rank, alpha in samples.items():
-        if _span_dimension(F, alpha, n, q, basis) != rank * m:
+                samples[rank] = _lane_vector(F, planes, ranked)
+    for rank, c in samples.items():
+        if _span_dimension(F, _combine(F, c, columns), n, q, basis) != rank * m:
             raise InternalInconsistency(f"a lane of rank {rank} re-ranks differently")
     return counts
+
+
+def _combine(F, v, vectors):
+    """The sum of digit k of v times vectors[k]: B**-1 v for the `images` of
+    ``_inverse``, and B v for the `columns` of ``_flag_basis``."""
+    out, width, k = F.zero, F.width, 0
+    field = (1 << width) - 1
+    while v:
+        if d := v & field:
+            out = F.add(out, vectors[k] if d == 1 else F.scale(vectors[k], d))
+        v >>= width
+        k += 1
+    return out
 
 
 def _field(p: int, coeffs):
@@ -236,9 +256,9 @@ def _fq_basis(F, images: list, m: int) -> list:
 def _span_dimension(F, alpha, n: int, q: int, basis: list) -> int:
     """F_p-dimension of the span of the b_i * alpha**(q**j), m times the F_q-rank.
 
-    Scalar arithmetic, sharing neither the lanes' change of basis nor their
-    ranking by layers: powers by ``mulmod`` and one ``_eliminate``, up to
-    the first conjugate already in the span.
+    Scalar arithmetic, sharing neither the lanes' inverse of the basis nor
+    their ranking by layers: powers by ``mulmod`` and one ``_eliminate``, up
+    to the first conjugate already in the span.
     """
     rows, conjugate = {}, alpha
     for j in range(n):
@@ -327,8 +347,8 @@ def _generator(F, conjugates: list, h: list) -> list:
 
 
 def _inverse(F, columns: list):
-    """The ``linear_map`` of B**-1 for the matrix B of `columns`: output c is
-    the coordinate of column c.
+    """The columns of B**-1 for the matrix B of `columns`: column k holds
+    the coordinates of x**k, coordinate c on column c of B.
 
     Column c is eliminated as B_c * x**N + x**c, as in ``_fq_basis``.  B is
     invertible iff the rows' top digits are x**N, ..., x**(2N - 1).  Then,
@@ -353,7 +373,7 @@ def _inverse(F, columns: list):
             high &= (1 << u * width) - 1
         rows[N + k + 1] = row
         images.append(row & low)
-    return F.linear_map(images)
+    return images
 
 
 def _factors(F, basis: list, q: int, n0: int, rng) -> list:
@@ -523,17 +543,18 @@ def _lane_mask(F, lanes: int) -> int:
     return ((1 << lanes * F.lane_width) - 1) // ((1 << F.lane_width) - 1)
 
 
-def _lane_element(F, planes: list, mask: int):
-    """The element held by the lowest lane of `mask` in `planes`."""
+def _lane_vector(F, planes: list, mask: int):
+    """The vector held by the lowest lane of `mask` in `planes`."""
     lane = ((mask & -mask).bit_length() - 1) // F.lane_width
     return sum(F.shift(F.lane_digit(plane, lane), c) for c, plane in enumerate(planes))
 
 
-def _lane_blocks(F, n, m, digits):
+def _lane_blocks(F, n, m, heads, digits):
     """(planes, lane count) of the F_q*-lines of F, at most 2**_LANE_BLOCK_BITS lanes a block.
 
-    Lane t < q**j of degree j < n is x**j plus the sum of d * digits[s] over
-    the base-p digits d of t.  Over the low digits of t the planes are one
+    Lane t < q**j of degree j < n is heads[j] plus the sum of d * digits[s]
+    over the base-p digits d of t, all vectors in one basis, as the lanes
+    are linear in their digits.  Over the low digits of t the planes are one
     pattern (``_repeat``), and a higher digit of t only adds a constant to
     whole planes.  The degrees with fewer lanes than a block share the first
     block, which is empty when a block is one lane; the others fill blocks.
@@ -552,13 +573,13 @@ def _lane_blocks(F, n, m, digits):
             wide.append(j)
             continue
         width = F.p ** (j * m)
-        head.append((F.plus(patterns[j * m], F.monomial(j), _lane_mask(F, width)), width))
+        head.append((F.plus(patterns[j * m], heads[j], _lane_mask(F, width)), width))
     if head:
         yield F.concat(head), sum(width for _, width in head)
     full = _lane_mask(F, lanes)
     for j in wide:
         for high in range(F.p ** (j * m - block_digits)):
-            offset = F.monomial(j)
+            offset = heads[j]
             s = block_digits
             while high:
                 high, d = divmod(high, F.p)
@@ -582,24 +603,24 @@ def _repeat(F, planes, lanes, d):
     return _power(join, (planes, lanes, d), F.p)[0]
 
 
-def _rank_lanes(F, planes, lanes, n, P, inverse, layers):
+def _rank_lanes(F, planes, lanes, n, P, layers):
     """n + 1 lane masks: mask r holds the lanes whose F_q-order has degree r.
 
-    One ``apply`` of `inverse` (``_inverse``) takes every lane to its
-    coordinates in the basis of ``_flag_basis``.  Per factor f in `layers`,
-    (deg f, its coordinates a layer), layers j = 0..P-1 in turn OR their
-    nonzero lanes into `live`, and deg f is added on the lanes of `live`,
-    so a lane whose lowest nonzero layer is j0 gains deg f * (P - j0).  The
-    counts are kept bit-sliced: counter[b] holds bit b of every lane's count.
+    Plane c holds coordinate c of every lane in the basis of
+    ``_flag_basis``.  Per factor f in `layers`, (deg f, its coordinates a
+    layer), layers j = 0..P-1 in turn OR their nonzero lanes into `live`,
+    and deg f is added on the lanes of `live`, so a lane whose lowest
+    nonzero layer is j0 gains deg f * (P - j0).  The counts are kept
+    bit-sliced: counter[b] holds bit b of every lane's count.
     """
     nonzero = F.nonzero
     ones = _lane_mask(F, lanes)
     counter = [0] * n.bit_length()
-    image, start = F.apply(inverse, planes, ones), 0
+    start = 0
     for degree, width in layers:
         live = 0
         for _ in range(P):
-            live |= nonzero(image[start:start + width], ones)
+            live |= nonzero(planes[start:start + width], ones)
             start += width
             if not live:
                 continue
@@ -623,8 +644,8 @@ class _Packed:
     bits a lane, and the plane code reads a lane by ``lane_digit``.
     """
 
-    # bits of an element's digit and of a lane, the mask of a lane, and the doublings taken
-    width = lane_width = fill = bits = 1
+    # bits of an element's digit and of a lane, and the mask of a lane
+    width = lane_width = fill = 1
     zero = plane_zero = 0
     one = 1
 
@@ -655,31 +676,13 @@ class _Packed:
             offset += lanes
         return out
 
-    def linear_map(self, images):
-        """For each output coordinate c, the pairs (k, j) with bit j set in
-        digit c of the image of input coordinate k: its j-th doubling enters."""
-        out = [[] for _ in range(self.N)]
-        for k, image in enumerate(images):
-            for s in _set_bits(image):  # bit s is bit s % width of digit s // width
-                out[s // self.width].append((k, s % self.width))
-        return out
-
-
-def _set_bits(v: int) -> list:
-    """The positions of the set bits of v >= 0, lowest first."""
-    out = []
-    while v:
-        out.append((v & -v).bit_length() - 1)
-        v &= v - 1
-    return out
-
 
 class _Bits(_Packed):
     """Digits of F_2, bit-sliced: a vector is an int whose bit k is digit k.
 
     A vector is an element of F = F_2[x]/(f), digit k its coefficient of
     x**k, or a plane, digit l the coordinate of lane l.  The lane mask
-    `ones` of ``apply`` and ``nonzero`` is read only by ``_Digits``.
+    `ones` of ``nonzero`` is read only by ``_Digits``.
     """
 
     p = 2
@@ -717,16 +720,6 @@ class _Bits(_Packed):
         """The planes with `element` added to each lane of `ones`."""
         return [v ^ ones if element >> c & 1 else v for c, v in enumerate(planes)]
 
-    def apply(self, linear_map, planes, ones):
-        """The planes of the images of all lanes under a ``linear_map``."""
-        out = []
-        for terms in linear_map:
-            v = 0
-            for k, _ in terms:
-                v ^= planes[k]
-            out.append(v)
-        return out
-
     def nonzero(self, planes, ones):
         """The lane mask of the lanes whose vector in `planes` is not 0."""
         out = 0
@@ -749,7 +742,7 @@ class _Digits(_Packed):
     def __init__(self, coeffs, p):
         self.p = p
         self.N = N = len(coeffs) - 1
-        self.bits = (p - 1).bit_length()  # of a digit, and its doublings taken
+        self.bits = (p - 1).bit_length()  # of a digit
         self.fill = (1 << self.bits + 1) - 1  # a lane's mask
         self.width = width = (2 * N * (p - 1) ** 2).bit_length()  # of an element's field
         self.excess = (1 << self.bits) - p  # per field or lane: s + excess has bit `bits` iff s >= p
@@ -804,29 +797,6 @@ class _Digits(_Packed):
         sums = [v + self.digit(element, c) * ones for c, v in enumerate(planes)]
         return [s - ((s + bias) >> bits & ones) * p for s in sums]
 
-    def doublings(self, v, ones):
-        """(v, 2v, 4v, ...) mod p, bitlen(p - 1) of them, on the lanes of `ones`."""
-        bias, bits, p = ones * self.excess, self.bits, self.p
-        out = [v]
-        for _ in range(bits - 1):
-            s = v << 1
-            v = s - ((s + bias) >> bits & ones) * p
-            out.append(v)
-        return out
-
-    def apply(self, linear_map, planes, ones):
-        """The planes of the images of all lanes under a ``linear_map``."""
-        bias, bits, p = ones * self.excess, self.bits, self.p
-        doublings = [self.doublings(v, ones) for v in planes]
-        out = []
-        for terms in linear_map:
-            v = 0
-            for k, j in terms:
-                s = v + doublings[k][j]
-                v = s - ((s + bias) >> bits & ones) * p
-            out.append(v)
-        return out
-
     def nonzero(self, planes, ones):
         """The lane mask of the lanes whose vector in `planes` is not 0: a
         lane's digits ORed, plus 2**(w-1) - 1, reach its free top bit iff
@@ -840,8 +810,7 @@ class _Digits(_Packed):
 class _Trits(_Digits):
     """Digits of F_3: elements as in ``_Digits``, but a plane is a
     pair (lo, hi) of ints, bit l of lo set where lane l's digit is 1 and bit
-    l of hi where it is 2.  The doublings of a plane are the plane and its
-    negation, which swaps lo and hi.
+    l of hi where it is 2.
     """
 
     lane_width = 1
@@ -873,19 +842,6 @@ class _Trits(_Digits):
         for planes, lanes in blocks[1:]:
             out = [(lo | wl << offset, hi | wh << offset) for (lo, hi), (wl, wh) in zip(out, planes)]
             offset += lanes
-        return out
-
-    def apply(self, linear_map, planes, ones):
-        """The planes of the images of all lanes under a ``linear_map``."""
-        doublings = [(v, v[::-1]) for v in planes]
-        out = []
-        for terms in linear_map:
-            lo = hi = 0
-            for k, j in terms:
-                bl, bh = doublings[k][j]
-                t = (lo | bh) ^ (hi | bl)
-                lo, hi = (hi | bh) ^ t, (lo | bl) ^ t
-            out.append((lo, hi))
         return out
 
     def nonzero(self, planes, ones):

@@ -308,9 +308,13 @@ def test_f3_digit_arithmetic_over_all_digits():
 
     a, b = [d // 3 for d in range(9)], [d % 3 for d in range(9)]
     ones = lanes._lane_mask(F, 9)
-    # apply: output 0 is input 0 plus 2 times input 1 (its doubling 1, the negation)
-    out = F.apply([[(0, 0), (1, 1)]], [plane(a), plane(b)], ones)
-    assert digits(out[0], 9) == [(x + 2 * y) % 3 for x, y in zip(a, b)]
+    # plus: digit c of an element added to every lane of plane c, whose lanes
+    # hold every digit, so every digit pair; a sweep's lanes get their
+    # coordinates from plus and concat
+    every = range(3)
+    element = sum(c << c * F.width for c in every)
+    total = F.plus([plane(every)] * 3, element, lanes._lane_mask(F, 3))
+    assert [digits(v, 3) for v in total] == [[(c + d) % 3 for d in every] for c in every]
     # nonzero: the lanes whose vector (a[l], b[l]) is not 0
     assert F.nonzero([plane(a), plane(b)], ones) == sum(1 << l for l in range(9) if a[l] or b[l])
 
@@ -333,11 +337,12 @@ def test_packed_digit_arithmetic_over_all_digits(p):
 
     a, b = [d // p for d in range(p * p)], [d % p for d in range(p * p)]
     ones = lanes._lane_mask(F, p * p)
-    # apply: output 0 is input 0 plus input 1, output 1 is p - 1 times input 0
-    minus = [(0, j) for j in range(F.bits) if (p - 1) >> j & 1]
-    total, negated = F.apply([[(0, 0), (1, 0)], minus], [plane(a), plane(b)], ones)
-    assert digits(total, p * p) == [(x + y) % p for x, y in zip(a, b)]
-    assert digits(negated, p * p) == [-x % p for x in a]
+    # plus: digit c of an element added to every lane of plane c, whose lanes
+    # hold every digit, so every digit pair; a sweep's lanes get their
+    # coordinates from plus and concat
+    every = range(p)
+    total = F.plus([plane(every)] * p, element(every), lanes._lane_mask(F, p))
+    assert [digits(v, p) for v in total] == [[(c + d) % p for d in every] for c in every]
     # nonzero: the lanes whose vector (a[l], b[l]) is not 0, at the low bit of each lane
     live = [int(x != 0 or y != 0) for x, y in zip(a, b)]
     assert F.nonzero([plane(a), plane(b)], ones) == plane(live)
@@ -382,7 +387,7 @@ def test_a_product_fits_the_element_fields(p):
 @pytest.mark.parametrize("p", [3, 5, 131])
 def test_a_digit_multiple_takes_no_lane_product(monkeypatch, p):
     # c*v is double-and-add over F.add, every digit of 2N, and never a field
-    # product or a map of lanes
+    # product
     F = lanes._field(p, galois.build_tower(p, 2, 0).modulus)
 
     def refuse(*args):
@@ -392,7 +397,6 @@ def test_a_digit_multiple_takes_no_lane_product(monkeypatch, p):
         return sum(d << k * F.width for k, d in enumerate(digits))
 
     monkeypatch.setattr(F, "mulmod", refuse)
-    monkeypatch.setattr(F, "apply", refuse)
     v = [1, p - 1, 0, p // 2]  # 2N digits, N = 2
     for c in range(p):
         assert F.scale(packed(v), c) == packed([c * d % p for d in v])
@@ -440,20 +444,19 @@ def test_lanes_split_into_small_blocks(monkeypatch):
 
 def test_the_ranker_returns_one_mask_per_rank_covering_its_block(monkeypatch):
     # for every block, n + 1 masks: no lane in two, every lane of the block in
-    # one; the planes, the change of basis and the layers it is given come
-    # back unchanged
+    # one; the planes and the layers it is given come back unchanged
     lane_blocks, rank_lanes = lanes._lane_blocks, lanes._rank_lanes
     yielded, ranked = [], []
 
-    def recording(F, n, m, digits):
-        for block in lane_blocks(F, n, m, digits):
+    def recording(F, n, m, heads, digits):
+        for block in lane_blocks(F, n, m, heads, digits):
             yielded.append(block)
             yield block
 
-    def checked(F, planes, count, n, P, inverse, layers):
-        given = copy.deepcopy((planes, inverse, layers))
-        masks = rank_lanes(F, planes, count, n, P, inverse, layers)
-        assert (planes, inverse, layers) == given and len(masks) == n + 1
+    def checked(F, planes, count, n, P, layers):
+        given = copy.deepcopy((planes, layers))
+        masks = rank_lanes(F, planes, count, n, P, layers)
+        assert (planes, layers) == given and len(masks) == n + 1
         union = 0
         for mask in masks:
             assert not union & mask
@@ -570,6 +573,25 @@ def test_a_flag_basis_short_of_a_layer_or_with_a_repeated_column_is_refused(monk
         except InternalInconsistency:
             continue
         assert counts != expected
+
+
+@pytest.mark.parametrize("q,n", MISRANKED_FIELDS)
+def test_a_wrong_inverse_of_the_flag_basis_is_refused(monkeypatch, q, n):
+    # x's coordinates plus e_0: the lanes are enumerated at coordinates that
+    # are no lane's, and the re-rank of B c, whose coordinates are c, cannot
+    # see it, so only the check of B**-1 B = 1 refuses the sweep; without it,
+    # (2, 6) returns wrong counts
+    inverse = lanes._inverse
+
+    def planted(F, columns):
+        images = inverse(F, columns)
+        return [images[0], F.add(images[1], F.one), *images[2:]]
+
+    monkeypatch.setattr(lanes, "_inverse", planted)
+    with pytest.raises(
+        InternalInconsistency, match="the inverse of the basis adapted to the flags"
+    ):
+        lanes.sweep(galois.build_tower(q, n, 0))
 
 
 @pytest.mark.parametrize("q,n", MISRANKED_FIELDS)
