@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 verification mismatch or stdout closed by its
 reader, 2 invalid input or refused computation.  Counts can exceed 2**63,
 so JSON carries them as decimal strings; text and CSV print plain decimal
 digits.  `distribution` makes its counts as exact `decimal.Decimal`s, which
-print in linear time at any size, and writes them one at a time in every
-format, so no second copy of them is ever held; `count` and `table` print
-ints by str() and refuse (exit 2) a count past its 4300-digit limit.
+print in linear time at any size, and writes each run of zeros among them in
+pieces of up to 256, so no second copy of its output is ever held; `count`
+and `table` print ints by str() and refuse (exit 2) past 4300 digits.
 
 One table, `build_parser()`, declares the commands and their options, and
 every argv is read from it; argparse is built from it only to print help.
@@ -16,6 +16,7 @@ Importing this module and building the table compiles only this module,
 
 import collections
 import functools
+import itertools
 import os
 import sys
 import types
@@ -195,24 +196,36 @@ def cmd_distribution(args) -> int:
     total = dist.total()
     with counting._exact(total):
         power = decimal.Decimal(args.q) ** args.n
-    counts = map(str, dist.counts)  # one pass, by whichever format is written
-
-    def text():
-        for k, c in enumerate(counts):
-            yield f"N_{k} = {c}"
-        yield f"sum = {total} = {args.q}^{args.n}"
-
-    _emit(
-        args,
-        {"q": args.q, "n": args.n, "counts": counts, "sum_check": total == power},
-        text(),
-        ("k", "count"),
-        ((str(k), c) for k, c in enumerate(counts)),
-    )
+    head, one, zero, tail = {
+        "text": ("", "N_%d = %s\n", "N_%d = 0\n", "sum = %(total)s = %(q)d^%(n)d\n"),
+        "csv": ("k,count\n", "%d,%s\n", "%d,0\n", ""),
+        # the bytes of json.dumps(payload, sort_keys=True); %.0s prints k as nothing
+        "json": ('{"counts": [', '%.0s, "%s"', ', "0"',
+                 '], "n": %(n)d, "q": %(q)d, "sum_check": %(ok)s}\n'),
+    }[args.format]
+    pieces = _pieces(dist.counts, one, zero)
+    write = sys.stdout.write
+    write(head + next(pieces).removeprefix(", "))  # JSON's first item follows no ", "
+    for piece in pieces:
+        write(piece)
+    write(tail % dict(vars(args), total=total, ok=str(total == power).lower()))
     if total != power:
         print("error: counts do not sum to q**n", file=sys.stderr)
         return 1
     return 0
+
+
+def _pieces(counts, one, zero):
+    """Each nonzero c = counts[k] as `one % (k, c)`, and each run of zeros as
+    `zero * L`, given its ks if zero names one, in pieces of L <= 256."""
+    a, n = 0, len(counts)
+    for k in itertools.chain(itertools.compress(range(n), counts), [n]):
+        for a in range(a, k, 256):
+            b = min(a + 256, k)
+            yield zero * (b - a) % tuple(range(a, b)) if "%" in zero else zero * (b - a)
+        if k < n:
+            yield one % (k, counts[k])
+        a = k + 1
 
 
 def cmd_table(args) -> int:
@@ -367,31 +380,15 @@ def _digits(q, n, k, count) -> str:
 def _emit(args, payload, lines, header=(), rows=()) -> None:
     """Print one result in args.format: a JSON payload, CSV header and rows, or text lines.
 
-    Everything is written as it is read, one line or one item at a time, so a
-    result of n + 1 counts never exists as a second copy.  CSV cells are
-    strings.  `lines` and `rows` are read only when their format is chosen, so
-    a generator passed for them does its work only then.  A payload value that
-    JSON cannot encode is an iterator of strings that need no escaping (decimal
-    digits), such as distribution's counts: it is written as a JSON list, item
-    by item, and the bytes are those of `json.dumps(payload, sort_keys=True)`
-    with that value a list.
+    JSON is one `json.dumps(payload, sort_keys=True)` write, text and CSV a
+    line at a time.  CSV cells are strings.  `lines` and `rows` are read only
+    in their format, so a generator passed for them works only then.
     """
     write = sys.stdout.write  # one write per line, where print makes two
     if args.format == "json":
         import json  # loaded by the first JSON output, so text and CSV never pay for it
 
-        streams = []  # the iterators, in the order their marks stand in the text
-        text = json.dumps(payload, sort_keys=True, default=lambda it: streams.append(it) or "\0")
-        head, *tails = text.split('"\\u0000"')  # the marks, as json.dumps writes "\0"
-        write(head)
-        for items, tail in zip(streams, tails):
-            write("[")
-            sep = ""
-            for item in items:
-                write(f'{sep}"{item}"')
-                sep = ", "
-            write("]" + tail)
-        write("\n")
+        write(json.dumps(payload, sort_keys=True) + "\n")
         return
     if args.format == "csv":
         write(",".join(header) + "\n")

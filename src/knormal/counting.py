@@ -85,7 +85,8 @@ class Distribution:
         (``_exact``), whatever the caller's context.
         """
         with _exact(self.counts[0] if self.counts else 0):
-            return sum(reversed(self.counts))  # small end first: the running sum stays small
+            # small end first, so the running sum stays small; a zero adds nothing
+            return sum(filter(None, reversed(self.counts)))
 
 
 def _exact(unit):

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -153,6 +154,9 @@ DECIMAL_FIELDS = [
     *((q, n) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27) for n in range(1, 41)),
     # factor-rich, p | n and coprime
     (4, 60), (5, 120), (2, 252), (13, 156), (2, 315), (3, 560), (11, 600),
+    # zero-heavy: N_k != 0 only at k in {0, 1, n - 1, n}, so the counts between
+    # are one run of zeros, written in pieces; (2, 4003)'s run is 4000 long
+    (2, 11), (293, 997), (144791, 761), (2, 4003),
 ]
 
 
@@ -164,6 +168,21 @@ def test_distribution_prints_the_int_counts_bit_for_bit(capsys):
             assert (code, err) == (0, "")
             assert out == expected_distribution(q, n, fmt), (q, n, fmt)
             assert "-" not in out and "E" not in out
+
+
+def test_distribution_prints_every_count_it_is_given(capsys, monkeypatch):
+    # (293, 997)'s counts with a 7 planted inside its run of zeros and a 0 just
+    # after it: the writer reads each count and infers no zero from the field
+    counts = list(counting.distribution(293, 997, decimal.Decimal(1)))
+    assert counts[2:996] == [0] * 994 and counts[996] != 0
+    counts[500], counts[996] = decimal.Decimal(7), decimal.Decimal(0)
+    planted = counting.Distribution(293, 997, counts)
+    monkeypatch.setattr(counting, "distribution", lambda q, n, one: planted)
+    for fmt in ("text", "csv", "json"):
+        argv = ("distribution", "--q", "293", "--n", "997", "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "error: counts do not sum to q**n\n"), fmt
+        assert printed_counts(out, fmt) == [str(c) for c in counts], fmt
 
 
 def parse_decimal(text):
@@ -222,6 +241,26 @@ def test_distribution_holds_no_second_copy_of_its_output(fmt):
             tracemalloc.stop()
     assert code == 0 and sink.bytes > 2_000_000
     assert peak < 1.25 * sink.bytes, (peak, sink.bytes)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_distribution_writes_a_run_of_zeros_in_small_pieces(fmt):
+    # (2, 4003)'s 4000 zero counts are one run: written whole in text or CSV,
+    # its text and its ks took the peak 140-170 KB past that of making the counts
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    argv = ["distribution", "--q", "2", "--n", "4003", "--format", fmt]
+    with contextlib.redirect_stdout(ByteCount()):
+        cli.main(argv)  # imports and the field's cached parameters, untraced
+        counts_alone = peak(lambda: counting.distribution(2, 4003, decimal.Decimal(1)))
+        written = peak(lambda: cli.main(argv))
+    assert written - counts_alone < 64 << 10, (written, counts_alone)
 
 
 def test_a_product_heavy_distribution_runs_on_ints_and_prints_the_same(capsys, monkeypatch):
